@@ -9,6 +9,9 @@ constraints, in rough order of importance:
   fixed op sequence the accumulation order is fixed, so gradients are
   bitwise reproducible run to run.
 * No broadcasting except adding a row vector (bias) to a matrix.
+* Sparse data enters only as a constant operand: ``spmm`` multiplies a
+  fixed scipy sparse matrix into a tensor, and ``pair_dot`` scores chosen
+  row pairs, so graph work costs O(nonzeros), never O(n^2).
 
 Ops only record onto a tape while one is active (``with Tape(): ...``);
 outside a tape they just compute values, which is what inference and
@@ -16,6 +19,7 @@ finite-difference probing use.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericError, ShapeError
 
@@ -175,6 +179,42 @@ def matmul(a, b):
     return _make_out(out, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
+def spmm(a, h):
+    """Constant sparse matrix times a dense tensor: [n, m] @ [m, d] -> [n, d].
+
+    ``a`` is a scipy sparse matrix and never receives a gradient; the vjp
+    is ``a^T g``, which is ``a g`` for the symmetric graph adjacencies this
+    is used with.
+    """
+    if not sp.issparse(a):
+        raise TypeError(f"spmm: expected a scipy sparse matrix, got {type(a).__name__}")
+    if h.data.ndim != 2 or a.shape[1] != h.shape[0]:
+        raise ShapeError(f"spmm: cannot multiply {tuple(a.shape)} by {tuple(h.shape)}")
+    return _make_out(a @ h.data, (h,), (lambda g: a.T @ g,))
+
+
+def pair_dot(z, rows, cols):
+    """Row-wise dot products of chosen row pairs: out[k] = z[rows[k]] . z[cols[k]].
+
+    The vjp scatters through a sparse [n, n] matrix M with M[rows[k], cols[k]]
+    = g[k] (repeated pairs summed), giving (M + M^T) z.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    if z.data.ndim != 2:
+        raise ShapeError(f"pair_dot expects a matrix, got shape {tuple(z.shape)}")
+    if rows.shape != cols.shape or rows.ndim != 1:
+        raise ShapeError(f"pair_dot: rows {rows.shape} and cols {cols.shape} must be equal 1-D")
+    n = z.shape[0]
+
+    def vjp(g):
+        m = sp.coo_matrix((g, (rows, cols)), shape=(n, n))
+        return m @ z.data + m.T @ z.data
+
+    out = (z.data[rows] * z.data[cols]).sum(axis=1)
+    return _make_out(out, (z,), (vjp,))
+
+
 def add(a, b):
     """Elementwise add; also accepts a [d] bias added to every row of [n, d]."""
     if a.shape == b.shape:
@@ -245,12 +285,6 @@ def sqrt(a):
     return _make_out(out, (a,), (lambda g: g * 0.5 / out,))
 
 
-def transpose(a):
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {tuple(a.shape)}")
-    return _make_out(a.data.T.copy(), (a,), (lambda g: g.T,))
-
-
 def tsum(a):
     """Sum of all entries, as a scalar tensor."""
     return _make_out(np.asarray(a.data.sum()), (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))
@@ -275,21 +309,6 @@ def concat_cols(a, b):
     na = a.shape[1]
     out = np.concatenate([a.data, b.data], axis=1)
     return _make_out(out, (a, b), (lambda g: g[:, :na], lambda g: g[:, na:]))
-
-
-def gather_pairs(a, rows, cols):
-    """Select entries a[rows[k], cols[k]] -> vector of length k."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if a.data.ndim != 2:
-        raise ShapeError(f"gather_pairs expects a matrix, got shape {tuple(a.shape)}")
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, (rows, cols), g)
-        return out
-
-    return _make_out(a.data[rows, cols], (a,), (vjp,))
 
 
 def bce_with_logits(logits, labels):

@@ -78,6 +78,15 @@ def _read_csv_rows(path):
                 yield lineno, row
 
 
+def _finite(path, linenos, matrix):
+    """``matrix`` unchanged when every value is finite; else DataError at the first bad line."""
+    bad = ~np.isfinite(matrix)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise DataError(f"{path}:{linenos[r]}: non-finite value {matrix[r, c]!r} in column {c + 2}")
+    return matrix
+
+
 def read_counts_csv(path) -> CountMatrix:
     """Dense CSV: header = gene ids, first column = cell id, integer cells."""
     rows = _read_csv_rows(path)
@@ -118,18 +127,19 @@ def read_matrix_csv(path):
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
     col_ids = header[1:]
-    row_ids, data = [], []
+    row_ids, data, linenos = [], [], []
     for lineno, row in rows:
         if len(row) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         row_ids.append(row[0])
+        linenos.append(lineno)
         try:
             data.append([float(v) for v in row[1:]])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad number: {exc}") from exc
     if not row_ids:
         raise DataError(f"{path}: no data rows")
-    return row_ids, col_ids, np.asarray(data, dtype=np.float64)
+    return row_ids, col_ids, _finite(path, linenos, np.asarray(data, dtype=np.float64))
 
 
 def write_matrix_csv(path, row_ids, col_ids, matrix):
@@ -153,16 +163,17 @@ def read_coords_csv(path):
         raise DataError(f"{path}: empty file") from None
     if [h.strip() for h in header] != ["spot_id", "x", "y"]:
         raise DataError(f"{path}:1: expected header spot_id,x,y, got {header}")
-    ids, xy = [], []
+    ids, xy, linenos = [], [], []
     for lineno, row in rows:
         if len(row) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
         ids.append(row[0])
+        linenos.append(lineno)
         try:
             xy.append([float(row[1]), float(row[2])])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
-    return ids, np.asarray(xy, dtype=np.float64)
+    return ids, _finite(path, linenos, np.asarray(xy, dtype=np.float64))
 
 
 def write_coords_csv(path, spot_ids, coords):

@@ -396,7 +396,7 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
 def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir):
     """Train the graph VGAE, anchored to the frozen spot latent."""
     run.ensure_layout()
-    x = np.asarray(x_st500, dtype=np.float64)
+    x = np.ascontiguousarray(x_st500, dtype=np.float64)  # converted once, not per step
     coords = np.asarray(coords, dtype=np.float64)
     if list(st_ids) != list(z_fixed_st500.row_ids):
         raise DataError("spot ids do not match the fixed 500-gene latent rows")
@@ -415,16 +415,15 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
     neg_rng = _rng(cfg.seed, _S3_NEGATIVES)
     weights = vg.VgaeLossWeights(recon_exp=cfg.w_recon_exp, recon_sp=cfg.w_recon_sp,
                                  recon_adj=cfg.w_recon_adj, kl=cfg.kl_weight)
+    pos, keys = vg.positive_pairs(graph), vg.edge_keys(graph)
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
     rows = []
     for epoch in range(cfg.s3_epochs):
         noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
         opt.zero_grad()
         with ad.Tape():
-            total, recon_exp, recon_sp, recon_adj, kl = vg.vgae_loss(
-                model, graph, x, coords_n, noise, weights, neg_rng)
-            # second encode on the same tape; both contributions flow back
-            mu, _ = vg.vgae_encode(model, graph.norm_adj, ad.tensor(x))
+            total, recon_exp, recon_sp, recon_adj, kl, mu = vg.vgae_loss(
+                model, graph, x, coords_n, noise, weights, neg_rng, pos=pos, keys=keys)
             anchor_loss = euclidean_latent_loss(mu, anchor, squared=cfg.squared_latent_loss)
             total = ad.add(total, ad.scale(anchor_loss, cfg.w_anchor_st))
             _check_finite(total.item(), 3, epoch)

@@ -5,13 +5,26 @@ and a 2-layer graph convolution stack over the normalized adjacency. Their
 outputs (each d/2 wide) are concatenated and merged into a single d-wide
 latent by a fully connected layer, on which the mu/logvar heads sit. The
 decoder reconstructs expression (MLP), coordinates (MLP to 2-D, in the
-normalized coordinate frame), and the adjacency via an inner-product head
-sigmoid(z z^T).
+normalized coordinate frame), and edges via an inner-product head
+sigmoid(z_i . z_j).
+
+Graph work is O(|E|), following the sparse formulation of GCN and VGAE
+(Kipf & Welling, arXiv:1609.02907 and arXiv:1611.07308); nothing n x n is
+ever built:
+
+* the kNN graph comes from a k-d tree query, re-sorted by (distance, index);
+* the GCN-normalized adjacency D^-1/2 (A + I) D^-1/2 is a scipy CSR matrix,
+  multiplied in through the ``spmm`` tape op;
+* the inner-product head scores only the requested pairs (``pair_dot``);
+* the adjacency loss scores the positive entries of A + I against as many
+  non-edges, drawn per step by rejection sampling against the sorted edge
+  keys ``i * n + j`` built once per stage.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import layers as nn
@@ -24,17 +37,11 @@ from .errors import DataError, ShapeError
 
 @dataclass
 class SpatialGraph:
-    """Symmetric edge set without self-loops plus the GCN-normalized adjacency."""
+    """Symmetric edge set without self-loops plus the GCN-normalized adjacency (CSR)."""
 
     n: int
     edges: list  # [(i, j) with i < j]
-    norm_adj: np.ndarray
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
-        return a
+    norm_adj: sp.csr_matrix
 
 
 def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
@@ -42,43 +49,77 @@ def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
 
     Distance ties break toward the smaller point index; self-loops are
     excluded from the edge set (normalization adds them back internally).
+    A k-d tree proposes candidates; any row whose candidate list might cut
+    through a tie at its k-th distance is queried again with more
+    neighbors, and the final order comes from exact distances.
     """
+    from scipy.spatial import cKDTree  # kept off the inference import path
+
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
+    if k < 1:
+        raise DataError(f"need at least one neighbor per point: k={k}")
     if n <= k:
         raise DataError(f"need more points than neighbors: n={n}, k={k}")
     if not np.all(np.isfinite(coords)):
         raise DataError("coordinates must be finite")
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    edges = set()
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, dist[i]))  # distance, then smaller index
-        for j in order[:k]:
-            a, b = (i, int(j)) if i < j else (int(j), i)
-            edges.add((a, b))
-    graph = SpatialGraph(n=n, edges=sorted(edges), norm_adj=np.empty((0, 0)))
+    tree = cKDTree(coords)
+    nbrs = np.empty((n, k), dtype=np.intp)
+    pending = np.arange(n)
+    m = min(n, 2 * k + 1)
+    while pending.size:
+        dist, idx = tree.query(coords[pending], k=m)
+        is_self = idx == pending[:, None]  # by index: duplicate points share distance 0
+        kth = np.argmax(np.cumsum(~is_self, axis=1) >= k, axis=1)
+        kth_dist = dist[np.arange(len(pending)), kth]
+        # every point at the k-th distance must be a candidate; the relative
+        # margin covers k-d tree distances that differ from ours in the last bit
+        done = (dist[:, -1] > kth_dist * (1.0 + 1e-9)) | (m == n)
+        rows, idx = pending[done], idx[done]
+        exact = np.sqrt(((coords[rows][:, None, :] - coords[idx]) ** 2).sum(axis=2))
+        exact[idx == rows[:, None]] = np.inf
+        order = np.lexsort((idx, exact), axis=1)[:, :k]  # distance, then smaller index
+        nbrs[rows] = np.take_along_axis(idx, order, axis=1)
+        pending = pending[~done]
+        m = min(n, 2 * m)
+    i = np.repeat(np.arange(n), k)
+    j = nbrs.reshape(-1)
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    edges = list(zip((keys // n).tolist(), (keys % n).tolist()))
+    graph = SpatialGraph(n=n, edges=edges, norm_adj=None)
     graph.norm_adj = normalize_adjacency(graph)
     return graph
 
 
-def normalize_adjacency(g: SpatialGraph) -> np.ndarray:
-    """Symmetric GCN normalization: D^{-1/2} (A + I) D^{-1/2}."""
-    a = g.adjacency()
-    if not np.array_equal(a, a.T):
-        raise DataError("adjacency must be symmetric")
-    a_hat = a + np.eye(g.n)
-    deg = a_hat.sum(axis=1)
-    d_inv_sqrt = 1.0 / np.sqrt(deg)  # >= 1 via the self-loop, never zero
-    return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+def _edge_array(g: SpatialGraph) -> np.ndarray:
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    if e.size and (np.any(e[:, 0] >= e[:, 1]) or e.min() < 0 or e.max() >= g.n):
+        raise DataError(f"edges must be pairs (i, j) with 0 <= i < j < {g.n}")
+    return e
+
+
+def normalize_adjacency(g: SpatialGraph) -> sp.csr_matrix:
+    """Symmetric GCN normalization D^{-1/2} (A + I) D^{-1/2}, as CSR.
+
+    Built from ``g.edges`` directly; entries equal the dense formula's
+    bit for bit.
+    """
+    e = _edge_array(g)
+    n = g.n
+    loops = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([e[:, 0], e[:, 1], loops])
+    cols = np.concatenate([e[:, 1], e[:, 0], loops])
+    keys = np.unique(rows * n + cols)  # row-major order: canonical CSR
+    rows, cols = keys // n, keys % n
+    counts = np.bincount(rows, minlength=n)
+    d_inv_sqrt = 1.0 / np.sqrt(counts.astype(np.float64))  # >= 1 via the self-loop
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((d_inv_sqrt[rows] * d_inv_sqrt[cols], cols, indptr), shape=(n, n))
 
 
 def gcn_layer(norm_adj, h, w, activation: bool = True):
     """One graph convolution: relu(A_hat @ h @ w); final layers pass linear."""
-    norm_adj = norm_adj if isinstance(norm_adj, ad.Tensor) else ad.tensor(norm_adj)
-    out = ad.matmul(ad.matmul(norm_adj, h), w)
+    out = ad.matmul(ad.spmm(norm_adj, h), w)
     return ad.relu(out) if activation else out
 
 
@@ -162,13 +203,12 @@ def vgae_encode(p: VgaeParams, norm_adj, x_exp):
     """(mu, logvar) of the merged latent, each [n, d].
 
     Expression branch: MLP(x) -> d/2. Graph branch: two GCN layers over the
-    normalized adjacency -> d/2. Concatenate, merge with a fully connected
-    layer, then apply the posterior heads.
+    sparse normalized adjacency -> d/2. Concatenate, merge with a fully
+    connected layer, then apply the posterior heads.
     """
     x = _as_tensor(x_exp)
     if x.shape[1] != p.cfg.n_genes:
         raise ShapeError(f"vgae_encode: input has {x.shape[1]} genes, model expects {p.cfg.n_genes}")
-    norm_adj = _as_tensor(norm_adj)
     if norm_adj.shape != (x.shape[0], x.shape[0]):
         raise ShapeError(f"vgae_encode: adjacency {tuple(norm_adj.shape)} vs {x.shape[0]} spots")
     h = x
@@ -181,12 +221,13 @@ def vgae_encode(p: VgaeParams, norm_adj, x_exp):
     return p.mu_head(merged), p.logvar_head(merged)
 
 
-def vgae_decode(p: VgaeParams, z):
-    """(expression [n, g], coordinates [n, 2], adjacency logits [n, n]).
+def vgae_decode(p: VgaeParams, z, pairs=None):
+    """(expression [n, g], coordinates [n, 2], edge logits [k] or None).
 
     Coordinates come out in the model's normalized frame (zero mean, unit
-    RMS over the training spots). Adjacency logits are the inner products
-    z z^T; probabilities are their sigmoid.
+    RMS over the training spots). Edge logits are the inner products
+    z_i . z_j of the requested ``pairs`` = (rows, cols) only; probabilities
+    are their sigmoid. Without ``pairs`` no edge is scored.
     """
     z = _as_tensor(z)
     if z.shape[1] != p.cfg.latent_dim:
@@ -199,30 +240,63 @@ def vgae_decode(p: VgaeParams, z):
     for layer in p.coord:
         c = ad.relu(layer(c))
     coords_hat = p.coord_head(c)
-    adj_logits = ad.matmul(z, ad.transpose(z))
-    return x_hat, coords_hat, adj_logits
+    edge_logits = None if pairs is None else ad.pair_dot(z, *pairs)
+    return x_hat, coords_hat, edge_logits
 
 
 def positive_pairs(g: SpatialGraph):
     """Entries of A + I that are 1, as (rows, cols) over the upper triangle."""
-    rows = [i for i in range(g.n)] + [i for i, _ in g.edges]
-    cols = [i for i in range(g.n)] + [j for _, j in g.edges]
-    return np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    e = _edge_array(g)
+    loops = np.arange(g.n, dtype=np.intp)
+    return (np.concatenate([loops, e[:, 0].astype(np.intp)]),
+            np.concatenate([loops, e[:, 1].astype(np.intp)]))
 
 
-def negative_candidates(g: SpatialGraph):
-    """All upper-triangle non-edges of A + I, as an [m, 2] index array."""
-    a_hat = g.adjacency() + np.eye(g.n)
-    iu = np.triu_indices(g.n, k=1)
-    mask = a_hat[iu] == 0
-    return np.stack([iu[0][mask], iu[1][mask]], axis=1)
+def edge_keys(g: SpatialGraph) -> np.ndarray:
+    """Sorted keys ``i * n + j`` of the upper-triangle entries of A + I."""
+    rows, cols = positive_pairs(g)
+    return np.sort(rows.astype(np.int64) * g.n + cols)
 
 
-def sample_negatives(candidates, count, rng):
-    count = min(count, len(candidates))
-    pick = rng.choice(len(candidates), size=count, replace=False)
-    pick.sort()
-    return candidates[pick]
+def _contains(sorted_keys, query):
+    if not sorted_keys.size:
+        return np.zeros(query.shape, dtype=bool)
+    at = np.searchsorted(sorted_keys, query)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == query
+
+
+def sample_negatives(keys, n, count, rng):
+    """Distinct upper-triangle non-edges of A + I, as a sorted [m, 2] array.
+
+    ``keys`` are the sorted ``edge_keys`` of the graph on ``n`` nodes, and
+    m = min(count, number of non-edges). Pairs are drawn uniformly without
+    replacement, by rejection against ``keys``, so a step costs O(count),
+    not O(n^2). When non-edges are fewer than half of all pairs, or the
+    sample would take more than half of them, they are enumerated and
+    sampled directly instead: then n^2 is O(|E| + count), and the rejection
+    loop always accepts at least an eighth of its draws.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    pairs = n * (n - 1) // 2
+    free = pairs - int(np.count_nonzero(keys // n != keys % n))
+    count = min(int(count), free)
+    if 2 * free < pairs or 2 * count > free:
+        iu, ju = np.triu_indices(n, k=1)
+        cand = iu.astype(np.int64) * n + ju
+        cand = cand[~_contains(keys, cand)]
+        chosen = cand[np.sort(rng.choice(len(cand), size=count, replace=False))]
+    else:
+        got = np.empty(0, dtype=np.int64)
+        while len(got) < count:
+            draw = 2 * (count - len(got)) * pairs // (free - len(got)) + 16
+            ij = rng.integers(0, n, size=(draw, 2))
+            lo, hi = ij.min(axis=1), ij.max(axis=1)
+            cand = (lo * n + hi)[lo != hi]
+            got = np.concatenate([got, cand[~_contains(keys, cand)]])
+            _, first = np.unique(got, return_index=True)  # keep first draws, in draw order
+            got = got[np.sort(first)]
+        chosen = np.sort(got[:count])
+    return np.stack([chosen // n, chosen % n], axis=1).astype(np.intp)
 
 
 @dataclass
@@ -234,37 +308,42 @@ class VgaeLossWeights:
 
 
 def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
-              weights: VgaeLossWeights, rng):
-    """(total, recon_exp, recon_sp, recon_adj, kl) as scalar tensors.
+              weights: VgaeLossWeights, rng, pos=None, keys=None):
+    """(total, recon_exp, recon_sp, recon_adj, kl, mu): scalar tensors and the posterior mean.
 
     Adjacency reconstruction scores the positive entries of A + I against an
     equal number of sampled non-edges (class balance); ``rng`` drives the
-    per-call negative sample.
+    per-call negative sample. ``pos`` (``positive_pairs``) and ``keys``
+    (``edge_keys``) default to those of ``graph``; a training loop builds
+    them once and passes them in. ``mu`` lets the caller add terms on the
+    posterior mean without a second encoder pass.
     """
     from .vae import kl_divergence, mse, reparameterize  # shared math
 
+    if pos is None:
+        pos = positive_pairs(graph)
+    if keys is None:
+        keys = edge_keys(graph)
     x_exp = _as_tensor(x_exp)
     x_sp = _as_tensor(x_sp)
     mu, logvar = vgae_encode(p, graph.norm_adj, x_exp)
     z = reparameterize(mu, logvar, noise)
-    x_hat, coords_hat, adj_logits = vgae_decode(p, z)
+    neg = sample_negatives(keys, graph.n, len(pos[0]), rng)
+    rows = np.concatenate([pos[0], neg[:, 0]])
+    cols = np.concatenate([pos[1], neg[:, 1]])
+    x_hat, coords_hat, edge_logits = vgae_decode(p, z, (rows, cols))
 
     recon_exp = mse(x_hat, x_exp)
     recon_sp = mse(coords_hat, x_sp)
-
-    pos_r, pos_c = positive_pairs(graph)
-    neg = sample_negatives(negative_candidates(graph), len(pos_r), rng)
-    rows = np.concatenate([pos_r, neg[:, 0]])
-    cols = np.concatenate([pos_c, neg[:, 1]])
-    labels = np.concatenate([np.ones(len(pos_r)), np.zeros(len(neg))])
-    recon_adj = ad.bce_with_logits(ad.gather_pairs(adj_logits, rows, cols), labels)
+    labels = np.concatenate([np.ones(len(pos[0])), np.zeros(len(neg))])
+    recon_adj = ad.bce_with_logits(edge_logits, labels)
 
     kl = kl_divergence(mu, logvar)
     total = ad.add(ad.add(ad.scale(recon_exp, weights.recon_exp),
                           ad.scale(recon_sp, weights.recon_sp)),
                    ad.add(ad.scale(recon_adj, weights.recon_adj),
                           ad.scale(kl, weights.kl)))
-    return total, recon_exp, recon_sp, recon_adj, kl
+    return total, recon_exp, recon_sp, recon_adj, kl, mu
 
 
 def encode_mu(p: VgaeParams, norm_adj, x_exp) -> np.ndarray:

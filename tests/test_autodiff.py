@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from latentmap import autodiff as ad
 from latentmap.errors import NumericError, ShapeError
@@ -266,7 +267,7 @@ def test_backward_deterministic_bitwise():
     assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
 
 
-def test_gather_pairs_and_concat_backward():
+def test_pair_dot_and_concat_backward():
     rng = np.random.default_rng(7)
     z0 = rng.normal(size=(4, 3))
     rows = np.array([0, 1, 3, 0])
@@ -274,14 +275,44 @@ def test_gather_pairs_and_concat_backward():
 
     z = ad.tensor(z0, requires_grad=True)
     with ad.Tape():
-        picked = ad.gather_pairs(ad.concat_cols(z, z), rows, cols)
+        picked = ad.pair_dot(ad.concat_cols(z, z), rows, cols)
         ad.backward(ad.tsum(picked))
 
     def f(v):
         m = np.concatenate([v, v], axis=1)
-        return float(m[rows, cols].sum())
+        return float((m[rows] * m[cols]).sum())
 
     assert rel_err(z.grad, central_diff(f, z0)) < 1e-8
+
+
+def test_spmm_matches_dense_product_and_grad_check():
+    rng = np.random.default_rng(9)
+    dense = rng.normal(size=(5, 4)) * (rng.uniform(size=(5, 4)) < 0.5)  # not symmetric
+    a = sp.csr_matrix(dense)
+    h = ad.tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = ad.tensor(rng.normal(size=(5, 3)))
+    assert np.allclose(ad.spmm(a, h).data, dense @ h.data, atol=1e-12)
+    assert ad.grad_check(lambda: ad.tsum(ad.mul(ad.spmm(a, h), w)), {"h": h}) < 1e-6
+
+
+def test_spmm_rejects_dense_and_misaligned_operands():
+    h = ad.tensor(np.ones((3, 2)))
+    with pytest.raises(TypeError, match="sparse"):
+        ad.spmm(np.eye(3), h)
+    with pytest.raises(ShapeError, match=r"\(4, 4\)"):
+        ad.spmm(sp.identity(4, format="csr"), h)
+
+
+def test_pair_dot_values_and_grad_check():
+    rng = np.random.default_rng(10)
+    z = ad.tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    rows = np.array([0, 1, 3, 0, 2, 4])
+    cols = np.array([1, 1, 0, 1, 4, 2])  # a self pair, a repeated pair, both orders of one pair
+    assert np.allclose(ad.pair_dot(z, rows, cols).data, (z.data @ z.data.T)[rows, cols],
+                       atol=1e-12)
+    w = ad.tensor(rng.normal(size=6))
+    assert ad.grad_check(lambda: ad.tsum(ad.mul(ad.pair_dot(z, rows, cols), w)),
+                         {"z": z}) < 1e-6
 
 
 def test_no_tape_means_no_recording():

@@ -182,6 +182,17 @@ def test_infer_writes_predictions(trained_run, corpus_dir, tmp_path):
     assert len(ids) == 10
 
 
+def test_infer_prints_frame_with_plain_floats(trained_run, corpus_dir, tmp_path, capsys):
+    rc = cli.main(["infer", "--run-dir", str(trained_run),
+                   "--query", str(corpus_dir / "sc_query_counts.csv"),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == 0
+    frame = json.loads((trained_run / "coord_transform.json").read_text())
+    cx, cy = frame["center"]
+    assert capsys.readouterr().out == (
+        f"coordinate frame: normalized * {frame['scale']!r} + center ({cx!r}, {cy!r})\n")
+
+
 def test_infer_panel_mismatch_exit_code(trained_run, tmp_path):
     bad = tmp_path / "bad_query.csv"
     m = CountMatrix(["q0"], ["NOT_A_GENE"], [[3]])

@@ -67,6 +67,24 @@ def test_coords_csv_round_trip_and_header_check(tmp_path):
         dataio.read_coords_csv(bad)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_coords_csv_rejects_non_finite_with_line(tmp_path, value):
+    path = tmp_path / "coords.csv"
+    path.write_text(f"spot_id,x,y\ns0,1.0,2.0\ns1,3.0,{value}\n")
+    with pytest.raises(DataError, match=r"coords.csv:3: non-finite"):
+        dataio.read_coords_csv(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_matrix_csv_rejects_non_finite_with_line(tmp_path, value):
+    path = tmp_path / "m.csv"
+    path.write_text(f"id,g0,g1\nc0,1.0,2.0\nc1,{value},0.5\nc2,1.0,1.0\n")
+    with pytest.raises(DataError, match=r"m.csv:3: non-finite"):
+        dataio.read_matrix_csv(path)
+    with pytest.raises(DataError, match=r"m.csv:3: non-finite"):
+        dataio.read_latent_csv(path)
+
+
 def test_labels_csv_round_trip_and_duplicate_id(tmp_path):
     path = tmp_path / "labels.csv"
     dataio.write_labels_csv(path, [("c0", "t1"), ("c1", "t2")])

@@ -273,10 +273,9 @@ def test_stage3_ablation_matches_standalone_vgae(tmp_path, corpus):
         noise = noise_rng.normal(size=(corpus["x_st"].shape[0], 4))
         opt.zero_grad()
         with ad.Tape():
-            total, *_ = vg.vgae_loss(model, graph, corpus["x_st"],
-                                     transform.normalize(corpus["coords"]),
-                                     noise, weights, neg_rng)
-            mu, _ = vg.vgae_encode(model, graph.norm_adj, ad.tensor(corpus["x_st"]))
+            total, *_, mu = vg.vgae_loss(model, graph, corpus["x_st"],
+                                         transform.normalize(corpus["coords"]),
+                                         noise, weights, neg_rng)
             anchor = pl.euclidean_latent_loss(mu, z_st.codes)
             total = ad.add(total, ad.scale(anchor, 0.0))
             ad.backward(total)

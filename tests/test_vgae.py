@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from latentmap import autodiff as ad
 from latentmap import vgae
@@ -16,6 +17,12 @@ def brute_force_knn_edges(coords, k):
         for _, j in scored[:k]:
             edges.add((min(i, j), max(i, j)))
     return sorted(edges)
+
+
+def all_pairs(n):
+    """(rows, cols) of every entry of an n x n matrix, row-major."""
+    rows, cols = np.indices((n, n)).reshape(2, -1)
+    return rows, cols
 
 
 def tiny_vgae(seed=0, n_genes=12, latent_dim=4):
@@ -65,24 +72,26 @@ def test_knn_duplicate_coords_tie_by_index():
 def test_knn_too_few_points_errors():
     with pytest.raises(DataError, match="n=2, k=2"):
         vgae.build_knn_graph([[0.0, 0.0], [1.0, 0.0]], k=2)
+    with pytest.raises(DataError, match="k=0"):
+        vgae.build_knn_graph([[0.0, 0.0], [1.0, 0.0]], k=0)
 
 
 def test_normalize_adjacency_single_edge():
-    g = vgae.SpatialGraph(n=2, edges=[(0, 1)], norm_adj=np.empty((0, 0)))
-    a_hat = vgae.normalize_adjacency(g)
+    g = vgae.SpatialGraph(n=2, edges=[(0, 1)], norm_adj=None)
+    a_hat = vgae.normalize_adjacency(g).toarray()
     assert np.allclose(a_hat, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_normalize_adjacency_isolated_node():
-    g = vgae.SpatialGraph(n=3, edges=[(0, 1)], norm_adj=np.empty((0, 0)))
-    a_hat = vgae.normalize_adjacency(g)
+    g = vgae.SpatialGraph(n=3, edges=[(0, 1)], norm_adj=None)
+    a_hat = vgae.normalize_adjacency(g).toarray()
     assert np.array_equal(a_hat[2], [0.0, 0.0, 1.0])
 
 
 def test_normalize_adjacency_random_graph_symmetric_finite():
     rng = np.random.default_rng(1)
     g = vgae.build_knn_graph(rng.uniform(0, 5, size=(6, 2)), k=2)
-    a_hat = g.norm_adj
+    a_hat = g.norm_adj.toarray()
     assert np.max(np.abs(a_hat - a_hat.T)) < 1e-12
     assert np.all(np.isfinite(a_hat))
     # symmetric normalization keeps the spectral radius at most 1
@@ -98,7 +107,7 @@ def test_gcn_identity_adjacency_reduces_to_dense_layer():
     rng = np.random.default_rng(2)
     h = ad.tensor(rng.normal(size=(4, 3)))
     w = ad.tensor(rng.normal(size=(3, 2)))
-    out = vgae.gcn_layer(np.eye(4), h, w, activation=True)
+    out = vgae.gcn_layer(sp.identity(4, format="csr"), h, w, activation=True)
     expected = np.maximum(h.data @ w.data, 0.0)
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -107,7 +116,7 @@ def test_gcn_constant_rows_on_regular_graph_stay_constant():
     # 6-cycle is 2-regular: rows of A_hat sum to 1, so constant rows persist
     edges = [(i, (i + 1) % 6) for i in range(5)] + [(0, 5)]
     g = vgae.SpatialGraph(n=6, edges=sorted(set(tuple(sorted(e)) for e in edges)),
-                          norm_adj=np.empty((0, 0)))
+                          norm_adj=None)
     a_hat = vgae.normalize_adjacency(g)
     h = ad.tensor(np.tile([1.5, -2.0, 0.5], (6, 1)))
     w = ad.tensor(np.random.default_rng(3).normal(size=(3, 2)))
@@ -141,7 +150,7 @@ def test_encode_zero_gcn_weights_ignores_graph():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(6, 12))
     g1 = vgae.build_knn_graph(rng.uniform(0, 4, size=(6, 2)), k=2)
-    mu_a, _ = vgae.vgae_encode(p, np.eye(6), x)
+    mu_a, _ = vgae.vgae_encode(p, sp.identity(6, format="csr"), x)
     mu_b, _ = vgae.vgae_encode(p, g1.norm_adj, x)
     assert np.array_equal(mu_a.data, mu_b.data)
 
@@ -175,15 +184,16 @@ def test_encoder_grad_check():
 
 def test_decode_zero_latent_gives_half_edge_probabilities():
     p = tiny_vgae(seed=8)
-    _, _, logits = vgae.vgae_decode(p, np.zeros((5, 4)))
-    assert np.array_equal(logits.data, np.zeros((5, 5)))  # sigmoid -> 0.5 everywhere
+    _, _, logits = vgae.vgae_decode(p, np.zeros((5, 4)), all_pairs(5))
+    assert np.array_equal(logits.data, np.zeros(25))  # sigmoid -> 0.5 everywhere
 
 
 def test_decode_adjacency_logits_symmetric():
     p = tiny_vgae(seed=9)
     z = np.random.default_rng(9).normal(size=(6, 4))
-    _, _, logits = vgae.vgae_decode(p, z)
-    assert np.max(np.abs(logits.data - logits.data.T)) < 1e-12
+    _, _, logits = vgae.vgae_decode(p, z, all_pairs(6))
+    full = logits.data.reshape(6, 6)
+    assert np.max(np.abs(full - full.T)) < 1e-12
 
 
 def test_decoder_grad_check():
@@ -192,7 +202,7 @@ def test_decoder_grad_check():
     z0 = rng.uniform(0.1, 1.5, size=(4, 4))
 
     def loss():
-        x_hat, coords_hat, logits = vgae.vgae_decode(p, z0)
+        x_hat, coords_hat, logits = vgae.vgae_decode(p, z0, all_pairs(4))
         return ad.add(ad.tmean(ad.square(x_hat)),
                       ad.add(ad.tmean(ad.square(coords_hat)), ad.tmean(ad.square(logits))))
 
@@ -211,9 +221,9 @@ def test_loss_kl_only_zero_at_prior():
     rng = np.random.default_rng(11)
     g = vgae.build_knn_graph(rng.uniform(0, 4, size=(6, 2)), k=2)
     weights = vgae.VgaeLossWeights(recon_exp=0.0, recon_sp=0.0, recon_adj=0.0, kl=1.0)
-    total, _, _, _, kl = vgae.vgae_loss(p, g, rng.normal(size=(6, 12)),
-                                        rng.normal(size=(6, 2)), np.zeros((6, 4)),
-                                        weights, rng)
+    total, _, _, _, kl, _ = vgae.vgae_loss(p, g, rng.normal(size=(6, 12)),
+                                           rng.normal(size=(6, 2)), np.zeros((6, 4)),
+                                           weights, rng)
     assert total.item() == 0.0 and kl.item() == 0.0
 
 
@@ -222,25 +232,14 @@ def test_full_loss_grad_check_small_instance():
     rng = np.random.default_rng(12)
     g = vgae.build_knn_graph(rng.uniform(0, 4, size=(8, 2)), k=2)
     x = rng.uniform(0.1, 2.0, size=(8, 12))
-    sp = rng.normal(size=(8, 2))
+    xy = rng.normal(size=(8, 2))
     noise = rng.normal(size=(8, 4))
-    neg = vgae.sample_negatives(vgae.negative_candidates(g),
-                                len(vgae.positive_pairs(g)[0]), rng)
     weights = vgae.VgaeLossWeights()
 
     def loss():
-        # fixed negative sample so the loss is a deterministic function of params
-        from latentmap.vae import kl_divergence, mse, reparameterize
-        mu, logvar = vgae.vgae_encode(p, g.norm_adj, x)
-        z = reparameterize(mu, logvar, noise)
-        x_hat, coords_hat, adj_logits = vgae.vgae_decode(p, z)
-        pos_r, pos_c = vgae.positive_pairs(g)
-        rows = np.concatenate([pos_r, neg[:, 0]])
-        cols = np.concatenate([pos_c, neg[:, 1]])
-        labels = np.concatenate([np.ones(len(pos_r)), np.zeros(len(neg))])
-        adj = ad.bce_with_logits(ad.gather_pairs(adj_logits, rows, cols), labels)
-        return ad.add(ad.add(mse(x_hat, ad.tensor(x)), mse(coords_hat, ad.tensor(sp))),
-                      ad.add(adj, kl_divergence(mu, logvar)))
+        # a fresh generator per call fixes the negative sample, so the loss is
+        # a deterministic function of params
+        return vgae.vgae_loss(p, g, x, xy, noise, weights, np.random.default_rng(12))[0]
 
     assert ad.grad_check(loss, p.params()) < 1e-4
 
@@ -271,12 +270,13 @@ def test_path_graph_adjacency_reconstruction_trains_below_point_one():
     _train_vgae(p, g, x, coords, weights, steps=400, seed=13)
     mu = vgae.encode_mu(p, g.norm_adj, x)
     pos_r, pos_c = vgae.positive_pairs(g)
-    neg = vgae.negative_candidates(g)
+    neg = vgae.sample_negatives(vgae.edge_keys(g), g.n, g.n * g.n, rng)  # every non-edge
+    assert len(neg) == 3
     rows = np.concatenate([pos_r, neg[:, 0]])
     cols = np.concatenate([pos_c, neg[:, 1]])
     labels = np.concatenate([np.ones(len(pos_r)), np.zeros(len(neg))])
-    logits = mu @ mu.T
-    final = ad.bce_with_logits(ad.tensor(logits[rows, cols]), labels).item()
+    logits = (mu[rows] * mu[cols]).sum(axis=1)
+    final = ad.bce_with_logits(ad.tensor(logits), labels).item()
     assert final < 0.1
 
 
@@ -312,7 +312,7 @@ def test_two_block_graph_heldout_edge_auc():
     held_idx = rng.choice(len(edges), size=len(edges) // 5, replace=False)
     held = [edges[i] for i in held_idx]
     kept = [e for i, e in enumerate(edges) if i not in set(held_idx)]
-    g = vgae.SpatialGraph(n=full.n, edges=kept, norm_adj=np.empty((0, 0)))
+    g = vgae.SpatialGraph(n=full.n, edges=kept, norm_adj=None)
     g.norm_adj = vgae.normalize_adjacency(g)
 
     cfg = vgae.VgaeConfig(n_genes=12, latent_dim=8, exp_hidden=(16,), gcn_hidden=12,
@@ -323,7 +323,7 @@ def test_two_block_graph_heldout_edge_auc():
     _train_vgae(p, g, x, tr.normalize(coords), weights, steps=500, seed=15)
 
     mu = vgae.encode_mu(p, g.norm_adj, x)
-    neg = vgae.sample_negatives(vgae.negative_candidates(full), 200, rng)
+    neg = vgae.sample_negatives(vgae.edge_keys(full), full.n, 200, rng)
     auc = vgae.edge_auc(mu, np.asarray(held), neg)
     assert auc >= 0.9
 
@@ -350,3 +350,118 @@ def test_checkpoint_round_trip(tmp_path):
     x = rng.normal(size=(6, 12))
     assert np.array_equal(vgae.encode_mu(p, g.norm_adj, x), vgae.encode_mu(q, g.norm_adj, x))
     assert extra["coord_transform"]["scale"] == 3.0
+
+
+# ---------------------------------------------------------------------------
+# sparse graph: k-d tree kNN, CSR adjacency, negative sampling
+# ---------------------------------------------------------------------------
+
+def grid(side):
+    return np.array([[float(x), float(y)] for y in range(side) for x in range(side)])
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_knn_grid_full_of_ties_matches_brute_force(k):
+    coords = grid(20)
+    assert vgae.build_knn_graph(coords, k=k).edges == brute_force_knn_edges(coords, k)
+
+
+def test_knn_with_duplicate_points_matches_brute_force():
+    rng = np.random.default_rng(21)
+    base = rng.uniform(0, 10, size=(40, 2))
+    # scattered duplicates, plus one point repeated more often than the first
+    # k-d tree query returns neighbors, which forces a wider query
+    coords = np.vstack([base, base[rng.choice(40, size=10)], np.repeat(base[:1], 15, axis=0)])
+    coords = coords[rng.permutation(len(coords))]
+    for k in (1, 3, 6):
+        assert vgae.build_knn_graph(coords, k=k).edges == brute_force_knn_edges(coords, k)
+
+
+def test_norm_adj_csr_equals_dense_formula():
+    rng = np.random.default_rng(22)
+    g = vgae.build_knn_graph(rng.uniform(0, 6, size=(40, 2)), k=3)
+    assert sp.isspmatrix_csr(g.norm_adj)
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
+    a_hat = a + np.eye(g.n)
+    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    dense = a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    assert np.array_equal(g.norm_adj.toarray(), dense)
+
+
+def test_normalize_adjacency_rejects_malformed_edges():
+    for edges in ([(1, 0)], [(0, 0)], [(0, 3)]):
+        with pytest.raises(DataError, match="edges"):
+            vgae.normalize_adjacency(vgae.SpatialGraph(n=3, edges=edges, norm_adj=None))
+
+
+def _check_negatives(g, neg, count):
+    keys = set(vgae.edge_keys(g).tolist())
+    free = g.n * (g.n - 1) // 2 - len(g.edges)
+    assert neg.shape == (min(count, free), 2)
+    assert np.all(neg[:, 0] < neg[:, 1])  # upper triangle, no self-loops
+    flat = neg[:, 0] * g.n + neg[:, 1]
+    assert np.all(np.diff(flat) > 0)  # sorted and unique
+    assert not keys & set(flat.tolist())  # disjoint from A + I
+
+
+@pytest.mark.parametrize("side,k", [(10, 4), (3, 4)])
+def test_sample_negatives_properties(side, k):
+    # 10x10: sparse graph, rejection sampling; 3x3: dense graph, enumeration
+    g = vgae.build_knn_graph(grid(side), k=k)
+    count = len(vgae.positive_pairs(g)[0])
+    for seed in range(5):
+        neg = vgae.sample_negatives(vgae.edge_keys(g), g.n, count,
+                                    np.random.default_rng(seed))
+        _check_negatives(g, neg, count)
+
+
+def test_sample_negatives_complete_graph_terminates_empty():
+    g = vgae.build_knn_graph(grid(3)[:5], k=4)  # n = k + 1: every pair is an edge
+    assert len(g.edges) == 10
+    neg = vgae.sample_negatives(vgae.edge_keys(g), g.n, 15, np.random.default_rng(0))
+    assert neg.shape == (0, 2)
+
+
+def test_sample_negatives_deterministic_per_seed():
+    g = vgae.build_knn_graph(grid(12), k=6)
+    keys = vgae.edge_keys(g)
+    a = vgae.sample_negatives(keys, g.n, 300, np.random.default_rng(5))
+    b = vgae.sample_negatives(keys, g.n, 300, np.random.default_rng(5))
+    c = vgae.sample_negatives(keys, g.n, 300, np.random.default_rng(6))
+    assert np.array_equal(a, b) and not np.array_equal(a, c)
+
+
+def test_sample_negatives_covers_non_edges_evenly():
+    g = vgae.build_knn_graph(grid(6), k=4)
+    keys = vgae.edge_keys(g)
+    rng = np.random.default_rng(23)
+    hits = {}
+    for _ in range(400):
+        for i, j in vgae.sample_negatives(keys, g.n, 60, rng).tolist():
+            hits[(i, j)] = hits.get((i, j), 0) + 1
+    free = g.n * (g.n - 1) // 2 - len(g.edges)
+    assert len(hits) == free
+    # chi-square against uniform: mean df, sd sqrt(2 df); allow five sd
+    expected = 400 * 60 / free
+    chi2 = sum((h - expected) ** 2 / expected for h in hits.values())
+    assert chi2 < (free - 1) + 5 * np.sqrt(2 * (free - 1)), chi2
+
+
+def test_graph_and_negatives_stay_sparse_in_memory():
+    import tracemalloc
+
+    import scipy.spatial  # noqa: F401  module import is not graph work
+
+    coords = grid(64)
+    tracemalloc.start()
+    try:
+        g = vgae.build_knn_graph(coords, k=6)
+        pos = vgae.positive_pairs(g)
+        vgae.sample_negatives(vgae.edge_keys(g), g.n, len(pos[0]), np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense 4096 x 4096 float64 array alone is 134 MB
+    assert peak < 16e6, peak
