@@ -102,6 +102,29 @@ def test_train_never_exceeds_max_iters():
     assert steps == 13
 
 
+def test_train_discriminator_matches_standalone_loop():
+    # the training loop equals a hand-written tape/backward/Adam loop on BCE
+    rng = np.random.default_rng(11)
+    z_sc = rng.normal(0.5, 1.0, size=(30, 4))
+    z_st = rng.normal(-0.5, 1.0, size=(20, 4))
+    p, acc, steps = disc.train_discriminator(disc.init_discriminator(4, 11), z_sc, z_st,
+                                             alpha=1.1, max_iters=7, lr=1e-2)
+    assert steps == 7
+
+    q = disc.init_discriminator(4, 11)
+    z_all = ad.tensor(np.vstack([z_sc, z_st]))
+    labels = np.concatenate([np.ones(30), np.zeros(20)])
+    opt = ad.Adam(q.params(), lr=1e-2)
+    for _ in range(7):
+        opt.zero_grad()
+        with ad.Tape():
+            ad.backward(ad.bce_with_logits(disc.disc_forward(q, z_all), labels))
+        opt.step()
+    for name, t in q.params().items():
+        assert np.array_equal(p.params()[name].data, t.data), name
+    assert acc == disc.disc_accuracy(q, z_sc, z_st)
+
+
 def test_generator_loss_saturation_values():
     p = disc.init_discriminator(2, 8)
     # rig the head so every logit is +20: fooled discriminator, loss ~ 0

@@ -148,6 +148,36 @@ def test_stage1_deterministic_rerun(tmp_path, corpus):
         assert a == b, name
 
 
+def test_stage1_history_matches_standalone_vae(tmp_path, corpus):
+    # stage 1 is plain VAE training: its history, latent and weights equal a
+    # hand-written tape/backward/Adam loop driven by the same seed streams
+    from latentmap import vae
+    cfg = tiny_cfg(s1_epochs=6)
+    run = pl.RunDir(tmp_path / "run")
+    z1 = pl.stage1(cfg, corpus["x_big"], corpus["sc_ids"], run)
+    _, rows = pl.read_history(run.path("history", "stage1.csv"))
+
+    x = corpus["x_big"]
+    model = vae.init_vae(vae.VaeConfig(n_genes=x.shape[1], latent_dim=4, enc_hidden=(16, 8)),
+                         pl._rng(cfg.seed, pl._S1_INIT))
+    noise_rng = pl._rng(cfg.seed, pl._S1_NOISE)
+    opt = ad.Adam(model.params(), lr=cfg.learning_rate)
+    standalone = []
+    for epoch in range(6):
+        noise = noise_rng.normal(size=(x.shape[0], 4))
+        opt.zero_grad()
+        with ad.Tape():
+            total, recon, kl = vae.vae_loss(model, x, noise, beta=cfg.kl_weight)[:3]
+            ad.backward(total)
+        opt.step()
+        standalone.append([epoch, total.item(), recon.item(), kl.item()])
+    assert rows == standalone  # bitwise identical floats
+    assert np.array_equal(z1.codes, vae.encode_mu(model, x))
+    saved = vae.load_vae(run.path("checkpoints", "vae_sc2000.json")).params()
+    for name, t in model.params().items():
+        assert np.array_equal(saved[name].data, t.data), name
+
+
 def test_stage_gating(tmp_path, corpus):
     run = pl.RunDir(tmp_path / "run")
     run.ensure_layout()
