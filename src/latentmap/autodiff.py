@@ -97,6 +97,11 @@ def constant(values):
     return Tensor(values, requires_grad=False)
 
 
+def as_tensor(x):
+    """``x`` itself if it is a Tensor, else a float64 constant of it."""
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
 class Tape:
     """Ordered record of executed ops.
 
@@ -332,69 +337,69 @@ def bce_with_logits(logits, labels):
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# training
 # ---------------------------------------------------------------------------
 
-class AdamState:
-    """Per-parameter first/second moment estimates plus a shared step count."""
+class Adam:
+    """Adam state (Kingma & Ba, arXiv:1412.6980) for named parameter tensors.
+
+    Holds the parameters, their first and second moment estimates and the
+    shared step count; ``adam_step`` applies one update.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.params = dict(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.m = {k: np.zeros_like(_data_of(p)) for k, p in params.items()}
-        self.v = {k: np.zeros_like(_data_of(p)) for k, p in params.items()}
-
-
-def _data_of(p):
-    return p.data if isinstance(p, Tensor) else np.asarray(p, dtype=np.float64)
-
-
-def adam_step(params, grads, state):
-    """One bias-corrected Adam update, applied in place.
-
-    ``params`` maps names to Tensors (or arrays) and ``grads`` maps the same
-    names to gradient arrays. A non-finite gradient aborts, naming the
-    offending parameter.
-    """
-    state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        g = g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter '{name}'")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-        target = _data_of(p)
-        target -= update
-    return params, state
-
-
-class Adam:
-    """Convenience wrapper stepping from the grads stored on the tensors."""
-
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.params = dict(params)
-        self.state = AdamState(self.params, lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
-
-    def step(self):
-        grads = {}
-        for name, p in self.params.items():
-            grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-        adam_step(self.params, grads, self.state)
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
+
+
+def adam_step(opt):
+    """One bias-corrected Adam update from the grads on ``opt.params``, in place.
+
+    A parameter without a grad gets a zero gradient. A non-finite gradient
+    aborts, naming the offending parameter.
+    """
+    opt.t += 1
+    bc1 = 1.0 - opt.beta1 ** opt.t
+    bc2 = 1.0 - opt.beta2 ** opt.t
+    for name, p in opt.params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient for parameter '{name}'")
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        p.data -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.epsilon)
+
+
+def train_step(opt, loss_fn, where):
+    """One full-batch step: clear grads, tape ``loss_fn()``, backpropagate, update.
+
+    ``loss_fn`` takes no arguments and returns scalar tensors, the total
+    first. A non-finite total raises NumericError naming ``where`` before
+    anything is updated. Returns the terms as floats.
+    """
+    opt.zero_grad()
+    with Tape():
+        terms = loss_fn()
+        total = terms[0].item()
+        if not np.isfinite(total):
+            raise NumericError(f"{where}: non-finite loss ({total})")
+        backward(terms[0])
+    adam_step(opt)
+    return [t.item() for t in terms]
 
 
 # ---------------------------------------------------------------------------

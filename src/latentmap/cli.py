@@ -72,14 +72,10 @@ def write_manifest(run_dir, config, inputs, artifacts, seed):
         "seed": seed,
         "config": config,
         "input_digests": {os.path.basename(p): file_digest(p) for p in inputs},
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(set(artifacts)),
     }
-    path = os.path.join(run_dir, "manifest.json")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    dataio.atomic_write(os.path.join(run_dir, "manifest.json"),
+                        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
@@ -220,7 +216,8 @@ def cmd_train(args):
         run.ensure_layout()
         cfg.save(run.path("config.json"))
         data = pl.load_pipeline_data(args.data)
-        artifacts = []
+        # an incremental run keeps the artifacts of the stages recorded before it
+        artifacts = list(manifest.get("artifacts", [])) if manifest else []
         for stage in stages:
             artifacts += pl.CHECKPOINTS[stage] + pl.LATENTS[stage] + [f"stage{stage}.csv"]
         write_manifest(args.run_dir, cfg.to_dict(), inputs, artifacts, cfg.seed)
@@ -246,21 +243,8 @@ def cmd_infer(args):
         raise DataError(f"query panel mismatch: missing {missing[:10]}, extra {extra[:10]}")
     x = pp.panel_matrix(query, pp.GenePanel(panel), target_sum=args.target_sum)
     x_hat, coords_norm, transform = pl.infer(run, x, panel, panel)
-    coords_tissue = transform.denormalize(coords_norm)
-    buf_cols = ["cell_id", "x_hat", "y_hat"] + list(panel)
-    import csv as _csv
-    import io as _io
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(buf_cols)
-    for i, rid in enumerate(query.row_ids):
-        row = [rid, repr(float(coords_tissue[i, 0])), repr(float(coords_tissue[i, 1]))]
-        row += [repr(float(v)) for v in x_hat[i]]
-        writer.writerow(row)
-    tmp = f"{args.out}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(buf.getvalue())
-    os.replace(tmp, args.out)
+    dataio.write_matrix_csv(args.out, query.row_ids, ["x_hat", "y_hat"] + list(panel),
+                            np.hstack([transform.denormalize(coords_norm), x_hat]))
     cx, cy = (float(v) for v in transform.center)
     print(f"coordinate frame: normalized * {transform.scale!r} + center ({cx!r}, {cy!r})")
     log.info("predictions for %d cells written to %s", query.n_rows, args.out)

@@ -1,5 +1,5 @@
-"""File formats: count matrices (Matrix Market or dense CSV), panels,
-coordinates, labels, and latent matrices.
+"""File formats: count matrices (dense CSV), panels, coordinates, labels,
+and latent matrices.
 
 CSV conventions:
   * matrices: header row = gene ids, first column = cell/spot id
@@ -8,7 +8,8 @@ CSV conventions:
   * latents: header ``id,z0,...,z{d-1}``
 
 Floats are written with ``repr`` so files are deterministic and round-trip
-exactly.
+exactly. Matrices, coordinates, labels, latents and edge lists are written
+through ``atomic_write``, so they appear whole or not at all.
 """
 
 import csv
@@ -16,7 +17,6 @@ import io
 import os
 
 import numpy as np
-from scipy.io import mmread
 
 from .errors import DataError
 from .preprocess import CountMatrix
@@ -38,32 +38,6 @@ def write_id_list(path, ids):
     with open(path, "w") as fh:
         for i in ids:
             fh.write(f"{i}\n")
-
-
-def read_counts_mtx(mtx_path, row_ids_path, col_ids_path) -> CountMatrix:
-    """Matrix Market coordinate file plus newline-delimited row/col id files."""
-    try:
-        mat = mmread(mtx_path)
-    except Exception as exc:
-        raise DataError(f"{mtx_path}: cannot parse Matrix Market file: {exc}") from exc
-    dense = np.asarray(mat.todense() if hasattr(mat, "todense") else mat)
-    counts = np.rint(dense).astype(np.int64)
-    if np.max(np.abs(dense - counts)) > 1e-9:
-        raise DataError(f"{mtx_path}: matrix contains non-integer counts")
-    row_ids = read_id_list(row_ids_path)
-    col_ids = read_id_list(col_ids_path)
-    return CountMatrix(row_ids, col_ids, counts)
-
-
-def write_counts_mtx(mtx_path, row_ids_path, col_ids_path, m: CountMatrix):
-    rows, cols = np.nonzero(m.counts)
-    with open(mtx_path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate integer general\n")
-        fh.write(f"{m.n_rows} {m.n_cols} {rows.size}\n")
-        for r, c in zip(rows, cols):
-            fh.write(f"{r + 1} {c + 1} {int(m.counts[r, c])}\n")
-    write_id_list(row_ids_path, m.row_ids)
-    write_id_list(col_ids_path, m.col_ids)
 
 
 def _read_csv_rows(path):
@@ -151,7 +125,7 @@ def write_matrix_csv(path, row_ids, col_ids, matrix):
     writer.writerow(["id"] + list(col_ids))
     for i, rid in enumerate(row_ids):
         writer.writerow([rid] + [_fmt(v) for v in matrix[i]])
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def read_coords_csv(path):
@@ -182,7 +156,7 @@ def write_coords_csv(path, spot_ids, coords):
     writer.writerow(["spot_id", "x", "y"])
     for rid, (x, y) in zip(spot_ids, np.asarray(coords, dtype=np.float64)):
         writer.writerow([rid, _fmt(x), _fmt(y)])
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def read_labels_csv(path):
@@ -210,7 +184,7 @@ def write_labels_csv(path, pairs):
     writer.writerow(["id", "label"])
     for rid, label in pairs:
         writer.writerow([rid, label])
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def read_latent_csv(path):
@@ -229,12 +203,15 @@ def write_latent_csv(path, row_ids, codes):
 
 def write_edge_list(path, edges):
     """Debug export: one ``i j`` pair per line."""
-    with open(path, "w") as fh:
-        for i, j in edges:
-            fh.write(f"{i} {j}\n")
+    atomic_write(path, "".join(f"{i} {j}\n" for i, j in edges))
 
 
-def _atomic_write(path, text):
+def atomic_write(path, text):
+    """Write ``text`` to ``path`` through a temporary file and a rename.
+
+    A crash or a failed write leaves the previous file (or none) in place,
+    never a partial one; ``newline=""`` writes the text's line endings as given.
+    """
     tmp = f"{path}.tmp"
     with open(tmp, "w", newline="") as fh:
         fh.write(text)

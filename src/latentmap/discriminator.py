@@ -26,20 +26,15 @@ class DiscriminatorParams:
 
 
 def init_discriminator(latent_dim, seed_or_rng, hidden=(128, 128, 128)) -> DiscriminatorParams:
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else np.random.default_rng(seed_or_rng)
-    return DiscriminatorParams(latent_dim, rng, hidden=hidden)
+    return DiscriminatorParams(latent_dim, np.random.default_rng(seed_or_rng), hidden=hidden)
 
 
 def disc_forward(p: DiscriminatorParams, z):
     """Logits [n] for latent codes z [n, d]."""
-    z = z if isinstance(z, ad.Tensor) else ad.tensor(np.asarray(z, dtype=np.float64))
+    z = ad.as_tensor(z)
     if z.shape[1] != p.latent_dim:
         raise ShapeError(f"disc_forward: input width {z.shape[1]}, model expects {p.latent_dim}")
-    h = z
-    for layer in p.layers:
-        h = ad.relu(layer(h))
-    return ad.sum_cols(p.head(h))  # [n, 1] -> [n]
+    return ad.sum_cols(nn.mlp_forward(p.layers + [p.head], z))  # [n, 1] -> [n]
 
 
 def disc_accuracy(p: DiscriminatorParams, z_sc, z_st) -> float:
@@ -69,11 +64,8 @@ def train_discriminator(p: DiscriminatorParams, z_sc, z_st,
     steps = 0
     acc = disc_accuracy(p, z_sc, z_st)
     while acc < alpha and steps < max_iters:
-        opt.zero_grad()
-        with ad.Tape():
-            loss = ad.bce_with_logits(disc_forward(p, z_all), labels)
-            ad.backward(loss)
-        opt.step()
+        ad.train_step(opt, lambda: (ad.bce_with_logits(disc_forward(p, z_all), labels),),
+                      f"discriminator, step {steps}")
         steps += 1
         acc = disc_accuracy(p, z_sc, z_st)
     return p, acc, steps

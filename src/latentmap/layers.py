@@ -1,11 +1,11 @@
 """Linear layers, seeded initialization, and JSON parameter checkpoints."""
 
 import json
-import os
 
 import numpy as np
 
 from . import autodiff as ad
+from . import dataio
 from .errors import DataError, ShapeError
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -83,11 +83,7 @@ def save_checkpoint(path, kind, arch, params, extra=None):
     }
     if extra:
         payload["extra"] = extra
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    os.replace(tmp, path)
+    dataio.atomic_write(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_checkpoint(path, expect_kind=None):

@@ -39,7 +39,7 @@ from . import discriminator as disc
 from . import layers as nn
 from . import vae
 from . import vgae as vg
-from .errors import DataError, DependencyError, NumericError, ShapeError
+from .errors import DataError, DependencyError, ShapeError
 
 log = logging.getLogger("latentmap.pipeline")
 
@@ -115,11 +115,7 @@ class TrainConfig:
         return TrainConfig(**d)
 
     def save(self, path):
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        dataio.atomic_write(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @staticmethod
     def load(path):
@@ -141,8 +137,8 @@ def euclidean_latent_loss(za, zb, squared: bool = True):
     form is the training default (smooth at zero); ``squared=False`` gives
     the plain distance.
     """
-    za = za if isinstance(za, ad.Tensor) else ad.tensor(np.asarray(za, dtype=np.float64))
-    zb = zb if isinstance(zb, ad.Tensor) else ad.tensor(np.asarray(zb, dtype=np.float64))
+    za = ad.as_tensor(za)
+    zb = ad.as_tensor(zb)
     if za.shape != zb.shape:
         raise ShapeError(f"paired latents differ in shape: {tuple(za.shape)} vs {tuple(zb.shape)}")
     sq = ad.square(ad.sub(za, zb))
@@ -218,10 +214,7 @@ def _write_history(path, header, rows):
     writer.writerow(header)
     for row in rows:
         writer.writerow([v if isinstance(v, (int, str)) else repr(float(v)) for v in row])
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(buf.getvalue())
-    os.replace(tmp, path)
+    dataio.atomic_write(path, buf.getvalue())
 
 
 def read_history(path):
@@ -230,11 +223,6 @@ def read_history(path):
         header = next(reader)
         rows = [[float(v) for v in row] for row in reader]
     return header, rows
-
-
-def _check_finite(value, stage, step):
-    if not np.isfinite(value):
-        raise NumericError(f"stage {stage}, step {step}: non-finite loss ({value})")
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +241,9 @@ def stage1(cfg: TrainConfig, x_sc2000, row_ids, run: RunDir):
     rows = []
     for epoch in range(cfg.s1_epochs):
         noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
-        opt.zero_grad()
-        with ad.Tape():
-            total, recon, kl = vae.vae_loss(model, x, noise, beta=cfg.kl_weight)
-            _check_finite(total.item(), 1, epoch)
-            ad.backward(total)
-        opt.step()
-        rows.append([epoch, total.item(), recon.item(), kl.item()])
+        terms = ad.train_step(opt, lambda: vae.vae_loss(model, x, noise, beta=cfg.kl_weight)[:3],
+                              f"stage 1, step {epoch}")
+        rows.append([epoch, *terms])
     codes = vae.encode_mu(model, x)
     vae.save_vae(run.path("checkpoints", "vae_sc2000.json"), model)
     run.write_latent("z_sc2000.csv", row_ids, codes)
@@ -270,33 +254,26 @@ def stage1(cfg: TrainConfig, x_sc2000, row_ids, run: RunDir):
 
 
 def _generator_step(model, opt, x, noise, cfg, anchor_target, anchor_weight,
-                    d_params, adv_label, adv_weight):
+                    d_params, adv_label, adv_weight, where):
     """One full-batch step for a 500-gene VAE inside stage 2.
 
     Loss = recon + kl_weight * KL + anchor_weight * anchor + adv_weight * adv.
     The anchor and the adversarial term act on the posterior mean, the same
-    quantity that later gets frozen.
+    quantity that later gets frozen. Returns [total, recon, kl, anchor, adv];
+    a term with zero weight reads 0.
     """
-    opt.zero_grad()
-    with ad.Tape():
-        xt = ad.tensor(x)
-        mu, logvar = vae.encode(model, xt)
-        z = vae.reparameterize(mu, logvar, noise)
-        recon = vae.mse(vae.decode(model, z), xt)
-        kl = vae.kl_divergence(mu, logvar)
-        total = ad.add(recon, ad.scale(kl, cfg.kl_weight))
-        anchor_val = adv_val = 0.0
+    def loss():
+        total, recon, kl, mu = vae.vae_loss(model, x, noise, beta=cfg.kl_weight)
+        anchor = adv = ad.constant(0.0)
         if anchor_weight > 0 and anchor_target is not None:
             anchor = euclidean_latent_loss(mu, anchor_target, squared=cfg.squared_latent_loss)
             total = ad.add(total, ad.scale(anchor, anchor_weight))
-            anchor_val = anchor.item()
         if adv_weight > 0:
             adv = disc.adversarial_generator_loss(d_params, mu, target_label=adv_label)
             total = ad.add(total, ad.scale(adv, adv_weight))
-            adv_val = adv.item()
-        ad.backward(total)
-    opt.step()
-    return total.item(), recon.item(), kl.item(), anchor_val, adv_val
+        return total, recon, kl, anchor, adv
+
+    return ad.train_step(opt, loss, where)
 
 
 def _pretrain_shared_init(cfg, vae_cfg, x_sc, x_st):
@@ -313,12 +290,8 @@ def _pretrain_shared_init(cfg, vae_cfg, x_sc, x_st):
     opt = ad.Adam(pre.params(), lr=cfg.learning_rate)
     for epoch in range(cfg.s2_init_epochs):
         noise = noise_rng.normal(size=(x_union.shape[0], cfg.latent_dim))
-        opt.zero_grad()
-        with ad.Tape():
-            total, _, _ = vae.vae_loss(pre, x_union, noise, beta=cfg.kl_weight)
-            _check_finite(total.item(), 2, epoch)
-            ad.backward(total)
-        opt.step()
+        ad.train_step(opt, lambda: vae.vae_loss(pre, x_union, noise, beta=cfg.kl_weight)[:1],
+                      f"stage 2 pretraining, step {epoch}")
     return pre
 
 
@@ -364,15 +337,15 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
             d_params, mu_sc, mu_st, alpha=cfg.disc_target_acc,
             max_iters=cfg.disc_max_iters, lr=cfg.disc_lr)
         for inner in range(cfg.s2b_epochs):
+            where = f"stage 2, step {outer * cfg.s2b_epochs + inner}"
             sc_stats = _generator_step(
                 model_sc, opt_sc, x_sc, noise_sc.normal(size=(x_sc.shape[0], cfg.latent_dim)),
-                cfg, anchor, cfg.w_anchor_sc, d_params,
-                adv_label=0.0, adv_weight=cfg.w_adv if cfg.adv_train_sc else 0.0)
+                cfg, anchor, cfg.w_anchor_sc, d_params, adv_label=0.0,
+                adv_weight=cfg.w_adv if cfg.adv_train_sc else 0.0, where=f"{where}, cells")
             st_stats = _generator_step(
                 model_st, opt_st, x_st, noise_st.normal(size=(x_st.shape[0], cfg.latent_dim)),
-                cfg, None, 0.0, d_params, adv_label=1.0, adv_weight=cfg.w_adv)
-            _check_finite(sc_stats[0], 2, outer * cfg.s2b_epochs + inner)
-            _check_finite(st_stats[0], 2, outer * cfg.s2b_epochs + inner)
+                cfg, None, 0.0, d_params, adv_label=1.0, adv_weight=cfg.w_adv,
+                where=f"{where}, spots")
             rows.append([outer, inner, d_acc, d_steps,
                          sc_stats[0], sc_stats[1], sc_stats[2], sc_stats[3], sc_stats[4],
                          st_stats[0], st_stats[1], st_stats[2], st_stats[4]])
@@ -418,28 +391,25 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
     pos, keys = vg.positive_pairs(graph), vg.edge_keys(graph)
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
     rows = []
-    for epoch in range(cfg.s3_epochs):
+
+    def loss():
         noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
-        opt.zero_grad()
-        with ad.Tape():
-            total, recon_exp, recon_sp, recon_adj, kl, mu = vg.vgae_loss(
-                model, graph, x, coords_n, noise, weights, neg_rng, pos=pos, keys=keys)
-            anchor_loss = euclidean_latent_loss(mu, anchor, squared=cfg.squared_latent_loss)
-            total = ad.add(total, ad.scale(anchor_loss, cfg.w_anchor_st))
-            _check_finite(total.item(), 3, epoch)
-            ad.backward(total)
-        opt.step()
-        rows.append([epoch, total.item(), recon_exp.item(), recon_sp.item(),
-                     recon_adj.item(), kl.item(), anchor_loss.item()])
+        *terms, mu = vg.vgae_loss(model, graph, x, coords_n, noise, weights, neg_rng,
+                                  pos=pos, keys=keys)
+        anchor_loss = euclidean_latent_loss(mu, anchor, squared=cfg.squared_latent_loss)
+        terms[0] = ad.add(terms[0], ad.scale(anchor_loss, cfg.w_anchor_st))
+        return (*terms, anchor_loss)
+
+    for epoch in range(cfg.s3_epochs):
+        rows.append([epoch, *ad.train_step(opt, loss, f"stage 3, step {epoch}")])
 
     codes = vg.encode_mu(model, graph.norm_adj, x)
     vg.save_vgae(run.path("checkpoints", "vgae_st.json"), model,
                  extra={"coord_transform": transform.to_dict(), "graph_k": cfg.graph_k})
     run.write_latent("z_st_merged.csv", st_ids, codes)
     dataio.write_edge_list(run.path("graph_edges.txt"), graph.edges)
-    with open(run.path("coord_transform.json"), "w") as fh:
-        json.dump(transform.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    dataio.atomic_write(run.path("coord_transform.json"),
+                        json.dumps(transform.to_dict(), sort_keys=True) + "\n")
     _write_history(run.path("history", "stage3.csv"),
                    ["epoch", "total", "recon_exp", "recon_sp", "recon_adj", "kl", "anchor_st"],
                    rows)

@@ -59,40 +59,29 @@ class VaeParams:
 
 
 def init_vae(cfg: VaeConfig, seed_or_rng) -> VaeParams:
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else np.random.default_rng(seed_or_rng)
-    return VaeParams(cfg, rng)
-
-
-def _as_tensor(x):
-    return x if isinstance(x, ad.Tensor) else ad.tensor(np.asarray(x, dtype=np.float64))
+    return VaeParams(cfg, np.random.default_rng(seed_or_rng))
 
 
 def encode(p: VaeParams, x):
     """Forward pass to the posterior parameters: (mu, logvar), each [n, d]."""
-    x = _as_tensor(x)
+    x = ad.as_tensor(x)
     if x.shape[1] != p.cfg.n_genes:
         raise ShapeError(f"encode: input has {x.shape[1]} genes, model expects {p.cfg.n_genes}")
-    h = x
-    for layer in p.enc:
-        h = ad.relu(layer(h))
+    h = nn.mlp_forward(p.enc, x, final_linear=False)
     return p.mu_head(h), p.logvar_head(h)
 
 
 def decode(p: VaeParams, z):
     """Latent codes back to expression space (linear output, log1p scale)."""
-    z = _as_tensor(z)
+    z = ad.as_tensor(z)
     if z.shape[1] != p.cfg.latent_dim:
         raise ShapeError(f"decode: input width {z.shape[1]}, model expects {p.cfg.latent_dim}")
-    h = z
-    for layer in p.dec:
-        h = ad.relu(layer(h))
-    return p.out_head(h)
+    return nn.mlp_forward(p.dec + [p.out_head], z)
 
 
 def reparameterize(mu, logvar, noise):
     """z = mu + exp(logvar / 2) * noise, differentiable in mu and logvar."""
-    noise = _as_tensor(noise)
+    noise = ad.as_tensor(noise)
     if noise.shape != mu.shape or logvar.shape != mu.shape:
         raise ShapeError("reparameterize: mu/logvar/noise shapes differ")
     return ad.add(mu, ad.mul(ad.exp(ad.scale(logvar, 0.5)), noise))
@@ -119,23 +108,24 @@ def mse(a, b):
 
 
 def vae_loss(p: VaeParams, x, noise, beta: float = 1.0):
-    """(total, recon, kl) where total = recon + beta * kl.
+    """(total, recon, kl, mu) where total = recon + beta * kl.
 
     recon is the MSE between the input and its reconstruction through the
-    sampled latent.
+    sampled latent. ``mu`` is the posterior mean, so a caller can add terms
+    on it without a second encoder pass.
     """
-    x = _as_tensor(x)
+    x = ad.as_tensor(x)
     mu, logvar = encode(p, x)
     z = reparameterize(mu, logvar, noise)
     recon = mse(decode(p, z), x)
     kl = kl_divergence(mu, logvar)
     total = ad.add(recon, ad.scale(kl, beta))
-    return total, recon, kl
+    return total, recon, kl, mu
 
 
 def encode_mu(p: VaeParams, x) -> np.ndarray:
     """Noise-free encoding (the posterior mean), as a plain array."""
-    mu, _ = encode(p, ad.tensor(np.asarray(x, dtype=np.float64)))
+    mu, _ = encode(p, ad.as_tensor(x))
     return mu.data.copy()
 
 

@@ -190,13 +190,7 @@ class VgaeParams:
 
 
 def init_vgae(cfg: VgaeConfig, seed_or_rng) -> VgaeParams:
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else np.random.default_rng(seed_or_rng)
-    return VgaeParams(cfg, rng)
-
-
-def _as_tensor(x):
-    return x if isinstance(x, ad.Tensor) else ad.tensor(np.asarray(x, dtype=np.float64))
+    return VgaeParams(cfg, np.random.default_rng(seed_or_rng))
 
 
 def vgae_encode(p: VgaeParams, norm_adj, x_exp):
@@ -206,15 +200,12 @@ def vgae_encode(p: VgaeParams, norm_adj, x_exp):
     sparse normalized adjacency -> d/2. Concatenate, merge with a fully
     connected layer, then apply the posterior heads.
     """
-    x = _as_tensor(x_exp)
+    x = ad.as_tensor(x_exp)
     if x.shape[1] != p.cfg.n_genes:
         raise ShapeError(f"vgae_encode: input has {x.shape[1]} genes, model expects {p.cfg.n_genes}")
     if norm_adj.shape != (x.shape[0], x.shape[0]):
         raise ShapeError(f"vgae_encode: adjacency {tuple(norm_adj.shape)} vs {x.shape[0]} spots")
-    h = x
-    for layer in p.exp_enc[:-1]:
-        h = ad.relu(layer(h))
-    z_exp = p.exp_enc[-1](h)
+    z_exp = nn.mlp_forward(p.exp_enc, x)
     g1 = gcn_layer(norm_adj, x, p.gcn_w1, activation=True)
     z_graph = gcn_layer(norm_adj, g1, p.gcn_w2, activation=False)
     merged = p.merge(ad.concat_cols(z_exp, z_graph))
@@ -229,17 +220,11 @@ def vgae_decode(p: VgaeParams, z, pairs=None):
     z_i . z_j of the requested ``pairs`` = (rows, cols) only; probabilities
     are their sigmoid. Without ``pairs`` no edge is scored.
     """
-    z = _as_tensor(z)
+    z = ad.as_tensor(z)
     if z.shape[1] != p.cfg.latent_dim:
         raise ShapeError(f"vgae_decode: input width {z.shape[1]}, model expects {p.cfg.latent_dim}")
-    h = z
-    for layer in p.dec:
-        h = ad.relu(layer(h))
-    x_hat = p.out_head(h)
-    c = z
-    for layer in p.coord:
-        c = ad.relu(layer(c))
-    coords_hat = p.coord_head(c)
+    x_hat = nn.mlp_forward(p.dec + [p.out_head], z)
+    coords_hat = nn.mlp_forward(p.coord + [p.coord_head], z)
     edge_logits = None if pairs is None else ad.pair_dot(z, *pairs)
     return x_hat, coords_hat, edge_logits
 
@@ -324,8 +309,8 @@ def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
         pos = positive_pairs(graph)
     if keys is None:
         keys = edge_keys(graph)
-    x_exp = _as_tensor(x_exp)
-    x_sp = _as_tensor(x_sp)
+    x_exp = ad.as_tensor(x_exp)
+    x_sp = ad.as_tensor(x_sp)
     mu, logvar = vgae_encode(p, graph.norm_adj, x_exp)
     z = reparameterize(mu, logvar, noise)
     neg = sample_negatives(keys, graph.n, len(pos[0]), rng)
@@ -347,7 +332,7 @@ def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
 
 
 def encode_mu(p: VgaeParams, norm_adj, x_exp) -> np.ndarray:
-    mu, _ = vgae_encode(p, norm_adj, ad.tensor(np.asarray(x_exp, dtype=np.float64)))
+    mu, _ = vgae_encode(p, norm_adj, ad.as_tensor(x_exp))
     return mu.data.copy()
 
 

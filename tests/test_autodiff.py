@@ -349,19 +349,23 @@ def scalar_adam_oracle(x0, grad_fn, steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
 
 def test_adam_first_step_size():
     p = {"x": ad.tensor([1.0], requires_grad=True)}
-    state = ad.AdamState(p, lr=1e-3)
-    ad.adam_step(p, {"x": np.array([2.0])}, state)
+    opt = ad.Adam(p, lr=1e-3)
+    p["x"].grad = np.array([2.0])
+    ad.adam_step(opt)
     delta = 1.0 - p["x"].data[0]
     assert delta == pytest.approx(1e-3, rel=1e-6)
-    assert state.t == 1
+    assert opt.t == 1
 
 
 def test_adam_zero_gradient_keeps_params():
-    p = {"x": ad.tensor([3.0, -1.0], requires_grad=True)}
-    state = ad.AdamState(p)
-    ad.adam_step(p, {"x": np.zeros(2)}, state)
+    p = {"x": ad.tensor([3.0, -1.0], requires_grad=True),
+         "y": ad.tensor([2.0], requires_grad=True)}  # no grad at all counts as zero
+    opt = ad.Adam(p)
+    p["x"].grad = np.zeros(2)
+    ad.adam_step(opt)
     assert np.array_equal(p["x"].data, [3.0, -1.0])
-    assert state.t == 1
+    assert np.array_equal(p["y"].data, [2.0])
+    assert opt.t == 1
 
 
 def test_adam_quadratic_matches_scalar_recurrence():
@@ -371,7 +375,7 @@ def test_adam_quadratic_matches_scalar_recurrence():
         opt.zero_grad()
         with ad.Tape():
             ad.backward(ad.tsum(ad.square(p["x"])))
-        opt.step()
+        ad.adam_step(opt)
     oracle = scalar_adam_oracle(5.0, lambda x: 2 * x, 100, lr=0.1)
     assert p["x"].data[0] == pytest.approx(oracle, abs=1e-12)
     assert oracle ** 2 <= 0.5 * 25.0
@@ -380,9 +384,48 @@ def test_adam_quadratic_matches_scalar_recurrence():
 
 def test_adam_nan_gradient_names_parameter():
     p = {"theta": ad.tensor([1.0], requires_grad=True)}
-    state = ad.AdamState(p)
+    opt = ad.Adam(p)
+    p["theta"].grad = np.array([np.nan])
     with pytest.raises(NumericError, match="theta"):
-        ad.adam_step(p, {"theta": np.array([np.nan])}, state)
+        ad.adam_step(opt)
+
+
+def test_train_step_matches_hand_written_step():
+    x = ad.tensor([[1.0, 2.0], [-1.0, 0.5]])
+    p = {"w": ad.tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)}
+    q = {"w": ad.tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)}
+    opt_p, opt_q = ad.Adam(p, lr=0.1), ad.Adam(q, lr=0.1)
+
+    def loss(params):
+        return ad.tsum(ad.square(ad.matmul(x, params["w"])))
+
+    for _ in range(3):
+        # extra terms are reported, not trained on
+        terms = ad.train_step(opt_p, lambda: (loss(p), ad.tmean(p["w"])), "toy")
+        mean_before = float(q["w"].data.mean())
+        opt_q.zero_grad()
+        with ad.Tape():
+            total = loss(q)
+            ad.backward(total)
+        ad.adam_step(opt_q)
+        assert terms == [total.item(), mean_before]
+        assert all(type(t) is float for t in terms)
+    assert np.array_equal(p["w"].data, q["w"].data)
+    assert opt_p.t == opt_q.t == 3
+
+
+def test_train_step_nan_total_raises_before_update():
+    p = {"w": ad.tensor([1.0, 2.0], requires_grad=True)}
+    opt = ad.Adam(p, lr=0.1)
+    ad.train_step(opt, lambda: (ad.tsum(ad.square(p["w"])),), "warm-up")
+    before = (p["w"].data.copy(), opt.m["w"].copy(), opt.v["w"].copy(), opt.t)
+    with pytest.raises(NumericError, match=r"stage 9, step 4: non-finite loss"):
+        ad.train_step(opt, lambda: (ad.scale(ad.tsum(ad.square(p["w"])), float("nan")),),
+                      "stage 9, step 4")
+    assert np.array_equal(p["w"].data, before[0])
+    assert np.array_equal(opt.m["w"], before[1])
+    assert np.array_equal(opt.v["w"], before[2])
+    assert opt.t == before[3] == 1
 
 
 # ---------------------------------------------------------------------------

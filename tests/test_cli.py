@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from latentmap import cli, dataio, pipeline as pl
+from latentmap import cli, dataio, pipeline as pl, preprocess as pp
 from latentmap.preprocess import CountMatrix
 
 
@@ -142,6 +142,19 @@ def test_manifest_contents(trained_run, data_dir):
     assert manifest["input_digests"]["x_sc500.csv"] == digest
 
 
+def test_manifest_lists_artifacts_of_incremental_runs(data_dir, tiny_config, tmp_path):
+    run_dir = tmp_path / "run"
+    expected = []
+    for stage in ("1", "2"):
+        rc = cli.main(["train", "--stage", stage, "--data", str(data_dir),
+                       "--run-dir", str(run_dir), "--config", str(tiny_config)])
+        assert rc == 0
+        n = int(stage)
+        expected += pl.CHECKPOINTS[n] + pl.LATENTS[n] + [f"stage{n}.csv"]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["artifacts"] == sorted(expected)
+
+
 def test_rerun_without_force_refused(trained_run, data_dir, tiny_config):
     rc = cli.main(["train", "--stage", "1", "--data", str(data_dir),
                    "--run-dir", str(trained_run), "--config", str(tiny_config)])
@@ -179,7 +192,12 @@ def test_infer_writes_predictions(trained_run, corpus_dir, tmp_path):
     ids, cols, mat = dataio.read_matrix_csv(out)
     panel = dataio.read_id_list(trained_run / "panel_shared.txt")
     assert cols == ["x_hat", "y_hat"] + panel
-    assert len(ids) == 10
+    assert out.read_text().startswith("id,x_hat,y_hat,")
+    query = dataio.read_counts_csv(corpus_dir / "sc_query_counts.csv")
+    assert ids == query.row_ids and len(ids) == 10
+    x = pp.panel_matrix(query, pp.GenePanel(panel))
+    x_hat, coords_norm, transform = pl.infer(pl.RunDir(trained_run), x, panel, panel)
+    assert np.array_equal(mat, np.hstack([transform.denormalize(coords_norm), x_hat]))
 
 
 def test_infer_prints_frame_with_plain_floats(trained_run, corpus_dir, tmp_path, capsys):

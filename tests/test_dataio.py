@@ -29,13 +29,18 @@ def test_counts_csv_ragged_row_reports_line(tmp_path):
         dataio.read_counts_csv(path)
 
 
-def test_mtx_round_trip(tmp_path):
-    m = CountMatrix(["r0", "r1", "r2"], ["g0", "g1"], [[0, 3], [7, 0], [0, 0]])
-    mtx, rows, cols = tmp_path / "m.mtx", tmp_path / "rows.txt", tmp_path / "cols.txt"
-    dataio.write_counts_mtx(mtx, rows, cols, m)
-    back = dataio.read_counts_mtx(mtx, rows, cols)
-    assert back.row_ids == m.row_ids and back.col_ids == m.col_ids
-    assert np.array_equal(back.counts, m.counts)
+def test_atomic_write_failed_rename_keeps_old_target(tmp_path, monkeypatch):
+    path = tmp_path / "m.csv"
+    dataio.atomic_write(path, "old\n")
+    assert path.read_text() == "old\n"
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(dataio.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        dataio.write_matrix_csv(path, ["c0"], ["g0"], [[1.5]])
+    assert path.read_text() == "old\n"
 
 
 def test_matrix_csv_float_round_trip_is_exact(tmp_path):

@@ -31,6 +31,17 @@ def test_duplicated_rows_give_duplicated_logits():
     assert logits[0] == logits[1]
 
 
+def test_forward_matches_numpy_reference():
+    # ReLU after each hidden layer, a linear one-unit head
+    p = disc.init_discriminator(4, 12)
+    z = np.random.default_rng(12).normal(size=(6, 4))
+    h = z
+    for layer in p.layers:
+        h = np.maximum(h @ layer.w.data + layer.b.data, 0.0)
+    expected = (h @ p.head.w.data + p.head.b.data)[:, 0]
+    assert np.array_equal(disc.disc_forward(p, z).data, expected)
+
+
 def test_forward_width_mismatch():
     with pytest.raises(ShapeError):
         disc.disc_forward(disc.init_discriminator(4, 0), np.zeros((2, 3)))
@@ -119,7 +130,7 @@ def test_train_discriminator_matches_standalone_loop():
         opt.zero_grad()
         with ad.Tape():
             ad.backward(ad.bce_with_logits(disc.disc_forward(q, z_all), labels))
-        opt.step()
+        ad.adam_step(opt)
     for name, t in q.params().items():
         assert np.array_equal(p.params()[name].data, t.data), name
     assert acc == disc.disc_accuracy(q, z_sc, z_st)

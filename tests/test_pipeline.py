@@ -167,9 +167,9 @@ def test_stage1_history_matches_standalone_vae(tmp_path, corpus):
         noise = noise_rng.normal(size=(x.shape[0], 4))
         opt.zero_grad()
         with ad.Tape():
-            total, recon, kl = vae.vae_loss(model, x, noise, beta=cfg.kl_weight)[:3]
+            total, recon, kl, _ = vae.vae_loss(model, x, noise, beta=cfg.kl_weight)
             ad.backward(total)
-        opt.step()
+        ad.adam_step(opt)
         standalone.append([epoch, total.item(), recon.item(), kl.item()])
     assert rows == standalone  # bitwise identical floats
     assert np.array_equal(z1.codes, vae.encode_mu(model, x))
@@ -268,9 +268,9 @@ def test_stage2_ablation_reduces_to_independent_vaes(tmp_path, corpus):
         noise = noise_rng.normal(size=(corpus["x_sc"].shape[0], 4))
         opt.zero_grad()
         with ad.Tape():
-            total, recon, kl = vae.vae_loss(model, corpus["x_sc"], noise, beta=cfg.kl_weight)
+            total, recon, kl, _ = vae.vae_loss(model, corpus["x_sc"], noise, beta=cfg.kl_weight)
             ad.backward(total)
-        opt.step()
+        ad.adam_step(opt)
         standalone.append(total.item())
     got = [row[header.index("total_sc")] for row in rows]
     assert got == pytest.approx(standalone, abs=0.0)  # bitwise identical
@@ -309,7 +309,7 @@ def test_stage3_ablation_matches_standalone_vgae(tmp_path, corpus):
             anchor = pl.euclidean_latent_loss(mu, z_st.codes)
             total = ad.add(total, ad.scale(anchor, 0.0))
             ad.backward(total)
-        opt.step()
+        ad.adam_step(opt)
         standalone.append(total.item())
     got = [row[header.index("total")] for row in rows]
     assert got == pytest.approx(standalone, abs=0.0)

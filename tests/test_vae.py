@@ -49,6 +49,22 @@ def test_decode_zero_params_and_determinism():
         vae.decode(p2, np.zeros((2, 3)))
 
 
+def test_encode_decode_match_numpy_reference():
+    # ReLU after every hidden layer; the posterior heads and the output head are linear
+    p = tiny_vae(seed=12)
+    x = np.random.default_rng(12).normal(size=(5, 12))
+    h = x
+    for layer in p.enc:
+        h = np.maximum(h @ layer.w.data + layer.b.data, 0.0)
+    mu, logvar = vae.encode(p, x)
+    assert np.array_equal(mu.data, h @ p.mu_head.w.data + p.mu_head.b.data)
+    assert np.array_equal(logvar.data, h @ p.logvar_head.w.data + p.logvar_head.b.data)
+    h = mu.data
+    for layer in p.dec:
+        h = np.maximum(h @ layer.w.data + layer.b.data, 0.0)
+    assert np.array_equal(vae.decode(p, mu.data).data, h @ p.out_head.w.data + p.out_head.b.data)
+
+
 def test_reparameterize_zero_noise_returns_mu():
     mu = ad.tensor(np.arange(6.0).reshape(2, 3))
     logvar = ad.tensor(np.random.default_rng(3).normal(size=(2, 3)))
@@ -100,9 +116,10 @@ def test_kl_nonnegative_sweep():
 def test_vae_loss_beta_zero_is_plain_autoencoder():
     p = tiny_vae(seed=6)
     x = np.random.default_rng(6).normal(size=(5, 12))
-    total, recon, kl = vae.vae_loss(p, x, np.zeros((5, 4)), beta=0.0)
+    total, recon, kl, loss_mu = vae.vae_loss(p, x, np.zeros((5, 4)), beta=0.0)
     assert total.item() == recon.item()
     mu, _ = vae.encode(p, x)
+    assert np.array_equal(loss_mu.data, mu.data)  # the loss hands back the posterior mean
     manual = float(np.mean((vae.decode(p, mu.data).data - x) ** 2))
     assert recon.item() == pytest.approx(manual, abs=1e-12)
     assert kl.item() >= 0.0
@@ -118,12 +135,12 @@ def test_vae_loss_training_decreases_30pct():
         noise = rng.normal(size=(50, 4))
         opt.zero_grad()
         with ad.Tape():
-            total, _, _ = vae.vae_loss(p, x, noise, beta=1e-3)
+            total, _, _, _ = vae.vae_loss(p, x, noise, beta=1e-3)
             ad.backward(total)
-        opt.step()
+        ad.adam_step(opt)
         if first is None:
             first = total.item()
-    final, _, _ = vae.vae_loss(p, x, np.zeros((50, 4)), beta=1e-3)
+    final, _, _, _ = vae.vae_loss(p, x, np.zeros((50, 4)), beta=1e-3)
     assert final.item() <= 0.7 * first
 
 
@@ -158,9 +175,9 @@ def test_capacity_sanity_one_hot_rows():
     for step in range(2000):
         opt.zero_grad()
         with ad.Tape():
-            total, recon, _ = vae.vae_loss(p, x, np.zeros((10, 10)), beta=0.0)
+            total, recon, _, _ = vae.vae_loss(p, x, np.zeros((10, 10)), beta=0.0)
             ad.backward(total)
-        opt.step()
+        ad.adam_step(opt)
         recon_val = recon.item()
         if recon_val < 1e-2:
             break

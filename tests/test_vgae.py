@@ -155,6 +155,26 @@ def test_encode_zero_gcn_weights_ignores_graph():
     assert np.array_equal(mu_a.data, mu_b.data)
 
 
+def test_expression_branch_and_decoders_match_numpy_reference():
+    # MLPs with ReLU after each hidden layer and a linear last layer; zero GCN
+    # weights leave only the expression branch in the merged latent
+    def mlp(layers, h):
+        for layer in layers[:-1]:
+            h = np.maximum(h @ layer.w.data + layer.b.data, 0.0)
+        return h @ layers[-1].w.data + layers[-1].b.data
+
+    p = tiny_vgae(seed=13)
+    p.gcn_w1.data[...] = 0.0
+    p.gcn_w2.data[...] = 0.0
+    x = np.random.default_rng(13).normal(size=(6, 12))
+    mu, _ = vgae.vgae_encode(p, sp.identity(6, format="csr"), x)
+    merged = mlp([p.merge], np.hstack([mlp(p.exp_enc, x), np.zeros((6, 2))]))
+    assert np.array_equal(mu.data, mlp([p.mu_head], merged))
+    x_hat, coords_hat, _ = vgae.vgae_decode(p, mu.data)
+    assert np.array_equal(x_hat.data, mlp(p.dec + [p.out_head], mu.data))
+    assert np.array_equal(coords_hat.data, mlp(p.coord + [p.coord_head], mu.data))
+
+
 def test_encode_permutation_equivariance():
     p = tiny_vgae(seed=6)
     rng = np.random.default_rng(6)
@@ -254,7 +274,7 @@ def _train_vgae(p, g, x, sp, weights, steps, seed, lr=1e-2):
         with ad.Tape():
             total, *_ = vgae.vgae_loss(p, g, x, sp, noise, weights, rng)
             ad.backward(total)
-        opt.step()
+        ad.adam_step(opt)
         history.append(total.item())
     return history
 
