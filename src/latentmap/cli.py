@@ -47,16 +47,43 @@ def file_digest(path):
     return h.hexdigest()
 
 
+def _lock_owner_gone(lock_path):
+    """True when the lock names a PID that no longer exists on this host."""
+    try:
+        with open(lock_path) as fh:
+            pid = int(fh.read().strip())
+    except (OSError, ValueError):
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        pass  # e.g. EPERM: the process exists under another user
+    return False
+
+
 @contextlib.contextmanager
 def run_lock(run_dir):
     os.makedirs(run_dir, exist_ok=True)
     lock_path = os.path.join(run_dir, ".lock")
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        fd = os.open(lock_path, flags)
     except FileExistsError:
-        raise DependencyError(
-            f"run directory is locked ({lock_path}); another command is active "
-            "or a previous one crashed (delete the lock to recover)") from None
+        if not _lock_owner_gone(lock_path):
+            raise DependencyError(
+                f"run directory is locked ({lock_path}); another command is active "
+                "or a previous one crashed (delete the lock to recover)") from None
+        log.warning("removing stale lock %s: its process no longer exists", lock_path)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(lock_path)
+        try:
+            fd = os.open(lock_path, flags)
+        except FileExistsError:
+            raise DependencyError(
+                f"run directory is locked ({lock_path}); another command took "
+                "it while a stale lock was being replaced") from None
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)

@@ -7,9 +7,10 @@ CSV conventions:
   * labels: header ``id,label``
   * latents: header ``id,z0,...,z{d-1}``
 
-Floats are written with ``repr`` so files are deterministic and round-trip
-exactly. Matrices, coordinates, labels, latents and edge lists are written
-through ``atomic_write``, so they appear whole or not at all.
+Floats are written as Python floats, which ``csv`` formats with ``repr``,
+so files are deterministic and round-trip exactly. Matrices, coordinates,
+labels, latents and edge lists are written through ``atomic_write``, so
+they appear whole or not at all.
 """
 
 import csv
@@ -20,10 +21,6 @@ import numpy as np
 
 from .errors import DataError
 from .preprocess import CountMatrix
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def read_id_list(path):
@@ -89,8 +86,8 @@ def write_counts_csv(path, m: CountMatrix):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id"] + list(m.col_ids))
-        for i, rid in enumerate(m.row_ids):
-            writer.writerow([rid] + [int(v) for v in m.counts[i]])
+        writer.writerows([rid, *row] for rid, row in
+                         zip(m.row_ids, m.counts.astype(np.int64, copy=False).tolist()))
 
 
 def read_matrix_csv(path):
@@ -123,8 +120,7 @@ def write_matrix_csv(path, row_ids, col_ids, matrix):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id"] + list(col_ids))
-    for i, rid in enumerate(row_ids):
-        writer.writerow([rid] + [_fmt(v) for v in matrix[i]])
+    writer.writerows([rid, *row] for rid, row in zip(row_ids, matrix.tolist()))
     atomic_write(path, buf.getvalue())
 
 
@@ -154,8 +150,8 @@ def write_coords_csv(path, spot_ids, coords):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["spot_id", "x", "y"])
-    for rid, (x, y) in zip(spot_ids, np.asarray(coords, dtype=np.float64)):
-        writer.writerow([rid, _fmt(x), _fmt(y)])
+    writer.writerows([rid, *xy] for rid, xy in
+                     zip(spot_ids, np.asarray(coords, dtype=np.float64).tolist()))
     atomic_write(path, buf.getvalue())
 
 
@@ -206,13 +202,17 @@ def write_edge_list(path, edges):
     atomic_write(path, "".join(f"{i} {j}\n" for i, j in edges))
 
 
-def atomic_write(path, text):
-    """Write ``text`` to ``path`` through a temporary file and a rename.
+def atomic_write(path, data):
+    """Write ``data`` (str or bytes) to ``path`` through a temporary file and a rename.
 
     A crash or a failed write leaves the previous file (or none) in place,
-    never a partial one; ``newline=""`` writes the text's line endings as given.
+    never a partial one; ``newline=""`` writes a text's line endings as given.
     """
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
+    if isinstance(data, bytes):
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+    else:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(data)
     os.replace(tmp, path)

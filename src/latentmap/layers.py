@@ -1,14 +1,22 @@
-"""Linear layers, seeded initialization, and JSON parameter checkpoints."""
+"""Linear layers, seeded initialization, and parameter checkpoints.
 
+A checkpoint is two files: a small JSON header (format version, kind,
+architecture, extra metadata, sha256 of the arrays) at the given path, and
+a sibling ``.npz`` with one float64 array per parameter.
+"""
+
+import hashlib
+import io
 import json
+import os
 
 import numpy as np
 
 from . import autodiff as ad
 from . import dataio
-from .errors import DataError, ShapeError
+from .errors import DataError, DependencyError, ShapeError
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class Dense:
@@ -66,40 +74,68 @@ def collect_params(named_layers):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(path, kind, arch, params, extra=None):
-    """Write a versioned JSON checkpoint.
+def arrays_path(path):
+    """The ``.npz`` arrays file that belongs to the checkpoint header at ``path``."""
+    root, ext = os.path.splitext(os.fspath(path))
+    if ext == ".npz":
+        raise DataError(f"{path}: a checkpoint header cannot end in .npz")
+    return root + ".npz"
 
-    Float values go through json's repr-based encoding, which round-trips
-    float64 exactly; sort_keys keeps the field order deterministic.
+
+def save_checkpoint(path, kind, arch, params, extra=None):
+    """Write a versioned checkpoint: a JSON header plus a sibling ``.npz``.
+
+    The arrays go first; the header, which holds their sha256, is written
+    last and is the commit point. ``np.savez`` stamps every zip entry with a
+    fixed date, and the header names no file, so one model saved twice (under
+    any name) gives identical bytes.
     """
-    payload = {
+    buf = io.BytesIO()
+    np.savez(buf, **{name: np.asarray(t.data, dtype=np.float64) for name, t in params.items()})
+    blob = buf.getvalue()
+    dataio.atomic_write(arrays_path(path), blob)
+    header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": kind,
         "arch": arch,
-        "params": {
-            name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
-            for name, t in params.items()
-        },
+        "extra": extra or None,
+        "arrays_sha256": hashlib.sha256(blob).hexdigest(),
     }
-    if extra:
-        payload["extra"] = extra
-    dataio.atomic_write(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    dataio.atomic_write(path, json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_checkpoint(path, expect_kind=None):
     """Read a checkpoint back into (arch, {name: ndarray}, extra)."""
     with open(path) as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version")
+        try:
+            header = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: checkpoint header is not JSON: {exc}") from None
+    version = header.get("format_version")
+    if version == 1:
+        raise DataError(f"{path}: checkpoint format_version 1 (float-list JSON) is no "
+                        "longer read; retrain this run directory")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint format_version {version!r}")
-    if expect_kind is not None and payload.get("kind") != expect_kind:
-        raise DataError(f"{path}: checkpoint kind {payload.get('kind')!r}, expected {expect_kind!r}")
-    params = {}
-    for name, rec in payload["params"].items():
-        arr = np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
-        params[name] = arr
-    return payload["arch"], params, payload.get("extra")
+    if expect_kind is not None and header.get("kind") != expect_kind:
+        raise DataError(f"{path}: checkpoint kind {header.get('kind')!r}, expected {expect_kind!r}")
+    npz = arrays_path(path)
+    try:
+        with open(npz, "rb") as fh:
+            blob = fh.read()
+    except FileNotFoundError:
+        raise DependencyError(f"missing checkpoint arrays file: {npz}") from None
+    if hashlib.sha256(blob).hexdigest() != header.get("arrays_sha256"):
+        raise DataError(f"{npz}: sha256 does not match the one recorded in {path}")
+    try:
+        with np.load(io.BytesIO(blob), allow_pickle=False) as arrays:
+            params = {name: arrays[name] for name in arrays.files}
+    except ValueError as exc:
+        raise DataError(f"{npz}: {exc}") from None
+    for name, arr in params.items():
+        if arr.dtype != np.float64:
+            raise DataError(f"{npz}: parameter '{name}' has dtype {arr.dtype}, expected float64")
+    return header["arch"], params, header.get("extra")
 
 
 def restore_params(params, arrays):

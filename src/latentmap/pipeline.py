@@ -18,7 +18,8 @@ scale.
 All cross-stage state lives in a run directory:
 
     config.json, manifest.json (written by the CLI)
-    checkpoints/{vae_sc2000,vae_sc500,vae_st500,vgae_st,discriminator}.json
+    checkpoints/{vae_sc2000,vae_sc500,vae_st500,vgae_st,discriminator}.{json,npz}
+        (JSON header with arch and arrays sha256, plus the float64 arrays)
     latents/{z_sc2000,z_sc500,z_st500,z_st_merged}.csv
     history/stage{1,2,3}.csv
     graph_edges.txt, coord_transform.json, panel_shared.txt
@@ -152,10 +153,12 @@ def euclidean_latent_loss(za, zb, squared: bool = True):
 # run directory
 # ---------------------------------------------------------------------------
 
+# every checkpoint is a JSON header plus the arrays file beside it
 CHECKPOINTS = {
-    1: ["vae_sc2000.json"],
-    2: ["vae_sc500.json", "vae_st500.json", "discriminator.json"],
-    3: ["vgae_st.json"],
+    stage: [f for header in headers for f in (header, nn.arrays_path(header))]
+    for stage, headers in {1: ["vae_sc2000.json"],
+                           2: ["vae_sc500.json", "vae_st500.json", "discriminator.json"],
+                           3: ["vgae_st.json"]}.items()
 }
 LATENTS = {
     1: ["z_sc2000.csv"],

@@ -1,10 +1,14 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from latentmap import cli, dataio, pipeline as pl, preprocess as pp
+from latentmap.errors import DependencyError
 from latentmap.preprocess import CountMatrix
 
 
@@ -140,6 +144,7 @@ def test_manifest_contents(trained_run, data_dir):
         "panel_shared500.txt"}
     digest = cli.file_digest(str(data_dir / "x_sc500.csv"))
     assert manifest["input_digests"]["x_sc500.csv"] == digest
+    assert {"vgae_st.json", "vgae_st.npz"} <= set(manifest["artifacts"])
 
 
 def test_manifest_lists_artifacts_of_incremental_runs(data_dir, tiny_config, tmp_path):
@@ -173,7 +178,7 @@ def test_changed_config_on_resume_refused(trained_run, data_dir, tmp_path):
 
 def test_lock_blocks_concurrent_use(trained_run, data_dir, tiny_config):
     lock = trained_run / ".lock"
-    lock.write_text("12345\n")
+    lock.write_text(f"{os.getpid()}\n")  # a live holder
     try:
         rc = cli.main(["train", "--stage", "1", "--data", str(data_dir),
                        "--run-dir", str(trained_run), "--config", str(tiny_config),
@@ -181,6 +186,52 @@ def test_lock_blocks_concurrent_use(trained_run, data_dir, tiny_config):
         assert rc == cli.EXIT_DEPENDENCY
     finally:
         lock.unlink()
+
+
+def test_stale_lock_of_a_dead_process_is_replaced(tmp_path, caplog):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # exited and reaped: its PID names no process
+    lock = tmp_path / ".lock"
+    lock.write_text(f"{child.pid}\n")
+    with cli.run_lock(tmp_path):
+        assert lock.read_text() == f"{os.getpid()}\n"
+    assert not lock.exists()
+    assert "stale lock" in caplog.text
+
+
+@pytest.mark.parametrize("content", ["", "not a pid\n"])
+def test_unreadable_lock_still_blocks(tmp_path, content):
+    (tmp_path / ".lock").write_text(content)
+    with pytest.raises(DependencyError, match="locked"):
+        with cli.run_lock(tmp_path):
+            pass
+
+
+def test_infer_missing_arrays_file_exits_4(trained_run, corpus_dir, tmp_path, caplog):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    (run / "checkpoints" / "vgae_st.npz").unlink()
+    assert not pl.RunDir(run).stage_complete(3)
+    rc = cli.main(["infer", "--run-dir", str(run),
+                   "--query", str(corpus_dir / "sc_query_counts.csv"),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DEPENDENCY
+    assert str(run / "checkpoints" / "vgae_st.npz") in caplog.text
+
+
+def test_infer_version_1_checkpoint_exits_3(trained_run, corpus_dir, tmp_path, caplog):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    header = run / "checkpoints" / "vgae_st.json"
+    old = json.loads(header.read_text())
+    header.write_text(json.dumps({"format_version": 1, "kind": "vgae", "arch": old["arch"],
+                                  "params": {}, "extra": old["extra"]}))
+    rc = cli.main(["infer", "--run-dir", str(run),
+                   "--query", str(corpus_dir / "sc_query_counts.csv"),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DATA
+    assert str(header) in caplog.text and "retrain" in caplog.text
+    assert "Traceback" not in caplog.text
 
 
 def test_infer_writes_predictions(trained_run, corpus_dir, tmp_path):
@@ -288,3 +339,9 @@ def test_determinism_two_cli_runs(data_dir, tiny_config, tmp_path):
         a = (dirs[0] / rel).read_bytes()
         b = (dirs[1] / rel).read_bytes()
         assert a == b, rel
+    # the whole run directory, checkpoint headers and .npz arrays included
+    files = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file()) for d in dirs]
+    assert files[0] == files[1]
+    assert "checkpoints/vgae_st.npz" in {str(p) for p in files[0]}
+    for rel in files[0]:
+        assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes(), rel

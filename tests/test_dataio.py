@@ -60,6 +60,32 @@ def test_matrix_csv_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_csv_writers_golden_bytes(tmp_path):
+    # repr of every float, csv quoting of awkward ids, exact big ints
+    mat = np.array([[-0.0, 0.1], [5e-324, 1e300]])
+    path = tmp_path / "m.csv"
+    dataio.write_matrix_csv(path, ["a,b", 'say "hi"'], ["x", "y"], mat)
+    assert path.read_bytes() == (b'id,x,y\n'
+                                 b'"a,b",-0.0,0.1\n'
+                                 b'"say ""hi""",5e-324,1e+300\n')
+    counts = CountMatrix(["c,1", 'q"2'], ["g0", "g1"], [[0, 2 ** 53 + 1], [7, 12345678901234]])
+    path = tmp_path / "counts.csv"
+    dataio.write_counts_csv(path, counts)
+    assert path.read_bytes() == (b'id,g0,g1\n'
+                                 b'"c,1",0,9007199254740993\n'
+                                 b'"q""2",7,12345678901234\n')
+    path = tmp_path / "coords.csv"
+    dataio.write_coords_csv(path, ["s,0"], [[-0.0, 0.1]])
+    assert path.read_bytes() == b'spot_id,x,y\n"s,0",-0.0,0.1\n'
+
+
+def test_atomic_write_bytes(tmp_path):
+    path = tmp_path / "blob.bin"
+    dataio.atomic_write(path, b"\x00\r\n\xff")
+    assert path.read_bytes() == b"\x00\r\n\xff"
+    assert not (tmp_path / "blob.bin.tmp").exists()
+
+
 def test_coords_csv_round_trip_and_header_check(tmp_path):
     path = tmp_path / "coords.csv"
     dataio.write_coords_csv(path, ["s0", "s1"], [[0.5, 1.5], [2.0, 3.0]])

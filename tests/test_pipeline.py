@@ -142,7 +142,8 @@ def test_stage1_deterministic_rerun(tmp_path, corpus):
         run = pl.RunDir(tmp_path / sub)
         pl.stage1(cfg, corpus["x_big"], corpus["sc_ids"], run)
         runs.append(run)
-    for name in ("latents/z_sc2000.csv", "history/stage1.csv", "checkpoints/vae_sc2000.json"):
+    for name in ("latents/z_sc2000.csv", "history/stage1.csv", "checkpoints/vae_sc2000.json",
+                 "checkpoints/vae_sc2000.npz"):
         a = open(runs[0].path(*name.split("/")), "rb").read()
         b = open(runs[1].path(*name.split("/")), "rb").read()
         assert a == b, name
