@@ -59,42 +59,18 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
+        # g is kept, not copied: no vjp, backward or adam_step writes into a grad
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g
         else:
             self.grad = self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
-    # Thin operator sugar; the named functions below do the real work.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_scalar(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def tensor(values, requires_grad=False):
     return Tensor(values, requires_grad=requires_grad)
-
-
-def constant(values):
-    return Tensor(values, requires_grad=False)
 
 
 def as_tensor(x):
@@ -254,11 +230,6 @@ def relu(a):
     return _make_out(np.where(mask, a.data, 0.0), (a,), (lambda g: g * mask,))
 
 
-def sigmoid(a):
-    out = _stable_sigmoid(a.data)
-    return _make_out(out, (a,), (lambda g: g * out * (1.0 - out),))
-
-
 def _stable_sigmoid(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -271,12 +242,6 @@ def _stable_sigmoid(x):
 def exp(a):
     out = np.exp(a.data)
     return _make_out(out, (a,), (lambda g: g * out,))
-
-
-def log1p(a):
-    if np.any(a.data <= -1.0):
-        raise ValueError("log1p: domain error, input <= -1")
-    return _make_out(np.log1p(a.data), (a,), (lambda g: g / (1.0 + a.data),))
 
 
 def square(a):

@@ -11,7 +11,6 @@ digests. A lock file keeps two commands out of one run directory.
 import argparse
 import contextlib
 import hashlib
-import json
 import logging
 import os
 import sys
@@ -101,8 +100,7 @@ def write_manifest(run_dir, config, inputs, artifacts, seed):
         "input_digests": {os.path.basename(p): file_digest(p) for p in inputs},
         "artifacts": sorted(set(artifacts)),
     }
-    dataio.atomic_write(os.path.join(run_dir, "manifest.json"),
-                        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    dataio.write_json(os.path.join(run_dir, "manifest.json"), manifest)
     return manifest
 
 
@@ -110,8 +108,7 @@ def verify_manifest(run_dir, inputs):
     path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = dataio.read_json(path)
     for p in inputs:
         name = os.path.basename(p)
         recorded = manifest.get("input_digests", {}).get(name)
@@ -124,6 +121,9 @@ def verify_manifest(run_dir, inputs):
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+
+REGION_HEADER = ("label", "xmin", "xmax", "ymin", "ymax")
+
 
 def cmd_synth(args):
     cfg = sy.SynthConfig(n_cells=args.n_cells, n_genes=args.n_genes,
@@ -143,25 +143,17 @@ def cmd_synth(args):
         dataio.write_counts_csv(os.path.join(args.out, "sc_query_counts.csv"), query)
         pairs += list(zip(query.row_ids, q_labels))
     dataio.write_labels_csv(os.path.join(args.out, "truth_labels.csv"), pairs)
-    with open(os.path.join(args.out, "regions.csv"), "w") as fh:
-        fh.write("label,xmin,xmax,ymin,ymax\n")
-        for r in regions:
-            fh.write(f"{r.label},{r.xmin!r},{r.xmax!r},{r.ymin!r},{r.ymax!r}\n")
+    dataio.write_table(os.path.join(args.out, "regions.csv"), REGION_HEADER,
+                       ([r.label, r.xmin, r.xmax, r.ymin, r.ymax] for r in regions))
     log.info("synthetic corpus written to %s (%d cells, %d spots)",
              args.out, cfg.n_cells, cfg.n_spots)
     return EXIT_OK
 
 
 def read_regions_csv(path):
-    regions = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["label", "xmin", "xmax", "ymin", "ymax"]:
-            raise DataError(f"{path}: bad regions header {header}")
-        for line in fh:
-            label, *vals = line.strip().split(",")
-            regions.append(sy.Region(label, *(float(v) for v in vals)))
-    return regions
+    """Regions CSV with header label,xmin,xmax,ymin,ymax -> [synth.Region]."""
+    return dataio.read_table(path, lambda row: sy.Region(row[0], *map(float, row[1:])),
+                             header=REGION_HEADER)[1]
 
 
 def cmd_preprocess(args):
@@ -210,9 +202,7 @@ def cmd_preprocess(args):
         "panel_shared": len(panel_shared),
         "target_sum": args.target_sum,
     }
-    with open(out("summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dataio.write_json(out("summary.json"), summary)
     log.info("preprocessed artifacts written to %s", args.out)
     return EXIT_OK
 
@@ -248,9 +238,7 @@ def cmd_train(args):
         for stage in stages:
             artifacts += pl.CHECKPOINTS[stage] + pl.LATENTS[stage] + [f"stage{stage}.csv"]
         write_manifest(args.run_dir, cfg.to_dict(), inputs, artifacts, cfg.seed)
-        import shutil
-        shutil.copyfile(os.path.join(args.data, "panel_shared500.txt"),
-                        run.path("panel_shared.txt"))
+        dataio.write_id_list(run.path("panel_shared.txt"), data.panel_shared)
         for stage in stages:
             log.info("running stage %d", stage)
             pl.run_stage(stage, cfg, data, run, force=args.force)
@@ -304,18 +292,13 @@ def cmd_bench(args):
     lines.append(f"ari(k={first_k}, out-of-fold predictions): "
                  f"{bm.ari(labels, first_report.oof_predictions):.6f}")
     report_text = "\n".join(lines) + "\n"
-    with open(os.path.join(args.out, "report.txt"), "w") as fh:
-        fh.write(report_text)
-
-    best_k, best = sweep[0]
-    with open(os.path.join(args.out, "confusion.csv"), "w") as fh:
-        fh.write("true\\pred," + ",".join(best.vocab) + "\n")
-        for i, label in enumerate(best.vocab):
-            fh.write(label + "," + ",".join(str(int(v)) for v in best.confusion[i]) + "\n")
-    with open(os.path.join(args.out, "accuracy_vs_k.csv"), "w") as fh:
-        fh.write("k,mean_accuracy,std\n")
-        for k, report in sweep:
-            fh.write(f"{k},{report.mean!r},{report.std!r}\n")
+    out = lambda name: os.path.join(args.out, name)
+    dataio.atomic_write(out("report.txt"), report_text)
+    dataio.write_table(out("confusion.csv"), ["true\\pred", *first_report.vocab],
+                       ([label, *row] for label, row in
+                        zip(first_report.vocab, first_report.confusion.astype(int).tolist())))
+    dataio.write_table(out("accuracy_vs_k.csv"), ["k", "mean_accuracy", "std"],
+                       ([k, report.mean, report.std] for k, report in sweep))
     sys.stdout.write(report_text)
     return EXIT_OK
 

@@ -7,7 +7,6 @@ a sibling ``.npz`` with one float64 array per parameter.
 
 import hashlib
 import io
-import json
 import os
 
 import numpy as np
@@ -101,16 +100,12 @@ def save_checkpoint(path, kind, arch, params, extra=None):
         "extra": extra or None,
         "arrays_sha256": hashlib.sha256(blob).hexdigest(),
     }
-    dataio.atomic_write(path, json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+    dataio.write_json(path, header)
 
 
 def load_checkpoint(path, expect_kind=None):
     """Read a checkpoint back into (arch, {name: ndarray}, extra)."""
-    with open(path) as fh:
-        try:
-            header = json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"{path}: checkpoint header is not JSON: {exc}") from None
+    header = dataio.read_json(path)
     version = header.get("format_version")
     if version == 1:
         raise DataError(f"{path}: checkpoint format_version 1 (float-list JSON) is no "

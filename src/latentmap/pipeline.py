@@ -25,9 +25,6 @@ All cross-stage state lives in a run directory:
     graph_edges.txt, coord_transform.json, panel_shared.txt
 """
 
-import csv
-import io
-import json
 import logging
 import os
 from dataclasses import asdict, dataclass, replace
@@ -116,15 +113,11 @@ class TrainConfig:
         return TrainConfig(**d)
 
     def save(self, path):
-        dataio.atomic_write(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        dataio.write_json(path, self.to_dict())
 
     @staticmethod
     def load(path):
-        try:
-            with open(path) as fh:
-                return TrainConfig.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"{path}: cannot read config: {exc}") from exc
+        return TrainConfig.from_dict(dataio.read_json(path))
 
 
 def _rng(seed, stream):
@@ -211,21 +204,9 @@ class RunDir:
         dataio.write_latent_csv(self.path("latents", name), row_ids, codes)
 
 
-def _write_history(path, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([v if isinstance(v, (int, str)) else repr(float(v)) for v in row])
-    dataio.atomic_write(path, buf.getvalue())
-
-
 def read_history(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return header, rows
+    """A stage history CSV -> (header, rows with every value as a float)."""
+    return dataio.read_table(path, lambda row: [float(v) for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +231,8 @@ def stage1(cfg: TrainConfig, x_sc2000, row_ids, run: RunDir):
     codes = vae.encode_mu(model, x)
     vae.save_vae(run.path("checkpoints", "vae_sc2000.json"), model)
     run.write_latent("z_sc2000.csv", row_ids, codes)
-    _write_history(run.path("history", "stage1.csv"),
-                   ["epoch", "total", "recon", "kl"], rows)
+    dataio.write_table(run.path("history", "stage1.csv"),
+                       ["epoch", "total", "recon", "kl"], rows)
     log.info("stage 1 done: %d epochs, final total %.5f", cfg.s1_epochs, rows[-1][1])
     return vae.LatentMatrix(codes, list(row_ids), source="sc2000").fix()
 
@@ -267,7 +248,7 @@ def _generator_step(model, opt, x, noise, cfg, anchor_target, anchor_weight,
     """
     def loss():
         total, recon, kl, mu = vae.vae_loss(model, x, noise, beta=cfg.kl_weight)
-        anchor = adv = ad.constant(0.0)
+        anchor = adv = ad.tensor(0.0)
         if anchor_weight > 0 and anchor_target is not None:
             anchor = euclidean_latent_loss(mu, anchor_target, squared=cfg.squared_latent_loss)
             total = ad.add(total, ad.scale(anchor, anchor_weight))
@@ -360,10 +341,10 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
     disc.save_discriminator(run.path("checkpoints", "discriminator.json"), d_params)
     run.write_latent("z_sc500.csv", sc_ids, codes_sc)
     run.write_latent("z_st500.csv", st_ids, codes_st)
-    _write_history(run.path("history", "stage2.csv"),
-                   ["outer", "inner", "disc_acc", "disc_steps",
-                    "total_sc", "recon_sc", "kl_sc", "anchor_sc", "adv_sc",
-                    "total_st", "recon_st", "kl_st", "adv_st"], rows)
+    dataio.write_table(run.path("history", "stage2.csv"),
+                       ["outer", "inner", "disc_acc", "disc_steps",
+                        "total_sc", "recon_sc", "kl_sc", "anchor_sc", "adv_sc",
+                        "total_st", "recon_st", "kl_st", "adv_st"], rows)
     log.info("stage 2 done: %d outer epochs, final anchor %.5f", cfg.s2_epochs, rows[-1][7])
     return (vae.LatentMatrix(codes_sc, list(sc_ids), source="sc500").fix(),
             vae.LatentMatrix(codes_st, list(st_ids), source="st_exp500").fix())
@@ -411,11 +392,10 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
                  extra={"coord_transform": transform.to_dict(), "graph_k": cfg.graph_k})
     run.write_latent("z_st_merged.csv", st_ids, codes)
     dataio.write_edge_list(run.path("graph_edges.txt"), graph.edges)
-    dataio.atomic_write(run.path("coord_transform.json"),
-                        json.dumps(transform.to_dict(), sort_keys=True) + "\n")
-    _write_history(run.path("history", "stage3.csv"),
-                   ["epoch", "total", "recon_exp", "recon_sp", "recon_adj", "kl", "anchor_st"],
-                   rows)
+    dataio.write_json(run.path("coord_transform.json"), transform.to_dict())
+    dataio.write_table(run.path("history", "stage3.csv"),
+                       ["epoch", "total", "recon_exp", "recon_sp", "recon_adj", "kl", "anchor_st"],
+                       rows)
     log.info("stage 3 done: %d epochs, final anchor %.5f", cfg.s3_epochs, rows[-1][6])
     return vae.LatentMatrix(codes, list(st_ids), source="st_exp_sp500").fix()
 

@@ -12,7 +12,7 @@ genes/cells.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,16 +77,12 @@ class SpatialDataset:
             raise DataError(
                 f"coords shape {self.coords.shape} does not match {self.counts.n_rows} spots")
 
-    def take_rows(self, idx):
-        return SpatialDataset(self.counts.take_rows(idx), self.coords[idx, :])
-
 
 @dataclass
 class GenePanel:
     """Ordered gene ids; the order is the canonical column order downstream."""
 
     gene_ids: list
-    provenance: str = "custom"  # hvg2000 | shared500 | custom
 
     def __post_init__(self):
         self.gene_ids = list(self.gene_ids)
@@ -178,7 +174,7 @@ def select_hvg(normed: np.ndarray, gene_ids, n: int) -> GenePanel:
     if n > len(gene_ids):
         raise DataError(f"requested {n} genes but only {len(gene_ids)} available")
     ranked = rank_genes(normed, gene_ids)
-    return GenePanel(ranked[:n], provenance="hvg2000")
+    return GenePanel(ranked[:n])
 
 
 def intersect_panel(sc: CountMatrix, st: CountMatrix, n: int = 500,
@@ -197,7 +193,7 @@ def intersect_panel(sc: CountMatrix, st: CountMatrix, n: int = 500,
     normed = normalize_log1p(sc, target_sum=target_sum)
     ranked = rank_genes(normed, sc.col_ids)
     panel = [g for g in ranked if g in shared][:n]
-    return GenePanel(panel, provenance="shared500")
+    return GenePanel(panel)
 
 
 def subset_counts(m: CountMatrix, panel: GenePanel) -> CountMatrix:
@@ -225,7 +221,6 @@ class QcSummary:
     cells_low_genes: int = 0
     genes_low_cells: int = 0
     cells_mito_ribo: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 def run_qc(m: CountMatrix, min_genes: int = 200, min_cells: int = 60,

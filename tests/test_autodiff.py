@@ -79,15 +79,6 @@ def test_relu_values():
     assert out.data.tolist() == [0.0, 0.0, 2.0]
 
 
-def test_sigmoid_at_zero():
-    assert ad.sigmoid(ad.tensor([0.0])).data[0] == 0.5
-
-
-def test_sigmoid_extreme_logits_stable():
-    out = ad.sigmoid(ad.tensor([-1000.0, 1000.0])).data
-    assert out[0] == 0.0 and out[1] == 1.0
-
-
 def test_exp_backward_at_one():
     x = ad.tensor([1.0], requires_grad=True)
     with ad.Tape():
@@ -96,11 +87,6 @@ def test_exp_backward_at_one():
     numeric = central_diff(lambda v: float(np.exp(v).sum()), np.array([1.0]))
     assert abs(x.grad[0] - math.e) < 1e-9
     assert rel_err(x.grad, numeric) < 1e-8
-
-
-def test_log1p_domain_error():
-    with pytest.raises(ValueError, match="domain"):
-        ad.log1p(ad.tensor([-1.5]))
 
 
 def test_elementwise_shape_mismatch():
@@ -120,9 +106,7 @@ def test_bias_add_broadcast_backward():
 
 @pytest.mark.parametrize("op,fn", [
     ("relu", lambda v: max(v, 0.0)),
-    ("sigmoid", lambda v: 1 / (1 + math.exp(-v))),
     ("exp", math.exp),
-    ("log1p", math.log1p),
     ("square", lambda v: v * v),
     ("sqrt", math.sqrt),
 ])
@@ -131,7 +115,7 @@ def test_unary_backward_random_sweep(op, fn):
     # points with magnitudes in [0.1, 10]
     rng = np.random.default_rng(3)
     x0 = rng.uniform(0.1, 10.0, size=100)
-    if op not in ("log1p", "sqrt"):
+    if op != "sqrt":
         x0 = x0 * rng.choice([-1.0, 1.0], size=100)
     x = ad.tensor(x0, requires_grad=True)
     with ad.Tape():

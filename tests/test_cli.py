@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from latentmap import cli, dataio, pipeline as pl, preprocess as pp
-from latentmap.errors import DependencyError
+from latentmap.errors import DataError, DependencyError
 from latentmap.preprocess import CountMatrix
 
 
@@ -61,6 +61,22 @@ def test_synth_writes_expected_files(corpus_dir):
         assert (corpus_dir / name).exists(), name
 
 
+def test_synth_regions_csv_golden_bytes(corpus_dir):
+    assert (corpus_dir / "regions.csv").read_bytes() == (
+        b"label,xmin,xmax,ymin,ymax\n"
+        b"type0,-0.5,3.5,-0.5,3.5\n"
+        b"type1,3.5,7.5,-0.5,3.5\n"
+        b"type2,-0.5,3.5,3.5,7.5\n"
+        b"type3,3.5,7.5,3.5,7.5\n")
+
+
+def test_regions_csv_short_row_names_file_and_line(tmp_path):
+    path = tmp_path / "regions.csv"
+    path.write_text("label,xmin,xmax,ymin,ymax\ntype0,-0.5,3.5,-0.5,3.5\ntype1,3.5,7.5\n")
+    with pytest.raises(DataError, match=r"regions.csv:3: expected 5 fields, got 3"):
+        cli.read_regions_csv(path)
+
+
 def test_synth_deterministic(tmp_path):
     args = ["--seed", "3", "--n-cells", "30", "--n-genes", "50", "--n-shared", "20",
             "--grid-side", "8"]
@@ -79,6 +95,32 @@ def test_preprocess_outputs_and_summary(data_dir):
     # drop counts consistent with matrix dimensions
     assert summary["sc"]["cells_in"] - summary["sc"]["cells_dropped_low_genes"] - \
         summary["sc"]["cells_dropped_mito_ribo"] == summary["sc"]["cells_out"]
+
+
+def test_preprocess_summary_json_golden_bytes(data_dir):
+    assert (data_dir / "summary.json").read_bytes() == b"""{
+  "panel_hvg": 80,
+  "panel_shared": 30,
+  "sc": {
+    "cells_dropped_low_genes": 0,
+    "cells_dropped_mito_ribo": 0,
+    "cells_in": 80,
+    "cells_out": 80,
+    "genes_dropped_low_cells": 0,
+    "genes_in": 120,
+    "genes_out": 120
+  },
+  "st": {
+    "genes_dropped_low_cells": 0,
+    "genes_in": 40,
+    "genes_out": 40,
+    "spots_dropped_mito_ribo": 0,
+    "spots_in": 64,
+    "spots_out": 64
+  },
+  "target_sum": 10000.0
+}
+"""
 
 
 def test_preprocess_passthrough_thresholds(corpus_dir, tmp_path):
@@ -133,6 +175,50 @@ def test_trained_run_layout(trained_run):
     assert (trained_run / "panel_shared.txt").exists()
     assert (trained_run / "graph_edges.txt").exists()
     assert not (trained_run / ".lock").exists()  # released
+
+
+# history columns that count steps; every other column is a float
+_INT_COLUMNS = {"epoch", "outer", "inner", "disc_steps"}
+
+
+def test_run_dir_text_files_golden_bytes(trained_run, data_dir):
+    # histories: integer step columns, every float as its repr, "\n" line ends
+    for stage in (1, 2, 3):
+        path = trained_run / "history" / f"stage{stage}.csv"
+        header, rows = pl.read_history(path)
+        lines = [",".join(header)] + [
+            ",".join(str(int(v)) if name in _INT_COLUMNS else repr(v)
+                     for name, v in zip(header, row))
+            for row in rows]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    genes = dataio.read_id_list(data_dir / "panel_shared500.txt")
+    panel = "".join(f"{g}\n" for g in genes).encode()
+    assert (data_dir / "panel_shared500.txt").read_bytes() == panel
+    assert (trained_run / "panel_shared.txt").read_bytes() == panel
+    config = (trained_run / "config.json").read_bytes()
+    assert config == (json.dumps(json.loads(config), indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_train_truncated_manifest_exits_3_naming_it(data_dir, tiny_config, tmp_path, caplog):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text('{"artifacts": ["checkpoints/vae_sc2000.json"')
+    rc = cli.main(["train", "--stage", "1", "--data", str(data_dir),
+                   "--run-dir", str(run_dir), "--config", str(tiny_config)])
+    assert rc == cli.EXIT_DATA
+    assert str(run_dir / "manifest.json") in caplog.text
+    assert not (run_dir / ".lock").exists()
+
+
+@pytest.mark.parametrize("content", [b'{"s1_epochs": 3, "s2_', b'{"s1_epochs": \xff}', b"5"],
+                         ids=["truncated", "not-utf8", "not-an-object"])
+def test_train_corrupt_config_exits_3_naming_it(data_dir, tmp_path, caplog, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    rc = cli.main(["train", "--stage", "1", "--data", str(data_dir),
+                   "--run-dir", str(tmp_path / "run"), "--config", str(config)])
+    assert rc == cli.EXIT_DATA
+    assert str(config) in caplog.text
 
 
 def test_manifest_contents(trained_run, data_dir):
@@ -315,6 +401,8 @@ def test_bench_perfect_cluster_fixture(tmp_path):
                    "--k", "3"])
     assert rc == 0
     assert "mean=1.000000" in (out / "report.txt").read_text()
+    assert (out / "confusion.csv").read_bytes() == b"true\\pred,a,b\na,8,0\nb,0,8\n"
+    assert (out / "accuracy_vs_k.csv").read_bytes() == b"k,mean_accuracy,std\n3,1.0,0.0\n"
 
 
 def test_gradcheck_command():

@@ -22,6 +22,13 @@ def test_counts_csv_bad_value_reports_line(tmp_path):
         dataio.read_counts_csv(path)
 
 
+def test_counts_csv_count_beyond_int64_reports_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(f"id,g0,g1\nc0,1,2\nc1,{2 ** 64},3\n")
+    with pytest.raises(DataError, match=r"big.csv:3"):
+        dataio.read_counts_csv(path)
+
+
 def test_counts_csv_ragged_row_reports_line(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("id,g0,g1\nc0,1\n")
@@ -139,4 +146,5 @@ def test_latent_csv_round_trip(tmp_path):
 def test_id_list_round_trip(tmp_path):
     path = tmp_path / "panel.txt"
     dataio.write_id_list(path, ["g2", "g0", "g1"])
+    assert path.read_bytes() == b"g2\ng0\ng1\n"
     assert dataio.read_id_list(path) == ["g2", "g0", "g1"]

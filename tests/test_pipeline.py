@@ -118,6 +118,13 @@ def test_config_validation():
         pl.TrainConfig.from_dict({"nope": 1})
 
 
+def test_read_history_non_numeric_value_names_file_and_line(tmp_path):
+    path = tmp_path / "stage1.csv"
+    path.write_text("epoch,total\n0,1.5\n1,abc\n")
+    with pytest.raises(DataError, match=r"stage1.csv:3: could not convert"):
+        pl.read_history(path)
+
+
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
