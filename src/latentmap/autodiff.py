@@ -8,10 +8,16 @@ constraints, in rough order of importance:
   topological order, and the backward pass walks it once in reverse. With a
   fixed op sequence the accumulation order is fixed, so gradients are
   bitwise reproducible run to run.
-* No broadcasting except adding a row vector (bias) to a matrix.
+* No broadcasting: a layer's bias row vector enters through ``matmul``'s
+  ``bias`` operand, so an affine map is one tape entry, and a mean squared
+  error is one ``mse`` entry.
+* Only leaves keep gradients. ``backward`` passes adjoints of intermediate
+  tensors along and drops them; parameters and other leaves accumulate
+  theirs in ``.grad``.
 * Sparse data enters only as a constant operand: ``spmm`` multiplies a
   fixed scipy sparse matrix into a tensor, and ``pair_dot`` scores chosen
-  row pairs, so graph work costs O(nonzeros), never O(n^2).
+  row pairs, so graph work costs O(nonzeros), never O(n^2). scipy.sparse is
+  imported only when one of them runs, which keeps it off the inference path.
 
 Ops only record onto a tape while one is active (``with Tape(): ...``);
 outside a tape they just compute values, which is what inference and
@@ -19,7 +25,6 @@ finite-difference probing use.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericError, ShapeError
 
@@ -114,11 +119,14 @@ def _make_out(values, inputs, vjps):
 
 
 def backward(loss):
-    """Populate ``grad`` for every requires_grad tensor reachable from ``loss``.
+    """Accumulate d loss / d t into ``t.grad`` for every leaf ``t`` reachable from ``loss``.
 
-    Repeated calls without clearing grads accumulate into leaf and
-    intermediate grads alike; each pass keeps its own adjoint map so the
-    passes stay independent.
+    A leaf is a requires_grad tensor that no entry of the active tape
+    produced (a parameter, or an input made outside the tape). Adjoints of
+    op outputs live only in this pass's adjoint map and are dropped once
+    passed on; their ``.grad`` stays None. Repeated calls without clearing
+    grads accumulate into the leaves, and each pass keeps its own map, so
+    the passes stay independent.
     """
     if loss.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {tuple(loss.shape)}")
@@ -132,8 +140,6 @@ def backward(loss):
         if rec is None:
             continue
         g = rec[1]
-        if out.requires_grad:
-            out._accumulate(g)
         for inp, vjp in rules:
             gi = vjp(g)
             prev = adjoint.get(id(inp))
@@ -153,11 +159,22 @@ def _check_same_shape(a, b, op):
 # primitive ops
 # ---------------------------------------------------------------------------
 
-def matmul(a, b):
+def matmul(a, b, bias=None):
+    """Matrix product [n, k] @ [k, m], plus a [m] ``bias`` added to every row if given.
+
+    One tape entry either way; the bias vjp is the column sum of the adjoint.
+    """
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: cannot multiply {tuple(a.shape)} by {tuple(b.shape)}")
     out = a.data @ b.data
-    return _make_out(out, (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+    vjp_a, vjp_b = (lambda g: g @ b.data.T), (lambda g: a.data.T @ g)
+    if bias is None:
+        return _make_out(out, (a, b), (vjp_a, vjp_b))
+    if bias.shape != (b.shape[1],):
+        raise ShapeError(f"matmul: bias {tuple(bias.shape)} does not fit output columns "
+                         f"of {tuple(a.shape)} @ {tuple(b.shape)}")
+    out += bias.data
+    return _make_out(out, (a, b, bias), (vjp_a, vjp_b, lambda g: g.sum(axis=0)))
 
 
 def spmm(a, h):
@@ -167,6 +184,8 @@ def spmm(a, h):
     is ``a^T g``, which is ``a g`` for the symmetric graph adjacencies this
     is used with.
     """
+    import scipy.sparse as sp
+
     if not sp.issparse(a):
         raise TypeError(f"spmm: expected a scipy sparse matrix, got {type(a).__name__}")
     if h.data.ndim != 2 or a.shape[1] != h.shape[0]:
@@ -180,6 +199,8 @@ def pair_dot(z, rows, cols):
     The vjp scatters through a sparse [n, n] matrix M with M[rows[k], cols[k]]
     = g[k] (repeated pairs summed), giving (M + M^T) z.
     """
+    import scipy.sparse as sp
+
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     if z.data.ndim != 2:
@@ -197,12 +218,8 @@ def pair_dot(z, rows, cols):
 
 
 def add(a, b):
-    """Elementwise add; also accepts a [d] bias added to every row of [n, d]."""
-    if a.shape == b.shape:
-        return _make_out(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        return _make_out(a.data + b.data, (a, b), (lambda g: g, lambda g: g.sum(axis=0)))
-    raise ShapeError(f"add: operand shapes {tuple(a.shape)} and {tuple(b.shape)} differ")
+    _check_same_shape(a, b, "add")
+    return _make_out(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a, b):
@@ -227,7 +244,7 @@ def add_scalar(a, c):
 
 def relu(a):
     mask = a.data > 0  # subgradient 0 at 0
-    return _make_out(np.where(mask, a.data, 0.0), (a,), (lambda g: g * mask,))
+    return _make_out(np.maximum(a.data, 0.0), (a,), (lambda g: g * mask,))
 
 
 def _stable_sigmoid(x):
@@ -263,6 +280,20 @@ def tsum(a):
 def tmean(a):
     n = a.size
     return _make_out(np.asarray(a.data.mean()), (a,), (lambda g: np.broadcast_to(g / n, a.shape).copy(),))
+
+
+def mse(a, b):
+    """Mean over all entries of (a - b)^2, as a scalar tensor.
+
+    One tape entry with the arithmetic of ``tmean(square(sub(a, b)))``, so
+    values and gradients match that chain bit for bit, without its
+    intermediate tensors or the broadcast copy of the mean's adjoint.
+    """
+    _check_same_shape(a, b, "mse")
+    diff = a.data - b.data
+    n = diff.size
+    return _make_out(np.asarray((diff * diff).mean()), (a, b),
+                     (lambda g: (g / n * 2.0) * diff, lambda g: -((g / n * 2.0) * diff)))
 
 
 def sum_cols(a):
@@ -321,6 +352,8 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        # two work rows shared by every parameter's update
+        self.scratch = np.empty((2, max((p.size for p in self.params.values()), default=0)))
 
     def zero_grad(self):
         for p in self.params.values():
@@ -331,7 +364,14 @@ def adam_step(opt):
     """One bias-corrected Adam update from the grads on ``opt.params``, in place.
 
     A parameter without a grad gets a zero gradient. A non-finite gradient
-    aborts, naming the offending parameter.
+    aborts, naming the offending parameter. Every temporary lives in
+    ``opt.scratch``; the operations are those of
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * (g * g)
+        p -= lr * (m / bc1) / (sqrt(v / bc2) + epsilon)
+
+    in the same order, so the result is the same to the bit.
     """
     opt.t += 1
     bc1 = 1.0 - opt.beta1 ** opt.t
@@ -342,11 +382,21 @@ def adam_step(opt):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
         m = opt.m[name]
         v = opt.v[name]
+        s1, s2 = (row[:p.size].reshape(p.shape) for row in opt.scratch)
+        np.multiply(g, 1.0 - opt.beta1, out=s1)
         m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
+        m += s1
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - opt.beta2
         v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        p.data -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.epsilon)
+        v += s1
+        np.divide(m, bc1, out=s1)
+        s1 *= opt.lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += opt.epsilon
+        s1 /= s2
+        p.data -= s1
 
 
 def train_step(opt, loss_fn, where):

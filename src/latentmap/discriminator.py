@@ -90,7 +90,8 @@ def save_discriminator(path, p: DiscriminatorParams):
 
 def load_discriminator(path) -> DiscriminatorParams:
     arch, arrays, _ = nn.load_checkpoint(path, expect_kind="discriminator")
-    p = init_discriminator(int(arch["latent_dim"]), np.random.default_rng(0),
-                           hidden=tuple(arch["hidden"]))
+    latent_dim, hidden = nn.from_header(
+        path, lambda a: (int(a["latent_dim"]), tuple(a["hidden"])), arch)
+    p = init_discriminator(latent_dim, np.random.default_rng(0), hidden=hidden)
     nn.restore_params(p.params(), arrays)
     return p

@@ -26,7 +26,7 @@ class Dense:
         self.b = b
 
     def __call__(self, x):
-        return ad.add(ad.matmul(x, self.w), self.b)
+        return ad.matmul(x, self.w, bias=self.b)
 
     @property
     def n_in(self):
@@ -112,15 +112,19 @@ def load_checkpoint(path, expect_kind=None):
                         "longer read; retrain this run directory")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint format_version {version!r}")
-    if expect_kind is not None and header.get("kind") != expect_kind:
-        raise DataError(f"{path}: checkpoint kind {header.get('kind')!r}, expected {expect_kind!r}")
+    for key, kind in (("kind", str), ("arch", dict), ("arrays_sha256", str)):
+        if not isinstance(header.get(key), kind):
+            raise DataError(f"{path}: checkpoint header field '{key}' is missing or not a "
+                            f"JSON {'object' if kind is dict else 'string'}")
+    if expect_kind is not None and header["kind"] != expect_kind:
+        raise DataError(f"{path}: checkpoint kind {header['kind']!r}, expected {expect_kind!r}")
     npz = arrays_path(path)
     try:
         with open(npz, "rb") as fh:
             blob = fh.read()
     except FileNotFoundError:
         raise DependencyError(f"missing checkpoint arrays file: {npz}") from None
-    if hashlib.sha256(blob).hexdigest() != header.get("arrays_sha256"):
+    if hashlib.sha256(blob).hexdigest() != header["arrays_sha256"]:
         raise DataError(f"{npz}: sha256 does not match the one recorded in {path}")
     try:
         with np.load(io.BytesIO(blob), allow_pickle=False) as arrays:
@@ -131,6 +135,18 @@ def load_checkpoint(path, expect_kind=None):
         if arr.dtype != np.float64:
             raise DataError(f"{npz}: parameter '{name}' has dtype {arr.dtype}, expected float64")
     return header["arch"], params, header.get("extra")
+
+
+def from_header(path, build, value):
+    """``build(value)`` for a ``value`` read from the checkpoint header at ``path``.
+
+    A missing key or a value of the wrong kind becomes a DataError naming
+    the header.
+    """
+    try:
+        return build(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad checkpoint header: {type(exc).__name__}: {exc}") from None
 
 
 def restore_params(params, arrays):

@@ -26,8 +26,10 @@ All cross-stage state lives in a run directory:
 """
 
 import logging
+import math
+import numbers
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -85,19 +87,29 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.enc_hidden = tuple(self.enc_hidden)
-        for name in ("s1_epochs", "s2_epochs", "s2b_epochs", "s3_epochs"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is tuple:
+                value = _check_int_list(f.name, value)
+            elif not _TYPE_CHECKS[f.type](value):
+                raise DataError(f"{f.name} must be {_TYPE_NAMES[f.type]}, got {value!r}")
+            elif f.type is int:
+                value = int(value)  # numpy integers become plain ints for JSON
+            setattr(self, f.name, value)
+        for name in ("s1_epochs", "s2_epochs", "s2b_epochs", "s3_epochs", "graph_k"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
-        for name in ("w_anchor_sc", "w_adv", "w_anchor_st", "w_recon_exp",
-                     "w_recon_sp", "w_recon_adj", "kl_weight"):
+        for name in ("s2_init_epochs", "disc_max_iters", "w_anchor_sc", "w_adv", "w_anchor_st",
+                     "w_recon_exp", "w_recon_sp", "w_recon_adj", "kl_weight"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0")
+        for name in ("learning_rate", "disc_lr"):
+            if getattr(self, name) <= 0:
+                raise DataError(f"{name} must be > 0")
+        if not 0 < self.disc_target_acc <= 1:
+            raise DataError("disc_target_acc must be in (0, 1]")
         if self.latent_dim % 2 != 0:
             raise DataError("latent_dim must be even (the merge layer splits it)")
-        if self.disc_max_iters < 0:
-            raise DataError("disc_max_iters must be >= 0")
-        self.seed = int(self.seed)
 
     def to_dict(self):
         d = asdict(self)
@@ -117,7 +129,29 @@ class TrainConfig:
 
     @staticmethod
     def load(path):
-        return TrainConfig.from_dict(dataio.read_json(path))
+        d = dataio.read_json(path)
+        try:
+            return TrainConfig.from_dict(d)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
+
+
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+_TYPE_CHECKS = {
+    int: _is_int,
+    float: lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v),
+    bool: lambda v: isinstance(v, bool),
+}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _check_int_list(name, value):
+    if not isinstance(value, (list, tuple)) or not all(_is_int(v) and v >= 1 for v in value):
+        raise DataError(f"{name} must be a list of integers >= 1, got {value!r}")
+    return tuple(int(v) for v in value)
 
 
 def _rng(seed, stream):
@@ -417,8 +451,10 @@ def infer(run: RunDir, x_query, panel_ids, query_cols):
         raise DataError("query panel is out of order; columns must follow the panel order")
     x = np.asarray(x_query, dtype=np.float64)
     model_sc = vae.load_vae(run.path("checkpoints", "vae_sc500.json"))
-    model_vg, extra = vg.load_vgae(run.path("checkpoints", "vgae_st.json"))
-    transform = vg.CoordTransform.from_dict(extra["coord_transform"])
+    vgae_path = run.path("checkpoints", "vgae_st.json")
+    model_vg, extra = vg.load_vgae(vgae_path)
+    transform = nn.from_header(
+        vgae_path, lambda e: vg.CoordTransform.from_dict(e["coord_transform"]), extra)
     if x.shape[0] == 0:
         return np.zeros((0, model_vg.cfg.n_genes)), np.zeros((0, 2)), transform
     z = vae.encode_mu(model_sc, x)  # cross-space mappings are identity

@@ -100,13 +100,6 @@ def kl_divergence(mu, logvar):
     return ad.scale(ad.tsum(per_entry), 0.5 / n)
 
 
-def mse(a, b):
-    """Mean over all entries of the squared difference."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mse: shapes {tuple(a.shape)} and {tuple(b.shape)} differ")
-    return ad.tmean(ad.square(ad.sub(a, b)))
-
-
 def vae_loss(p: VaeParams, x, noise, beta: float = 1.0):
     """(total, recon, kl, mu) where total = recon + beta * kl.
 
@@ -117,7 +110,7 @@ def vae_loss(p: VaeParams, x, noise, beta: float = 1.0):
     x = ad.as_tensor(x)
     mu, logvar = encode(p, x)
     z = reparameterize(mu, logvar, noise)
-    recon = mse(decode(p, z), x)
+    recon = ad.mse(decode(p, z), x)
     kl = kl_divergence(mu, logvar)
     total = ad.add(recon, ad.scale(kl, beta))
     return total, recon, kl, mu
@@ -171,6 +164,6 @@ def save_vae(path, p: VaeParams):
 
 def load_vae(path) -> VaeParams:
     arch, arrays, _ = nn.load_checkpoint(path, expect_kind="vae")
-    p = init_vae(VaeConfig.from_arch(arch), np.random.default_rng(0))
+    p = init_vae(nn.from_header(path, VaeConfig.from_arch, arch), np.random.default_rng(0))
     nn.restore_params(p.params(), arrays)
     return p

@@ -24,7 +24,6 @@ ever built:
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import layers as nn
@@ -41,7 +40,7 @@ class SpatialGraph:
 
     n: int
     edges: list  # [(i, j) with i < j]
-    norm_adj: sp.csr_matrix
+    norm_adj: "scipy.sparse.csr_matrix"
 
 
 def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
@@ -98,12 +97,14 @@ def _edge_array(g: SpatialGraph) -> np.ndarray:
     return e
 
 
-def normalize_adjacency(g: SpatialGraph) -> sp.csr_matrix:
-    """Symmetric GCN normalization D^{-1/2} (A + I) D^{-1/2}, as CSR.
+def normalize_adjacency(g: SpatialGraph):
+    """Symmetric GCN normalization D^{-1/2} (A + I) D^{-1/2}, as a scipy CSR matrix.
 
     Built from ``g.edges`` directly; entries equal the dense formula's
     bit for bit.
     """
+    import scipy.sparse as sp  # kept off the inference import path
+
     e = _edge_array(g)
     n = g.n
     loops = np.arange(n, dtype=np.int64)
@@ -303,7 +304,7 @@ def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
     them once and passes them in. ``mu`` lets the caller add terms on the
     posterior mean without a second encoder pass.
     """
-    from .vae import kl_divergence, mse, reparameterize  # shared math
+    from .vae import kl_divergence, reparameterize  # shared math
 
     if pos is None:
         pos = positive_pairs(graph)
@@ -318,8 +319,8 @@ def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
     cols = np.concatenate([pos[1], neg[:, 1]])
     x_hat, coords_hat, edge_logits = vgae_decode(p, z, (rows, cols))
 
-    recon_exp = mse(x_hat, x_exp)
-    recon_sp = mse(coords_hat, x_sp)
+    recon_exp = ad.mse(x_hat, x_exp)
+    recon_sp = ad.mse(coords_hat, x_sp)
     labels = np.concatenate([np.ones(len(pos[0])), np.zeros(len(neg))])
     recon_adj = ad.bce_with_logits(edge_logits, labels)
 
@@ -393,6 +394,6 @@ def save_vgae(path, p: VgaeParams, extra=None):
 
 def load_vgae(path):
     arch, arrays, extra = nn.load_checkpoint(path, expect_kind="vgae")
-    p = init_vgae(VgaeConfig.from_arch(arch), np.random.default_rng(0))
+    p = init_vgae(nn.from_header(path, VgaeConfig.from_arch, arch), np.random.default_rng(0))
     nn.restore_params(p.params(), arrays)
     return p, extra

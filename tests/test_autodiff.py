@@ -94,14 +94,98 @@ def test_elementwise_shape_mismatch():
         ad.add(ad.tensor([1.0, 2.0]), ad.tensor([1.0, 2.0, 3.0]))
 
 
+def _zeros(*shape):
+    return ad.tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ad.add(_zeros(3, 2), _zeros(2)), r"add: .*\(3, 2\).*\(2,\)"),
+    (lambda: ad.mse(_zeros(3, 2), _zeros(2, 3)), r"mse: .*\(3, 2\).*\(2, 3\)"),
+    (lambda: ad.matmul(_zeros(3, 2), _zeros(2, 4), bias=_zeros(3)),
+     r"matmul: bias \(3,\).*\(3, 2\) @ \(2, 4\)"),
+], ids=["add", "mse", "matmul-bias"])
+def test_shape_errors_name_both_shapes(call, message):
+    with pytest.raises(ShapeError, match=message):
+        call()
+
+
 def test_bias_add_broadcast_backward():
     x = ad.tensor(np.ones((3, 2)), requires_grad=True)
     b = ad.tensor([1.0, 2.0], requires_grad=True)
     with ad.Tape():
-        loss = ad.tsum(ad.add(x, b))
+        out = ad.matmul(x, ad.tensor(np.eye(2)), bias=b)
+        assert out.data.tolist() == [[2.0, 3.0]] * 3
+        loss = ad.tsum(out)
         ad.backward(loss)
     assert np.array_equal(b.grad, [3.0, 3.0])
     assert np.array_equal(x.grad, np.ones((3, 2)))
+
+
+def test_matmul_bias_matches_finite_differences():
+    rng = np.random.default_rng(11)
+    a0, w0, b0 = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
+    weight = rng.normal(size=(4, 2))
+
+    def f(a, w, b):
+        return float(((a @ w + b) * weight).sum())
+
+    a, w, b = (ad.tensor(v, requires_grad=True) for v in (a0, w0, b0))
+    with ad.Tape():
+        ad.backward(ad.tsum(ad.mul(ad.matmul(a, w, bias=b), ad.tensor(weight))))
+    assert rel_err(a.grad, central_diff(lambda v: f(v, w0, b0), a0)) < 1e-6
+    assert rel_err(w.grad, central_diff(lambda v: f(a0, v, b0), w0)) < 1e-6
+    assert rel_err(b.grad, central_diff(lambda v: f(a0, w0, v), b0)) < 1e-6
+
+
+def test_mse_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    a0, b0 = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+
+    def f(a, b):
+        return float(np.mean((a - b) ** 2))
+
+    a, b = ad.tensor(a0, requires_grad=True), ad.tensor(b0, requires_grad=True)
+    with ad.Tape():
+        loss = ad.mse(a, b)
+        ad.backward(loss)
+    assert loss.item() == pytest.approx(f(a0, b0), rel=1e-15)
+    assert rel_err(a.grad, central_diff(lambda v: f(v, b0), a0)) < 1e-6
+    assert rel_err(b.grad, central_diff(lambda v: f(a0, v), b0)) < 1e-6
+
+
+def _composite_bias_add(h, b):
+    """A bias added to every row as its own tape entry: the reference for ``matmul(bias=)``."""
+    return ad._make_out(h.data + b.data, (h, b), (lambda g: g, lambda g: g.sum(axis=0)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fused_ops_match_composite_chains_bitwise(seed):
+    # matmul(bias=) and mse against add(matmul) and tmean(square(sub)),
+    # inside one small network so adjoints reach both through real chains
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(7, 5))
+    w1_0, b1_0 = rng.normal(size=(5, 6)), rng.normal(size=6)
+    w2_0, b2_0 = rng.normal(size=(6, 4)), rng.normal(size=4)
+    y0 = rng.normal(size=(7, 4))
+
+    def run(fused):
+        leaves = [ad.tensor(v, requires_grad=True) for v in (x0, w1_0, b1_0, w2_0, b2_0, y0)]
+        x, w1, b1, w2, b2, y = leaves
+        with ad.Tape():
+            if fused:
+                h = ad.relu(ad.matmul(x, w1, bias=b1))
+                out = ad.matmul(h, w2, bias=b2)
+                loss = ad.add(ad.mse(out, y), ad.mse(h, ad.matmul(x, w1)))
+            else:
+                h = ad.relu(_composite_bias_add(ad.matmul(x, w1), b1))
+                out = _composite_bias_add(ad.matmul(h, w2), b2)
+                loss = ad.add(ad.tmean(ad.square(ad.sub(out, y))),
+                              ad.tmean(ad.square(ad.sub(h, ad.matmul(x, w1)))))
+            ad.backward(loss)
+        return [loss.data, out.data] + [t.grad for t in leaves]
+
+    for got, want in zip(run(True), run(False)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("op,fn", [
@@ -219,8 +303,8 @@ def test_backward_two_layer_mlp_matches_finite_differences():
         "b2": ad.tensor(b2_0, requires_grad=True),
     }
     with ad.Tape():
-        h = ad.relu(ad.add(ad.matmul(ad.tensor(x0), params["w1"]), params["b1"]))
-        out = ad.add(ad.matmul(h, params["w2"]), params["b2"])
+        h = ad.relu(ad.matmul(ad.tensor(x0), params["w1"], bias=params["b1"]))
+        out = ad.matmul(h, params["w2"], bias=params["b2"])
         ad.backward(ad.tsum(ad.square(out)))
 
     oracles = {
@@ -231,6 +315,23 @@ def test_backward_two_layer_mlp_matches_finite_differences():
     }
     for name, oracle in oracles.items():
         assert rel_err(params[name].grad, oracle) < 1e-4, name
+
+
+def test_backward_keeps_grads_on_leaves_only():
+    x = ad.tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+    w = ad.tensor([[1.0, 0.5], [-1.0, 2.0]], requires_grad=True)
+    b = ad.tensor([0.1, -0.2], requires_grad=True)
+    with ad.Tape() as tape:
+        h = ad.relu(ad.matmul(x, w, bias=b))
+        loss = ad.mse(h, ad.tensor(np.ones((2, 2))))
+        ad.backward(loss)
+        first = {name: t.grad.copy() for name, t in (("x", x), ("w", w), ("b", b))}
+        ad.backward(loss)
+    for out, _ in tape.entries:
+        assert out.grad is None
+    assert h.grad is None and loss.grad is None
+    for name, t in (("x", x), ("w", w), ("b", b)):
+        assert np.array_equal(t.grad, 2.0 * first[name]), name
 
 
 def test_backward_deterministic_bitwise():
@@ -366,6 +467,30 @@ def test_adam_quadratic_matches_scalar_recurrence():
     assert p["x"].data[0] ** 2 <= 0.5 * 25.0
 
 
+def test_adam_matches_textbook_expression_bitwise():
+    # the in-place update against the allocating one-line formula it replaces
+    rng = np.random.default_rng(13)
+    shapes = {"w": (4, 3), "b": (3,), "s": ()}
+    p = {k: ad.tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    ref = {k: t.data.copy() for k, t in p.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    opt = ad.Adam(p, lr=0.01)
+    for t in range(1, 6):
+        grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+        for k in p:
+            p[k].grad = grads[k]
+        ad.adam_step(opt)
+        bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for k, g in grads.items():
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
+            ref[k] = ref[k] - 0.01 * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8)
+    for k in p:
+        assert np.array_equal(p[k].data, ref[k]), k
+        assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), k
+
+
 def test_adam_nan_gradient_names_parameter():
     p = {"theta": ad.tensor([1.0], requires_grad=True)}
     opt = ad.Adam(p)
@@ -421,7 +546,7 @@ def test_grad_check_linear_layer_is_exact():
     x = ad.tensor(rng.uniform(0.1, 2.0, size=(4, 3)))
     w = ad.tensor(rng.normal(size=(3, 2)), requires_grad=True)
     b = ad.tensor(rng.normal(size=2), requires_grad=True)
-    err = ad.grad_check(lambda: ad.tsum(ad.add(ad.matmul(x, w), b)), {"w": w, "b": b})
+    err = ad.grad_check(lambda: ad.tsum(ad.matmul(x, w, bias=b)), {"w": w, "b": b})
     assert err < 1e-8
 
 

@@ -126,3 +126,35 @@ def test_header_path_must_not_be_the_arrays_path(tmp_path):
     a, _, _ = tiny_models(9)
     with pytest.raises(DataError, match=r"\.npz"):
         vae.save_vae(tmp_path / "a.npz", a)
+
+
+@pytest.mark.parametrize("field,value", [("kind", None), ("kind", 3), ("arch", None),
+                                         ("arch", [4]), ("arrays_sha256", None)])
+def test_header_fields_are_type_checked(tmp_path, field, value):
+    p_vae, _, _ = tiny_models(1)
+    path = tmp_path / "vae.json"
+    vae.save_vae(path, p_vae)
+    header = json.loads(path.read_text())
+    if value is None:
+        del header[field]
+    else:
+        header[field] = value
+    path.write_text(json.dumps(header))
+    with pytest.raises(DataError, match=f"vae.json: checkpoint header field '{field}'"):
+        vae.load_vae(path)
+
+
+@pytest.mark.parametrize("kind", ["vae", "vgae", "discriminator"])
+def test_missing_arch_key_names_the_header(tmp_path, kind):
+    p_vae, p_vgae, p_disc = tiny_models(2)
+    path = tmp_path / f"{kind}.json"
+    save, load, key = {"vae": (vae.save_vae, vae.load_vae, "n_genes"),
+                       "vgae": (vgae.save_vgae, vgae.load_vgae, "gcn_hidden"),
+                       "discriminator": (disc.save_discriminator, disc.load_discriminator,
+                                         "hidden")}[kind]
+    save(path, {"vae": p_vae, "vgae": p_vgae, "discriminator": p_disc}[kind])
+    header = json.loads(path.read_text())
+    del header["arch"][key]
+    path.write_text(json.dumps(header))
+    with pytest.raises(DataError, match=f"{kind}.json: bad checkpoint header: KeyError: '{key}'"):
+        load(path)

@@ -210,8 +210,12 @@ def test_train_truncated_manifest_exits_3_naming_it(data_dir, tiny_config, tmp_p
     assert not (run_dir / ".lock").exists()
 
 
-@pytest.mark.parametrize("content", [b'{"s1_epochs": 3, "s2_', b'{"s1_epochs": \xff}', b"5"],
-                         ids=["truncated", "not-utf8", "not-an-object"])
+@pytest.mark.parametrize("content", [b'{"s1_epochs": 3, "s2_', b'{"s1_epochs": \xff}', b"5",
+                                     b'{"s1_epochs": "x"}',
+                                     b'{"learning_rate": -1, "disc_target_acc": 7}',
+                                     b'{"nope": 1}'],
+                         ids=["truncated", "not-utf8", "not-an-object", "wrong-type",
+                              "out-of-range", "unknown-key"])
 def test_train_corrupt_config_exits_3_naming_it(data_dir, tmp_path, caplog, content):
     config = tmp_path / "config.json"
     config.write_bytes(content)
@@ -318,6 +322,41 @@ def test_infer_version_1_checkpoint_exits_3(trained_run, corpus_dir, tmp_path, c
     assert rc == cli.EXIT_DATA
     assert str(header) in caplog.text and "retrain" in caplog.text
     assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("header,path", [("vae_sc500.json", ["arch"]),
+                                         ("vae_sc500.json", ["arch", "latent_dim"]),
+                                         ("vgae_st.json", ["extra", "coord_transform"])])
+def test_infer_damaged_checkpoint_header_exits_3(trained_run, corpus_dir, tmp_path, caplog,
+                                                 header, path):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    header_path = run / "checkpoints" / header
+    obj = json.loads(header_path.read_text())
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    header_path.write_text(json.dumps(obj))
+    rc = cli.main(["infer", "--run-dir", str(run),
+                   "--query", str(corpus_dir / "sc_query_counts.csv"),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DATA
+    assert str(header_path) in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+def test_import_and_infer_leave_scipy_sparse_unloaded(trained_run, corpus_dir, tmp_path):
+    # scipy.sparse costs about half of the CLI's import time; inference never needs it
+    code = ("import sys\nfrom latentmap import cli\n"
+            "before = 'scipy.sparse' in sys.modules\nrc = cli.main(sys.argv[1:])\n"
+            "print(before, rc, 'scipy.sparse' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code, "infer", "--run-dir", str(trained_run),
+                           "--query", str(corpus_dir / "sc_query_counts.csv"),
+                           "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False 0 False"
 
 
 def test_infer_writes_predictions(trained_run, corpus_dir, tmp_path):

@@ -186,6 +186,26 @@ def test_stage1_history_matches_standalone_vae(tmp_path, corpus):
         assert np.array_equal(saved[name].data, t.data), name
 
 
+def test_all_stages_deterministic_rerun(tmp_path, corpus):
+    # the CLI test of two `train --stage all` runs covers the default losses;
+    # this one takes the plain-distance anchors (the sqrt path) through run_stage
+    cfg = tiny_cfg(s2_init_epochs=20, squared_latent_loss=False, adv_train_sc=False)
+    data = pl.PipelineData(
+        sc2000=(corpus["sc_ids"], [], corpus["x_big"]),
+        sc500=(corpus["sc_ids"], corpus["panel"], corpus["x_sc"]),
+        st500=(corpus["st_ids"], corpus["panel"], corpus["x_st"]),
+        st_coords=(corpus["st_ids"], corpus["coords"]),
+        panel_shared=corpus["panel"])
+    roots = [tmp_path / "a", tmp_path / "b"]
+    for root in roots:
+        for stage in (1, 2, 3):
+            pl.run_stage(stage, cfg, data, pl.RunDir(root))
+    files = [sorted(p.relative_to(r) for p in r.rglob("*") if p.is_file()) for r in roots]
+    assert files[0] == files[1] and len(files[0]) == 19
+    for rel in files[0]:
+        assert (roots[0] / rel).read_bytes() == (roots[1] / rel).read_bytes(), rel
+
+
 def test_stage_gating(tmp_path, corpus):
     run = pl.RunDir(tmp_path / "run")
     run.ensure_layout()
