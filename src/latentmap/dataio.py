@@ -15,20 +15,48 @@ CSV conventions:
   * labels: header ``id,label``
   * latents: header ``id,z0,...,z{d-1}``
 
-Floats are written as Python floats, which ``csv`` formats with ``repr``,
-so files are deterministic and round-trip exactly. Every file is written
-through ``atomic_write``, so it appears whole or not at all.
+Floats are written with ``repr``, as ``csv`` writes Python floats, so files
+are deterministic and round-trip exactly. Numeric tables (counts, matrices,
+latents, coordinates) take a vectorized path: a file in the canonical form
+their writers emit is parsed by ``np.loadtxt``; any other file goes through
+``read_table``, which gives the same values and the same errors. Their
+writers format each row with ``str.join`` and quote only the id cell, with
+the bytes ``csv`` would write. Text is UTF-8. Every file is written through
+a temporary file and a rename, so it appears whole or not at all.
 """
 
+import contextlib
 import csv
 import io
 import json
 import os
+import re
 
 import numpy as np
 
 from .errors import DataError
 from .preprocess import CountMatrix
+
+# The characters of a field after the first in a canonical numeric table, on
+# which np.loadtxt and int()/float() accept the same strings with the same
+# values. Outside them loadtxt is laxer: it takes \x1c-\x1f and some
+# non-ASCII characters next to a number, which int() and float() reject.
+_NUMBER_BYTES = b"0123456789+-.eE,"
+
+# A cell holding none of these is written by csv (QUOTE_MINIMAL) as it is.
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+@contextlib.contextmanager
+def _text_input(path):
+    """``path`` open as UTF-8 text; an OSError or a non-UTF-8 byte becomes a DataError naming it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def read_table(path, convert, header=None):
@@ -40,36 +68,56 @@ def read_table(path, convert, header=None):
     held whole; a ``ValueError`` or ``OverflowError`` from ``convert``
     becomes a DataError naming ``path:line``.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    with fh:
-        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row)
-        first = next(rows, None)
-        if first is None:
-            raise DataError(f"{path}: empty file")
-        names = first[1]
-        if header is not None and [h.strip() for h in names] != list(header):
-            raise DataError(f"{path}:{first[0]}: expected header {','.join(header)}, got {names}")
-        out = []
-        for lineno, row in rows:
-            if len(row) != len(names):
-                raise DataError(f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}")
-            try:
-                out.append(convert(row))
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    with _text_input(path) as fh:
+        reader = csv.reader(fh)
+        rows = ((lineno, row) for lineno, row in enumerate(reader, start=1) if row)
+        try:
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            names = first[1]
+            if header is not None and [h.strip() for h in names] != list(header):
+                raise DataError(f"{path}:{first[0]}: expected header {','.join(header)}, "
+                                f"got {names}")
+            out = []
+            for lineno, row in rows:
+                if len(row) != len(names):
+                    raise DataError(f"{path}:{lineno}: expected {len(names)} fields, "
+                                    f"got {len(row)}")
+                try:
+                    out.append(convert(row))
+                except (ValueError, OverflowError) as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from exc
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     return names, out
 
 
+@contextlib.contextmanager
+def _atomic_file(path, binary=False):
+    """A temporary file beside ``path`` that replaces ``path`` once the block succeeds.
+
+    If the block or the rename fails, the temporary file is removed and
+    ``path`` keeps its previous content (or stays absent).
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with (open(tmp, "wb") if binary else
+              open(tmp, "w", encoding="utf-8", newline="")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_table(path, header, rows):
-    """Write ``header`` and then ``rows`` as CSV through ``atomic_write``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write(path, buf.getvalue())
+    """Write ``header`` and then ``rows`` as CSV, streamed into a temporary file."""
+    with _atomic_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_json(path):
@@ -94,7 +142,7 @@ def write_json(path, obj):
 
 
 def read_id_list(path):
-    with open(path) as fh:
+    with _text_input(path) as fh:
         ids = [line.strip() for line in fh if line.strip()]
     if not ids:
         raise DataError(f"{path}: no ids found")
@@ -125,46 +173,135 @@ def _stack(path, rows, dtype):
     return list(ids), np.array(values, dtype=dtype)
 
 
+def _canonical_ids(path, header):
+    """``(header cells, row ids)`` of the numeric table at ``path`` if it is canonical, else None.
+
+    Canonical is the form the numeric writers emit. On it ``csv`` splits each
+    line at its commas and nothing else, and ``np.loadtxt`` reads the values
+    that ``int`` or ``float`` would:
+      * every line ends in ``\\n`` and holds no ``"``, ``\\r`` or NUL, and no
+        field longer than ``csv.field_size_limit()``;
+      * the first line is the header, with at least one comma, and matches
+        ``header`` (cells stripped) when one is given;
+      * every later line has as many commas as the header, and its fields
+        after the first hold only ``_NUMBER_BYTES``;
+      * there is at least one such line.
+    A file that cannot be read or is not UTF-8 is not canonical either.
+    """
+    limit = csv.field_size_limit()
+
+    def plain(line):
+        return (line.endswith(b"\n") and b'"' not in line and b"\r" not in line
+                and b"\0" not in line
+                and (len(line) <= limit or max(map(len, line.split(b","))) <= limit))
+
+    try:
+        with open(path, "rb") as fh:
+            top = fh.readline()
+            if not plain(top):
+                return None
+            names = top[:-1].decode("utf-8").split(",")
+            if len(names) < 2 or (header is not None
+                                  and [h.strip() for h in names] != list(header)):
+                return None
+            ids = []
+            for line in fh:
+                cut = line.find(b",")
+                if (cut < 0 or not plain(line) or line.count(b",") != len(names) - 1
+                        or line[cut + 1:].translate(None, _NUMBER_BYTES) != b"\n"):
+                    return None
+                ids.append(line[:cut].decode("utf-8"))
+    except (OSError, UnicodeDecodeError):
+        return None
+    return (names, ids) if ids else None
+
+
+def _read_numeric(path, convert, dtype, header=None, min_fields=1):
+    """``(header cells, row ids, [n, d] values)`` of a numeric table.
+
+    A canonical file (see ``_canonical_ids``) is parsed by ``np.loadtxt``
+    straight from ``path``. Any other file, or one whose block loadtxt
+    rejects or finds non-finite, goes through ``read_table`` with
+    ``convert``, which accepts the same files with the same values and names
+    every error's line. There a header of fewer than ``min_fields`` cells is
+    an error once the rows have been read.
+    """
+    found = _canonical_ids(path, header)
+    if found is not None:
+        names, ids = found
+        try:
+            values = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                                usecols=range(1, len(names)), ndmin=2, encoding="utf-8")
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if (values.shape == (len(ids), len(names) - 1)
+                    and (values.dtype.kind != "f" or np.isfinite(values).all())):
+                return names, ids, values
+    names, rows = read_table(path, convert, header)
+    if len(names) < min_fields:
+        raise DataError(f"{path}:1: header has no gene columns")
+    return (names, *_stack(path, rows, dtype))
+
+
+def _csv_cell(cell):
+    """``cell`` as ``csv`` writes it as one field of a row of several."""
+    if isinstance(cell, str) and not _CSV_SPECIAL.search(cell):
+        return cell
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([cell, ""])
+    return buf.getvalue()[:-2]
+
+
+def _write_numeric(path, header, row_ids, values, fmt):
+    """Write ``header``, then per id the id and ``fmt`` of each value in its row of ``values``.
+
+    The bytes are ``write_table``'s for the same cells when ``fmt`` is how
+    ``csv`` formats them (``repr`` for a float, ``str`` for an int). A row of
+    one field is left to ``write_table``, as ``csv`` quotes an empty one.
+    """
+    if values.shape != (len(row_ids), len(header) - 1):
+        raise DataError(f"matrix shape {values.shape} does not match ids")
+    if len(header) == 1:
+        return write_table(path, header, ([rid] for rid in row_ids))
+    with _atomic_file(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for rid, row in zip(row_ids, values):
+            fh.write(f"{_csv_cell(rid)},{','.join(map(fmt, row.tolist()))}\n")
+
+
 def read_counts_csv(path) -> CountMatrix:
     """Dense CSV: header = gene ids, first column = cell id, integer cells."""
-    header, rows = read_table(path, _int_row)
-    if len(header) < 2:
-        raise DataError(f"{path}:1: header has no gene columns")
-    row_ids, counts = _stack(path, rows, np.int64)
+    header, row_ids, counts = _read_numeric(path, _int_row, np.int64, min_fields=2)
     return CountMatrix(row_ids, header[1:], counts)
 
 
 def write_counts_csv(path, m: CountMatrix):
-    write_table(path, ["id"] + list(m.col_ids),
-                ([rid, *row] for rid, row in
-                 zip(m.row_ids, m.counts.astype(np.int64, copy=False).tolist())))
+    _write_numeric(path, ["id"] + list(m.col_ids), m.row_ids,
+                   m.counts.astype(np.int64, copy=False), str)
 
 
 def read_matrix_csv(path):
     """Dense float CSV in the count-matrix layout -> (row_ids, col_ids, matrix)."""
-    header, rows = read_table(path, _float_row)
-    row_ids, matrix = _stack(path, rows, np.float64)
+    header, row_ids, matrix = _read_numeric(path, _float_row, np.float64)
     return row_ids, header[1:], matrix
 
 
 def write_matrix_csv(path, row_ids, col_ids, matrix):
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape != (len(row_ids), len(col_ids)):
-        raise DataError(f"matrix shape {matrix.shape} does not match ids")
-    write_table(path, ["id"] + list(col_ids),
-                ([rid, *row] for rid, row in zip(row_ids, matrix.tolist())))
+    _write_numeric(path, ["id"] + list(col_ids), row_ids,
+                   np.asarray(matrix, dtype=np.float64), repr)
 
 
 def read_coords_csv(path):
     """Coordinates CSV with header spot_id,x,y -> (spot_ids, [n,2] array)."""
-    _, rows = read_table(path, _float_row, header=("spot_id", "x", "y"))
-    return _stack(path, rows, np.float64)
+    _, spot_ids, coords = _read_numeric(path, _float_row, np.float64,
+                                        header=("spot_id", "x", "y"))
+    return spot_ids, coords
 
 
 def write_coords_csv(path, spot_ids, coords):
-    write_table(path, ["spot_id", "x", "y"],
-                ([rid, *xy] for rid, xy in
-                 zip(spot_ids, np.asarray(coords, dtype=np.float64).tolist())))
+    _write_numeric(path, ["spot_id", "x", "y"], spot_ids,
+                   np.asarray(coords, dtype=np.float64), repr)
 
 
 def read_labels_csv(path):
@@ -207,13 +344,8 @@ def atomic_write(path, data):
     """Write ``data`` (str or bytes) to ``path`` through a temporary file and a rename.
 
     A crash or a failed write leaves the previous file (or none) in place,
-    never a partial one; ``newline=""`` writes a text's line endings as given.
+    never a partial one; a text is written as UTF-8 with its line endings as
+    given.
     """
-    tmp = f"{path}.tmp"
-    if isinstance(data, bytes):
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-    else:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(data)
-    os.replace(tmp, path)
+    with _atomic_file(path, binary=isinstance(data, bytes)) as fh:
+        fh.write(data)

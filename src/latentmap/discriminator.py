@@ -92,6 +92,6 @@ def load_discriminator(path) -> DiscriminatorParams:
     arch, arrays, _ = nn.load_checkpoint(path, expect_kind="discriminator")
     latent_dim, hidden = nn.from_header(
         path, lambda a: (int(a["latent_dim"]), tuple(a["hidden"])), arch)
-    p = init_discriminator(latent_dim, np.random.default_rng(0), hidden=hidden)
+    p = DiscriminatorParams(latent_dim, nn.UNDRAWN, hidden=hidden)
     nn.restore_params(p.params(), arrays)
     return p

@@ -47,6 +47,21 @@ def init_dense(rng, n_in, n_out, gain=None):
     return Dense(w, b)
 
 
+class _Undrawn:
+    """Stands in for a Generator when every parameter is about to be restored.
+
+    ``normal`` returns zeros of the asked shape without drawing, so a model
+    built for a checkpoint load costs no random numbers.
+    """
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.zeros(size)
+
+
+UNDRAWN = _Undrawn()
+
+
 def mlp_forward(layers, x, final_linear=True):
     """Chain of Dense layers with ReLU between them; last layer linear by default."""
     h = x

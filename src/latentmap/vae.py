@@ -164,6 +164,6 @@ def save_vae(path, p: VaeParams):
 
 def load_vae(path) -> VaeParams:
     arch, arrays, _ = nn.load_checkpoint(path, expect_kind="vae")
-    p = init_vae(nn.from_header(path, VaeConfig.from_arch, arch), np.random.default_rng(0))
+    p = VaeParams(nn.from_header(path, VaeConfig.from_arch, arch), nn.UNDRAWN)
     nn.restore_params(p.params(), arrays)
     return p

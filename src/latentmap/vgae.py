@@ -394,6 +394,6 @@ def save_vgae(path, p: VgaeParams, extra=None):
 
 def load_vgae(path):
     arch, arrays, extra = nn.load_checkpoint(path, expect_kind="vgae")
-    p = init_vgae(nn.from_header(path, VgaeConfig.from_arch, arch), np.random.default_rng(0))
+    p = VgaeParams(nn.from_header(path, VgaeConfig.from_arch, arch), nn.UNDRAWN)
     nn.restore_params(p.params(), arrays)
     return p, extra

@@ -8,7 +8,7 @@ import pytest
 from latentmap import discriminator as disc
 from latentmap import layers as nn
 from latentmap import vae, vgae
-from latentmap.errors import DataError, DependencyError
+from latentmap.errors import DataError, DependencyError, ShapeError
 
 
 def tiny_models(seed):
@@ -28,7 +28,7 @@ def assert_bit_equal(params, arrays):
         assert arrays[name].tobytes() == t.data.tobytes(), name
 
 
-def test_round_trip_is_bit_exact_for_every_kind(tmp_path):
+def test_round_trip_is_bit_exact_for_every_kind(tmp_path, monkeypatch):
     p_vae, p_vgae, p_disc = tiny_models(3)
     for p in (p_vae, p_vgae, p_disc):
         first = next(iter(p.params().values()))
@@ -40,6 +40,10 @@ def test_round_trip_is_bit_exact_for_every_kind(tmp_path):
     vgae.save_vgae(tmp_path / "vgae.json", p_vgae, extra=extra)
     disc.save_discriminator(tmp_path / "disc.json", p_disc)
 
+    def no_rng(*args):
+        raise AssertionError("a checkpoint load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
     q_vae = vae.load_vae(tmp_path / "vae.json")
     q_vgae, q_extra = vgae.load_vgae(tmp_path / "vgae.json")
     q_disc = disc.load_discriminator(tmp_path / "disc.json")
@@ -49,6 +53,18 @@ def test_round_trip_is_bit_exact_for_every_kind(tmp_path):
     assert q_extra == extra
     assert q_vgae.cfg == p_vgae.cfg
     assert (q_disc.latent_dim, q_disc.hidden) == (p_disc.latent_dim, p_disc.hidden)
+
+
+@pytest.mark.parametrize("key,value,error", [("enc_hidden", [8], DataError),
+                                             ("n_genes", 13, ShapeError)])
+def test_load_checks_names_and_shapes_against_the_arch(tmp_path, key, value, error):
+    p_vae, _, _ = tiny_models(6)
+    vae.save_vae(tmp_path / "m.json", p_vae)
+    header = json.loads((tmp_path / "m.json").read_text())
+    header["arch"][key] = value
+    (tmp_path / "m.json").write_text(json.dumps(header))
+    with pytest.raises(error, match="checkpoint parameter"):
+        vae.load_vae(tmp_path / "m.json")
 
 
 def test_header_is_small_json_and_arrays_sit_beside_it(tmp_path):

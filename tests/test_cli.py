@@ -359,6 +359,22 @@ def test_import_and_infer_leave_scipy_sparse_unloaded(trained_run, corpus_dir, t
     assert proc.stdout.splitlines()[-1] == "False 0 False"
 
 
+@pytest.mark.parametrize("query", ["not_utf8.csv", "a_directory"])
+def test_infer_unreadable_query_exits_3_naming_it(trained_run, corpus_dir, tmp_path, caplog,
+                                                  query):
+    path = tmp_path / query
+    if query == "a_directory":
+        path.mkdir()
+    else:
+        text = (corpus_dir / "sc_query_counts.csv").read_bytes()
+        path.write_bytes(text.replace(b"\n", b"\xff\n", 2))
+    rc = cli.main(["infer", "--run-dir", str(trained_run), "--query", str(path),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DATA
+    assert str(path) in caplog.text
+    assert not (tmp_path / "pred.csv").exists()
+
+
 def test_infer_writes_predictions(trained_run, corpus_dir, tmp_path):
     out = tmp_path / "pred.csv"
     rc = cli.main(["infer", "--run-dir", str(trained_run),
@@ -446,6 +462,14 @@ def test_bench_perfect_cluster_fixture(tmp_path):
 
 def test_gradcheck_command():
     assert cli.main(["gradcheck"]) == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-m", "latentmap", "--help"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "infer" in proc.stdout
 
 
 def test_usage_error_exit_code():
