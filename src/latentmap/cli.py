@@ -157,6 +157,15 @@ def read_regions_csv(path):
 
 
 def cmd_preprocess(args):
+    """QC both count matrices and pick the gene panels; write them for ``train``.
+
+    The outputs are the QC-filtered integer counts (``sc_counts_qc.csv``:
+    kept cells x the union of both panels; ``st_counts_qc.csv``: kept spots x
+    the shared panel), the kept spots' coordinates, both panels in rank
+    order and ``summary.json`` with the drop counts and ``target_sum``.
+    Nothing normalized is written: ``train`` normalizes with
+    ``pp.panel_matrix``, as ``infer`` does.
+    """
     sc = dataio.read_counts_csv(args.sc_counts)
     st = dataio.read_counts_csv(args.st_counts)
     spot_ids, coords = dataio.read_coords_csv(args.st_coords)
@@ -176,15 +185,13 @@ def cmd_preprocess(args):
                               min(args.n_hvg, sc_qc.n_cols))
     panel_shared = pp.intersect_panel(sc_qc, st_qc, n=args.n_shared,
                                       target_sum=args.target_sum)
-    x_big = pp.panel_matrix(sc_qc, panel_big, args.target_sum)
-    x_sc = pp.panel_matrix(sc_qc, panel_shared, args.target_sum)
-    x_st = pp.panel_matrix(st_qc, panel_shared, args.target_sum)
+    in_panels = set(panel_big.gene_ids) | set(panel_shared.gene_ids)
 
     os.makedirs(args.out, exist_ok=True)
     out = lambda name: os.path.join(args.out, name)
-    dataio.write_matrix_csv(out("x_sc2000.csv"), sc_qc.row_ids, panel_big.gene_ids, x_big)
-    dataio.write_matrix_csv(out("x_sc500.csv"), sc_qc.row_ids, panel_shared.gene_ids, x_sc)
-    dataio.write_matrix_csv(out("x_st500.csv"), st_qc.row_ids, panel_shared.gene_ids, x_st)
+    dataio.write_counts_csv(out("sc_counts_qc.csv"), sc_qc.take_cols(
+        [i for i, g in enumerate(sc_qc.col_ids) if g in in_panels]))
+    dataio.write_counts_csv(out("st_counts_qc.csv"), pp.subset_counts(st_qc, panel_shared))
     dataio.write_coords_csv(out("st_coords.csv"), st_qc.row_ids, coords)
     dataio.write_id_list(out("panel_hvg2000.txt"), panel_big.gene_ids)
     dataio.write_id_list(out("panel_shared500.txt"), panel_shared.gene_ids)
@@ -207,21 +214,13 @@ def cmd_preprocess(args):
     return EXIT_OK
 
 
-def _train_inputs(data_dir):
-    names = ["x_sc2000.csv", "x_sc500.csv", "x_st500.csv", "st_coords.csv",
-             "panel_shared500.txt"]
-    return [os.path.join(data_dir, n) for n in names]
-
-
 def cmd_train(args):
     cfg = pl.TrainConfig.load(args.config) if args.config else pl.TrainConfig()
     if args.seed is not None:
         cfg = pl.TrainConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
     stages = [1, 2, 3] if args.stage == "all" else [int(args.stage)]
-    inputs = _train_inputs(args.data)
-    for p in inputs:
-        if not os.path.exists(p):
-            raise DependencyError(f"missing preprocessed artifact: {p}")
+    data = pl.load_pipeline_data(args.data)
+    inputs = [os.path.join(args.data, name) for name in pl.PREPROCESSED]
 
     with run_lock(args.run_dir):
         manifest = verify_manifest(args.run_dir, inputs)
@@ -232,7 +231,6 @@ def cmd_train(args):
         run = pl.RunDir(args.run_dir)
         run.ensure_layout()
         cfg.save(run.path("config.json"))
-        data = pl.load_pipeline_data(args.data)
         # an incremental run keeps the artifacts of the stages recorded before it
         artifacts = list(manifest.get("artifacts", [])) if manifest else []
         for stage in stages:
@@ -375,7 +373,7 @@ def build_parser():
                    help="also emit held-out query cells for inference tests")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("preprocess", help="QC, normalize, and build gene panels")
+    p = sub.add_parser("preprocess", help="QC and build gene panels")
     p.add_argument("--sc-counts", required=True)
     p.add_argument("--st-counts", required=True)
     p.add_argument("--st-coords", required=True)

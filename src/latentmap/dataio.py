@@ -21,8 +21,10 @@ latents, coordinates) take a vectorized path: a file in the canonical form
 their writers emit is parsed by ``np.loadtxt``; any other file goes through
 ``read_table``, which gives the same values and the same errors. Their
 writers format each row with ``str.join`` and quote only the id cell, with
-the bytes ``csv`` would write. Text is UTF-8. Every file is written through
-a temporary file and a rename, so it appears whole or not at all.
+the bytes ``csv`` would write; a matrix of small non-negative counts takes
+each count's text from a precomputed list. Text is UTF-8. Every file is
+written through a temporary file and a rename, so it appears whole or not at
+all.
 """
 
 import contextlib
@@ -45,6 +47,10 @@ _NUMBER_BYTES = b"0123456789+-.eE,"
 
 # A cell holding none of these is written by csv (QUOTE_MINIMAL) as it is.
 _CSV_SPECIAL = re.compile('[,"\r\n]')
+
+# A count matrix whose values all lie in [0, bound) takes each value's text
+# from a list of ``str(0) .. str(max)`` built per write, not from ``str``.
+_COUNT_TABLE_BOUND = 1 << 12
 
 
 @contextlib.contextmanager
@@ -277,8 +283,11 @@ def read_counts_csv(path) -> CountMatrix:
 
 
 def write_counts_csv(path, m: CountMatrix):
-    _write_numeric(path, ["id"] + list(m.col_ids), m.row_ids,
-                   m.counts.astype(np.int64, copy=False), str)
+    counts = m.counts.astype(np.int64, copy=False)
+    fmt = str
+    if counts.size and counts.min() >= 0 and counts.max() < _COUNT_TABLE_BOUND:
+        fmt = [str(i) for i in range(int(counts.max()) + 1)].__getitem__
+    _write_numeric(path, ["id"] + list(m.col_ids), m.row_ids, counts, fmt)
 
 
 def read_matrix_csv(path):

@@ -5,6 +5,8 @@ logit. Trained with binary cross entropy on logits and Adam. Cells (the
 expression-only dataset) carry label 1, spots label 0.
 """
 
+import copy
+
 import numpy as np
 
 from . import autodiff as ad
@@ -23,6 +25,14 @@ class DiscriminatorParams:
     def params(self):
         named = [(f"h{i}", l) for i, l in enumerate(self.layers)] + [("head", self.head)]
         return nn.collect_params(named)
+
+    def frozen(self):
+        """This discriminator on constant tensors that share its weight arrays."""
+        view = copy.copy(self)
+        const = lambda l: nn.Dense(ad.tensor(l.w.data), ad.tensor(l.b.data))
+        view.layers = [const(l) for l in self.layers]
+        view.head = const(self.head)
+        return view
 
 
 def init_discriminator(latent_dim, seed_or_rng, hidden=(128, 128, 128)) -> DiscriminatorParams:
@@ -76,9 +86,10 @@ def adversarial_generator_loss(p: DiscriminatorParams, z, target_label: float = 
 
     Non-saturating generator objective: gradients flow through the
     discriminator into ``z`` (and from there into the encoder that produced
-    it); the discriminator's own parameters are not stepped here.
+    it). The discriminator runs frozen, so no gradient of its own weights is
+    computed or kept.
     """
-    logits = disc_forward(p, z)
+    logits = disc_forward(p.frozen(), z)
     labels = np.full(logits.shape, float(target_label))
     return ad.bce_with_logits(logits, labels)
 

@@ -37,6 +37,7 @@ from . import autodiff as ad
 from . import dataio
 from . import discriminator as disc
 from . import layers as nn
+from . import preprocess as pp
 from . import vae
 from . import vgae as vg
 from .errors import DataError, DependencyError, ShapeError
@@ -407,13 +408,14 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
     weights = vg.VgaeLossWeights(recon_exp=cfg.w_recon_exp, recon_sp=cfg.w_recon_sp,
                                  recon_adj=cfg.w_recon_adj, kl=cfg.kl_weight)
     pos, keys = vg.positive_pairs(graph), vg.edge_keys(graph)
+    ax = ad.spmm(graph.norm_adj, ad.tensor(x))  # the first GCN layer's constant input
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
     rows = []
 
     def loss():
         noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
         *terms, mu = vg.vgae_loss(model, graph, x, coords_n, noise, weights, neg_rng,
-                                  pos=pos, keys=keys)
+                                  pos=pos, keys=keys, ax=ax)
         anchor_loss = euclidean_latent_loss(mu, anchor, squared=cfg.squared_latent_loss)
         terms[0] = ad.add(terms[0], ad.scale(anchor_loss, cfg.w_anchor_st))
         return (*terms, anchor_loss)
@@ -421,7 +423,7 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
     for epoch in range(cfg.s3_epochs):
         rows.append([epoch, *ad.train_step(opt, loss, f"stage 3, step {epoch}")])
 
-    codes = vg.encode_mu(model, graph.norm_adj, x)
+    codes = vg.encode_mu(model, graph.norm_adj, x, ax=ax)
     vg.save_vgae(run.path("checkpoints", "vgae_st.json"), model,
                  extra={"coord_transform": transform.to_dict(), "graph_k": cfg.graph_k})
     run.write_latent("z_st_merged.csv", st_ids, codes)
@@ -477,26 +479,49 @@ class PipelineData:
     panel_shared: list
 
 
-def load_pipeline_data(data_dir) -> PipelineData:
-    def need(name):
-        p = os.path.join(data_dir, name)
-        if not os.path.exists(p):
-            raise DependencyError(f"missing preprocessed artifact: {p}")
-        return p
+# the preprocess outputs that training reads; the run manifest records their digests
+PREPROCESSED = ("sc_counts_qc.csv", "st_counts_qc.csv", "st_coords.csv",
+                "panel_hvg2000.txt", "panel_shared500.txt", "summary.json")
 
+
+def _read_target_sum(path):
+    """The ``target_sum`` recorded in a preprocess ``summary.json``: a finite number > 0."""
+    value = dataio.read_json(path).get("target_sum")
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
+        raise DataError(f"{path}: target_sum must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def load_pipeline_data(data_dir) -> PipelineData:
+    """The training matrices, built from a ``latentmap preprocess`` output directory.
+
+    The directory holds QC-filtered integer counts, the two gene panels and
+    ``summary.json``. Each matrix is ``pp.panel_matrix`` of the counts on
+    its panel with the recorded ``target_sum``, the normalization ``infer``
+    applies to query cells. A missing file is a DependencyError; a
+    ``summary.json`` that cannot be read or has no valid ``target_sum`` is a
+    DataError naming it.
+    """
+    paths = {name: os.path.join(data_dir, name) for name in PREPROCESSED}
+    for name, p in paths.items():
+        if name != "summary.json" and not os.path.exists(p):
+            raise DependencyError(f"missing preprocessed artifact: {p}; "
+                                  "re-run `latentmap preprocess` to write it")
+    target_sum = _read_target_sum(paths["summary.json"])
+    sc = dataio.read_counts_csv(paths["sc_counts_qc.csv"])
+    st = dataio.read_counts_csv(paths["st_counts_qc.csv"])
+    panel_big = pp.GenePanel(dataio.read_id_list(paths["panel_hvg2000.txt"]))
+    panel_shared = pp.GenePanel(dataio.read_id_list(paths["panel_shared500.txt"]))
     data = PipelineData(
-        sc2000=dataio.read_matrix_csv(need("x_sc2000.csv")),
-        sc500=dataio.read_matrix_csv(need("x_sc500.csv")),
-        st500=dataio.read_matrix_csv(need("x_st500.csv")),
-        st_coords=dataio.read_coords_csv(need("st_coords.csv")),
-        panel_shared=dataio.read_id_list(need("panel_shared500.txt")),
+        sc2000=(sc.row_ids, panel_big.gene_ids, pp.panel_matrix(sc, panel_big, target_sum)),
+        sc500=(sc.row_ids, panel_shared.gene_ids, pp.panel_matrix(sc, panel_shared, target_sum)),
+        st500=(st.row_ids, panel_shared.gene_ids, pp.panel_matrix(st, panel_shared, target_sum)),
+        st_coords=dataio.read_coords_csv(paths["st_coords.csv"]),
+        panel_shared=panel_shared.gene_ids,
     )
-    if data.sc2000[0] != data.sc500[0]:
-        raise DataError("x_sc2000 and x_sc500 disagree on cell ids")
     if data.st500[0] != data.st_coords[0]:
-        raise DataError("x_st500 and st_coords disagree on spot ids")
-    if data.sc500[1] != data.panel_shared or data.st500[1] != data.panel_shared:
-        raise DataError("500-gene matrices do not follow the shared panel order")
+        raise DataError("st_counts_qc and st_coords disagree on spot ids")
     return data
 
 

@@ -146,8 +146,11 @@ def normalize_log1p(m: CountMatrix, target_sum: float = 1e4) -> np.ndarray:
     if np.any(totals == 0):
         bad = [m.row_ids[i] for i in np.flatnonzero(totals == 0)[:5]]
         raise DataError(f"zero-total rows present (should have been filtered): {bad}")
-    scaled = m.counts.astype(np.float64) * (target_sum / totals)[:, None]
-    return np.log1p(scaled)
+    # row-major whatever the counts' layout (a column subset is column-major),
+    # so tensors adopt it without a copy; normalized in place, no temporaries
+    out = m.counts.astype(np.float64, order="C")
+    out *= (target_sum / totals)[:, None]
+    return np.log1p(out, out=out)
 
 
 def dispersion(normed: np.ndarray) -> np.ndarray:

@@ -194,12 +194,14 @@ def init_vgae(cfg: VgaeConfig, seed_or_rng) -> VgaeParams:
     return VgaeParams(cfg, np.random.default_rng(seed_or_rng))
 
 
-def vgae_encode(p: VgaeParams, norm_adj, x_exp):
+def vgae_encode(p: VgaeParams, norm_adj, x_exp, ax=None):
     """(mu, logvar) of the merged latent, each [n, d].
 
     Expression branch: MLP(x) -> d/2. Graph branch: two GCN layers over the
     sparse normalized adjacency -> d/2. Concatenate, merge with a fully
-    connected layer, then apply the posterior heads.
+    connected layer, then apply the posterior heads. ``ax`` is the first GCN
+    layer's input ``spmm(norm_adj, x_exp)``; a training loop, whose ``x_exp``
+    is a constant, computes it once and passes it in.
     """
     x = ad.as_tensor(x_exp)
     if x.shape[1] != p.cfg.n_genes:
@@ -207,7 +209,9 @@ def vgae_encode(p: VgaeParams, norm_adj, x_exp):
     if norm_adj.shape != (x.shape[0], x.shape[0]):
         raise ShapeError(f"vgae_encode: adjacency {tuple(norm_adj.shape)} vs {x.shape[0]} spots")
     z_exp = nn.mlp_forward(p.exp_enc, x)
-    g1 = gcn_layer(norm_adj, x, p.gcn_w1, activation=True)
+    if ax is None:
+        ax = ad.spmm(norm_adj, x)
+    g1 = ad.relu(ad.matmul(ad.as_tensor(ax), p.gcn_w1))  # gcn_layer(norm_adj, x, w1)
     z_graph = gcn_layer(norm_adj, g1, p.gcn_w2, activation=False)
     merged = p.merge(ad.concat_cols(z_exp, z_graph))
     return p.mu_head(merged), p.logvar_head(merged)
@@ -294,15 +298,16 @@ class VgaeLossWeights:
 
 
 def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
-              weights: VgaeLossWeights, rng, pos=None, keys=None):
+              weights: VgaeLossWeights, rng, pos=None, keys=None, ax=None):
     """(total, recon_exp, recon_sp, recon_adj, kl, mu): scalar tensors and the posterior mean.
 
     Adjacency reconstruction scores the positive entries of A + I against an
     equal number of sampled non-edges (class balance); ``rng`` drives the
     per-call negative sample. ``pos`` (``positive_pairs``) and ``keys``
-    (``edge_keys``) default to those of ``graph``; a training loop builds
-    them once and passes them in. ``mu`` lets the caller add terms on the
-    posterior mean without a second encoder pass.
+    (``edge_keys``) default to those of ``graph``, and ``ax`` to
+    ``spmm(graph.norm_adj, x_exp)``; a training loop builds them once and
+    passes them in. ``mu`` lets the caller add terms on the posterior mean
+    without a second encoder pass.
     """
     from .vae import kl_divergence, reparameterize  # shared math
 
@@ -312,7 +317,7 @@ def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
         keys = edge_keys(graph)
     x_exp = ad.as_tensor(x_exp)
     x_sp = ad.as_tensor(x_sp)
-    mu, logvar = vgae_encode(p, graph.norm_adj, x_exp)
+    mu, logvar = vgae_encode(p, graph.norm_adj, x_exp, ax=ax)
     z = reparameterize(mu, logvar, noise)
     neg = sample_negatives(keys, graph.n, len(pos[0]), rng)
     rows = np.concatenate([pos[0], neg[:, 0]])
@@ -332,8 +337,8 @@ def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
     return total, recon_exp, recon_sp, recon_adj, kl, mu
 
 
-def encode_mu(p: VgaeParams, norm_adj, x_exp) -> np.ndarray:
-    mu, _ = vgae_encode(p, norm_adj, ad.as_tensor(x_exp))
+def encode_mu(p: VgaeParams, norm_adj, x_exp, ax=None) -> np.ndarray:
+    mu, _ = vgae_encode(p, norm_adj, ad.as_tensor(x_exp), ax=ax)
     return mu.data.copy()
 
 

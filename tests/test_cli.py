@@ -87,9 +87,15 @@ def test_synth_deterministic(tmp_path):
 
 
 def test_preprocess_outputs_and_summary(data_dir):
-    for name in ("x_sc2000.csv", "x_sc500.csv", "x_st500.csv", "st_coords.csv",
-                 "panel_hvg2000.txt", "panel_shared500.txt", "summary.json"):
-        assert (data_dir / name).exists(), name
+    assert sorted(p.name for p in data_dir.iterdir()) == [
+        "panel_hvg2000.txt", "panel_shared500.txt", "sc_counts_qc.csv", "st_coords.csv",
+        "st_counts_qc.csv", "summary.json"]
+    sc = dataio.read_counts_csv(data_dir / "sc_counts_qc.csv")
+    st = dataio.read_counts_csv(data_dir / "st_counts_qc.csv")
+    big = dataio.read_id_list(data_dir / "panel_hvg2000.txt")
+    shared = dataio.read_id_list(data_dir / "panel_shared500.txt")
+    assert set(sc.col_ids) == set(big) | set(shared) and st.col_ids == shared
+    assert st.row_ids == dataio.read_coords_csv(data_dir / "st_coords.csv")[0]
     summary = json.loads((data_dir / "summary.json").read_text())
     assert summary["panel_shared"] == 30
     # drop counts consistent with matrix dimensions
@@ -121,6 +127,23 @@ def test_preprocess_summary_json_golden_bytes(data_dir):
   "target_sum": 10000.0
 }
 """
+
+
+def test_pipeline_data_is_panel_matrix_of_qc_counts(corpus_dir, data_dir):
+    # the training matrices are exactly what infer's normalization gives the QC'd counts
+    target_sum = json.loads((data_dir / "summary.json").read_text())["target_sum"]
+    sc, _ = pp.run_qc(dataio.read_counts_csv(corpus_dir / "sc_counts.csv"),
+                      min_genes=30, min_cells=10)
+    st, _ = pp.run_qc(dataio.read_counts_csv(corpus_dir / "st_counts.csv"),
+                      min_genes=0, min_cells=10)
+    big = pp.GenePanel(dataio.read_id_list(data_dir / "panel_hvg2000.txt"))
+    shared = pp.GenePanel(dataio.read_id_list(data_dir / "panel_shared500.txt"))
+    data = pl.load_pipeline_data(data_dir)
+    for got, m, panel in ((data.sc2000, sc, big), (data.sc500, sc, shared),
+                          (data.st500, st, shared)):
+        assert got[0] == m.row_ids and got[1] == panel.gene_ids
+        assert np.array_equal(got[2], pp.panel_matrix(m, panel, target_sum))
+    assert data.st_coords[0] == st.row_ids
 
 
 def test_preprocess_passthrough_thresholds(corpus_dir, tmp_path):
@@ -164,6 +187,40 @@ def test_train_missing_data_dependency_error(tiny_config, tmp_path):
     rc = cli.main(["train", "--stage", "1", "--data", str(tmp_path / "nope"),
                    "--run-dir", str(tmp_path / "run"), "--config", str(tiny_config)])
     assert rc == cli.EXIT_DEPENDENCY
+
+
+def test_train_old_prep_layout_exits_4_naming_counts(data_dir, tiny_config, tmp_path, caplog):
+    old = tmp_path / "prep"
+    shutil.copytree(data_dir, old)
+    for name in ("sc_counts_qc.csv", "st_counts_qc.csv"):
+        (old / name).unlink()
+    for name in ("x_sc2000.csv", "x_sc500.csv", "x_st500.csv"):
+        (old / name).write_text("id,g0\nc0,0.5\n")
+    rc = cli.main(["train", "--stage", "1", "--data", str(old),
+                   "--run-dir", str(tmp_path / "run"), "--config", str(tiny_config)])
+    assert rc == cli.EXIT_DEPENDENCY
+    assert str(old / "sc_counts_qc.csv") in caplog.text
+    assert "re-run `latentmap preprocess`" in caplog.text
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("summary", [None, b"{}", b'{"target_sum": "1e4"}',
+                                     b'{"target_sum": true}', b'{"target_sum": 0}',
+                                     b'{"target_sum": -1.0}', b'{"target_sum": NaN}'],
+                         ids=["missing", "absent", "string", "bool", "zero", "negative", "nan"])
+def test_train_bad_summary_target_sum_exits_3_naming_it(data_dir, tiny_config, tmp_path,
+                                                        caplog, summary):
+    prep = tmp_path / "prep"
+    shutil.copytree(data_dir, prep)
+    if summary is None:
+        (prep / "summary.json").unlink()
+    else:
+        (prep / "summary.json").write_bytes(summary)
+    rc = cli.main(["train", "--stage", "1", "--data", str(prep),
+                   "--run-dir", str(tmp_path / "run"), "--config", str(tiny_config)])
+    assert rc == cli.EXIT_DATA
+    assert str(prep / "summary.json") in caplog.text
+    assert "Traceback" not in caplog.text
 
 
 def test_trained_run_layout(trained_run):
@@ -230,10 +287,10 @@ def test_manifest_contents(trained_run, data_dir):
     assert manifest["seed"] == 4
     assert manifest["tool_version"]
     assert set(manifest["input_digests"]) == {
-        "x_sc2000.csv", "x_sc500.csv", "x_st500.csv", "st_coords.csv",
-        "panel_shared500.txt"}
-    digest = cli.file_digest(str(data_dir / "x_sc500.csv"))
-    assert manifest["input_digests"]["x_sc500.csv"] == digest
+        "sc_counts_qc.csv", "st_counts_qc.csv", "st_coords.csv", "panel_hvg2000.txt",
+        "panel_shared500.txt", "summary.json"}
+    for name in ("sc_counts_qc.csv", "summary.json"):
+        assert manifest["input_digests"][name] == cli.file_digest(str(data_dir / name))
     assert {"vgae_st.json", "vgae_st.npz"} <= set(manifest["artifacts"])
 
 

@@ -83,6 +83,12 @@ def test_csv_writers_golden_bytes(tmp_path):
     assert path.read_bytes() == (b'id,g0,g1\n'
                                  b'"c,1",0,9007199254740993\n'
                                  b'"q""2",7,12345678901234\n')
+    # counts below 4096 come from a lookup list, the rest from str: same bytes
+    assert dataio._COUNT_TABLE_BOUND == 4096
+    for row, text in (([0, 4095], b"0,4095"), ([0, 4096], b"0,4096"),
+                      ([4095, 4096], b"4095,4096"), ([0, 2 ** 53 + 1], b"0,9007199254740993")):
+        dataio.write_counts_csv(path, CountMatrix(["c"], ["g0", "g1"], [row]))
+        assert path.read_bytes() == b"id,g0,g1\nc," + text + b"\n"
     path = tmp_path / "coords.csv"
     dataio.write_coords_csv(path, ["s,0"], [[-0.0, 0.1]])
     assert path.read_bytes() == b'spot_id,x,y\n"s,0",-0.0,0.1\n'

@@ -165,6 +165,32 @@ def test_generator_gradient_moves_latent_toward_fooling():
     assert after > before
 
 
+def test_generator_loss_leaves_discriminator_weights_without_grads():
+    # the frozen forward shares the weight arrays: same loss and latent gradient
+    # as the trainable one, and nothing computed for the discriminator itself
+    rng = np.random.default_rng(12)
+    p = disc.init_discriminator(3, 12, hidden=(8, 8))
+    z0 = rng.normal(size=(6, 3))
+    grads = []
+    for forward in (lambda z: disc.adversarial_generator_loss(p, z, target_label=1.0),
+                    lambda z: ad.bce_with_logits(disc.disc_forward(p, z), np.ones(6))):
+        z = ad.tensor(z0, requires_grad=True)
+        with ad.Tape():
+            loss = forward(z)
+            ad.backward(loss)
+        grads.append((loss.item(), z.grad))
+    (loss_f, grad_f), (loss_t, grad_t) = grads
+    assert loss_f == loss_t and np.array_equal(grad_f, grad_t)
+    for t in p.params().values():
+        t.grad = None
+    z = ad.tensor(z0, requires_grad=True)
+    with ad.Tape():
+        ad.backward(disc.adversarial_generator_loss(p, z))
+    assert all(t.grad is None for t in p.params().values())
+    assert all(np.shares_memory(f.w.data, l.w.data)
+               for f, l in zip(p.frozen().layers, p.layers))
+
+
 def test_checkpoint_round_trip(tmp_path):
     p = disc.init_discriminator(5, 10)
     path = tmp_path / "disc.json"

@@ -264,6 +264,32 @@ def test_full_loss_grad_check_small_instance():
     assert ad.grad_check(loss, p.params()) < 1e-4
 
 
+def test_precomputed_ax_gives_identical_loss_grads_and_mu():
+    # a training loop passes spmm(norm_adj, x) in once; nothing may change by a bit
+    p = tiny_vgae(seed=14, n_genes=12)
+    rng = np.random.default_rng(14)
+    g = vgae.build_knn_graph(rng.uniform(0, 4, size=(8, 2)), k=2)
+    x = rng.uniform(0.1, 2.0, size=(8, 12))
+    xy = rng.normal(size=(8, 2))
+    noise = rng.normal(size=(8, 4))
+    ax = ad.spmm(g.norm_adj, ad.tensor(x))
+    results = []
+    for given in (None, ax):
+        for t in p.params().values():
+            t.grad = None
+        with ad.Tape():
+            terms = vgae.vgae_loss(p, g, x, xy, noise, vgae.VgaeLossWeights(),
+                                   np.random.default_rng(14), ax=given)
+            ad.backward(terms[0])
+        results.append(([t.item() for t in terms[:5]], terms[5].data,
+                         {k: t.grad for k, t in p.params().items()},
+                         vgae.encode_mu(p, g.norm_adj, x, ax=given)))
+    (loss_a, mu_a, grads_a, enc_a), (loss_b, mu_b, grads_b, enc_b) = results
+    assert loss_a == loss_b
+    assert np.array_equal(mu_a, mu_b) and np.array_equal(enc_a, enc_b)
+    assert all(np.array_equal(grads_a[k], grads_b[k]) for k in grads_a)
+
+
 def _train_vgae(p, g, x, sp, weights, steps, seed, lr=1e-2):
     rng = np.random.default_rng(seed)
     opt = ad.Adam(p.params(), lr=lr)
