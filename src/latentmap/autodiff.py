@@ -9,8 +9,8 @@ constraints, in rough order of importance:
   fixed op sequence the accumulation order is fixed, so gradients are
   bitwise reproducible run to run.
 * No broadcasting: a layer's bias row vector enters through ``matmul``'s
-  ``bias`` operand, so an affine map is one tape entry, and a mean squared
-  error is one ``mse`` entry.
+  ``bias`` operand, so an affine map is one tape entry, and an output layer
+  scored by mean squared error is one ``affine_mse`` entry.
 * Only leaves keep gradients. ``backward`` passes adjoints of intermediate
   tensors along and drops them; parameters and other leaves accumulate
   theirs in ``.grad``.
@@ -282,18 +282,38 @@ def tmean(a):
     return _make_out(np.asarray(a.data.mean()), (a,), (lambda g: np.broadcast_to(g / n, a.shape).copy(),))
 
 
-def mse(a, b):
-    """Mean over all entries of (a - b)^2, as a scalar tensor.
+def affine_mse(h, w, b, target):
+    """Mean over all entries of (h @ w + b - target)^2, as a scalar tensor.
 
-    One tape entry with the arithmetic of ``tmean(square(sub(a, b)))``, so
-    values and gradients match that chain bit for bit, without its
-    intermediate tensors or the broadcast copy of the mean's adjoint.
+    A network's output layer and its squared error as one tape entry. The
+    product buffer becomes the residual r in place, and r is all the entry
+    keeps: no prediction, no squared temporary and no full-size adjoint
+    reaches the tape. With c = 2 g / n the vjps are (r @ w^T) c, (h^T r) c,
+    colsum(r) c and -r c, so c scales only the small products (the last one
+    is formed only when the target needs a gradient). r is never written
+    after the forward, so ``backward`` can run twice on one tape. Against
+    ``tmean(square(sub(matmul(h, w, bias=b), target)))`` values and
+    gradients differ in their last bits: the scaling comes after the
+    product, and the sum of squares is a dot product.
     """
-    _check_same_shape(a, b, "mse")
-    diff = a.data - b.data
-    n = diff.size
-    return _make_out(np.asarray((diff * diff).mean()), (a, b),
-                     (lambda g: (g / n * 2.0) * diff, lambda g: -((g / n * 2.0) * diff)))
+    if h.data.ndim != 2 or w.data.ndim != 2 or h.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine_mse: cannot multiply {tuple(h.shape)} by {tuple(w.shape)}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"affine_mse: bias {tuple(b.shape)} does not fit output columns "
+                         f"of {tuple(h.shape)} @ {tuple(w.shape)}")
+    out_shape = (h.shape[0], w.shape[1])
+    if target.shape != out_shape:
+        raise ShapeError(f"affine_mse: target {tuple(target.shape)} differs from output "
+                         f"{out_shape} of {tuple(h.shape)} @ {tuple(w.shape)}")
+    r = h.data @ w.data
+    r += b.data
+    r -= target.data
+    n = r.size
+    flat = r.reshape(-1)
+    c = lambda g: g / n * 2.0
+    return _make_out(np.asarray(flat @ flat / n), (h, w, b, target),
+                     (lambda g: (r @ w.data.T) * c(g), lambda g: (h.data.T @ r) * c(g),
+                      lambda g: r.sum(axis=0) * c(g), lambda g: r * -c(g)))
 
 
 def sum_cols(a):

@@ -181,10 +181,10 @@ def cmd_preprocess(args):
     coord_keep = [i for i, r in enumerate(st.row_ids) if r in keep]
     coords = coords[coord_keep]
 
-    panel_big = pp.select_hvg(pp.normalize_log1p(sc_qc, args.target_sum), sc_qc.col_ids,
-                              min(args.n_hvg, sc_qc.n_cols))
-    panel_shared = pp.intersect_panel(sc_qc, st_qc, n=args.n_shared,
-                                      target_sum=args.target_sum)
+    # one ranking serves both panels
+    ranked = pp.rank_genes(pp.normalize_log1p(sc_qc, args.target_sum), sc_qc.col_ids)
+    panel_big = pp.GenePanel(ranked[:args.n_hvg])
+    panel_shared = pp.intersect_panel(sc_qc, st_qc, n=args.n_shared, ranked=ranked)
     in_panels = set(panel_big.gene_ids) | set(panel_shared.gene_ids)
 
     os.makedirs(args.out, exist_ok=True)
@@ -301,6 +301,18 @@ def cmd_bench(args):
     return EXIT_OK
 
 
+def _draw_biases(params, rng):
+    """Set every bias in ``params`` to N(0, 0.1) draws; returns ``params``.
+
+    Zero biases can put a ReLU input exactly at 0, where the subgradient
+    the backward pass uses and a central difference disagree.
+    """
+    for name, t in params.items():
+        if name.endswith(".b"):
+            t.data[...] = rng.normal(0.0, 0.1, size=t.shape)
+    return params
+
+
 def gradcheck_suite(seed=0):
     """Small-instance gradient checks for each network; returns name -> error."""
     rng = np.random.default_rng(seed)
@@ -310,7 +322,7 @@ def gradcheck_suite(seed=0):
     x = rng.uniform(0.1, 2.0, size=(5, 7))
     noise = rng.normal(size=(5, 4))
     results["vae"] = ad.grad_check(lambda: vae.vae_loss(p_vae, x, noise, beta=1.0)[0],
-                                   p_vae.params())
+                                   _draw_biases(p_vae.params(), rng))
 
     g = vg.build_knn_graph(rng.uniform(0, 4, size=(6, 2)), k=2)
     p_vgae = vg.init_vgae(vg.VgaeConfig(n_genes=7, latent_dim=4, exp_hidden=(6,),
@@ -325,14 +337,14 @@ def gradcheck_suite(seed=0):
     results["vgae"] = ad.grad_check(
         lambda: vg.vgae_loss(p_vgae, g, x_exp, x_sp, noise_g, vg.VgaeLossWeights(),
                              np.random.default_rng(neg_seed))[0],
-        p_vgae.params())
+        _draw_biases(p_vgae.params(), rng))
 
     p_disc = discriminator.init_discriminator(4, rng, hidden=(8, 8, 8))
     z = rng.normal(size=(6, 4))
     labels = rng.integers(0, 2, size=6).astype(float)
     results["discriminator"] = ad.grad_check(
         lambda: ad.bce_with_logits(discriminator.disc_forward(p_disc, z), labels),
-        p_disc.params())
+        _draw_biases(p_disc.params(), rng))
     return results
 
 

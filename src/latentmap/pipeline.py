@@ -338,8 +338,8 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
                             enc_hidden=cfg.enc_hidden)
     pre = _pretrain_shared_init(cfg, vae_cfg, x_sc, x_st)
     pre_arrays = {k: t.data.copy() for k, t in pre.params().items()}
-    model_sc = vae.init_vae(vae_cfg, _rng(cfg.seed, _S2_VAE_INIT))
-    model_st = vae.init_vae(vae_cfg, _rng(cfg.seed, _S2_VAE_INIT))
+    model_sc = vae.VaeParams(vae_cfg, nn.UNDRAWN)
+    model_st = vae.VaeParams(vae_cfg, nn.UNDRAWN)
     nn.restore_params(model_sc.params(), pre_arrays)
     nn.restore_params(model_st.params(), {k: v.copy() for k, v in pre_arrays.items()})
     d_params = disc.init_discriminator(cfg.latent_dim, _rng(cfg.seed, _S2_DISC_INIT))

@@ -181,20 +181,22 @@ def select_hvg(normed: np.ndarray, gene_ids, n: int) -> GenePanel:
 
 
 def intersect_panel(sc: CountMatrix, st: CountMatrix, n: int = 500,
-                    target_sum: float = 1e4) -> GenePanel:
+                    target_sum: float = 1e4, ranked=None) -> GenePanel:
     """Top ``n`` shared genes, ranked by HVG dispersion computed on the sc data.
 
     Ranking is rank-then-intersect: genes are ranked on the full normalized
     sc matrix, the ranking is restricted to genes present in both datasets,
-    and the first ``n`` survivors are the panel.
+    and the first ``n`` survivors are the panel. A caller that already holds
+    that ranking (``rank_genes`` of ``normalize_log1p(sc, target_sum)``)
+    passes it as ``ranked`` instead of having it computed again.
     """
     if sc.n_rows == 0 or st.n_rows == 0:
         raise DataError("empty input matrix")
     shared = set(sc.col_ids) & set(st.col_ids)
     if len(shared) < n:
         raise DataError(f"only {len(shared)} genes shared between datasets, need {n}")
-    normed = normalize_log1p(sc, target_sum=target_sum)
-    ranked = rank_genes(normed, sc.col_ids)
+    if ranked is None:
+        ranked = rank_genes(normalize_log1p(sc, target_sum=target_sum), sc.col_ids)
     panel = [g for g in ranked if g in shared][:n]
     return GenePanel(panel)
 

@@ -174,25 +174,3 @@ def point_in_regions(regions, label, x, y):
     """True when (x, y) falls inside any region carrying ``label``."""
     return any(r.contains(x, y) for r in regions if r.label == label)
 
-
-def two_block_spatial_fixture(side: int = 7, n_genes: int = 12, gradient: float = 1.0,
-                              noise: float = 0.1, gap: float = 20.0, seed: int = 0):
-    """Two grid blocks with block profiles plus a spatial expression gradient.
-
-    Returns (coords [2*side^2, 2], expression [2*side^2, n_genes], block
-    labels). The gradient term makes within-block position visible in the
-    expression, the way real tissue carries smooth spatial programs; without
-    it, link prediction on the spot graph has nothing to generalize from.
-    """
-    rng = np.random.default_rng(seed)
-    grid = _grid_coords(side)
-    coords = np.vstack([grid, grid + [gap, 0.0]])
-    n_half = side * side
-    block = np.repeat([0, 1], n_half)
-    profile = rng.normal(size=(2, n_genes))
-    local = coords.copy()
-    local[n_half:, 0] -= gap
-    local = (local - local.mean(axis=0)) / local.std(axis=0)
-    expr = profile[block] + gradient * (local @ rng.normal(size=(2, n_genes)))
-    expr += noise * rng.normal(size=(2 * n_half, n_genes))
-    return coords, expr, block

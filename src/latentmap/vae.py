@@ -71,12 +71,17 @@ def encode(p: VaeParams, x):
     return p.mu_head(h), p.logvar_head(h)
 
 
-def decode(p: VaeParams, z):
-    """Latent codes back to expression space (linear output, log1p scale)."""
+def _decode_hidden(p: VaeParams, z):
+    """The decoder up to its output head: the last hidden layer's activations."""
     z = ad.as_tensor(z)
     if z.shape[1] != p.cfg.latent_dim:
         raise ShapeError(f"decode: input width {z.shape[1]}, model expects {p.cfg.latent_dim}")
-    return nn.mlp_forward(p.dec + [p.out_head], z)
+    return nn.mlp_forward(p.dec, z, final_linear=False)
+
+
+def decode(p: VaeParams, z):
+    """Latent codes back to expression space (linear output, log1p scale)."""
+    return p.out_head(_decode_hidden(p, z))
 
 
 def reparameterize(mu, logvar, noise):
@@ -104,13 +109,14 @@ def vae_loss(p: VaeParams, x, noise, beta: float = 1.0):
     """(total, recon, kl, mu) where total = recon + beta * kl.
 
     recon is the MSE between the input and its reconstruction through the
-    sampled latent. ``mu`` is the posterior mean, so a caller can add terms
-    on it without a second encoder pass.
+    sampled latent; the output head runs inside ``affine_mse``, so the
+    reconstruction itself is never built. ``mu`` is the posterior mean, so a
+    caller can add terms on it without a second encoder pass.
     """
     x = ad.as_tensor(x)
     mu, logvar = encode(p, x)
     z = reparameterize(mu, logvar, noise)
-    recon = ad.mse(decode(p, z), x)
+    recon = ad.affine_mse(_decode_hidden(p, z), p.out_head.w, p.out_head.b, x)
     kl = kl_divergence(mu, logvar)
     total = ad.add(recon, ad.scale(kl, beta))
     return total, recon, kl, mu

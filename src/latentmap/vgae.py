@@ -226,12 +226,17 @@ def vgae_decode(p: VgaeParams, z, pairs=None):
     are their sigmoid. Without ``pairs`` no edge is scored.
     """
     z = ad.as_tensor(z)
+    h_exp, h_sp = _decode_hidden(p, z)
+    edge_logits = None if pairs is None else ad.pair_dot(z, *pairs)
+    return p.out_head(h_exp), p.coord_head(h_sp), edge_logits
+
+
+def _decode_hidden(p: VgaeParams, z):
+    """The expression and coordinate decoders up to their output heads."""
     if z.shape[1] != p.cfg.latent_dim:
         raise ShapeError(f"vgae_decode: input width {z.shape[1]}, model expects {p.cfg.latent_dim}")
-    x_hat = nn.mlp_forward(p.dec + [p.out_head], z)
-    coords_hat = nn.mlp_forward(p.coord + [p.coord_head], z)
-    edge_logits = None if pairs is None else ad.pair_dot(z, *pairs)
-    return x_hat, coords_hat, edge_logits
+    return (nn.mlp_forward(p.dec, z, final_linear=False),
+            nn.mlp_forward(p.coord, z, final_linear=False))
 
 
 def positive_pairs(g: SpatialGraph):
@@ -322,10 +327,12 @@ def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
     neg = sample_negatives(keys, graph.n, len(pos[0]), rng)
     rows = np.concatenate([pos[0], neg[:, 0]])
     cols = np.concatenate([pos[1], neg[:, 1]])
-    x_hat, coords_hat, edge_logits = vgae_decode(p, z, (rows, cols))
+    # vgae_decode without its output heads: each head runs inside its loss
+    h_exp, h_sp = _decode_hidden(p, z)
+    edge_logits = ad.pair_dot(z, rows, cols)
 
-    recon_exp = ad.mse(x_hat, x_exp)
-    recon_sp = ad.mse(coords_hat, x_sp)
+    recon_exp = ad.affine_mse(h_exp, p.out_head.w, p.out_head.b, x_exp)
+    recon_sp = ad.affine_mse(h_sp, p.coord_head.w, p.coord_head.b, x_sp)
     labels = np.concatenate([np.ones(len(pos[0])), np.zeros(len(neg))])
     recon_adj = ad.bce_with_logits(edge_logits, labels)
 

@@ -100,10 +100,11 @@ def _zeros(*shape):
 
 @pytest.mark.parametrize("call,message", [
     (lambda: ad.add(_zeros(3, 2), _zeros(2)), r"add: .*\(3, 2\).*\(2,\)"),
-    (lambda: ad.mse(_zeros(3, 2), _zeros(2, 3)), r"mse: .*\(3, 2\).*\(2, 3\)"),
+    (lambda: ad.affine_mse(_zeros(3, 2), _zeros(2, 4), _zeros(4), _zeros(4, 3)),
+     r"affine_mse: target \(4, 3\).*\(3, 4\)"),
     (lambda: ad.matmul(_zeros(3, 2), _zeros(2, 4), bias=_zeros(3)),
      r"matmul: bias \(3,\).*\(3, 2\) @ \(2, 4\)"),
-], ids=["add", "mse", "matmul-bias"])
+], ids=["add", "affine_mse", "matmul-bias"])
 def test_shape_errors_name_both_shapes(call, message):
     with pytest.raises(ShapeError, match=message):
         call()
@@ -137,20 +138,24 @@ def test_matmul_bias_matches_finite_differences():
     assert rel_err(b.grad, central_diff(lambda v: f(a0, w0, v), b0)) < 1e-6
 
 
-def test_mse_matches_finite_differences():
+def test_affine_mse_matches_finite_differences():
     rng = np.random.default_rng(12)
-    a0, b0 = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    h0, w0, b0 = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+    t0 = rng.normal(size=(5, 4))
 
-    def f(a, b):
-        return float(np.mean((a - b) ** 2))
+    def f(h, w, b, t):
+        return float(np.mean((h @ w + b - t) ** 2))
 
-    a, b = ad.tensor(a0, requires_grad=True), ad.tensor(b0, requires_grad=True)
+    leaves = [ad.tensor(v, requires_grad=True) for v in (h0, w0, b0, t0)]
     with ad.Tape():
-        loss = ad.mse(a, b)
+        loss = ad.affine_mse(*leaves)
         ad.backward(loss)
-    assert loss.item() == pytest.approx(f(a0, b0), rel=1e-15)
-    assert rel_err(a.grad, central_diff(lambda v: f(v, b0), a0)) < 1e-6
-    assert rel_err(b.grad, central_diff(lambda v: f(a0, v), b0)) < 1e-6
+    assert loss.item() == pytest.approx(f(h0, w0, b0, t0), rel=1e-14)
+    h, w, b, t = leaves
+    assert rel_err(h.grad, central_diff(lambda v: f(v, w0, b0, t0), h0)) < 1e-6
+    assert rel_err(w.grad, central_diff(lambda v: f(h0, v, b0, t0), w0)) < 1e-6
+    assert rel_err(b.grad, central_diff(lambda v: f(h0, w0, v, t0), b0)) < 1e-6
+    assert rel_err(t.grad, central_diff(lambda v: f(h0, w0, b0, v), t0)) < 1e-6
 
 
 def _composite_bias_add(h, b):
@@ -158,10 +163,41 @@ def _composite_bias_add(h, b):
     return ad._make_out(h.data + b.data, (h, b), (lambda g: g, lambda g: g.sum(axis=0)))
 
 
+def _composite_mse(a, b):
+    return ad.tmean(ad.square(ad.sub(a, b)))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fused_ops_match_composite_chains_bitwise(seed):
-    # matmul(bias=) and mse against add(matmul) and tmean(square(sub)),
-    # inside one small network so adjoints reach both through real chains
+    # matmul(bias=) against add(matmul), inside one small network so
+    # adjoints reach it through real chains
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(7, 5))
+    w1_0, b1_0 = rng.normal(size=(5, 6)), rng.normal(size=6)
+    w2_0, b2_0 = rng.normal(size=(6, 4)), rng.normal(size=4)
+    y0 = rng.normal(size=(7, 4))
+
+    def run(fused):
+        leaves = [ad.tensor(v, requires_grad=True) for v in (x0, w1_0, b1_0, w2_0, b2_0, y0)]
+        x, w1, b1, w2, b2, y = leaves
+        affine = (lambda h, w, b: ad.matmul(h, w, bias=b)) if fused else (
+            lambda h, w, b: _composite_bias_add(ad.matmul(h, w), b))
+        with ad.Tape():
+            h = ad.relu(affine(x, w1, b1))
+            out = affine(h, w2, b2)
+            loss = ad.add(_composite_mse(out, y), _composite_mse(h, ad.matmul(x, w1)))
+            ad.backward(loss)
+        return [loss.data, out.data] + [t.grad for t in leaves]
+
+    for got, want in zip(run(True), run(False)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_affine_mse_matches_composite_chain(seed):
+    # affine_mse scales its vjps after the products and sums squares with a
+    # dot product, so it agrees with tmean(square(sub(matmul(bias=)))) to
+    # rounding, not to the bit; 1e-12 is a few thousand float64 ulps
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=(7, 5))
     w1_0, b1_0 = rng.normal(size=(5, 6)), rng.normal(size=6)
@@ -172,20 +208,16 @@ def test_fused_ops_match_composite_chains_bitwise(seed):
         leaves = [ad.tensor(v, requires_grad=True) for v in (x0, w1_0, b1_0, w2_0, b2_0, y0)]
         x, w1, b1, w2, b2, y = leaves
         with ad.Tape():
+            h = ad.relu(ad.matmul(x, w1, bias=b1))
             if fused:
-                h = ad.relu(ad.matmul(x, w1, bias=b1))
-                out = ad.matmul(h, w2, bias=b2)
-                loss = ad.add(ad.mse(out, y), ad.mse(h, ad.matmul(x, w1)))
+                loss = ad.affine_mse(h, w2, b2, y)
             else:
-                h = ad.relu(_composite_bias_add(ad.matmul(x, w1), b1))
-                out = _composite_bias_add(ad.matmul(h, w2), b2)
-                loss = ad.add(ad.tmean(ad.square(ad.sub(out, y))),
-                              ad.tmean(ad.square(ad.sub(h, ad.matmul(x, w1)))))
+                loss = _composite_mse(ad.matmul(h, w2, bias=b2), y)
             ad.backward(loss)
-        return [loss.data, out.data] + [t.grad for t in leaves]
+        return [loss.data] + [t.grad for t in leaves]
 
     for got, want in zip(run(True), run(False)):
-        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("op,fn", [
@@ -323,7 +355,7 @@ def test_backward_keeps_grads_on_leaves_only():
     b = ad.tensor([0.1, -0.2], requires_grad=True)
     with ad.Tape() as tape:
         h = ad.relu(ad.matmul(x, w, bias=b))
-        loss = ad.mse(h, ad.tensor(np.ones((2, 2))))
+        loss = ad.affine_mse(h, w, b, ad.tensor(np.ones((2, 2))))
         ad.backward(loss)
         first = {name: t.grad.copy() for name, t in (("x", x), ("w", w), ("b", b))}
         ad.backward(loss)

@@ -521,6 +521,13 @@ def test_gradcheck_command():
     assert cli.main(["gradcheck"]) == 0
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_gradcheck_suite_passes_for_every_seed(seed):
+    # the suite's networks get nonzero biases, so no ReLU input sits at its kink
+    results = cli.gradcheck_suite(seed=seed)
+    assert max(results.values()) < 1e-4, results
+
+
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     proc = subprocess.run([sys.executable, "-m", "latentmap", "--help"], env=env,

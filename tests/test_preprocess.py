@@ -248,6 +248,8 @@ def test_intersect_matches_brute_force_rank_then_intersect():
 
     panel = pp.intersect_panel(sc, st, n=10)
     assert panel.gene_ids == expected
+    # a ranking the caller already holds gives the same panel
+    assert pp.intersect_panel(sc, st, n=10, ranked=ranked).gene_ids == expected
 
 
 def test_intersect_too_few_shared_reports_count():

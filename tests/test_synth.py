@@ -137,10 +137,3 @@ def test_default_config_passes_qc_thresholds():
     spots_per_gene = (st.counts.counts > 0).sum(axis=0)
     assert spots_per_gene.min() >= 60
 
-
-def test_two_block_fixture_shapes_and_determinism():
-    coords, expr, block = synth.two_block_spatial_fixture(side=5, n_genes=9, seed=4)
-    assert coords.shape == (50, 2) and expr.shape == (50, 9)
-    assert np.array_equal(block, np.repeat([0, 1], 25))
-    c2, e2, _ = synth.two_block_spatial_fixture(side=5, n_genes=9, seed=4)
-    assert np.array_equal(expr, e2) and np.array_equal(coords, c2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,27 @@ def test_vae_grad_check():
     noise = rng.normal(size=(4, 2))
     err = ad.grad_check(lambda: vae.vae_loss(p, x, noise, beta=1.0)[0], p.params())
     assert err < 1e-4
+
+
+def test_train_step_keeps_no_full_size_prediction():
+    # A step holds the grads (one copy of the params) and, at genes width,
+    # only the residual of the reconstruction loss. A prediction, its
+    # residual and a full-size adjoint kept through backward would take it
+    # past params + 3 x input; the bound is params + 2 x input.
+    cfg = vae.VaeConfig(n_genes=2000)
+    p = vae.init_vae(cfg, 0)
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0.0, 3.0, size=(400, cfg.n_genes))
+    noise = rng.normal(size=(400, cfg.latent_dim))
+    opt = ad.Adam(p.params())
+    param_bytes = sum(t.data.nbytes for t in p.params().values())
+    tracemalloc.start()
+    try:
+        ad.train_step(opt, lambda: vae.vae_loss(p, x, noise)[:1], "memory test")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= param_bytes + 2 * x.nbytes, (peak, param_bytes, x.nbytes)
 
 
 def test_encoder_grad_check():
