@@ -166,6 +166,8 @@ def cmd_preprocess(args):
     Nothing normalized is written: ``train`` normalizes with
     ``pp.panel_matrix``, as ``infer`` does.
     """
+    if args.n_hvg < 1:
+        raise DataError(f"--n-hvg must be >= 1, got {args.n_hvg!r}")
     sc = dataio.read_counts_csv(args.sc_counts)
     st = dataio.read_counts_csv(args.st_counts)
     spot_ids, coords = dataio.read_coords_csv(args.st_coords)
@@ -234,7 +236,7 @@ def cmd_train(args):
         # an incremental run keeps the artifacts of the stages recorded before it
         artifacts = list(manifest.get("artifacts", [])) if manifest else []
         for stage in stages:
-            artifacts += pl.CHECKPOINTS[stage] + pl.LATENTS[stage] + [f"stage{stage}.csv"]
+            artifacts += [os.path.basename(p) for p in run.stage_artifacts(stage)]
         write_manifest(args.run_dir, cfg.to_dict(), inputs, artifacts, cfg.seed)
         dataio.write_id_list(run.path("panel_shared.txt"), data.panel_shared)
         for stage in stages:

@@ -345,7 +345,7 @@ def write_latent_csv(path, row_ids, codes):
 
 
 def write_edge_list(path, edges):
-    """Debug export: one ``i j`` pair per line."""
+    """One ``i j`` pair per line; the benchmark's edge-AUC check reads it back."""
     atomic_write(path, "".join(f"{i} {j}\n" for i, j in edges))
 
 

@@ -17,7 +17,6 @@ from .errors import ShapeError
 class DiscriminatorParams:
     def __init__(self, latent_dim, rng, hidden=(128, 128, 128)):
         self.latent_dim = latent_dim
-        self.hidden = tuple(hidden)
         widths = [latent_dim] + list(hidden)
         self.layers = [nn.init_dense(rng, widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
         self.head = nn.init_dense(rng, widths[-1], 1, gain=1.0)
@@ -93,16 +92,3 @@ def adversarial_generator_loss(p: DiscriminatorParams, z, target_label: float = 
     labels = np.full(logits.shape, float(target_label))
     return ad.bce_with_logits(logits, labels)
 
-
-def save_discriminator(path, p: DiscriminatorParams):
-    arch = {"latent_dim": p.latent_dim, "hidden": list(p.hidden)}
-    nn.save_checkpoint(path, "discriminator", arch, p.params())
-
-
-def load_discriminator(path) -> DiscriminatorParams:
-    arch, arrays, _ = nn.load_checkpoint(path, expect_kind="discriminator")
-    latent_dim, hidden = nn.from_header(
-        path, lambda a: (int(a["latent_dim"]), tuple(a["hidden"])), arch)
-    p = DiscriminatorParams(latent_dim, nn.UNDRAWN, hidden=hidden)
-    nn.restore_params(p.params(), arrays)
-    return p

@@ -28,14 +28,6 @@ class Dense:
     def __call__(self, x):
         return ad.matmul(x, self.w, bias=self.b)
 
-    @property
-    def n_in(self):
-        return self.w.shape[0]
-
-    @property
-    def n_out(self):
-        return self.w.shape[1]
-
 
 def init_dense(rng, n_in, n_out, gain=None):
     """He-style init: w ~ N(0, gain/n_in), zero bias. gain defaults to 2 (ReLU)."""

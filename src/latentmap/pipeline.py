@@ -17,12 +17,16 @@ scale.
 
 All cross-stage state lives in a run directory:
 
-    config.json, manifest.json (written by the CLI)
-    checkpoints/{vae_sc2000,vae_sc500,vae_st500,vgae_st,discriminator}.{json,npz}
-        (JSON header with arch and arrays sha256, plus the float64 arrays)
+    config.json, manifest.json, panel_shared.txt (written by the CLI)
+    checkpoints/{vae_sc2000,vae_sc500,vae_st500,vgae_st}.{json,npz}
+        (JSON header with arch and arrays sha256, plus the float64 arrays;
+        the vgae_st header also holds the coordinate transform)
     latents/{z_sc2000,z_sc500,z_st500,z_st_merged}.csv
     history/stage{1,2,3}.csv
-    graph_edges.txt, coord_transform.json, panel_shared.txt
+    graph_edges.txt (the spot kNN edges)
+
+``RunDir.stage_artifacts``, built from ``CHECKPOINTS`` and ``LATENTS``, names
+the files that gate each stage and that the run manifest lists.
 """
 
 import logging
@@ -185,7 +189,7 @@ def euclidean_latent_loss(za, zb, squared: bool = True):
 CHECKPOINTS = {
     stage: [f for header in headers for f in (header, nn.arrays_path(header))]
     for stage, headers in {1: ["vae_sc2000.json"],
-                           2: ["vae_sc500.json", "vae_st500.json", "discriminator.json"],
+                           2: ["vae_sc500.json", "vae_st500.json"],
                            3: ["vgae_st.json"]}.items()
 }
 LATENTS = {
@@ -213,9 +217,6 @@ class RunDir:
         out += [self.path("latents", name) for name in LATENTS[stage]]
         out.append(self.path("history", f"stage{stage}.csv"))
         return out
-
-    def stage_complete(self, stage):
-        return all(os.path.exists(p) for p in self.stage_artifacts(stage))
 
     def require_stage(self, stage):
         for p in self.stage_artifacts(stage):
@@ -373,7 +374,6 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
     codes_st = vae.encode_mu(model_st, x_st)
     vae.save_vae(run.path("checkpoints", "vae_sc500.json"), model_sc)
     vae.save_vae(run.path("checkpoints", "vae_st500.json"), model_st)
-    disc.save_discriminator(run.path("checkpoints", "discriminator.json"), d_params)
     run.write_latent("z_sc500.csv", sc_ids, codes_sc)
     run.write_latent("z_st500.csv", st_ids, codes_st)
     dataio.write_table(run.path("history", "stage2.csv"),
@@ -425,10 +425,9 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
 
     codes = vg.encode_mu(model, graph.norm_adj, x, ax=ax)
     vg.save_vgae(run.path("checkpoints", "vgae_st.json"), model,
-                 extra={"coord_transform": transform.to_dict(), "graph_k": cfg.graph_k})
+                 extra={"coord_transform": transform.to_dict()})
     run.write_latent("z_st_merged.csv", st_ids, codes)
     dataio.write_edge_list(run.path("graph_edges.txt"), graph.edges)
-    dataio.write_json(run.path("coord_transform.json"), transform.to_dict())
     dataio.write_table(run.path("history", "stage3.csv"),
                        ["epoch", "total", "recon_exp", "recon_sp", "recon_adj", "kl", "anchor_st"],
                        rows)

@@ -12,6 +12,7 @@ genes/cells.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +97,7 @@ class GenePanel:
 def filter_cells(m: CountMatrix, min_genes: int = 200) -> CountMatrix:
     """Drop cells expressing (count > 0) fewer than ``min_genes`` genes."""
     if min_genes < 0:
-        raise ValueError("min_genes must be >= 0")
+        raise DataError(f"min_genes must be >= 0, got {min_genes!r}")
     expressed = (m.counts > 0).sum(axis=1)
     keep = np.flatnonzero(expressed >= min_genes)
     if keep.size == 0:
@@ -107,7 +108,7 @@ def filter_cells(m: CountMatrix, min_genes: int = 200) -> CountMatrix:
 def filter_genes(m: CountMatrix, min_cells: int = 60) -> CountMatrix:
     """Drop genes expressed in fewer than ``min_cells`` cells."""
     if min_cells < 0:
-        raise ValueError("min_cells must be >= 0")
+        raise DataError(f"min_cells must be >= 0, got {min_cells!r}")
     expressed_in = (m.counts > 0).sum(axis=0)
     keep = np.flatnonzero(expressed_in >= min_cells)
     if keep.size == 0:
@@ -124,7 +125,7 @@ def filter_mito_ribo(m: CountMatrix, mito_prefixes=MITO_PREFIXES,
     evaluating 0/0.
     """
     if not 0.0 <= max_fraction <= 1.0:
-        raise ValueError("max_fraction must be in [0, 1]")
+        raise DataError(f"max_fraction must be in [0, 1], got {max_fraction!r}")
     prefixes = tuple(p.upper() for p in tuple(mito_prefixes) + tuple(ribo_prefixes))
     flagged = np.array([g.upper().startswith(prefixes) for g in m.col_ids])
     totals = m.counts.sum(axis=1).astype(np.float64)
@@ -142,6 +143,8 @@ def filter_mito_ribo(m: CountMatrix, mito_prefixes=MITO_PREFIXES,
 
 def normalize_log1p(m: CountMatrix, target_sum: float = 1e4) -> np.ndarray:
     """Scale each row to ``target_sum`` total, then log1p. Returns float64 matrix."""
+    if not (math.isfinite(target_sum) and target_sum > 0):
+        raise DataError(f"target_sum must be a finite number > 0, got {target_sum!r}")
     totals = m.counts.sum(axis=1).astype(np.float64)
     if np.any(totals == 0):
         bad = [m.row_ids[i] for i in np.flatnonzero(totals == 0)[:5]]
@@ -172,14 +175,6 @@ def rank_genes(normed: np.ndarray, gene_ids) -> list:
     return [gene_ids[i] for i in order]
 
 
-def select_hvg(normed: np.ndarray, gene_ids, n: int) -> GenePanel:
-    """Top ``n`` genes by dispersion of the normalized values, in rank order."""
-    if n > len(gene_ids):
-        raise DataError(f"requested {n} genes but only {len(gene_ids)} available")
-    ranked = rank_genes(normed, gene_ids)
-    return GenePanel(ranked[:n])
-
-
 def intersect_panel(sc: CountMatrix, st: CountMatrix, n: int = 500,
                     target_sum: float = 1e4, ranked=None) -> GenePanel:
     """Top ``n`` shared genes, ranked by HVG dispersion computed on the sc data.
@@ -190,6 +185,8 @@ def intersect_panel(sc: CountMatrix, st: CountMatrix, n: int = 500,
     that ranking (``rank_genes`` of ``normalize_log1p(sc, target_sum)``)
     passes it as ``ranked`` instead of having it computed again.
     """
+    if n < 1:
+        raise DataError(f"shared panel size must be >= 1, got {n!r}")
     if sc.n_rows == 0 or st.n_rows == 0:
         raise DataError("empty input matrix")
     shared = set(sc.col_ids) & set(st.col_ids)

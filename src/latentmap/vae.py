@@ -150,10 +150,6 @@ class LatentMatrix:
         if self.fixed:
             self.codes.setflags(write=False)
 
-    @property
-    def d(self):
-        return self.codes.shape[1]
-
     def fix(self):
         self.fixed = True
         self.codes.setflags(write=False)

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from latentmap import discriminator as disc
 from latentmap import layers as nn
 from latentmap import vae, vgae
 from latentmap.errors import DataError, DependencyError, ShapeError
@@ -16,8 +15,7 @@ def tiny_models(seed):
     p_vgae = vgae.init_vgae(vgae.VgaeConfig(n_genes=12, latent_dim=4, exp_hidden=(8,),
                                             gcn_hidden=6, dec_hidden=(8,), coord_hidden=(5,)),
                             seed)
-    p_disc = disc.init_discriminator(4, seed, hidden=(8, 8))
-    return p_vae, p_vgae, p_disc
+    return p_vae, p_vgae
 
 
 def assert_bit_equal(params, arrays):
@@ -29,8 +27,8 @@ def assert_bit_equal(params, arrays):
 
 
 def test_round_trip_is_bit_exact_for_every_kind(tmp_path, monkeypatch):
-    p_vae, p_vgae, p_disc = tiny_models(3)
-    for p in (p_vae, p_vgae, p_disc):
+    p_vae, p_vgae = tiny_models(3)
+    for p in (p_vae, p_vgae):
         first = next(iter(p.params().values()))
         first.data.flat[0] = -0.0
         first.data.flat[1] = 5e-324
@@ -38,7 +36,6 @@ def test_round_trip_is_bit_exact_for_every_kind(tmp_path, monkeypatch):
 
     vae.save_vae(tmp_path / "vae.json", p_vae)
     vgae.save_vgae(tmp_path / "vgae.json", p_vgae, extra=extra)
-    disc.save_discriminator(tmp_path / "disc.json", p_disc)
 
     def no_rng(*args):
         raise AssertionError("a checkpoint load drew random numbers")
@@ -46,19 +43,17 @@ def test_round_trip_is_bit_exact_for_every_kind(tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_rng)
     q_vae = vae.load_vae(tmp_path / "vae.json")
     q_vgae, q_extra = vgae.load_vgae(tmp_path / "vgae.json")
-    q_disc = disc.load_discriminator(tmp_path / "disc.json")
-    for p, q in ((p_vae, q_vae), (p_vgae, q_vgae), (p_disc, q_disc)):
+    for p, q in ((p_vae, q_vae), (p_vgae, q_vgae)):
         assert_bit_equal(p.params(), {k: t.data for k, t in q.params().items()})
         assert np.signbit(next(iter(q.params().values())).data.flat[0])
     assert q_extra == extra
     assert q_vgae.cfg == p_vgae.cfg
-    assert (q_disc.latent_dim, q_disc.hidden) == (p_disc.latent_dim, p_disc.hidden)
 
 
 @pytest.mark.parametrize("key,value,error", [("enc_hidden", [8], DataError),
                                              ("n_genes", 13, ShapeError)])
 def test_load_checks_names_and_shapes_against_the_arch(tmp_path, key, value, error):
-    p_vae, _, _ = tiny_models(6)
+    p_vae, _ = tiny_models(6)
     vae.save_vae(tmp_path / "m.json", p_vae)
     header = json.loads((tmp_path / "m.json").read_text())
     header["arch"][key] = value
@@ -68,7 +63,7 @@ def test_load_checks_names_and_shapes_against_the_arch(tmp_path, key, value, err
 
 
 def test_header_is_small_json_and_arrays_sit_beside_it(tmp_path):
-    p_vae, _, _ = tiny_models(4)
+    p_vae, _ = tiny_models(4)
     vae.save_vae(tmp_path / "m.json", p_vae)
     header = json.loads((tmp_path / "m.json").read_text())
     assert set(header) == {"format_version", "kind", "arch", "extra", "arrays_sha256"}
@@ -82,10 +77,10 @@ def test_header_is_small_json_and_arrays_sit_beside_it(tmp_path):
 
 
 def test_wrong_kind_rejected(tmp_path):
-    _, _, p_disc = tiny_models(5)
-    disc.save_discriminator(tmp_path / "d.json", p_disc)
-    with pytest.raises(DataError, match="expected 'vae'"):
-        vae.load_vae(tmp_path / "d.json")
+    _, p_vgae = tiny_models(5)
+    vgae.save_vgae(tmp_path / "g.json", p_vgae)
+    with pytest.raises(DataError, match="kind 'vgae', expected 'vae'"):
+        vae.load_vae(tmp_path / "g.json")
 
 
 def test_version_1_checkpoint_rejected_naming_file(tmp_path):
@@ -97,8 +92,8 @@ def test_version_1_checkpoint_rejected_naming_file(tmp_path):
 
 
 def test_arrays_of_another_model_fail_the_sha256_check(tmp_path):
-    a, _, _ = tiny_models(6)
-    b, _, _ = tiny_models(7)
+    a, _ = tiny_models(6)
+    b, _ = tiny_models(7)
     vae.save_vae(tmp_path / "a.json", a)
     vae.save_vae(tmp_path / "b.json", b)
     (tmp_path / "a.npz").write_bytes((tmp_path / "b.npz").read_bytes())
@@ -107,7 +102,7 @@ def test_arrays_of_another_model_fail_the_sha256_check(tmp_path):
 
 
 def test_missing_arrays_file_is_a_dependency_error(tmp_path):
-    a, _, _ = tiny_models(8)
+    a, _ = tiny_models(8)
     vae.save_vae(tmp_path / "a.json", a)
     (tmp_path / "a.npz").unlink()
     with pytest.raises(DependencyError, match=r"a\.npz"):
@@ -139,7 +134,7 @@ def test_non_float64_arrays_refused(tmp_path):
 
 
 def test_header_path_must_not_be_the_arrays_path(tmp_path):
-    a, _, _ = tiny_models(9)
+    a, _ = tiny_models(9)
     with pytest.raises(DataError, match=r"\.npz"):
         vae.save_vae(tmp_path / "a.npz", a)
 
@@ -147,7 +142,7 @@ def test_header_path_must_not_be_the_arrays_path(tmp_path):
 @pytest.mark.parametrize("field,value", [("kind", None), ("kind", 3), ("arch", None),
                                          ("arch", [4]), ("arrays_sha256", None)])
 def test_header_fields_are_type_checked(tmp_path, field, value):
-    p_vae, _, _ = tiny_models(1)
+    p_vae, _ = tiny_models(1)
     path = tmp_path / "vae.json"
     vae.save_vae(path, p_vae)
     header = json.loads(path.read_text())
@@ -160,15 +155,13 @@ def test_header_fields_are_type_checked(tmp_path, field, value):
         vae.load_vae(path)
 
 
-@pytest.mark.parametrize("kind", ["vae", "vgae", "discriminator"])
+@pytest.mark.parametrize("kind", ["vae", "vgae"])
 def test_missing_arch_key_names_the_header(tmp_path, kind):
-    p_vae, p_vgae, p_disc = tiny_models(2)
+    p_vae, p_vgae = tiny_models(2)
     path = tmp_path / f"{kind}.json"
     save, load, key = {"vae": (vae.save_vae, vae.load_vae, "n_genes"),
-                       "vgae": (vgae.save_vgae, vgae.load_vgae, "gcn_hidden"),
-                       "discriminator": (disc.save_discriminator, disc.load_discriminator,
-                                         "hidden")}[kind]
-    save(path, {"vae": p_vae, "vgae": p_vgae, "discriminator": p_disc}[kind])
+                       "vgae": (vgae.save_vgae, vgae.load_vgae, "gcn_hidden")}[kind]
+    save(path, {"vae": p_vae, "vgae": p_vgae}[kind])
     header = json.loads(path.read_text())
     del header["arch"][key]
     path.write_text(json.dumps(header))

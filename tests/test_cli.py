@@ -177,6 +177,40 @@ def test_preprocess_unparseable_file_reports_line(tmp_path, corpus_dir):
     assert rc == cli.EXIT_DATA
 
 
+_BAD_FLAG_VALUES = [
+    ("preprocess", "--min-genes", "-1", "min_genes must be >= 0, got -1"),
+    ("preprocess", "--min-cells", "-1", "min_cells must be >= 0, got -1"),
+    ("preprocess", "--max-mito-ribo", "2", "max_fraction must be in [0, 1], got 2.0"),
+    ("preprocess", "--n-hvg", "-5", "--n-hvg must be >= 1, got -5"),
+    ("preprocess", "--n-hvg", "0", "--n-hvg must be >= 1, got 0"),
+    ("preprocess", "--n-shared", "-3", "shared panel size must be >= 1, got -3"),
+    ("preprocess", "--target-sum", "0", "target_sum must be a finite number > 0, got 0.0"),
+    ("preprocess", "--target-sum", "nan", "target_sum must be a finite number > 0, got nan"),
+    ("infer", "--target-sum", "0", "target_sum must be a finite number > 0, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,named", _BAD_FLAG_VALUES,
+                         ids=[f"{c}{f}={v}" for c, f, v, _ in _BAD_FLAG_VALUES])
+def test_bad_flag_value_exits_3_naming_it_before_writing(corpus_dir, trained_run, tmp_path,
+                                                          caplog, command, flag, value, named):
+    out = tmp_path / "out"
+    if command == "preprocess":
+        argv = ["preprocess", "--sc-counts", str(corpus_dir / "sc_counts.csv"),
+                "--st-counts", str(corpus_dir / "st_counts.csv"),
+                "--st-coords", str(corpus_dir / "st_coords.csv"), "--out", str(out),
+                "--min-genes", "30", "--min-cells", "10", "--n-hvg", "80", "--n-shared", "30"]
+    else:
+        argv = ["infer", "--run-dir", str(trained_run),
+                "--query", str(corpus_dir / "sc_query_counts.csv"), "--out", str(out),
+                "--allow-extra-genes"]
+    rc = cli.main(argv + [flag, value])  # the last occurrence of a flag wins
+    assert rc == cli.EXIT_DATA
+    assert named in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not out.exists()
+
+
 def test_train_stage3_before_2_dependency_error(data_dir, tiny_config, tmp_path):
     rc = cli.main(["train", "--stage", "3", "--data", str(data_dir),
                    "--run-dir", str(tmp_path / "run"), "--config", str(tiny_config)])
@@ -224,14 +258,17 @@ def test_train_bad_summary_target_sum_exits_3_naming_it(data_dir, tiny_config, t
 
 
 def test_trained_run_layout(trained_run):
-    run = pl.RunDir(trained_run)
-    for stage in (1, 2, 3):
-        assert run.stage_complete(stage)
-    assert (trained_run / "manifest.json").exists()
-    assert (trained_run / "config.json").exists()
-    assert (trained_run / "panel_shared.txt").exists()
-    assert (trained_run / "graph_edges.txt").exists()
-    assert not (trained_run / ".lock").exists()  # released
+    # exactly these files: a new artifact must be named here (and read somewhere)
+    files = {str(p.relative_to(trained_run)) for p in trained_run.rglob("*") if p.is_file()}
+    assert files == {
+        "config.json", "manifest.json", "panel_shared.txt", "graph_edges.txt",
+        "checkpoints/vae_sc2000.json", "checkpoints/vae_sc2000.npz",
+        "checkpoints/vae_sc500.json", "checkpoints/vae_sc500.npz",
+        "checkpoints/vae_st500.json", "checkpoints/vae_st500.npz",
+        "checkpoints/vgae_st.json", "checkpoints/vgae_st.npz",
+        "latents/z_sc2000.csv", "latents/z_sc500.csv", "latents/z_st500.csv",
+        "latents/z_st_merged.csv",
+        "history/stage1.csv", "history/stage2.csv", "history/stage3.csv"}
 
 
 # history columns that count steps; every other column is a float
@@ -358,7 +395,8 @@ def test_infer_missing_arrays_file_exits_4(trained_run, corpus_dir, tmp_path, ca
     run = tmp_path / "run"
     shutil.copytree(trained_run, run)
     (run / "checkpoints" / "vgae_st.npz").unlink()
-    assert not pl.RunDir(run).stage_complete(3)
+    with pytest.raises(DependencyError, match="vgae_st.npz"):
+        pl.RunDir(run).require_stage(3)
     rc = cli.main(["infer", "--run-dir", str(run),
                    "--query", str(corpus_dir / "sc_query_counts.csv"),
                    "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
@@ -454,7 +492,8 @@ def test_infer_prints_frame_with_plain_floats(trained_run, corpus_dir, tmp_path,
                    "--query", str(corpus_dir / "sc_query_counts.csv"),
                    "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
     assert rc == 0
-    frame = json.loads((trained_run / "coord_transform.json").read_text())
+    frame = json.loads((trained_run / "checkpoints" / "vgae_st.json").read_text())
+    frame = frame["extra"]["coord_transform"]
     cx, cy = frame["center"]
     assert capsys.readouterr().out == (
         f"coordinate frame: normalized * {frame['scale']!r} + center ({cx!r}, {cy!r})\n")

@@ -18,7 +18,7 @@ def corpus():
                               grid_side=8, noise=0.3, seed=5)
     sc, sc_labels, profiles = synth.gen_sc(cfg_s)
     st, st_labels, regions = synth.gen_st(cfg_s, profiles)
-    panel_big = pp.select_hvg(pp.normalize_log1p(sc), sc.col_ids, 40)
+    panel_big = pp.GenePanel(pp.rank_genes(pp.normalize_log1p(sc), sc.col_ids)[:40])
     panel_shared = pp.intersect_panel(sc, st.counts, n=20)
     return dict(
         x_big=pp.panel_matrix(sc, panel_big),
@@ -134,7 +134,7 @@ def test_stage1_artifacts_and_shape(tmp_path, corpus):
     z1 = pl.stage1(tiny_cfg(), corpus["x_big"], corpus["sc_ids"], run)
     assert z1.codes.shape == (len(corpus["sc_ids"]), 4)
     assert z1.fixed
-    assert run.stage_complete(1)
+    run.require_stage(1)
     header, rows = pl.read_history(run.path("history", "stage1.csv"))
     assert header == ["epoch", "total", "recon", "kl"]
     assert len(rows) == 30
@@ -201,7 +201,17 @@ def test_all_stages_deterministic_rerun(tmp_path, corpus):
         for stage in (1, 2, 3):
             pl.run_stage(stage, cfg, data, pl.RunDir(root))
     files = [sorted(p.relative_to(r) for p in r.rglob("*") if p.is_file()) for r in roots]
-    assert files[0] == files[1] and len(files[0]) == 19
+    assert files[0] == files[1]
+    # exactly these files: a new artifact must be named here (and read somewhere)
+    assert {str(p) for p in files[0]} == {
+        "graph_edges.txt",
+        "checkpoints/vae_sc2000.json", "checkpoints/vae_sc2000.npz",
+        "checkpoints/vae_sc500.json", "checkpoints/vae_sc500.npz",
+        "checkpoints/vae_st500.json", "checkpoints/vae_st500.npz",
+        "checkpoints/vgae_st.json", "checkpoints/vgae_st.npz",
+        "latents/z_sc2000.csv", "latents/z_sc500.csv", "latents/z_st500.csv",
+        "latents/z_st_merged.csv",
+        "history/stage1.csv", "history/stage2.csv", "history/stage3.csv"}
     for rel in files[0]:
         assert (roots[0] / rel).read_bytes() == (roots[1] / rel).read_bytes(), rel
 
@@ -246,7 +256,8 @@ def test_full_pipeline_small(tmp_path, corpus):
     assert z_st.codes.shape == (len(corpus["st_ids"]), 4)
     z_merged = pl.stage3(cfg, corpus["x_st"], corpus["st_ids"], corpus["coords"], z_st, run)
     assert z_merged.codes.shape == (len(corpus["st_ids"]), 4)
-    assert run.stage_complete(2) and run.stage_complete(3)
+    run.require_stage(2)
+    run.require_stage(3)
 
     # fixed latents are byte-identical before and after later stages
     z1_bytes = open(run.path("latents", "z_sc2000.csv"), "rb").read()

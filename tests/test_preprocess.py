@@ -148,13 +148,12 @@ def test_normalize_zero_row_errors():
 
 
 # ---------------------------------------------------------------------------
-# HVG selection
+# HVG selection: preprocess takes the head of rank_genes
 # ---------------------------------------------------------------------------
 
 def test_select_hvg_zero_variance_ranks_low():
     normed = np.array([[0.0, 5.0], [10.0, 5.0], [0.0, 5.0], [10.0, 5.0]])
-    panel = pp.select_hvg(normed, ["A", "B"], 1)
-    assert panel.gene_ids == ["A"]
+    assert pp.rank_genes(normed, ["A", "B"]) == ["A", "B"]
 
 
 def test_select_hvg_hand_computed_ranking():
@@ -174,35 +173,28 @@ def test_select_hvg_hand_computed_ranking():
     assert disp[ids.index("A")] == pytest.approx(5.0)
     assert disp[ids.index("C")] == pytest.approx(0.5)
     assert disp[ids.index("B")] == 0.0
-    panel = pp.select_hvg(normed, ids, 5)
-    assert panel.gene_ids == ["E", "A", "C", "B", "D"]
+    assert pp.rank_genes(normed, ids) == ["E", "A", "C", "B", "D"]
 
 
 def test_select_hvg_tie_broken_lexicographically():
     col = np.array([[1.0], [3.0], [5.0]])
     normed = np.hstack([col, col])  # identical dispersion
-    assert pp.select_hvg(normed, ["zz", "aa"], 2).gene_ids == ["aa", "zz"]
+    assert pp.rank_genes(normed, ["zz", "aa"]) == ["aa", "zz"]
 
 
 def test_select_hvg_n_equals_total():
     rng = np.random.default_rng(4)
     normed = rng.uniform(0, 4, size=(6, 4))
-    panel = pp.select_hvg(normed, ["g0", "g1", "g2", "g3"], 4)
-    assert sorted(panel.gene_ids) == ["g0", "g1", "g2", "g3"]
-
-
-def test_select_hvg_too_many_errors():
-    with pytest.raises(DataError):
-        pp.select_hvg(np.ones((2, 2)), ["a", "b"], 3)
+    assert sorted(pp.rank_genes(normed, ["g0", "g1", "g2", "g3"])) == ["g0", "g1", "g2", "g3"]
 
 
 def test_select_hvg_permutation_stable():
     rng = np.random.default_rng(5)
     normed = rng.uniform(0, 4, size=(8, 6))
     ids = [f"g{j}" for j in range(6)]
-    ranked = pp.select_hvg(normed, ids, 6).gene_ids
+    ranked = pp.rank_genes(normed, ids)
     perm = rng.permutation(6)
-    ranked_perm = pp.select_hvg(normed[:, perm], [ids[j] for j in perm], 6).gene_ids
+    ranked_perm = pp.rank_genes(normed[:, perm], [ids[j] for j in perm])
     assert ranked == ranked_perm
 
 
