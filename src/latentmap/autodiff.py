@@ -265,13 +265,6 @@ def square(a):
     return _make_out(a.data * a.data, (a,), (lambda g: g * 2.0 * a.data,))
 
 
-def sqrt(a):
-    if np.any(a.data < 0.0):
-        raise ValueError("sqrt: domain error, negative input")
-    out = np.sqrt(a.data)
-    return _make_out(out, (a,), (lambda g: g * 0.5 / out,))
-
-
 def tsum(a):
     """Sum of all entries, as a scalar tensor."""
     return _make_out(np.asarray(a.data.sum()), (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))

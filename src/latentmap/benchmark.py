@@ -173,9 +173,9 @@ def holdout_accuracy(e: LabeledEmbedding, k_neighbors: int, fraction: float = 0.
 def ari(a, b) -> float:
     """Adjusted Rand index via the pair-counting contingency formula.
 
-    In the degenerate case where the maximum index equals the expected index
-    (both partitions all-singletons or both one cluster), returns 1.0 when
-    the partitions are identical and 0.0 otherwise.
+    The maximum index equals the expected index only when both partitions
+    are all singletons or both are one cluster (n = 1 is both). The two
+    partitions are then the same, and the index is 1.0.
     """
     a = list(a)
     b = list(b)
@@ -194,25 +194,8 @@ def ari(a, b) -> float:
     sum_a = sum(math.comb(c, 2) for c in counts_a.values())
     sum_b = sum(math.comb(c, 2) for c in counts_b.values())
     total_pairs = math.comb(n, 2)
-    if total_pairs == 0:
-        return 1.0 if _same_partition(a, b) else 0.0
+    if sum_a == sum_b and sum_a in (0, total_pairs):
+        return 1.0
     expected = sum_a * sum_b / total_pairs
     max_index = (sum_a + sum_b) / 2.0
-    if max_index == expected:
-        return 1.0 if _same_partition(a, b) else 0.0
     return (index - expected) / (max_index - expected)
-
-
-def _same_partition(a, b):
-    """True when the two labelings induce the same partition (up to renaming)."""
-    return _canonical(a) == _canonical(b)
-
-
-def _canonical(labels):
-    seen = {}
-    out = []
-    for x in labels:
-        if x not in seen:
-            seen[x] = len(seen)
-        out.append(seen[x])
-    return out

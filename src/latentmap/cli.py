@@ -257,7 +257,7 @@ def cmd_infer(args):
     if missing or (extra and not args.allow_extra_genes):
         raise DataError(f"query panel mismatch: missing {missing[:10]}, extra {extra[:10]}")
     x = pp.panel_matrix(query, pp.GenePanel(panel), target_sum=args.target_sum)
-    x_hat, coords_norm, transform = pl.infer(run, x, panel, panel)
+    x_hat, coords_norm, transform = pl.infer(run, x)
     dataio.write_matrix_csv(args.out, query.row_ids, ["x_hat", "y_hat"] + list(panel),
                             np.hstack([transform.denormalize(coords_norm), x_hat]))
     cx, cy = (float(v) for v in transform.center)

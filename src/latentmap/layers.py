@@ -5,6 +5,7 @@ architecture, extra metadata, sha256 of the arrays) at the given path, and
 a sibling ``.npz`` with one float64 array per parameter.
 """
 
+import dataclasses
 import hashlib
 import io
 import os
@@ -108,6 +109,29 @@ def save_checkpoint(path, kind, arch, params, extra=None):
         "arrays_sha256": hashlib.sha256(blob).hexdigest(),
     }
     dataio.write_json(path, header)
+
+
+def save_model(path, kind, model, extra=None):
+    """Checkpoint ``model``; the arch is its ``cfg`` dataclass of ints and int tuples."""
+    save_checkpoint(path, kind, dataclasses.asdict(model.cfg), model.params(), extra=extra)
+
+
+def load_model(path, kind, cfg_cls, model_cls):
+    """(model, extra) from a ``save_model`` checkpoint, with no weight drawn.
+
+    A missing arch key, or arrays that do not fit the arch, is a DataError
+    naming the header.
+    """
+    arch, arrays, extra = load_checkpoint(path, expect_kind=kind)
+
+    def build(arch):
+        cfg = cfg_cls(**{f.name: (tuple if f.type is tuple else int)(arch[f.name])
+                         for f in dataclasses.fields(cfg_cls)})
+        model = model_cls(cfg, UNDRAWN)
+        restore_params(model.params(), arrays)
+        return model
+
+    return from_header(path, build, arch), extra
 
 
 def load_checkpoint(path, expect_kind=None):

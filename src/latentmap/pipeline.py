@@ -87,8 +87,6 @@ class TrainConfig:
     kl_weight: float = 0.05
     learning_rate: float = 5e-4
     graph_k: int = 6
-    squared_latent_loss: bool = True
-    adv_train_sc: bool = True   # spot side always gets the adversarial term; this adds the cell side
     seed: int = 0
 
     def __post_init__(self):
@@ -113,6 +111,8 @@ class TrainConfig:
                 raise DataError(f"{name} must be > 0")
         if not 0 < self.disc_target_acc <= 1:
             raise DataError("disc_target_acc must be in (0, 1]")
+        if self.latent_dim < 2:
+            raise DataError(f"latent_dim must be >= 2, got {self.latent_dim}")
         if self.latent_dim % 2 != 0:
             raise DataError("latent_dim must be even (the merge layer splits it)")
 
@@ -148,9 +148,8 @@ def _is_int(v):
 _TYPE_CHECKS = {
     int: _is_int,
     float: lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v),
-    bool: lambda v: isinstance(v, bool),
 }
-_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false"}
+_TYPE_NAMES = {int: "an integer", float: "a finite number"}
 
 
 def _check_int_list(name, value):
@@ -163,22 +162,16 @@ def _rng(seed, stream):
     return np.random.default_rng(np.random.SeedSequence((seed, stream)))
 
 
-def euclidean_latent_loss(za, zb, squared: bool = True):
-    """Mean over rows of the (squared) euclidean distance between paired rows.
+def euclidean_latent_loss(za, zb):
+    """Mean over rows of the squared euclidean distance between paired rows.
 
-    Row i of both matrices must describe the same cell or spot. The squared
-    form is the training default (smooth at zero); ``squared=False`` gives
-    the plain distance.
+    Row i of both matrices must describe the same cell or spot.
     """
     za = ad.as_tensor(za)
     zb = ad.as_tensor(zb)
     if za.shape != zb.shape:
         raise ShapeError(f"paired latents differ in shape: {tuple(za.shape)} vs {tuple(zb.shape)}")
-    sq = ad.square(ad.sub(za, zb))
-    n = za.shape[0]
-    if squared:
-        return ad.scale(ad.tsum(sq), 1.0 / n)
-    return ad.tmean(ad.sqrt(ad.sum_cols(sq)))
+    return ad.scale(ad.tsum(ad.square(ad.sub(za, zb))), 1.0 / za.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +242,18 @@ def read_history(path):
 # stages
 # ---------------------------------------------------------------------------
 
+def _train_vae(cfg, model, x, noise_rng, epochs, where):
+    """``epochs`` Adam steps of the VAE loss on ``x``; one row [epoch, total, recon, kl] each."""
+    opt = ad.Adam(model.params(), lr=cfg.learning_rate)
+    rows = []
+    for epoch in range(epochs):
+        noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
+        terms = ad.train_step(opt, lambda: vae.vae_loss(model, x, noise, beta=cfg.kl_weight)[:3],
+                              f"{where}, step {epoch}")
+        rows.append([epoch, *terms])
+    return rows
+
+
 def stage1(cfg: TrainConfig, x_sc2000, row_ids, run: RunDir):
     """Train the 2000-gene VAE; freeze and persist its latent."""
     run.ensure_layout()
@@ -256,14 +261,7 @@ def stage1(cfg: TrainConfig, x_sc2000, row_ids, run: RunDir):
     model = vae.init_vae(vae.VaeConfig(n_genes=x.shape[1], latent_dim=cfg.latent_dim,
                                        enc_hidden=cfg.enc_hidden),
                          _rng(cfg.seed, _S1_INIT))
-    noise_rng = _rng(cfg.seed, _S1_NOISE)
-    opt = ad.Adam(model.params(), lr=cfg.learning_rate)
-    rows = []
-    for epoch in range(cfg.s1_epochs):
-        noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
-        terms = ad.train_step(opt, lambda: vae.vae_loss(model, x, noise, beta=cfg.kl_weight)[:3],
-                              f"stage 1, step {epoch}")
-        rows.append([epoch, *terms])
+    rows = _train_vae(cfg, model, x, _rng(cfg.seed, _S1_NOISE), cfg.s1_epochs, "stage 1")
     codes = vae.encode_mu(model, x)
     vae.save_vae(run.path("checkpoints", "vae_sc2000.json"), model)
     run.write_latent("z_sc2000.csv", row_ids, codes)
@@ -286,7 +284,7 @@ def _generator_step(model, opt, x, noise, cfg, anchor_target, anchor_weight,
         total, recon, kl, mu = vae.vae_loss(model, x, noise, beta=cfg.kl_weight)
         anchor = adv = ad.tensor(0.0)
         if anchor_weight > 0 and anchor_target is not None:
-            anchor = euclidean_latent_loss(mu, anchor_target, squared=cfg.squared_latent_loss)
+            anchor = euclidean_latent_loss(mu, anchor_target)
             total = ad.add(total, ad.scale(anchor, anchor_weight))
         if adv_weight > 0:
             adv = disc.adversarial_generator_loss(d_params, mu, target_label=adv_label)
@@ -305,13 +303,8 @@ def _pretrain_shared_init(cfg, vae_cfg, x_sc, x_st):
     preserve that correspondence while the anchors specialize each side.
     """
     pre = vae.init_vae(vae_cfg, _rng(cfg.seed, _S2_VAE_INIT))
-    x_union = np.vstack([x_sc, x_st])
-    noise_rng = _rng(cfg.seed, _S2_NOISE_PRE)
-    opt = ad.Adam(pre.params(), lr=cfg.learning_rate)
-    for epoch in range(cfg.s2_init_epochs):
-        noise = noise_rng.normal(size=(x_union.shape[0], cfg.latent_dim))
-        ad.train_step(opt, lambda: vae.vae_loss(pre, x_union, noise, beta=cfg.kl_weight)[:1],
-                      f"stage 2 pretraining, step {epoch}")
+    _train_vae(cfg, pre, np.vstack([x_sc, x_st]), _rng(cfg.seed, _S2_NOISE_PRE),
+               cfg.s2_init_epochs, "stage 2 pretraining")
     return pre
 
 
@@ -321,9 +314,9 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
     Per outer epoch: encode both datasets, train the discriminator on the
     detached posterior means until it hits the target accuracy or the
     iteration cap, then take ``s2b_epochs`` generator steps on each VAE. The
-    cell VAE also carries the anchor to the frozen 2000-gene latent; with
-    ``adv_train_sc`` both VAEs receive the adversarial term (each pushed
-    toward the other side's label).
+    cell VAE also carries the anchor to the frozen 2000-gene latent; both
+    VAEs receive the adversarial term, each pushed toward the other side's
+    label.
     """
     run.ensure_layout()
     x_sc = np.asarray(x_sc500, dtype=np.float64)
@@ -361,7 +354,7 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
             sc_stats = _generator_step(
                 model_sc, opt_sc, x_sc, noise_sc.normal(size=(x_sc.shape[0], cfg.latent_dim)),
                 cfg, anchor, cfg.w_anchor_sc, d_params, adv_label=0.0,
-                adv_weight=cfg.w_adv if cfg.adv_train_sc else 0.0, where=f"{where}, cells")
+                adv_weight=cfg.w_adv, where=f"{where}, cells")
             st_stats = _generator_step(
                 model_st, opt_st, x_st, noise_st.normal(size=(x_st.shape[0], cfg.latent_dim)),
                 cfg, None, 0.0, d_params, adv_label=1.0, adv_weight=cfg.w_adv,
@@ -416,7 +409,7 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
         noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
         *terms, mu = vg.vgae_loss(model, graph, x, coords_n, noise, weights, neg_rng,
                                   pos=pos, keys=keys, ax=ax)
-        anchor_loss = euclidean_latent_loss(mu, anchor, squared=cfg.squared_latent_loss)
+        anchor_loss = euclidean_latent_loss(mu, anchor)
         terms[0] = ad.add(terms[0], ad.scale(anchor_loss, cfg.w_anchor_st))
         return (*terms, anchor_loss)
 
@@ -435,29 +428,25 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
     return vae.LatentMatrix(codes, list(st_ids), source="st_exp_sp500").fix()
 
 
-def infer(run: RunDir, x_query, panel_ids, query_cols):
+def infer(run: RunDir, x_query):
     """Expression-only rows -> (imputed panel expression, coordinates).
 
-    The query columns must be exactly the shared panel, in panel order.
-    Coordinates come back in the normalized training frame along with the
-    transform that maps them to the training tissue's frame.
+    The query columns must be exactly the run's shared panel
+    (``panel_shared.txt``), in panel order. Coordinates come back in the
+    normalized training frame along with the transform that maps them to
+    the training tissue's frame.
     """
     run.require_stage(2)
     run.require_stage(3)
-    if list(query_cols) != list(panel_ids):
-        missing = sorted(set(panel_ids) - set(query_cols))
-        extra = sorted(set(query_cols) - set(panel_ids))
-        if missing or extra:
-            raise DataError(f"query panel mismatch: missing {missing[:10]}, extra {extra[:10]}")
-        raise DataError("query panel is out of order; columns must follow the panel order")
     x = np.asarray(x_query, dtype=np.float64)
     model_sc = vae.load_vae(run.path("checkpoints", "vae_sc500.json"))
+    if x.shape[1] != model_sc.cfg.n_genes:
+        raise DataError(f"{run.path('panel_shared.txt')}: {x.shape[1]} genes, but "
+                        f"vae_sc500 expects {model_sc.cfg.n_genes}")
     vgae_path = run.path("checkpoints", "vgae_st.json")
     model_vg, extra = vg.load_vgae(vgae_path)
     transform = nn.from_header(
         vgae_path, lambda e: vg.CoordTransform.from_dict(e["coord_transform"]), extra)
-    if x.shape[0] == 0:
-        return np.zeros((0, model_vg.cfg.n_genes)), np.zeros((0, 2)), transform
     z = vae.encode_mu(model_sc, x)  # cross-space mappings are identity
     x_hat, coords_hat, _ = vg.vgae_decode(model_vg, z)
     return x_hat.data.copy(), coords_hat.data.copy(), transform

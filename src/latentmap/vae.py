@@ -26,15 +26,6 @@ class VaeConfig:
     def dec_hidden(self):
         return tuple(reversed(self.enc_hidden))
 
-    def to_arch(self):
-        return {"n_genes": self.n_genes, "latent_dim": self.latent_dim,
-                "enc_hidden": list(self.enc_hidden)}
-
-    @staticmethod
-    def from_arch(arch):
-        return VaeConfig(n_genes=int(arch["n_genes"]), latent_dim=int(arch["latent_dim"]),
-                         enc_hidden=tuple(arch["enc_hidden"]))
-
 
 class VaeParams:
     """Encoder stack, mu/logvar heads, mirrored decoder stack, output head."""
@@ -161,11 +152,8 @@ class LatentMatrix:
 # ---------------------------------------------------------------------------
 
 def save_vae(path, p: VaeParams):
-    nn.save_checkpoint(path, "vae", p.cfg.to_arch(), p.params())
+    nn.save_model(path, "vae", p)
 
 
 def load_vae(path) -> VaeParams:
-    arch, arrays, _ = nn.load_checkpoint(path, expect_kind="vae")
-    p = VaeParams(nn.from_header(path, VaeConfig.from_arch, arch), nn.UNDRAWN)
-    nn.restore_params(p.params(), arrays)
-    return p
+    return nn.load_model(path, "vae", VaeConfig, VaeParams)[0]

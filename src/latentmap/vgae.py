@@ -145,18 +145,6 @@ class VgaeConfig:
     def d_half(self):
         return self.latent_dim // 2
 
-    def to_arch(self):
-        return {"n_genes": self.n_genes, "latent_dim": self.latent_dim,
-                "exp_hidden": list(self.exp_hidden), "gcn_hidden": self.gcn_hidden,
-                "dec_hidden": list(self.dec_hidden), "coord_hidden": list(self.coord_hidden)}
-
-    @staticmethod
-    def from_arch(arch):
-        return VgaeConfig(n_genes=int(arch["n_genes"]), latent_dim=int(arch["latent_dim"]),
-                          exp_hidden=tuple(arch["exp_hidden"]), gcn_hidden=int(arch["gcn_hidden"]),
-                          dec_hidden=tuple(arch["dec_hidden"]),
-                          coord_hidden=tuple(arch["coord_hidden"]))
-
 
 class VgaeParams:
     def __init__(self, cfg: VgaeConfig, rng):
@@ -401,11 +389,8 @@ def fit_coord_transform(coords) -> CoordTransform:
 # ---------------------------------------------------------------------------
 
 def save_vgae(path, p: VgaeParams, extra=None):
-    nn.save_checkpoint(path, "vgae", p.cfg.to_arch(), p.params(), extra=extra)
+    nn.save_model(path, "vgae", p, extra=extra)
 
 
 def load_vgae(path):
-    arch, arrays, extra = nn.load_checkpoint(path, expect_kind="vgae")
-    p = VgaeParams(nn.from_header(path, VgaeConfig.from_arch, arch), nn.UNDRAWN)
-    nn.restore_params(p.params(), arrays)
-    return p, extra
+    return nn.load_model(path, "vgae", VgaeConfig, VgaeParams)

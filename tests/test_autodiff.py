@@ -224,15 +224,12 @@ def test_affine_mse_matches_composite_chain(seed):
     ("relu", lambda v: max(v, 0.0)),
     ("exp", math.exp),
     ("square", lambda v: v * v),
-    ("sqrt", math.sqrt),
 ])
 def test_unary_backward_random_sweep(op, fn):
     # analytic gradient vs a pointwise central difference at 100 random
     # points with magnitudes in [0.1, 10]
     rng = np.random.default_rng(3)
-    x0 = rng.uniform(0.1, 10.0, size=100)
-    if op != "sqrt":
-        x0 = x0 * rng.choice([-1.0, 1.0], size=100)
+    x0 = rng.uniform(0.1, 10.0, size=100) * rng.choice([-1.0, 1.0], size=100)
     x = ad.tensor(x0, requires_grad=True)
     with ad.Tape():
         loss = ad.tsum(getattr(ad, op)(x))

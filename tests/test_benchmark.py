@@ -316,6 +316,10 @@ def test_ari_degenerate_single_cluster():
     assert bm.ari([1, 1, 1], [2, 2, 2]) == 1.0
 
 
+def test_ari_degenerate_single_item():
+    assert bm.ari([3], [8]) == 1.0  # no pairs at all
+
+
 def test_ari_singletons_vs_one_cluster():
     # not the degenerate branch: max != expected; formula gives 0
     assert bm.ari([0, 1, 2], [0, 0, 0]) == 0.0

@@ -7,7 +7,7 @@ import pytest
 
 from latentmap import layers as nn
 from latentmap import vae, vgae
-from latentmap.errors import DataError, DependencyError, ShapeError
+from latentmap.errors import DataError, DependencyError
 
 
 def tiny_models(seed):
@@ -51,7 +51,7 @@ def test_round_trip_is_bit_exact_for_every_kind(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("key,value,error", [("enc_hidden", [8], DataError),
-                                             ("n_genes", 13, ShapeError)])
+                                             ("n_genes", 13, DataError)])
 def test_load_checks_names_and_shapes_against_the_arch(tmp_path, key, value, error):
     p_vae, _ = tiny_models(6)
     vae.save_vae(tmp_path / "m.json", p_vae)

@@ -441,6 +441,37 @@ def test_infer_damaged_checkpoint_header_exits_3(trained_run, corpus_dir, tmp_pa
     assert "Traceback" not in caplog.text
 
 
+@pytest.mark.parametrize("header", ["vae_sc500.json", "vgae_st.json"])
+def test_infer_arch_that_does_not_fit_the_arrays_exits_3(trained_run, corpus_dir, tmp_path,
+                                                        caplog, header):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    header_path = run / "checkpoints" / header
+    obj = json.loads(header_path.read_text())
+    obj["arch"]["n_genes"] += 1
+    header_path.write_text(json.dumps(obj))
+    rc = cli.main(["infer", "--run-dir", str(run),
+                   "--query", str(corpus_dir / "sc_query_counts.csv"),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DATA
+    assert str(header_path) in caplog.text and "checkpoint parameter" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
+def test_infer_panel_narrower_than_the_model_exits_3(trained_run, corpus_dir, tmp_path, caplog):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    panel_path = run / "panel_shared.txt"
+    dataio.write_id_list(panel_path, dataio.read_id_list(panel_path)[:-1])
+    rc = cli.main(["infer", "--run-dir", str(run),
+                   "--query", str(corpus_dir / "sc_query_counts.csv"),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DATA
+    assert str(panel_path) in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "pred.csv").exists()
+
+
 def test_import_and_infer_leave_scipy_sparse_unloaded(trained_run, corpus_dir, tmp_path):
     # scipy.sparse costs about half of the CLI's import time; inference never needs it
     code = ("import sys\nfrom latentmap import cli\n"
@@ -483,7 +514,7 @@ def test_infer_writes_predictions(trained_run, corpus_dir, tmp_path):
     query = dataio.read_counts_csv(corpus_dir / "sc_query_counts.csv")
     assert ids == query.row_ids and len(ids) == 10
     x = pp.panel_matrix(query, pp.GenePanel(panel))
-    x_hat, coords_norm, transform = pl.infer(pl.RunDir(trained_run), x, panel, panel)
+    x_hat, coords_norm, transform = pl.infer(pl.RunDir(trained_run), x)
     assert np.array_equal(mat, np.hstack([transform.denormalize(coords_norm), x_hat]))
 
 
@@ -499,13 +530,14 @@ def test_infer_prints_frame_with_plain_floats(trained_run, corpus_dir, tmp_path,
         f"coordinate frame: normalized * {frame['scale']!r} + center ({cx!r}, {cy!r})\n")
 
 
-def test_infer_panel_mismatch_exit_code(trained_run, tmp_path):
+def test_infer_panel_mismatch_exit_code(trained_run, tmp_path, caplog):
     bad = tmp_path / "bad_query.csv"
     m = CountMatrix(["q0"], ["NOT_A_GENE"], [[3]])
     dataio.write_counts_csv(bad, m)
     rc = cli.main(["infer", "--run-dir", str(trained_run), "--query", str(bad),
                    "--out", str(tmp_path / "pred.csv")])
     assert rc == cli.EXIT_DATA
+    assert "NOT_A_GENE" in caplog.text
 
 
 def test_infer_strict_panel_rejects_superset(trained_run, corpus_dir, tmp_path):

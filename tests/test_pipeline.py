@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -54,25 +55,14 @@ def test_latent_loss_squared_single_row():
     assert val.item() == 25.0  # squared form; plain distance would be 5
 
 
-def test_latent_loss_unsquared_single_row():
-    val = pl.euclidean_latent_loss(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]]),
-                                   squared=False)
-    assert val.item() == pytest.approx(5.0, abs=1e-12)
-
-
 def test_latent_loss_matches_double_loop_oracle():
     rng = np.random.default_rng(1)
     za = rng.normal(size=(5, 3))
     zb = rng.normal(size=(5, 3))
-    expected_sq = 0.0
-    expected_plain = 0.0
+    expected = 0.0
     for i in range(5):
-        row = sum((za[i, j] - zb[i, j]) ** 2 for j in range(3))
-        expected_sq += row
-        expected_plain += row ** 0.5
-    assert pl.euclidean_latent_loss(za, zb).item() == pytest.approx(expected_sq / 5, abs=1e-12)
-    assert pl.euclidean_latent_loss(za, zb, squared=False).item() == \
-        pytest.approx(expected_plain / 5, abs=1e-12)
+        expected += sum((za[i, j] - zb[i, j]) ** 2 for j in range(3))
+    assert pl.euclidean_latent_loss(za, zb).item() == pytest.approx(expected / 5, abs=1e-12)
 
 
 def test_latent_loss_shape_mismatch():
@@ -110,12 +100,29 @@ def test_config_round_trip(tmp_path):
 def test_config_validation():
     with pytest.raises(DataError, match="s1_epochs"):
         tiny_cfg(s1_epochs=0)
-    with pytest.raises(DataError, match="latent_dim"):
-        tiny_cfg(latent_dim=5)
+    for latent_dim in (5, 0, -2):
+        with pytest.raises(DataError, match="latent_dim"):
+            tiny_cfg(latent_dim=latent_dim)
     with pytest.raises(DataError, match="w_adv"):
         tiny_cfg(w_adv=-1.0)
     with pytest.raises(DataError, match="unknown config keys"):
         pl.TrainConfig.from_dict({"nope": 1})
+
+
+def test_readme_config_table_lists_every_field_and_default():
+    # a row `a` / `b` | 1 / 2 documents a = 1 and b = 2
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    table = readme.split("| key | default | meaning |\n| --- | --- | --- |\n")[1].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines():
+        keys, defaults, _ = (cell.strip() for cell in row.strip("|").split("|"))
+        keys, defaults = keys.split(" / "), defaults.split(" / ")
+        assert len(keys) == len(defaults), row
+        for key, default in zip(keys, defaults):
+            assert key.strip("`") not in documented, key
+            documented[key.strip("`")] = json.loads(default)
+    assert documented == pl.TrainConfig().to_dict()
 
 
 def test_read_history_non_numeric_value_names_file_and_line(tmp_path):
@@ -187,9 +194,7 @@ def test_stage1_history_matches_standalone_vae(tmp_path, corpus):
 
 
 def test_all_stages_deterministic_rerun(tmp_path, corpus):
-    # the CLI test of two `train --stage all` runs covers the default losses;
-    # this one takes the plain-distance anchors (the sqrt path) through run_stage
-    cfg = tiny_cfg(s2_init_epochs=20, squared_latent_loss=False, adv_train_sc=False)
+    cfg = tiny_cfg(s2_init_epochs=20)
     data = pl.PipelineData(
         sc2000=(corpus["sc_ids"], [], corpus["x_big"]),
         sc500=(corpus["sc_ids"], corpus["panel"], corpus["x_sc"]),
@@ -261,8 +266,7 @@ def test_full_pipeline_small(tmp_path, corpus):
 
     # fixed latents are byte-identical before and after later stages
     z1_bytes = open(run.path("latents", "z_sc2000.csv"), "rb").read()
-    x_hat, coords_norm, transform = pl.infer(
-        run, corpus["x_sc"][:3], corpus["panel"], corpus["panel"])
+    x_hat, coords_norm, transform = pl.infer(run, corpus["x_sc"][:3])
     assert x_hat.shape == (3, len(corpus["panel"]))
     assert coords_norm.shape == (3, 2)
     assert open(run.path("latents", "z_sc2000.csv"), "rb").read() == z1_bytes
@@ -361,25 +365,9 @@ def test_infer_empty_query(tmp_path, corpus):
     _, z_st = pl.stage2(cfg, corpus["x_sc"], corpus["sc_ids"], corpus["x_st"],
                         corpus["st_ids"], z1, run)
     pl.stage3(cfg, corpus["x_st"], corpus["st_ids"], corpus["coords"], z_st, run)
-    x_hat, coords_norm, _ = pl.infer(run, np.zeros((0, len(corpus["panel"]))),
-                                     corpus["panel"], corpus["panel"])
+    x_hat, coords_norm, _ = pl.infer(run, np.zeros((0, len(corpus["panel"]))))
     assert x_hat.shape == (0, len(corpus["panel"]))
     assert coords_norm.shape == (0, 2)
-
-
-def test_infer_panel_mismatch_lists_genes(tmp_path, corpus):
-    cfg = tiny_cfg()
-    run = pl.RunDir(tmp_path / "run")
-    z1 = pl.stage1(cfg, corpus["x_big"], corpus["sc_ids"], run)
-    _, z_st = pl.stage2(cfg, corpus["x_sc"], corpus["sc_ids"], corpus["x_st"],
-                        corpus["st_ids"], z1, run)
-    pl.stage3(cfg, corpus["x_st"], corpus["st_ids"], corpus["coords"], z_st, run)
-    wrong = list(corpus["panel"][1:]) + ["BOGUS"]
-    with pytest.raises(DataError, match="BOGUS"):
-        pl.infer(run, corpus["x_sc"][:2], corpus["panel"], wrong)
-    out_of_order = list(reversed(corpus["panel"]))
-    with pytest.raises(DataError, match="order"):
-        pl.infer(run, corpus["x_sc"][:2], corpus["panel"], out_of_order)
 
 
 def test_stage2_id_mismatch_rejected(tmp_path, corpus):
