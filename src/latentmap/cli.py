@@ -4,8 +4,10 @@ Commands: synth, preprocess, train, infer, bench, gradcheck.
 Exit codes: 0 ok, 2 usage, 3 data error, 4 dependency error, 5 numeric failure.
 
 Every training run records a manifest (config snapshot, input digests, seed,
-tool version) at run start; resuming in the same run directory verifies the
-digests. A lock file keeps two commands out of one run directory.
+the preprocess ``target_sum``, tool version) at run start; resuming in the
+same run directory verifies the digests, and ``infer`` normalizes queries
+with the recorded ``target_sum``. A lock file keeps two commands out of one
+run directory.
 """
 
 import argparse
@@ -92,10 +94,11 @@ def run_lock(run_dir):
             os.remove(lock_path)
 
 
-def write_manifest(run_dir, config, inputs, artifacts, seed):
+def write_manifest(run_dir, config, inputs, artifacts, seed, target_sum):
     manifest = {
         "tool_version": __version__,
         "seed": seed,
+        "target_sum": target_sum,
         "config": config,
         "input_digests": {os.path.basename(p): file_digest(p) for p in inputs},
         "artifacts": sorted(set(artifacts)),
@@ -237,7 +240,7 @@ def cmd_train(args):
         artifacts = list(manifest.get("artifacts", [])) if manifest else []
         for stage in stages:
             artifacts += [os.path.basename(p) for p in run.stage_artifacts(stage)]
-        write_manifest(args.run_dir, cfg.to_dict(), inputs, artifacts, cfg.seed)
+        write_manifest(args.run_dir, cfg.to_dict(), inputs, artifacts, cfg.seed, data.target_sum)
         dataio.write_id_list(run.path("panel_shared.txt"), data.panel_shared)
         for stage in stages:
             log.info("running stage %d", stage)
@@ -256,7 +259,7 @@ def cmd_infer(args):
     extra = sorted(set(query.col_ids) - set(panel))
     if missing or (extra and not args.allow_extra_genes):
         raise DataError(f"query panel mismatch: missing {missing[:10]}, extra {extra[:10]}")
-    x = pp.panel_matrix(query, pp.GenePanel(panel), target_sum=args.target_sum)
+    x = pp.panel_matrix(query, pp.GenePanel(panel), target_sum=run.target_sum())
     x_hat, coords_norm, transform = pl.infer(run, x)
     dataio.write_matrix_csv(args.out, query.row_ids, ["x_hat", "y_hat"] + list(panel),
                             np.hstack([transform.denormalize(coords_norm), x_hat]))
@@ -328,7 +331,7 @@ def gradcheck_suite(seed=0):
 
     g = vg.build_knn_graph(rng.uniform(0, 4, size=(6, 2)), k=2)
     p_vgae = vg.init_vgae(vg.VgaeConfig(n_genes=7, latent_dim=4, exp_hidden=(6,),
-                                        gcn_hidden=5, dec_hidden=(6,), coord_hidden=(4,)),
+                                        gcn_hidden=5, coord_hidden=(4,)),
                           rng)
     x_exp = rng.uniform(0.1, 2.0, size=(6, 7))
     x_sp = rng.normal(size=(6, 2))
@@ -414,7 +417,6 @@ def build_parser():
     p.add_argument("--run-dir", required=True)
     p.add_argument("--query", required=True, help="query counts CSV")
     p.add_argument("--out", required=True, help="predictions CSV path")
-    p.add_argument("--target-sum", type=float, default=1e4)
     p.add_argument("--allow-extra-genes", action="store_true",
                    help="accept queries measured on a superset of the panel; "
                         "extra genes are dropped before normalization")
@@ -433,7 +435,7 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference checks on all networks")
     p.add_argument("--seed", type=int, default=1,
-                   help="default chosen so no ReLU kink sits within the probe step")
+                   help="seed of the random instances, weights and biases")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
     return parser

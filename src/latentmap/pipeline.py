@@ -224,6 +224,15 @@ class RunDir:
             raise DependencyError(
                 f"stage {stage} artifacts already exist (rerun with --force): {existing[0]}")
 
+    def target_sum(self):
+        """The ``target_sum`` that ``train`` recorded in ``manifest.json``.
+
+        A run dir without a manifest (one built through the Python API), or
+        whose manifest does not record it, uses 1e4, the preprocess default.
+        """
+        path = self.path("manifest.json")
+        return _read_target_sum(path, default=1e4) if os.path.exists(path) else 1e4
+
     def load_latent(self, name):
         ids, codes = dataio.read_latent_csv(self.path("latents", name))
         lm = vae.LatentMatrix(codes, ids, source=name.removesuffix(".csv"))
@@ -393,22 +402,19 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
     coords_n = transform.normalize(coords)
     graph = vg.build_knn_graph(coords, k=cfg.graph_k)
     model = vg.init_vgae(vg.VgaeConfig(n_genes=x.shape[1], latent_dim=cfg.latent_dim,
-                                       exp_hidden=cfg.enc_hidden,
-                                       dec_hidden=tuple(reversed(cfg.enc_hidden))),
+                                       exp_hidden=cfg.enc_hidden),
                          _rng(cfg.seed, _S3_INIT))
     noise_rng = _rng(cfg.seed, _S3_NOISE)
     neg_rng = _rng(cfg.seed, _S3_NEGATIVES)
     weights = vg.VgaeLossWeights(recon_exp=cfg.w_recon_exp, recon_sp=cfg.w_recon_sp,
                                  recon_adj=cfg.w_recon_adj, kl=cfg.kl_weight)
-    pos, keys = vg.positive_pairs(graph), vg.edge_keys(graph)
     ax = ad.spmm(graph.norm_adj, ad.tensor(x))  # the first GCN layer's constant input
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
     rows = []
 
     def loss():
         noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
-        *terms, mu = vg.vgae_loss(model, graph, x, coords_n, noise, weights, neg_rng,
-                                  pos=pos, keys=keys, ax=ax)
+        *terms, mu = vg.vgae_loss(model, graph, x, coords_n, noise, weights, neg_rng, ax=ax)
         anchor_loss = euclidean_latent_loss(mu, anchor)
         terms[0] = ad.add(terms[0], ad.scale(anchor_loss, cfg.w_anchor_st))
         return (*terms, anchor_loss)
@@ -465,6 +471,7 @@ class PipelineData:
     st500: tuple
     st_coords: tuple  # (spot_ids, [n, 2])
     panel_shared: list
+    target_sum: float = 1e4  # the normalization of the three matrices
 
 
 # the preprocess outputs that training reads; the run manifest records their digests
@@ -472,9 +479,9 @@ PREPROCESSED = ("sc_counts_qc.csv", "st_counts_qc.csv", "st_coords.csv",
                 "panel_hvg2000.txt", "panel_shared500.txt", "summary.json")
 
 
-def _read_target_sum(path):
-    """The ``target_sum`` recorded in a preprocess ``summary.json``: a finite number > 0."""
-    value = dataio.read_json(path).get("target_sum")
+def _read_target_sum(path, default=None):
+    """The ``target_sum`` recorded in a JSON file (``default`` if absent): a finite number > 0."""
+    value = dataio.read_json(path).get("target_sum", default)
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value) and value > 0):
         raise DataError(f"{path}: target_sum must be a finite number > 0, got {value!r}")
@@ -507,6 +514,7 @@ def load_pipeline_data(data_dir) -> PipelineData:
         st500=(st.row_ids, panel_shared.gene_ids, pp.panel_matrix(st, panel_shared, target_sum)),
         st_coords=dataio.read_coords_csv(paths["st_coords.csv"]),
         panel_shared=panel_shared.gene_ids,
+        target_sum=target_sum,
     )
     if data.st500[0] != data.st_coords[0]:
         raise DataError("st_counts_qc and st_coords disagree on spot ids")

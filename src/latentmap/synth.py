@@ -36,6 +36,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise DataError(f"noise must be a finite number >= 0, got {self.noise!r}")
         if self.n_shared > self.n_genes:
             raise DataError("n_shared cannot exceed n_genes")
         if self.n_types < 1 or self.n_cells < 1 or self.grid_side < 2:

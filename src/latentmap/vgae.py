@@ -4,21 +4,21 @@ The encoder runs two branches over the spot expression matrix: a plain MLP
 and a 2-layer graph convolution stack over the normalized adjacency. Their
 outputs (each d/2 wide) are concatenated and merged into a single d-wide
 latent by a fully connected layer, on which the mu/logvar heads sit. The
-decoder reconstructs expression (MLP), coordinates (MLP to 2-D, in the
-normalized coordinate frame), and edges via an inner-product head
-sigmoid(z_i . z_j).
+decoder reconstructs expression (an MLP mirroring the expression branch's
+widths), coordinates (MLP to 2-D, in the normalized coordinate frame), and
+edges via an inner-product head sigmoid(z_i . z_j).
 
 Graph work is O(|E|), following the sparse formulation of GCN and VGAE
 (Kipf & Welling, arXiv:1609.02907 and arXiv:1611.07308); nothing n x n is
 ever built:
 
 * the kNN graph comes from a k-d tree query, re-sorted by (distance, index);
-* the GCN-normalized adjacency D^-1/2 (A + I) D^-1/2 is a scipy CSR matrix,
-  multiplied in through the ``spmm`` tape op;
+* ``spatial_graph`` builds, once per edge set, the entries of A + I (as
+  pairs and as sorted keys ``i * n + j``) and the GCN-normalized adjacency
+  D^-1/2 (A + I) D^-1/2, a scipy CSR matrix multiplied in by the ``spmm`` op;
 * the inner-product head scores only the requested pairs (``pair_dot``);
-* the adjacency loss scores the positive entries of A + I against as many
-  non-edges, drawn per step by rejection sampling against the sorted edge
-  keys ``i * n + j`` built once per stage.
+* the adjacency loss scores the entries of A + I against as many non-edges,
+  drawn per step by rejection sampling against the graph's keys.
 """
 
 from dataclasses import dataclass
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import layers as nn
+from . import vae
 from .errors import DataError, ShapeError
 
 
@@ -36,21 +37,51 @@ from .errors import DataError, ShapeError
 
 @dataclass
 class SpatialGraph:
-    """Symmetric edge set without self-loops plus the GCN-normalized adjacency (CSR)."""
+    """A symmetric spot graph and the constants of A + I, built by ``spatial_graph``.
+
+    ``pos`` holds A + I's upper-triangle entries as (rows, cols), self-loops
+    first, then ``edges`` in order; ``keys`` holds them as sorted ``i * n + j``.
+    """
 
     n: int
     edges: list  # [(i, j) with i < j]
-    norm_adj: "scipy.sparse.csr_matrix"
+    pos: tuple  # (rows, cols)
+    keys: np.ndarray
+    norm_adj: "scipy.sparse.csr_matrix"  # D^-1/2 (A + I) D^-1/2
+
+
+def spatial_graph(n: int, edges) -> SpatialGraph:
+    """The ``SpatialGraph`` on ``n`` nodes with ``edges`` = pairs (i, j), 0 <= i < j < n.
+
+    The normalized adjacency is a CSR matrix whose entries equal the dense
+    formula's bit for bit.
+    """
+    import scipy.sparse as sp  # kept off the inference import path
+
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if e.size and (np.any(e[:, 0] >= e[:, 1]) or e.min() < 0 or e.max() >= n):
+        raise DataError(f"edges must be pairs (i, j) with 0 <= i < j < {n}")
+    loops = np.arange(n, dtype=np.int64)
+    rows, cols = np.hstack([np.stack([loops, loops]), e.T])  # self-loops first
+    upper = rows * n + cols
+    full = np.unique(np.concatenate([upper, e[:, 1] * n + e[:, 0]]))  # row-major: canonical CSR
+    r, c = full // n, full % n
+    counts = np.bincount(r, minlength=n)
+    d_inv_sqrt = 1.0 / np.sqrt(counts.astype(np.float64))  # >= 1 via the self-loop
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    norm_adj = sp.csr_matrix((d_inv_sqrt[r] * d_inv_sqrt[c], c, indptr), shape=(n, n))
+    return SpatialGraph(n=n, edges=list(map(tuple, e.tolist())), pos=(rows, cols),
+                        keys=np.sort(upper), norm_adj=norm_adj)
 
 
 def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
     """Union-symmetrized k-nearest-neighbor graph over 2-D points.
 
     Distance ties break toward the smaller point index; self-loops are
-    excluded from the edge set (normalization adds them back internally).
-    A k-d tree proposes candidates; any row whose candidate list might cut
-    through a tie at its k-th distance is queried again with more
-    neighbors, and the final order comes from exact distances.
+    excluded from the edge set (A + I adds them back). A k-d tree proposes
+    candidates; any row whose candidate list might cut through a tie at its
+    k-th distance is queried again with more neighbors, and the final order
+    comes from exact distances.
     """
     from scipy.spatial import cKDTree  # kept off the inference import path
 
@@ -84,44 +115,7 @@ def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
     i = np.repeat(np.arange(n), k)
     j = nbrs.reshape(-1)
     keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
-    edges = list(zip((keys // n).tolist(), (keys % n).tolist()))
-    graph = SpatialGraph(n=n, edges=edges, norm_adj=None)
-    graph.norm_adj = normalize_adjacency(graph)
-    return graph
-
-
-def _edge_array(g: SpatialGraph) -> np.ndarray:
-    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
-    if e.size and (np.any(e[:, 0] >= e[:, 1]) or e.min() < 0 or e.max() >= g.n):
-        raise DataError(f"edges must be pairs (i, j) with 0 <= i < j < {g.n}")
-    return e
-
-
-def normalize_adjacency(g: SpatialGraph):
-    """Symmetric GCN normalization D^{-1/2} (A + I) D^{-1/2}, as a scipy CSR matrix.
-
-    Built from ``g.edges`` directly; entries equal the dense formula's
-    bit for bit.
-    """
-    import scipy.sparse as sp  # kept off the inference import path
-
-    e = _edge_array(g)
-    n = g.n
-    loops = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([e[:, 0], e[:, 1], loops])
-    cols = np.concatenate([e[:, 1], e[:, 0], loops])
-    keys = np.unique(rows * n + cols)  # row-major order: canonical CSR
-    rows, cols = keys // n, keys % n
-    counts = np.bincount(rows, minlength=n)
-    d_inv_sqrt = 1.0 / np.sqrt(counts.astype(np.float64))  # >= 1 via the self-loop
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sp.csr_matrix((d_inv_sqrt[rows] * d_inv_sqrt[cols], cols, indptr), shape=(n, n))
-
-
-def gcn_layer(norm_adj, h, w, activation: bool = True):
-    """One graph convolution: relu(A_hat @ h @ w); final layers pass linear."""
-    out = ad.matmul(ad.spmm(norm_adj, h), w)
-    return ad.relu(out) if activation else out
+    return spatial_graph(n, np.stack([keys // n, keys % n], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +128,6 @@ class VgaeConfig:
     latent_dim: int = 10
     exp_hidden: tuple = (128, 64)
     gcn_hidden: int = 64
-    dec_hidden: tuple = (64, 128)
     coord_hidden: tuple = (64, 32)
 
     def __post_init__(self):
@@ -144,6 +137,10 @@ class VgaeConfig:
     @property
     def d_half(self):
         return self.latent_dim // 2
+
+    @property
+    def dec_hidden(self):
+        return tuple(reversed(self.exp_hidden))
 
 
 class VgaeParams:
@@ -199,8 +196,8 @@ def vgae_encode(p: VgaeParams, norm_adj, x_exp, ax=None):
     z_exp = nn.mlp_forward(p.exp_enc, x)
     if ax is None:
         ax = ad.spmm(norm_adj, x)
-    g1 = ad.relu(ad.matmul(ad.as_tensor(ax), p.gcn_w1))  # gcn_layer(norm_adj, x, w1)
-    z_graph = gcn_layer(norm_adj, g1, p.gcn_w2, activation=False)
+    g1 = ad.relu(ad.matmul(ad.as_tensor(ax), p.gcn_w1))
+    z_graph = ad.matmul(ad.spmm(norm_adj, g1), p.gcn_w2)
     merged = p.merge(ad.concat_cols(z_exp, z_graph))
     return p.mu_head(merged), p.logvar_head(merged)
 
@@ -227,20 +224,6 @@ def _decode_hidden(p: VgaeParams, z):
             nn.mlp_forward(p.coord, z, final_linear=False))
 
 
-def positive_pairs(g: SpatialGraph):
-    """Entries of A + I that are 1, as (rows, cols) over the upper triangle."""
-    e = _edge_array(g)
-    loops = np.arange(g.n, dtype=np.intp)
-    return (np.concatenate([loops, e[:, 0].astype(np.intp)]),
-            np.concatenate([loops, e[:, 1].astype(np.intp)]))
-
-
-def edge_keys(g: SpatialGraph) -> np.ndarray:
-    """Sorted keys ``i * n + j`` of the upper-triangle entries of A + I."""
-    rows, cols = positive_pairs(g)
-    return np.sort(rows.astype(np.int64) * g.n + cols)
-
-
 def _contains(sorted_keys, query):
     if not sorted_keys.size:
         return np.zeros(query.shape, dtype=bool)
@@ -251,7 +234,7 @@ def _contains(sorted_keys, query):
 def sample_negatives(keys, n, count, rng):
     """Distinct upper-triangle non-edges of A + I, as a sorted [m, 2] array.
 
-    ``keys`` are the sorted ``edge_keys`` of the graph on ``n`` nodes, and
+    ``keys`` are the ``SpatialGraph.keys`` of the graph on ``n`` nodes, and
     m = min(count, number of non-edges). Pairs are drawn uniformly without
     replacement, by rejection against ``keys``, so a step costs O(count),
     not O(n^2). When non-edges are fewer than half of all pairs, or the
@@ -291,28 +274,22 @@ class VgaeLossWeights:
 
 
 def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
-              weights: VgaeLossWeights, rng, pos=None, keys=None, ax=None):
+              weights: VgaeLossWeights, rng, ax=None):
     """(total, recon_exp, recon_sp, recon_adj, kl, mu): scalar tensors and the posterior mean.
 
-    Adjacency reconstruction scores the positive entries of A + I against an
-    equal number of sampled non-edges (class balance); ``rng`` drives the
-    per-call negative sample. ``pos`` (``positive_pairs``) and ``keys``
-    (``edge_keys``) default to those of ``graph``, and ``ax`` to
-    ``spmm(graph.norm_adj, x_exp)``; a training loop builds them once and
-    passes them in. ``mu`` lets the caller add terms on the posterior mean
-    without a second encoder pass.
+    Adjacency reconstruction scores the positive entries of A + I
+    (``graph.pos``) against an equal number of sampled non-edges (class
+    balance); ``rng`` drives the per-call negative sample. ``ax`` defaults
+    to ``spmm(graph.norm_adj, x_exp)``; a training loop, whose ``x_exp`` is
+    a constant, computes it once and passes it in. ``mu`` lets the caller
+    add terms on the posterior mean without a second encoder pass.
     """
-    from .vae import kl_divergence, reparameterize  # shared math
-
-    if pos is None:
-        pos = positive_pairs(graph)
-    if keys is None:
-        keys = edge_keys(graph)
+    pos = graph.pos
     x_exp = ad.as_tensor(x_exp)
     x_sp = ad.as_tensor(x_sp)
     mu, logvar = vgae_encode(p, graph.norm_adj, x_exp, ax=ax)
-    z = reparameterize(mu, logvar, noise)
-    neg = sample_negatives(keys, graph.n, len(pos[0]), rng)
+    z = vae.reparameterize(mu, logvar, noise)
+    neg = sample_negatives(graph.keys, graph.n, len(pos[0]), rng)
     rows = np.concatenate([pos[0], neg[:, 0]])
     cols = np.concatenate([pos[1], neg[:, 1]])
     # vgae_decode without its output heads: each head runs inside its loss
@@ -324,7 +301,7 @@ def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
     labels = np.concatenate([np.ones(len(pos[0])), np.zeros(len(neg))])
     recon_adj = ad.bce_with_logits(edge_logits, labels)
 
-    kl = kl_divergence(mu, logvar)
+    kl = vae.kl_divergence(mu, logvar)
     total = ad.add(ad.add(ad.scale(recon_exp, weights.recon_exp),
                           ad.scale(recon_sp, weights.recon_sp)),
                    ad.add(ad.scale(recon_adj, weights.recon_adj),

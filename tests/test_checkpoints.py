@@ -13,7 +13,7 @@ from latentmap.errors import DataError, DependencyError
 def tiny_models(seed):
     p_vae = vae.init_vae(vae.VaeConfig(n_genes=12, latent_dim=4, enc_hidden=(8, 6)), seed)
     p_vgae = vgae.init_vgae(vgae.VgaeConfig(n_genes=12, latent_dim=4, exp_hidden=(8,),
-                                            gcn_hidden=6, dec_hidden=(8,), coord_hidden=(5,)),
+                                            gcn_hidden=6, coord_hidden=(5,)),
                             seed)
     return p_vae, p_vgae
 

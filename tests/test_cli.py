@@ -186,14 +186,16 @@ _BAD_FLAG_VALUES = [
     ("preprocess", "--n-shared", "-3", "shared panel size must be >= 1, got -3"),
     ("preprocess", "--target-sum", "0", "target_sum must be a finite number > 0, got 0.0"),
     ("preprocess", "--target-sum", "nan", "target_sum must be a finite number > 0, got nan"),
-    ("infer", "--target-sum", "0", "target_sum must be a finite number > 0, got 0.0"),
+    ("synth", "--noise", "nan", "noise must be a finite number >= 0, got nan"),
+    ("synth", "--noise", "-1", "noise must be a finite number >= 0, got -1.0"),
+    ("synth", "--noise", "inf", "noise must be a finite number >= 0, got inf"),
 ]
 
 
 @pytest.mark.parametrize("command,flag,value,named", _BAD_FLAG_VALUES,
                          ids=[f"{c}{f}={v}" for c, f, v, _ in _BAD_FLAG_VALUES])
-def test_bad_flag_value_exits_3_naming_it_before_writing(corpus_dir, trained_run, tmp_path,
-                                                          caplog, command, flag, value, named):
+def test_bad_flag_value_exits_3_naming_it_before_writing(corpus_dir, tmp_path, caplog,
+                                                          command, flag, value, named):
     out = tmp_path / "out"
     if command == "preprocess":
         argv = ["preprocess", "--sc-counts", str(corpus_dir / "sc_counts.csv"),
@@ -201,9 +203,8 @@ def test_bad_flag_value_exits_3_naming_it_before_writing(corpus_dir, trained_run
                 "--st-coords", str(corpus_dir / "st_coords.csv"), "--out", str(out),
                 "--min-genes", "30", "--min-cells", "10", "--n-hvg", "80", "--n-shared", "30"]
     else:
-        argv = ["infer", "--run-dir", str(trained_run),
-                "--query", str(corpus_dir / "sc_query_counts.csv"), "--out", str(out),
-                "--allow-extra-genes"]
+        argv = ["synth", "--out", str(out), "--n-cells", "20", "--n-genes", "30",
+                "--n-shared", "10", "--grid-side", "4"]
     rc = cli.main(argv + [flag, value])  # the last occurrence of a flag wins
     assert rc == cli.EXIT_DATA
     assert named in caplog.text
@@ -329,6 +330,8 @@ def test_manifest_contents(trained_run, data_dir):
     for name in ("sc_counts_qc.csv", "summary.json"):
         assert manifest["input_digests"][name] == cli.file_digest(str(data_dir / name))
     assert {"vgae_st.json", "vgae_st.npz"} <= set(manifest["artifacts"])
+    summary = json.loads((data_dir / "summary.json").read_text())
+    assert manifest["target_sum"] == summary["target_sum"] == 1e4
 
 
 def test_manifest_lists_artifacts_of_incremental_runs(data_dir, tiny_config, tmp_path):
@@ -516,6 +519,78 @@ def test_infer_writes_predictions(trained_run, corpus_dir, tmp_path):
     x = pp.panel_matrix(query, pp.GenePanel(panel))
     x_hat, coords_norm, transform = pl.infer(pl.RunDir(trained_run), x)
     assert np.array_equal(mat, np.hstack([transform.denormalize(coords_norm), x_hat]))
+
+
+def _infer(run_dir, corpus_dir, out):
+    return cli.main(["infer", "--run-dir", str(run_dir),
+                     "--query", str(corpus_dir / "sc_query_counts.csv"),
+                     "--out", str(out), "--allow-extra-genes"])
+
+
+def test_infer_normalizes_at_the_target_sum_the_run_was_trained_with(corpus_dir, tiny_config,
+                                                                     tmp_path):
+    prep, run_dir, out = tmp_path / "prep", tmp_path / "run", tmp_path / "pred.csv"
+    assert cli.main(["preprocess", "--sc-counts", str(corpus_dir / "sc_counts.csv"),
+                     "--st-counts", str(corpus_dir / "st_counts.csv"),
+                     "--st-coords", str(corpus_dir / "st_coords.csv"), "--out", str(prep),
+                     "--min-genes", "30", "--min-cells", "10", "--n-hvg", "80",
+                     "--n-shared", "30", "--target-sum", "5000"]) == 0
+    assert cli.main(["train", "--stage", "all", "--data", str(prep),
+                     "--run-dir", str(run_dir), "--config", str(tiny_config)]) == 0
+    assert json.loads((run_dir / "manifest.json").read_text())["target_sum"] == 5000.0
+    assert _infer(run_dir, corpus_dir, out) == 0
+    _, _, mat = dataio.read_matrix_csv(out)
+    query = dataio.read_counts_csv(corpus_dir / "sc_query_counts.csv")
+    panel = pp.GenePanel(dataio.read_id_list(run_dir / "panel_shared.txt"))
+    for target_sum, same in ((5000.0, True), (1e4, False)):
+        x_hat, coords_norm, transform = pl.infer(pl.RunDir(run_dir),
+                                                 pp.panel_matrix(query, panel, target_sum))
+        expected = np.hstack([transform.denormalize(coords_norm), x_hat])
+        assert np.array_equal(mat, expected) == same
+
+
+@pytest.mark.parametrize("value", [0, -1.0, "1e4", True, float("nan")],
+                         ids=["zero", "negative", "string", "bool", "nan"])
+def test_infer_bad_manifest_target_sum_exits_3_naming_it(trained_run, corpus_dir, tmp_path,
+                                                         caplog, value):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    (run / "manifest.json").write_text(json.dumps({**manifest, "target_sum": value}))
+    assert _infer(run, corpus_dir, tmp_path / "pred.csv") == cli.EXIT_DATA
+    assert str(run / "manifest.json") in caplog.text and "target_sum" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_infer_without_a_recorded_target_sum_uses_1e4(trained_run, corpus_dir, tmp_path):
+    # the fixture's run was trained at 1e4, so every variant must give the same bytes
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    assert _infer(run, corpus_dir, tmp_path / "recorded.csv") == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["target_sum"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert _infer(run, corpus_dir, tmp_path / "no_key.csv") == 0
+    (run / "manifest.json").unlink()
+    assert _infer(run, corpus_dir, tmp_path / "no_manifest.csv") == 0
+    expected = (tmp_path / "recorded.csv").read_bytes()
+    assert (tmp_path / "no_key.csv").read_bytes() == expected
+    assert (tmp_path / "no_manifest.csv").read_bytes() == expected
+
+
+def test_infer_vgae_header_that_still_records_dec_hidden(trained_run, corpus_dir, tmp_path):
+    # run dirs written while dec_hidden was an arch field hold it in vgae_st.json
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    header = run / "checkpoints" / "vgae_st.json"
+    obj = json.loads(header.read_text())
+    assert "dec_hidden" not in obj["arch"]
+    obj["arch"]["dec_hidden"] = obj["arch"]["exp_hidden"][::-1]
+    header.write_text(json.dumps(obj))
+    assert _infer(trained_run, corpus_dir, tmp_path / "new.csv") == 0
+    assert _infer(run, corpus_dir, tmp_path / "old.csv") == 0
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
 
 
 def test_infer_prints_frame_with_plain_floats(trained_run, corpus_dir, tmp_path, capsys):

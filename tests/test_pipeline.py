@@ -334,7 +334,7 @@ def test_stage3_ablation_matches_standalone_vgae(tmp_path, corpus):
     transform = vg.fit_coord_transform(corpus["coords"])
     graph = vg.build_knn_graph(corpus["coords"], k=cfg.graph_k)
     model = vg.init_vgae(vg.VgaeConfig(n_genes=corpus["x_st"].shape[1], latent_dim=4,
-                                       exp_hidden=(16, 8), dec_hidden=(8, 16)),
+                                       exp_hidden=(16, 8)),
                          pl._rng(cfg.seed, pl._S3_INIT))
     noise_rng = pl._rng(cfg.seed, pl._S3_NOISE)
     neg_rng = pl._rng(cfg.seed, pl._S3_NEGATIVES)

@@ -27,7 +27,7 @@ def all_pairs(n):
 
 def tiny_vgae(seed=0, n_genes=12, latent_dim=4):
     cfg = vgae.VgaeConfig(n_genes=n_genes, latent_dim=latent_dim, exp_hidden=(8,),
-                          gcn_hidden=6, dec_hidden=(8,), coord_hidden=(5,))
+                          gcn_hidden=6, coord_hidden=(5,))
     return vgae.init_vgae(cfg, seed)
 
 
@@ -77,14 +77,12 @@ def test_knn_too_few_points_errors():
 
 
 def test_normalize_adjacency_single_edge():
-    g = vgae.SpatialGraph(n=2, edges=[(0, 1)], norm_adj=None)
-    a_hat = vgae.normalize_adjacency(g).toarray()
+    a_hat = vgae.spatial_graph(2, [(0, 1)]).norm_adj.toarray()
     assert np.allclose(a_hat, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_normalize_adjacency_isolated_node():
-    g = vgae.SpatialGraph(n=3, edges=[(0, 1)], norm_adj=None)
-    a_hat = vgae.normalize_adjacency(g).toarray()
+    a_hat = vgae.spatial_graph(3, [(0, 1)]).norm_adj.toarray()
     assert np.array_equal(a_hat[2], [0.0, 0.0, 1.0])
 
 
@@ -99,15 +97,27 @@ def test_normalize_adjacency_random_graph_symmetric_finite():
     assert np.max(np.abs(eigs)) <= 1.0 + 1e-9
 
 
+def test_spatial_graph_pos_and_keys_match_brute_force():
+    rng = np.random.default_rng(24)
+    n = 12
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [upper[t] for t in rng.choice(len(upper), size=20, replace=False)]  # unsorted
+    g = vgae.spatial_graph(n, edges)
+    assert g.n == n and g.edges == edges
+    pos = [(i, i) for i in range(n)] + edges  # self-loops first, then the edges in order
+    assert list(zip(g.pos[0].tolist(), g.pos[1].tolist())) == pos
+    assert g.keys.tolist() == sorted(i * n + j for i, j in pos)
+
+
 # ---------------------------------------------------------------------------
-# GCN layer
+# GCN layer: relu(A_hat @ h @ w), written out as the encoder does
 # ---------------------------------------------------------------------------
 
 def test_gcn_identity_adjacency_reduces_to_dense_layer():
     rng = np.random.default_rng(2)
     h = ad.tensor(rng.normal(size=(4, 3)))
     w = ad.tensor(rng.normal(size=(3, 2)))
-    out = vgae.gcn_layer(sp.identity(4, format="csr"), h, w, activation=True)
+    out = ad.relu(ad.matmul(ad.spmm(sp.identity(4, format="csr"), h), w))
     expected = np.maximum(h.data @ w.data, 0.0)
     assert np.allclose(out.data, expected, atol=1e-12)
 
@@ -115,12 +125,10 @@ def test_gcn_identity_adjacency_reduces_to_dense_layer():
 def test_gcn_constant_rows_on_regular_graph_stay_constant():
     # 6-cycle is 2-regular: rows of A_hat sum to 1, so constant rows persist
     edges = [(i, (i + 1) % 6) for i in range(5)] + [(0, 5)]
-    g = vgae.SpatialGraph(n=6, edges=sorted(set(tuple(sorted(e)) for e in edges)),
-                          norm_adj=None)
-    a_hat = vgae.normalize_adjacency(g)
+    a_hat = vgae.spatial_graph(6, sorted(set(tuple(sorted(e)) for e in edges))).norm_adj
     h = ad.tensor(np.tile([1.5, -2.0, 0.5], (6, 1)))
     w = ad.tensor(np.random.default_rng(3).normal(size=(3, 2)))
-    out = vgae.gcn_layer(a_hat, h, w, activation=False).data
+    out = ad.matmul(ad.spmm(a_hat, h), w).data
     assert np.allclose(out, out[0], atol=1e-12)
 
 
@@ -132,8 +140,8 @@ def test_gcn_grad_check_two_layers():
     w2 = ad.tensor(rng.normal(size=(3, 2)), requires_grad=True)
 
     def loss():
-        h = vgae.gcn_layer(g.norm_adj, ad.tensor(x), w1, activation=True)
-        out = vgae.gcn_layer(g.norm_adj, h, w2, activation=False)
+        h = ad.relu(ad.matmul(ad.spmm(g.norm_adj, ad.tensor(x)), w1))
+        out = ad.matmul(ad.spmm(g.norm_adj, h), w2)
         return ad.tmean(ad.square(out))
 
     assert ad.grad_check(loss, {"w1": w1, "w2": w2}) < 1e-4
@@ -315,8 +323,8 @@ def test_path_graph_adjacency_reconstruction_trains_below_point_one():
     weights = vgae.VgaeLossWeights(recon_exp=0.0, recon_sp=0.0, recon_adj=1.0, kl=1e-4)
     _train_vgae(p, g, x, coords, weights, steps=400, seed=13)
     mu = vgae.encode_mu(p, g.norm_adj, x)
-    pos_r, pos_c = vgae.positive_pairs(g)
-    neg = vgae.sample_negatives(vgae.edge_keys(g), g.n, g.n * g.n, rng)  # every non-edge
+    pos_r, pos_c = g.pos
+    neg = vgae.sample_negatives(g.keys, g.n, g.n * g.n, rng)  # every non-edge
     assert len(neg) == 3
     rows = np.concatenate([pos_r, neg[:, 0]])
     cols = np.concatenate([pos_c, neg[:, 1]])
@@ -358,18 +366,17 @@ def test_two_block_graph_heldout_edge_auc():
     held_idx = rng.choice(len(edges), size=len(edges) // 5, replace=False)
     held = [edges[i] for i in held_idx]
     kept = [e for i, e in enumerate(edges) if i not in set(held_idx)]
-    g = vgae.SpatialGraph(n=full.n, edges=kept, norm_adj=None)
-    g.norm_adj = vgae.normalize_adjacency(g)
+    g = vgae.spatial_graph(full.n, kept)
 
     cfg = vgae.VgaeConfig(n_genes=12, latent_dim=8, exp_hidden=(16,), gcn_hidden=12,
-                          dec_hidden=(16,), coord_hidden=(8,))
+                          coord_hidden=(8,))
     p = vgae.init_vgae(cfg, 15)
     tr = vgae.fit_coord_transform(coords)
     weights = vgae.VgaeLossWeights(recon_exp=1.0, recon_sp=1.0, recon_adj=2.0, kl=1e-4)
     _train_vgae(p, g, x, tr.normalize(coords), weights, steps=500, seed=15)
 
     mu = vgae.encode_mu(p, g.norm_adj, x)
-    neg = vgae.sample_negatives(vgae.edge_keys(full), full.n, 200, rng)
+    neg = vgae.sample_negatives(full.keys, full.n, 200, rng)
     auc = vgae.edge_auc(mu, np.asarray(held), neg)
     assert auc >= 0.9
 
@@ -439,11 +446,11 @@ def test_norm_adj_csr_equals_dense_formula():
 def test_normalize_adjacency_rejects_malformed_edges():
     for edges in ([(1, 0)], [(0, 0)], [(0, 3)]):
         with pytest.raises(DataError, match="edges"):
-            vgae.normalize_adjacency(vgae.SpatialGraph(n=3, edges=edges, norm_adj=None))
+            vgae.spatial_graph(3, edges)
 
 
 def _check_negatives(g, neg, count):
-    keys = set(vgae.edge_keys(g).tolist())
+    keys = set(g.keys.tolist())
     free = g.n * (g.n - 1) // 2 - len(g.edges)
     assert neg.shape == (min(count, free), 2)
     assert np.all(neg[:, 0] < neg[:, 1])  # upper triangle, no self-loops
@@ -456,23 +463,22 @@ def _check_negatives(g, neg, count):
 def test_sample_negatives_properties(side, k):
     # 10x10: sparse graph, rejection sampling; 3x3: dense graph, enumeration
     g = vgae.build_knn_graph(grid(side), k=k)
-    count = len(vgae.positive_pairs(g)[0])
+    count = len(g.pos[0])
     for seed in range(5):
-        neg = vgae.sample_negatives(vgae.edge_keys(g), g.n, count,
-                                    np.random.default_rng(seed))
+        neg = vgae.sample_negatives(g.keys, g.n, count, np.random.default_rng(seed))
         _check_negatives(g, neg, count)
 
 
 def test_sample_negatives_complete_graph_terminates_empty():
     g = vgae.build_knn_graph(grid(3)[:5], k=4)  # n = k + 1: every pair is an edge
     assert len(g.edges) == 10
-    neg = vgae.sample_negatives(vgae.edge_keys(g), g.n, 15, np.random.default_rng(0))
+    neg = vgae.sample_negatives(g.keys, g.n, 15, np.random.default_rng(0))
     assert neg.shape == (0, 2)
 
 
 def test_sample_negatives_deterministic_per_seed():
     g = vgae.build_knn_graph(grid(12), k=6)
-    keys = vgae.edge_keys(g)
+    keys = g.keys
     a = vgae.sample_negatives(keys, g.n, 300, np.random.default_rng(5))
     b = vgae.sample_negatives(keys, g.n, 300, np.random.default_rng(5))
     c = vgae.sample_negatives(keys, g.n, 300, np.random.default_rng(6))
@@ -481,7 +487,7 @@ def test_sample_negatives_deterministic_per_seed():
 
 def test_sample_negatives_covers_non_edges_evenly():
     g = vgae.build_knn_graph(grid(6), k=4)
-    keys = vgae.edge_keys(g)
+    keys = g.keys
     rng = np.random.default_rng(23)
     hits = {}
     for _ in range(400):
@@ -504,8 +510,7 @@ def test_graph_and_negatives_stay_sparse_in_memory():
     tracemalloc.start()
     try:
         g = vgae.build_knn_graph(coords, k=6)
-        pos = vgae.positive_pairs(g)
-        vgae.sample_negatives(vgae.edge_keys(g), g.n, len(pos[0]), np.random.default_rng(0))
+        vgae.sample_negatives(g.keys, g.n, len(g.pos[0]), np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
