@@ -81,7 +81,7 @@ def knn_predict(train: LabeledEmbedding, queries, k: int) -> list:
     training index, vote ties the earlier vocabulary label.
     """
     if k <= 0:
-        raise DataError("k must be positive")
+        raise DataError(f"k must be positive, got {k}")
     if k > train.n:
         raise DataError(f"k={k} exceeds training size {train.n}")
     queries = np.asarray(queries, dtype=np.float64)
@@ -99,6 +99,10 @@ def knn_predict(train: LabeledEmbedding, queries, k: int) -> list:
 
 
 def _fold_slices(n, folds, seed):
+    if folds < 2:
+        raise DataError(f"folds must be >= 2, got {folds}")
+    if n < folds:
+        raise DataError(f"n={n} smaller than folds={folds}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(order, folds)]
@@ -111,10 +115,6 @@ def kfold_cv(e: LabeledEmbedding, k_neighbors: int, folds: int = 4, seed: int = 
     A class absent from some training split is recorded as a warning and the
     fold is still scored.
     """
-    if folds < 2:
-        raise DataError("folds must be >= 2")
-    if e.n < folds:
-        raise DataError(f"n={e.n} smaller than folds={folds}")
     if fold_indices is None:
         fold_indices = _fold_slices(e.n, folds, seed)
     accs, warnings = [], []
@@ -160,7 +160,7 @@ def holdout_accuracy(e: LabeledEmbedding, k_neighbors: int, fraction: float = 0.
                      seed: int = 0) -> float:
     """Single split: train on (1-fraction), test on fraction."""
     if not 0.0 < fraction < 1.0:
-        raise DataError("holdout fraction must be in (0, 1)")
+        raise DataError(f"holdout fraction must be in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(e.n)
     n_test = max(1, int(round(e.n * fraction)))

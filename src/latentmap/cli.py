@@ -12,8 +12,10 @@ run directory.
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import logging
+import math
 import os
 import sys
 
@@ -222,7 +224,7 @@ def cmd_preprocess(args):
 def cmd_train(args):
     cfg = pl.TrainConfig.load(args.config) if args.config else pl.TrainConfig()
     if args.seed is not None:
-        cfg = pl.TrainConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     stages = [1, 2, 3] if args.stage == "all" else [int(args.stage)]
     data = pl.load_pipeline_data(args.data)
     inputs = [os.path.join(args.data, name) for name in pl.PREPROCESSED]
@@ -270,6 +272,8 @@ def cmd_infer(args):
 
 
 def cmd_bench(args):
+    if args.seed < 0:
+        raise DataError(f"--seed must be >= 0, got {args.seed}")
     ids, codes = dataio.read_latent_csv(args.latent)
     labels_by_id = dataio.read_labels_csv(args.labels)
     unmatched = [i for i in ids if i not in labels_by_id]
@@ -278,8 +282,6 @@ def cmd_bench(args):
     labels = [labels_by_id[i] for i in ids]
     emb = bm.LabeledEmbedding(codes, labels)
     k_values = args.k if args.k else bm.default_k_values(len(emb.vocab))
-    os.makedirs(args.out, exist_ok=True)
-
     sweep = bm.sweep_k(emb, k_values, folds=args.folds, seed=args.seed)
     lines = [f"latent: {args.latent}", f"n: {emb.n}", f"classes: {len(emb.vocab)}",
              f"folds: {args.folds}", f"seed: {args.seed}", ""]
@@ -295,6 +297,7 @@ def cmd_bench(args):
     lines.append(f"ari(k={first_k}, out-of-fold predictions): "
                  f"{bm.ari(labels, first_report.oof_predictions):.6f}")
     report_text = "\n".join(lines) + "\n"
+    os.makedirs(args.out, exist_ok=True)  # only once every flag has been checked
     out = lambda name: os.path.join(args.out, name)
     dataio.atomic_write(out("report.txt"), report_text)
     dataio.write_table(out("confusion.csv"), ["true\\pred", *first_report.vocab],
@@ -354,6 +357,10 @@ def gradcheck_suite(seed=0):
 
 
 def cmd_gradcheck(args):
+    if args.seed < 0:
+        raise DataError(f"--seed must be >= 0, got {args.seed}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise DataError(f"--tolerance must be a finite number > 0, got {args.tolerance!r}")
     results = gradcheck_suite(seed=args.seed)
     worst = max(results.values())
     for name, err in sorted(results.items()):

@@ -17,13 +17,12 @@ from .errors import ShapeError
 class DiscriminatorParams:
     def __init__(self, latent_dim, rng, hidden=(128, 128, 128)):
         self.latent_dim = latent_dim
-        widths = [latent_dim] + list(hidden)
-        self.layers = [nn.init_dense(rng, widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
+        widths = [latent_dim, *hidden]
+        self.layers = nn.init_stack(rng, widths)
         self.head = nn.init_dense(rng, widths[-1], 1, gain=1.0)
 
     def params(self):
-        named = [(f"h{i}", l) for i, l in enumerate(self.layers)] + [("head", self.head)]
-        return nn.collect_params(named)
+        return nn.collect_params(("h", self.layers), ("head", self.head))
 
     def frozen(self):
         """This discriminator on constant tensors that share its weight arrays."""

@@ -1,22 +1,24 @@
 """Linear layers, seeded initialization, and parameter checkpoints.
 
-A checkpoint is two files: a small JSON header (format version, kind,
-architecture, extra metadata, sha256 of the arrays) at the given path, and
-a sibling ``.npz`` with one float64 array per parameter.
+A model is described by its ``params()``, an ordered name -> Tensor dict.
+A checkpoint is a small JSON header (format version, kind, architecture,
+extra metadata, the ``params()`` names and shapes, sha256 of the block) at
+the given path, and a sibling ``.f64``: every parameter in ``params()``
+order as one little-endian float64 block.
 """
 
 import dataclasses
 import hashlib
-import io
+import math
 import os
 
 import numpy as np
 
 from . import autodiff as ad
 from . import dataio
-from .errors import DataError, DependencyError, ShapeError
+from .errors import DataError, DependencyError
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 class Dense:
@@ -30,14 +32,17 @@ class Dense:
         return ad.matmul(x, self.w, bias=self.b)
 
 
-def init_dense(rng, n_in, n_out, gain=None):
-    """He-style init: w ~ N(0, gain/n_in), zero bias. gain defaults to 2 (ReLU)."""
-    if gain is None:
-        gain = 2.0
+def init_dense(rng, n_in, n_out, gain=2.0):
+    """He-style init: w ~ N(0, gain/n_in), zero bias; the default gain suits ReLU."""
     std = np.sqrt(gain / n_in)
     w = ad.tensor(rng.normal(0.0, std, size=(n_in, n_out)), requires_grad=True)
     b = ad.tensor(np.zeros(n_out), requires_grad=True)
     return Dense(w, b)
+
+
+def init_stack(rng, widths):
+    """Dense layers widths[0] -> widths[1] -> ... -> widths[-1], drawn in order."""
+    return [init_dense(rng, n_in, n_out) for n_in, n_out in zip(widths, widths[1:])]
 
 
 class _Undrawn:
@@ -65,15 +70,20 @@ def mlp_forward(layers, x, final_linear=True):
     return h
 
 
-def dense_params(prefix, layer):
-    return {f"{prefix}.w": layer.w, f"{prefix}.b": layer.b}
+def collect_params(*named):
+    """A flat name -> Tensor dict from (prefix, part) pairs, in order.
 
-
-def collect_params(named_layers):
-    """Merge {prefix: Dense} into a flat name -> Tensor dict (stable order)."""
+    A Tensor is named ``prefix``, a Dense ``prefix.w`` and ``prefix.b``, and
+    the i-th Dense of a stack (a list) ``prefix{i}.w`` and ``prefix{i}.b``.
+    """
     out = {}
-    for prefix, layer in named_layers:
-        out.update(dense_params(prefix, layer))
+    for prefix, part in named:
+        if isinstance(part, ad.Tensor):
+            out[prefix] = part
+        elif isinstance(part, Dense):
+            out.update({f"{prefix}.w": part.w, f"{prefix}.b": part.b})
+        else:
+            out.update(collect_params(*((f"{prefix}{i}", l) for i, l in enumerate(part))))
     return out
 
 
@@ -82,30 +92,28 @@ def collect_params(named_layers):
 # ---------------------------------------------------------------------------
 
 def arrays_path(path):
-    """The ``.npz`` arrays file that belongs to the checkpoint header at ``path``."""
+    """The ``.f64`` arrays file that belongs to the checkpoint header at ``path``."""
     root, ext = os.path.splitext(os.fspath(path))
-    if ext == ".npz":
-        raise DataError(f"{path}: a checkpoint header cannot end in .npz")
-    return root + ".npz"
+    if ext == ".f64":
+        raise DataError(f"{path}: a checkpoint header cannot end in .f64")
+    return root + ".f64"
 
 
 def save_checkpoint(path, kind, arch, params, extra=None):
-    """Write a versioned checkpoint: a JSON header plus a sibling ``.npz``.
+    """Write a versioned checkpoint: a JSON header plus the sibling ``.f64`` block.
 
-    The arrays go first; the header, which holds their sha256, is written
-    last and is the commit point. ``np.savez`` stamps every zip entry with a
-    fixed date, and the header names no file, so one model saved twice (under
-    any name) gives identical bytes.
+    The block goes first; the header, which holds its sha256, is written
+    last and is the commit point. The header names no file, so one model
+    saved twice (under any name) gives identical bytes.
     """
-    buf = io.BytesIO()
-    np.savez(buf, **{name: np.asarray(t.data, dtype=np.float64) for name, t in params.items()})
-    blob = buf.getvalue()
+    blob = b"".join(np.asarray(t.data, dtype="<f8").tobytes() for t in params.values())
     dataio.atomic_write(arrays_path(path), blob)
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": kind,
         "arch": arch,
         "extra": extra or None,
+        "params": [[name, list(t.data.shape)] for name, t in params.items()],
         "arrays_sha256": hashlib.sha256(blob).hexdigest(),
     }
     dataio.write_json(path, header)
@@ -119,53 +127,64 @@ def save_model(path, kind, model, extra=None):
 def load_model(path, kind, cfg_cls, model_cls):
     """(model, extra) from a ``save_model`` checkpoint, with no weight drawn.
 
-    A missing arch key, or arrays that do not fit the arch, is a DataError
-    naming the header.
+    A missing arch key, or a parameter layout other than the one the arch
+    builds, is a DataError naming the header.
     """
-    arch, arrays, extra = load_checkpoint(path, expect_kind=kind)
+    arch, layout, flat, extra = load_checkpoint(path, expect_kind=kind)
 
     def build(arch):
         cfg = cfg_cls(**{f.name: (tuple if f.type is tuple else int)(arch[f.name])
                          for f in dataclasses.fields(cfg_cls)})
-        model = model_cls(cfg, UNDRAWN)
-        restore_params(model.params(), arrays)
-        return model
+        return model_cls(cfg, UNDRAWN)
 
-    return from_header(path, build, arch), extra
+    model = from_header(path, build, arch)
+    params = model.params()
+    if [(name, t.shape) for name, t in params.items()] != layout:
+        raise DataError(f"{path}: checkpoint parameters do not match the {kind} model "
+                        "its arch builds")
+    at = 0
+    for t in params.values():
+        t.data[...] = flat[at:at + t.size].reshape(t.shape)
+        at += t.size
+    return model, extra
 
 
 def load_checkpoint(path, expect_kind=None):
-    """Read a checkpoint back into (arch, {name: ndarray}, extra)."""
+    """Read a checkpoint back into (arch, layout, flat, extra).
+
+    ``layout`` is the header's [(name, shape)] and ``flat`` the read-only
+    float64 block, read in one call. A block whose sha256 differs from the
+    header's, or that is not 8 bytes per listed value, is a DataError.
+    """
     header = dataio.read_json(path)
     version = header.get("format_version")
-    if version == 1:
-        raise DataError(f"{path}: checkpoint format_version 1 (float-list JSON) is no "
-                        "longer read; retrain this run directory")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint format_version {version!r}")
-    for key, kind in (("kind", str), ("arch", dict), ("arrays_sha256", str)):
+        raise DataError(f"{path}: checkpoint format_version {version!r} is not read; "
+                        "retrain this run directory")
+    for key, kind in (("kind", str), ("arch", dict), ("params", list), ("arrays_sha256", str)):
         if not isinstance(header.get(key), kind):
             raise DataError(f"{path}: checkpoint header field '{key}' is missing or not a "
-                            f"JSON {'object' if kind is dict else 'string'}")
+                            f"JSON {({dict: 'object', list: 'array'}).get(kind, 'string')}")
     if expect_kind is not None and header["kind"] != expect_kind:
         raise DataError(f"{path}: checkpoint kind {header['kind']!r}, expected {expect_kind!r}")
-    npz = arrays_path(path)
+    layout = from_header(path, lambda ps: [(name, tuple(shape)) for name, shape in ps],
+                         header["params"])
+    if not all(isinstance(name, str) and all(type(d) is int and d >= 0 for d in shape)
+               for name, shape in layout):
+        raise DataError(f"{path}: checkpoint header field 'params' must list [name, shape] pairs")
+    block = arrays_path(path)
     try:
-        with open(npz, "rb") as fh:
+        with open(block, "rb") as fh:
             blob = fh.read()
     except FileNotFoundError:
-        raise DependencyError(f"missing checkpoint arrays file: {npz}") from None
+        raise DependencyError(f"missing checkpoint arrays file: {block}") from None
     if hashlib.sha256(blob).hexdigest() != header["arrays_sha256"]:
-        raise DataError(f"{npz}: sha256 does not match the one recorded in {path}")
-    try:
-        with np.load(io.BytesIO(blob), allow_pickle=False) as arrays:
-            params = {name: arrays[name] for name in arrays.files}
-    except ValueError as exc:
-        raise DataError(f"{npz}: {exc}") from None
-    for name, arr in params.items():
-        if arr.dtype != np.float64:
-            raise DataError(f"{npz}: parameter '{name}' has dtype {arr.dtype}, expected float64")
-    return header["arch"], params, header.get("extra")
+        raise DataError(f"{block}: sha256 does not match the one recorded in {path}")
+    expected = 8 * sum(math.prod(shape) for _, shape in layout)
+    if len(blob) != expected:
+        raise DataError(f"{block}: {len(blob)} bytes, but the parameters listed in {path} "
+                        f"take {expected}")
+    return header["arch"], layout, np.frombuffer(blob, dtype="<f8"), header.get("extra")
 
 
 def from_header(path, build, value):
@@ -178,16 +197,3 @@ def from_header(path, build, value):
         return build(value)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad checkpoint header: {type(exc).__name__}: {exc}") from None
-
-
-def restore_params(params, arrays):
-    """Copy checkpoint arrays into live tensors, validating names and shapes."""
-    missing = sorted(set(params) - set(arrays))
-    extra = sorted(set(arrays) - set(params))
-    if missing or extra:
-        raise DataError(f"checkpoint parameter mismatch: missing {missing}, unexpected {extra}")
-    for name, t in params.items():
-        arr = arrays[name]
-        if tuple(arr.shape) != tuple(t.data.shape):
-            raise ShapeError(f"checkpoint parameter '{name}': shape {arr.shape} vs {t.data.shape}")
-        t.data[...] = arr

@@ -18,9 +18,10 @@ scale.
 All cross-stage state lives in a run directory:
 
     config.json, manifest.json, panel_shared.txt (written by the CLI)
-    checkpoints/{vae_sc2000,vae_sc500,vae_st500,vgae_st}.{json,npz}
-        (JSON header with arch and arrays sha256, plus the float64 arrays;
-        the vgae_st header also holds the coordinate transform)
+    checkpoints/{vae_sc2000,vae_sc500,vae_st500,vgae_st}.{json,f64}
+        (JSON header with the arch, the parameter names and shapes and the
+        block's sha256, plus every parameter as one float64 block; the
+        vgae_st header also holds the coordinate transform)
     latents/{z_sc2000,z_sc500,z_st500,z_st_merged}.csv
     history/stage{1,2,3}.csv
     graph_edges.txt (the spot kNN edges)
@@ -29,6 +30,7 @@ All cross-stage state lives in a run directory:
 the files that gate each stage and that the run manifest lists.
 """
 
+import copy
 import logging
 import math
 import numbers
@@ -103,9 +105,9 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
         for name in ("s2_init_epochs", "disc_max_iters", "w_anchor_sc", "w_adv", "w_anchor_st",
-                     "w_recon_exp", "w_recon_sp", "w_recon_adj", "kl_weight"):
+                     "w_recon_exp", "w_recon_sp", "w_recon_adj", "kl_weight", "seed"):
             if getattr(self, name) < 0:
-                raise DataError(f"{name} must be >= 0")
+                raise DataError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         for name in ("learning_rate", "disc_lr"):
             if getattr(self, name) <= 0:
                 raise DataError(f"{name} must be > 0")
@@ -336,15 +338,10 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
         raise DataError("cell ids do not match the fixed 2000-gene latent rows")
     anchor = z_fixed_sc2000.codes
 
-    n_genes = x_sc.shape[1]
-    vae_cfg = vae.VaeConfig(n_genes=n_genes, latent_dim=cfg.latent_dim,
+    vae_cfg = vae.VaeConfig(n_genes=x_sc.shape[1], latent_dim=cfg.latent_dim,
                             enc_hidden=cfg.enc_hidden)
-    pre = _pretrain_shared_init(cfg, vae_cfg, x_sc, x_st)
-    pre_arrays = {k: t.data.copy() for k, t in pre.params().items()}
-    model_sc = vae.VaeParams(vae_cfg, nn.UNDRAWN)
-    model_st = vae.VaeParams(vae_cfg, nn.UNDRAWN)
-    nn.restore_params(model_sc.params(), pre_arrays)
-    nn.restore_params(model_st.params(), {k: v.copy() for k, v in pre_arrays.items()})
+    model_sc = _pretrain_shared_init(cfg, vae_cfg, x_sc, x_st)
+    model_st = copy.deepcopy(model_sc)
     d_params = disc.init_discriminator(cfg.latent_dim, _rng(cfg.seed, _S2_DISC_INIT))
     noise_sc = _rng(cfg.seed, _S2_NOISE_SC)
     noise_st = _rng(cfg.seed, _S2_NOISE_ST)

@@ -38,6 +38,8 @@ class SynthConfig:
     def __post_init__(self):
         if not (np.isfinite(self.noise) and self.noise >= 0):
             raise DataError(f"noise must be a finite number >= 0, got {self.noise!r}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed!r}")
         if self.n_shared > self.n_genes:
             raise DataError("n_shared cannot exceed n_genes")
         if self.n_types < 1 or self.n_cells < 1 or self.grid_side < 2:

@@ -22,31 +22,24 @@ class VaeConfig:
     latent_dim: int = 10
     enc_hidden: tuple = (128, 64)
 
-    @property
-    def dec_hidden(self):
-        return tuple(reversed(self.enc_hidden))
-
 
 class VaeParams:
     """Encoder stack, mu/logvar heads, mirrored decoder stack, output head."""
 
     def __init__(self, cfg: VaeConfig, rng):
         self.cfg = cfg
-        widths = [cfg.n_genes] + list(cfg.enc_hidden)
-        self.enc = [nn.init_dense(rng, widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
-        top = widths[-1]
-        self.mu_head = nn.init_dense(rng, top, cfg.latent_dim, gain=1.0)
-        self.logvar_head = nn.init_dense(rng, top, cfg.latent_dim, gain=1.0)
-        dwidths = [cfg.latent_dim] + list(cfg.dec_hidden)
-        self.dec = [nn.init_dense(rng, dwidths[i], dwidths[i + 1]) for i in range(len(dwidths) - 1)]
+        widths = [cfg.n_genes, *cfg.enc_hidden]
+        self.enc = nn.init_stack(rng, widths)
+        self.mu_head = nn.init_dense(rng, widths[-1], cfg.latent_dim, gain=1.0)
+        self.logvar_head = nn.init_dense(rng, widths[-1], cfg.latent_dim, gain=1.0)
+        dwidths = [cfg.latent_dim, *reversed(cfg.enc_hidden)]
+        self.dec = nn.init_stack(rng, dwidths)
         self.out_head = nn.init_dense(rng, dwidths[-1], cfg.n_genes, gain=1.0)
 
     def params(self):
-        named = [(f"enc{i}", l) for i, l in enumerate(self.enc)]
-        named += [("mu", self.mu_head), ("logvar", self.logvar_head)]
-        named += [(f"dec{i}", l) for i, l in enumerate(self.dec)]
-        named += [("out", self.out_head)]
-        return nn.collect_params(named)
+        return nn.collect_params(("enc", self.enc), ("mu", self.mu_head),
+                                 ("logvar", self.logvar_head), ("dec", self.dec),
+                                 ("out", self.out_head))
 
 
 def init_vae(cfg: VaeConfig, seed_or_rng) -> VaeParams:

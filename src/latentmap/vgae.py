@@ -138,16 +138,11 @@ class VgaeConfig:
     def d_half(self):
         return self.latent_dim // 2
 
-    @property
-    def dec_hidden(self):
-        return tuple(reversed(self.exp_hidden))
-
 
 class VgaeParams:
     def __init__(self, cfg: VgaeConfig, rng):
         self.cfg = cfg
-        ew = [cfg.n_genes] + list(cfg.exp_hidden) + [cfg.d_half]
-        self.exp_enc = [nn.init_dense(rng, ew[i], ew[i + 1]) for i in range(len(ew) - 1)]
+        self.exp_enc = nn.init_stack(rng, [cfg.n_genes, *cfg.exp_hidden, cfg.d_half])
         self.gcn_w1 = ad.tensor(rng.normal(0.0, np.sqrt(2.0 / cfg.n_genes),
                                            size=(cfg.n_genes, cfg.gcn_hidden)), requires_grad=True)
         self.gcn_w2 = ad.tensor(rng.normal(0.0, np.sqrt(1.0 / cfg.gcn_hidden),
@@ -155,24 +150,19 @@ class VgaeParams:
         self.merge = nn.init_dense(rng, 2 * cfg.d_half, cfg.latent_dim, gain=1.0)
         self.mu_head = nn.init_dense(rng, cfg.latent_dim, cfg.latent_dim, gain=1.0)
         self.logvar_head = nn.init_dense(rng, cfg.latent_dim, cfg.latent_dim, gain=1.0)
-        dw = [cfg.latent_dim] + list(cfg.dec_hidden)
-        self.dec = [nn.init_dense(rng, dw[i], dw[i + 1]) for i in range(len(dw) - 1)]
+        dw = [cfg.latent_dim, *reversed(cfg.exp_hidden)]
+        self.dec = nn.init_stack(rng, dw)
         self.out_head = nn.init_dense(rng, dw[-1], cfg.n_genes, gain=1.0)
-        cw = [cfg.latent_dim] + list(cfg.coord_hidden)
-        self.coord = [nn.init_dense(rng, cw[i], cw[i + 1]) for i in range(len(cw) - 1)]
+        cw = [cfg.latent_dim, *cfg.coord_hidden]
+        self.coord = nn.init_stack(rng, cw)
         self.coord_head = nn.init_dense(rng, cw[-1], 2, gain=1.0)
 
     def params(self):
-        named = [(f"exp{i}", l) for i, l in enumerate(self.exp_enc)]
-        named += [("merge", self.merge), ("mu", self.mu_head), ("logvar", self.logvar_head)]
-        named += [(f"dec{i}", l) for i, l in enumerate(self.dec)]
-        named += [("out", self.out_head)]
-        named += [(f"coord{i}", l) for i, l in enumerate(self.coord)]
-        named += [("coord_head", self.coord_head)]
-        out = nn.collect_params(named)
-        out["gcn.w1"] = self.gcn_w1
-        out["gcn.w2"] = self.gcn_w2
-        return out
+        return nn.collect_params(("exp", self.exp_enc), ("merge", self.merge),
+                                 ("mu", self.mu_head), ("logvar", self.logvar_head),
+                                 ("dec", self.dec), ("out", self.out_head), ("coord", self.coord),
+                                 ("coord_head", self.coord_head), ("gcn.w1", self.gcn_w1),
+                                 ("gcn.w2", self.gcn_w2))
 
 
 def init_vgae(cfg: VgaeConfig, seed_or_rng) -> VgaeParams:

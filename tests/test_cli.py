@@ -189,27 +189,54 @@ _BAD_FLAG_VALUES = [
     ("synth", "--noise", "nan", "noise must be a finite number >= 0, got nan"),
     ("synth", "--noise", "-1", "noise must be a finite number >= 0, got -1.0"),
     ("synth", "--noise", "inf", "noise must be a finite number >= 0, got inf"),
+    ("synth", "--seed", "-1", "seed must be >= 0, got -1"),
+    ("train", "--seed", "-1", "seed must be >= 0, got -1"),
+    ("train", "--config", '{"seed": -3}', "config.json: seed must be >= 0, got -3"),
+    ("bench", "--seed", "-1", "--seed must be >= 0, got -1"),
+    ("bench", "--folds", "1", "folds must be >= 2, got 1"),
+    ("bench", "--folds", "0", "folds must be >= 2, got 0"),
+    ("bench", "--k", "0", "k must be positive, got 0"),
+    ("bench", "--holdout", "1.5", "holdout fraction must be in (0, 1), got 1.5"),
+    ("gradcheck", "--seed", "-1", "--seed must be >= 0, got -1"),
+    ("gradcheck", "--tolerance", "nan", "--tolerance must be a finite number > 0, got nan"),
+    ("gradcheck", "--tolerance", "inf", "--tolerance must be a finite number > 0, got inf"),
+    ("gradcheck", "--tolerance", "0", "--tolerance must be a finite number > 0, got 0.0"),
 ]
 
 
 @pytest.mark.parametrize("command,flag,value,named", _BAD_FLAG_VALUES,
                          ids=[f"{c}{f}={v}" for c, f, v, _ in _BAD_FLAG_VALUES])
-def test_bad_flag_value_exits_3_naming_it_before_writing(corpus_dir, tmp_path, caplog,
-                                                          command, flag, value, named):
+def test_bad_flag_value_exits_3_naming_it_before_writing(request, corpus_dir, tmp_path, caplog,
+                                                          capsys, command, flag, value, named):
     out = tmp_path / "out"
     if command == "preprocess":
         argv = ["preprocess", "--sc-counts", str(corpus_dir / "sc_counts.csv"),
                 "--st-counts", str(corpus_dir / "st_counts.csv"),
                 "--st-coords", str(corpus_dir / "st_coords.csv"), "--out", str(out),
                 "--min-genes", "30", "--min-cells", "10", "--n-hvg", "80", "--n-shared", "30"]
-    else:
+    elif command == "synth":
         argv = ["synth", "--out", str(out), "--n-cells", "20", "--n-genes", "30",
                 "--n-shared", "10", "--grid-side", "4"]
+    elif command == "train":
+        argv = ["train", "--stage", "1", "--data", str(request.getfixturevalue("data_dir")),
+                "--run-dir", str(out), "--config", str(request.getfixturevalue("tiny_config"))]
+        if flag == "--config":
+            (tmp_path / "config.json").write_text(value)
+            value = str(tmp_path / "config.json")
+    elif command == "bench":
+        ids = [f"c{i}" for i in range(8)]
+        dataio.write_latent_csv(tmp_path / "z.csv", ids, np.arange(16.0).reshape(8, 2))
+        dataio.write_labels_csv(tmp_path / "labels.csv", [(i, "a" if int(i[1:]) < 4 else "b") for i in ids])
+        argv = ["bench", "--latent", str(tmp_path / "z.csv"),
+                "--labels", str(tmp_path / "labels.csv"), "--out", str(out)]
+    else:
+        argv = ["gradcheck"]
     rc = cli.main(argv + [flag, value])  # the last occurrence of a flag wins
     assert rc == cli.EXIT_DATA
     assert named in caplog.text
     assert "Traceback" not in caplog.text
     assert not out.exists()
+    assert "relative error" not in capsys.readouterr().out  # no gradient check ran
 
 
 def test_train_stage3_before_2_dependency_error(data_dir, tiny_config, tmp_path):
@@ -263,10 +290,10 @@ def test_trained_run_layout(trained_run):
     files = {str(p.relative_to(trained_run)) for p in trained_run.rglob("*") if p.is_file()}
     assert files == {
         "config.json", "manifest.json", "panel_shared.txt", "graph_edges.txt",
-        "checkpoints/vae_sc2000.json", "checkpoints/vae_sc2000.npz",
-        "checkpoints/vae_sc500.json", "checkpoints/vae_sc500.npz",
-        "checkpoints/vae_st500.json", "checkpoints/vae_st500.npz",
-        "checkpoints/vgae_st.json", "checkpoints/vgae_st.npz",
+        "checkpoints/vae_sc2000.json", "checkpoints/vae_sc2000.f64",
+        "checkpoints/vae_sc500.json", "checkpoints/vae_sc500.f64",
+        "checkpoints/vae_st500.json", "checkpoints/vae_st500.f64",
+        "checkpoints/vgae_st.json", "checkpoints/vgae_st.f64",
         "latents/z_sc2000.csv", "latents/z_sc500.csv", "latents/z_st500.csv",
         "latents/z_st_merged.csv",
         "history/stage1.csv", "history/stage2.csv", "history/stage3.csv"}
@@ -329,7 +356,7 @@ def test_manifest_contents(trained_run, data_dir):
         "panel_shared500.txt", "summary.json"}
     for name in ("sc_counts_qc.csv", "summary.json"):
         assert manifest["input_digests"][name] == cli.file_digest(str(data_dir / name))
-    assert {"vgae_st.json", "vgae_st.npz"} <= set(manifest["artifacts"])
+    assert {"vgae_st.json", "vgae_st.f64"} <= set(manifest["artifacts"])
     summary = json.loads((data_dir / "summary.json").read_text())
     assert manifest["target_sum"] == summary["target_sum"] == 1e4
 
@@ -397,14 +424,14 @@ def test_unreadable_lock_still_blocks(tmp_path, content):
 def test_infer_missing_arrays_file_exits_4(trained_run, corpus_dir, tmp_path, caplog):
     run = tmp_path / "run"
     shutil.copytree(trained_run, run)
-    (run / "checkpoints" / "vgae_st.npz").unlink()
-    with pytest.raises(DependencyError, match="vgae_st.npz"):
+    (run / "checkpoints" / "vgae_st.f64").unlink()
+    with pytest.raises(DependencyError, match="vgae_st.f64"):
         pl.RunDir(run).require_stage(3)
     rc = cli.main(["infer", "--run-dir", str(run),
                    "--query", str(corpus_dir / "sc_query_counts.csv"),
                    "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
     assert rc == cli.EXIT_DEPENDENCY
-    assert str(run / "checkpoints" / "vgae_st.npz") in caplog.text
+    assert str(run / "checkpoints" / "vgae_st.f64") in caplog.text
 
 
 def test_infer_version_1_checkpoint_exits_3(trained_run, corpus_dir, tmp_path, caplog):
@@ -700,9 +727,9 @@ def test_determinism_two_cli_runs(data_dir, tiny_config, tmp_path):
         a = (dirs[0] / rel).read_bytes()
         b = (dirs[1] / rel).read_bytes()
         assert a == b, rel
-    # the whole run directory, checkpoint headers and .npz arrays included
+    # the whole run directory, checkpoint headers and .f64 blocks included
     files = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file()) for d in dirs]
     assert files[0] == files[1]
-    assert "checkpoints/vgae_st.npz" in {str(p) for p in files[0]}
+    assert "checkpoints/vgae_st.f64" in {str(p) for p in files[0]}
     for rel in files[0]:
         assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes(), rel

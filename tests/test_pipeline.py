@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import os
@@ -157,7 +158,7 @@ def test_stage1_deterministic_rerun(tmp_path, corpus):
         pl.stage1(cfg, corpus["x_big"], corpus["sc_ids"], run)
         runs.append(run)
     for name in ("latents/z_sc2000.csv", "history/stage1.csv", "checkpoints/vae_sc2000.json",
-                 "checkpoints/vae_sc2000.npz"):
+                 "checkpoints/vae_sc2000.f64"):
         a = open(runs[0].path(*name.split("/")), "rb").read()
         b = open(runs[1].path(*name.split("/")), "rb").read()
         assert a == b, name
@@ -210,10 +211,10 @@ def test_all_stages_deterministic_rerun(tmp_path, corpus):
     # exactly these files: a new artifact must be named here (and read somewhere)
     assert {str(p) for p in files[0]} == {
         "graph_edges.txt",
-        "checkpoints/vae_sc2000.json", "checkpoints/vae_sc2000.npz",
-        "checkpoints/vae_sc500.json", "checkpoints/vae_sc500.npz",
-        "checkpoints/vae_st500.json", "checkpoints/vae_st500.npz",
-        "checkpoints/vgae_st.json", "checkpoints/vgae_st.npz",
+        "checkpoints/vae_sc2000.json", "checkpoints/vae_sc2000.f64",
+        "checkpoints/vae_sc500.json", "checkpoints/vae_sc500.f64",
+        "checkpoints/vae_st500.json", "checkpoints/vae_st500.f64",
+        "checkpoints/vgae_st.json", "checkpoints/vgae_st.f64",
         "latents/z_sc2000.csv", "latents/z_sc500.csv", "latents/z_st500.csv",
         "latents/z_st_merged.csv",
         "history/stage1.csv", "history/stage2.csv", "history/stage3.csv"}
@@ -297,13 +298,11 @@ def test_stage2_ablation_reduces_to_independent_vaes(tmp_path, corpus):
     pl.stage2(cfg, corpus["x_sc"], corpus["sc_ids"], corpus["x_st"], corpus["st_ids"], z1, run)
     header, rows = pl.read_history(run.path("history", "stage2.csv"))
 
-    from latentmap import layers as nn
     from latentmap import vae
     vae_cfg = vae.VaeConfig(n_genes=corpus["x_sc"].shape[1], latent_dim=4,
                             enc_hidden=(16, 8))
     pre = pl._pretrain_shared_init(cfg, vae_cfg, corpus["x_sc"], corpus["x_st"])
-    model = vae.init_vae(vae_cfg, np.random.default_rng(0))
-    nn.restore_params(model.params(), {k: t.data.copy() for k, t in pre.params().items()})
+    model = copy.deepcopy(pre)
     noise_rng = pl._rng(cfg.seed, pl._S2_NOISE_SC)
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
     standalone = []

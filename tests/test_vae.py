@@ -222,7 +222,7 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     vae.save_vae(a, p)
     vae.save_vae(b, p)
     assert a.read_bytes() == b.read_bytes()  # the header names no file
-    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+    assert (tmp_path / "a.f64").read_bytes() == (tmp_path / "b.f64").read_bytes()
 
 
 def test_latent_matrix_fixed_is_immutable():
