@@ -349,6 +349,10 @@ def bce_with_logits(logits, labels):
 # training
 # ---------------------------------------------------------------------------
 
+# Adam's moment decays and denominator floor: the paper's defaults
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam state (Kingma & Ba, arXiv:1412.6980) for named parameter tensors.
 
@@ -356,12 +360,9 @@ class Adam:
     shared step count; ``adam_step`` applies one update.
     """
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -380,15 +381,15 @@ def adam_step(opt):
     aborts, naming the offending parameter. Every temporary lives in
     ``opt.scratch``; the operations are those of
 
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (sqrt(v / bc2) + epsilon)
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * (g * g)
+        p -= lr * (m / bc1) / (sqrt(v / bc2) + EPSILON)
 
     in the same order, so the result is the same to the bit.
     """
     opt.t += 1
-    bc1 = 1.0 - opt.beta1 ** opt.t
-    bc2 = 1.0 - opt.beta2 ** opt.t
+    bc1 = 1.0 - BETA1 ** opt.t
+    bc2 = 1.0 - BETA2 ** opt.t
     for name, p in opt.params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
@@ -396,18 +397,18 @@ def adam_step(opt):
         m = opt.m[name]
         v = opt.v[name]
         s1, s2 = (row[:p.size].reshape(p.shape) for row in opt.scratch)
-        np.multiply(g, 1.0 - opt.beta1, out=s1)
-        m *= opt.beta1
+        np.multiply(g, 1.0 - BETA1, out=s1)
+        m *= BETA1
         m += s1
         np.multiply(g, g, out=s1)
-        s1 *= 1.0 - opt.beta2
-        v *= opt.beta2
+        s1 *= 1.0 - BETA2
+        v *= BETA2
         v += s1
         np.divide(m, bc1, out=s1)
         s1 *= opt.lr
         np.divide(v, bc2, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += opt.epsilon
+        s2 += EPSILON
         s1 /= s2
         p.data -= s1
 
@@ -434,7 +435,7 @@ def train_step(opt, loss_fn, where):
 # gradient checking
 # ---------------------------------------------------------------------------
 
-def grad_check(loss_fn, params, h=1e-5):
+def grad_check(loss_fn, params):
     """Max relative error between analytic and central-difference gradients.
 
     ``loss_fn`` takes no arguments and returns a scalar Tensor computed from
@@ -442,8 +443,10 @@ def grad_check(loss_fn, params, h=1e-5):
     re-evaluates ``loss_fn`` outside any tape, so it is independent of the
     backward rules it is checking.
 
-    relative error = |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)
+    relative error = |analytic - numeric| / max(|analytic|, |numeric|, 1e-8),
+    with central differences of step h = 1e-5.
     """
+    h = 1e-5
     for p in params.values():
         p.grad = None
     with Tape():

@@ -4,7 +4,9 @@ validation, plus accuracy, confusion matrices, and the adjusted Rand index.
 Tie rules are fixed so every result is deterministic: distance ties resolve
 toward the smaller training index, majority-vote ties toward the earlier
 label in the vocabulary, and fold assignment comes from one seeded shuffle
-split into contiguous near-equal chunks.
+split into contiguous near-equal chunks. Cross-validation folds and the
+hold-out split share one rule: train on every row outside the test rows, in
+index order, and predict the test rows with k capped at the training size.
 """
 
 import math
@@ -45,9 +47,6 @@ class CvReport:
     mean: float
     std: float
     confusion: np.ndarray
-    k: int
-    folds: int
-    vocab: list
     warnings: list = field(default_factory=list)
     oof_predictions: list = field(default_factory=list)  # out-of-fold label per index
 
@@ -86,16 +85,13 @@ def knn_predict(train: LabeledEmbedding, queries, k: int) -> list:
         raise DataError(f"k={k} exceeds training size {train.n}")
     queries = np.asarray(queries, dtype=np.float64)
     d2 = ((queries[:, None, :] - train.codes[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]  # stable: ties keep index order
     vocab_index = {label: i for i, label in enumerate(train.vocab)}
-    train_idx = np.arange(train.n)
-    out = []
-    for row in d2:
-        order = np.lexsort((train_idx, row))[:k]
-        counts = np.zeros(len(train.vocab), dtype=np.int64)
-        for j in order:
-            counts[vocab_index[train.labels[j]]] += 1
-        out.append(train.vocab[int(np.argmax(counts))])  # argmax takes the first max
-    return out
+    votes = np.array([vocab_index[label] for label in train.labels])[nearest]
+    v = len(train.vocab)
+    counts = np.bincount((np.arange(len(votes))[:, None] * v + votes).ravel(),
+                         minlength=len(votes) * v).reshape(-1, v)
+    return [train.vocab[i] for i in counts.argmax(axis=1)]  # argmax takes the first max
 
 
 def _fold_slices(n, folds, seed):
@@ -108,46 +104,42 @@ def _fold_slices(n, folds, seed):
     return [np.sort(chunk) for chunk in np.array_split(order, folds)]
 
 
-def kfold_cv(e: LabeledEmbedding, k_neighbors: int, folds: int = 4, seed: int = 0,
-             fold_indices=None) -> CvReport:
+def _predict_split(e: LabeledEmbedding, test_idx, k: int) -> list:
+    """kNN labels of the rows ``test_idx`` of ``e``, trained on every other row."""
+    train_idx = np.setdiff1d(np.arange(e.n), test_idx)
+    train = LabeledEmbedding(e.codes[train_idx], [e.labels[i] for i in train_idx], vocab=e.vocab)
+    return knn_predict(train, e.codes[test_idx], min(k, train.n))
+
+
+def kfold_cv(e: LabeledEmbedding, k_neighbors: int, folds: int = 4, seed: int = 0) -> CvReport:
     """Seeded shuffle into ``folds`` near-equal groups; each group tested once.
 
     A class absent from some training split is recorded as a warning and the
-    fold is still scored.
+    fold is still scored. The confusion matrix counts the out-of-fold
+    predictions.
     """
-    if fold_indices is None:
-        fold_indices = _fold_slices(e.n, folds, seed)
     accs, warnings = [], []
     oof = [None] * e.n
-    confusion = np.zeros((len(e.vocab), len(e.vocab)), dtype=np.int64)
-    for f, test_idx in enumerate(fold_indices):
-        train_mask = np.ones(e.n, dtype=bool)
-        train_mask[test_idx] = False
-        train_idx = np.flatnonzero(train_mask)
-        train = LabeledEmbedding(e.codes[train_idx], [e.labels[i] for i in train_idx],
-                                 vocab=e.vocab)
-        absent = set(e.vocab) - set(train.labels)
-        if absent:
-            warnings.append(f"fold {f}: classes absent from training split: {sorted(absent)}")
+    for f, test_idx in enumerate(_fold_slices(e.n, folds, seed)):
         y_true = [e.labels[i] for i in test_idx]
-        y_hat = knn_predict(train, e.codes[test_idx], min(k_neighbors, train.n))
+        absent = sorted(lab for lab in e.vocab if e.labels.count(lab) == y_true.count(lab))
+        if absent:
+            warnings.append(f"fold {f}: classes absent from training split: {absent}")
+        y_hat = _predict_split(e, test_idx, k_neighbors)
         for i, pred in zip(test_idx, y_hat):
             oof[i] = pred
         accs.append(accuracy(y_true, y_hat))
-        confusion += confusion_matrix(y_true, y_hat, e.vocab)
     return CvReport(fold_accuracies=accs, mean=float(np.mean(accs)), std=float(np.std(accs)),
-                    confusion=confusion, k=k_neighbors, folds=folds, vocab=list(e.vocab),
-                    warnings=warnings, oof_predictions=oof)
+                    confusion=confusion_matrix(e.labels, oof, e.vocab), warnings=warnings,
+                    oof_predictions=oof)
 
 
 def sweep_k(e: LabeledEmbedding, k_values, folds: int = 4, seed: int = 0) -> list:
-    """kfold_cv per k, reusing one fold split so the runs are comparable."""
+    """kfold_cv per k; the seed gives every k the same fold split."""
     k_values = list(k_values)
     if not k_values:
         raise DataError("empty k list")
-    fold_indices = _fold_slices(e.n, folds, seed)
-    return [(k, kfold_cv(e, k, folds=folds, seed=seed, fold_indices=fold_indices))
-            for k in k_values]
+    return [(k, kfold_cv(e, k, folds=folds, seed=seed)) for k in k_values]
 
 
 def default_k_values(n_classes: int) -> list:
@@ -161,12 +153,9 @@ def holdout_accuracy(e: LabeledEmbedding, k_neighbors: int, fraction: float = 0.
     """Single split: train on (1-fraction), test on fraction."""
     if not 0.0 < fraction < 1.0:
         raise DataError(f"holdout fraction must be in (0, 1), got {fraction}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(e.n)
-    n_test = max(1, int(round(e.n * fraction)))
-    test_idx, train_idx = np.sort(order[:n_test]), np.sort(order[n_test:])
-    train = LabeledEmbedding(e.codes[train_idx], [e.labels[i] for i in train_idx], vocab=e.vocab)
-    y_hat = knn_predict(train, e.codes[test_idx], min(k_neighbors, train.n))
+    order = np.random.default_rng(seed).permutation(e.n)
+    test_idx = np.sort(order[:max(1, int(round(e.n * fraction)))])
+    y_hat = _predict_split(e, test_idx, k_neighbors)
     return accuracy([e.labels[i] for i in test_idx], y_hat)
 
 

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Commands: synth, preprocess, train, infer, bench, gradcheck.
-Exit codes: 0 ok, 2 usage, 3 data error, 4 dependency error, 5 numeric failure.
+Exit codes: 0 ok, 2 usage, 3 data or shape error, 4 dependency error, 5 numeric
+failure (``EXIT_CODES`` maps each error class).
 
 Every training run records a manifest (config snapshot, input digests, seed,
 the preprocess ``target_sum``, tool version) at run start; resuming in the
@@ -31,7 +32,7 @@ from . import preprocess as pp
 from . import synth as sy
 from . import vae
 from . import vgae as vg
-from .errors import DataError, DependencyError, NumericError
+from .errors import DataError, DependencyError, LatentMapError, NumericError, ShapeError
 
 log = logging.getLogger("latentmap")
 
@@ -40,6 +41,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DEPENDENCY = 4
 EXIT_NUMERIC = 5
+EXIT_CODES = {DataError: EXIT_DATA, ShapeError: EXIT_DATA, DependencyError: EXIT_DEPENDENCY,
+              NumericError: EXIT_NUMERIC}
 
 
 def file_digest(path):
@@ -300,9 +303,9 @@ def cmd_bench(args):
     os.makedirs(args.out, exist_ok=True)  # only once every flag has been checked
     out = lambda name: os.path.join(args.out, name)
     dataio.atomic_write(out("report.txt"), report_text)
-    dataio.write_table(out("confusion.csv"), ["true\\pred", *first_report.vocab],
+    dataio.write_table(out("confusion.csv"), ["true\\pred", *emb.vocab],
                        ([label, *row] for label, row in
-                        zip(first_report.vocab, first_report.confusion.astype(int).tolist())))
+                        zip(emb.vocab, first_report.confusion.astype(int).tolist())))
     dataio.write_table(out("accuracy_vs_k.csv"), ["k", "mean_accuracy", "std"],
                        ([k, report.mean, report.std] for k, report in sweep))
     sys.stdout.write(report_text)
@@ -454,15 +457,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except LatentMapError as exc:
         log.error("%s", exc)
-        return EXIT_DATA
-    except DependencyError as exc:
-        log.error("%s", exc)
-        return EXIT_DEPENDENCY
-    except NumericError as exc:
-        log.error("%s", exc)
-        return EXIT_NUMERIC
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

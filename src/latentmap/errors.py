@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes (see cli.EXIT_CODES).
+The CLI maps each class onto a process exit code in ``cli.EXIT_CODES``:
+ShapeError and DataError exit 3, DependencyError 4, NumericError 5.
 """
 
 

@@ -282,6 +282,16 @@ def stage1(cfg: TrainConfig, x_sc2000, row_ids, run: RunDir):
     return vae.LatentMatrix(codes, list(row_ids), source="sc2000").fix()
 
 
+def _anchor_codes(fixed, ids, kind, latent_dim):
+    """Codes of a frozen latent, refused unless its rows are ``ids`` and it is latent_dim wide."""
+    if list(ids) != list(fixed.row_ids):
+        raise DataError(f"{kind} ids do not match the rows of the fixed {fixed.source} latent")
+    if fixed.codes.shape[1] != latent_dim:
+        raise DataError(f"the fixed {fixed.source} latent is {fixed.codes.shape[1]} wide, but "
+                        f"latent_dim is {latent_dim}; retrain the stage that wrote it")
+    return fixed.codes
+
+
 def _generator_step(model, opt, x, noise, cfg, anchor_target, anchor_weight,
                     d_params, adv_label, adv_weight, where):
     """One full-batch step for a 500-gene VAE inside stage 2.
@@ -334,9 +344,7 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
     x_st = np.asarray(x_st500, dtype=np.float64)
     if x_sc.shape[1] != x_st.shape[1]:
         raise DataError(f"panel width mismatch: {x_sc.shape[1]} vs {x_st.shape[1]}")
-    if list(sc_ids) != list(z_fixed_sc2000.row_ids):
-        raise DataError("cell ids do not match the fixed 2000-gene latent rows")
-    anchor = z_fixed_sc2000.codes
+    anchor = _anchor_codes(z_fixed_sc2000, sc_ids, "cell", cfg.latent_dim)
 
     vae_cfg = vae.VaeConfig(n_genes=x_sc.shape[1], latent_dim=cfg.latent_dim,
                             enc_hidden=cfg.enc_hidden)
@@ -389,11 +397,9 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
     run.ensure_layout()
     x = np.ascontiguousarray(x_st500, dtype=np.float64)  # converted once, not per step
     coords = np.asarray(coords, dtype=np.float64)
-    if list(st_ids) != list(z_fixed_st500.row_ids):
-        raise DataError("spot ids do not match the fixed 500-gene latent rows")
+    anchor = _anchor_codes(z_fixed_st500, st_ids, "spot", cfg.latent_dim)
     if coords.shape[0] != x.shape[0]:
         raise DataError("coordinate rows do not match expression rows")
-    anchor = z_fixed_st500.codes
 
     transform = vg.fit_coord_transform(coords)
     coords_n = transform.normalize(coords)

@@ -21,8 +21,7 @@ from .errors import DataError
 
 log = logging.getLogger("latentmap.preprocess")
 
-MITO_PREFIXES = ("MT-",)
-RIBO_PREFIXES = ("MRP", "RPS", "RPL")
+MITO_RIBO_PREFIXES = ("MT-", "MRP", "RPS", "RPL")  # mitochondrial, then ribosomal genes
 
 
 @dataclass
@@ -116,8 +115,7 @@ def filter_genes(m: CountMatrix, min_cells: int = 60) -> CountMatrix:
     return m.take_cols(keep)
 
 
-def filter_mito_ribo(m: CountMatrix, mito_prefixes=MITO_PREFIXES,
-                     ribo_prefixes=RIBO_PREFIXES, max_fraction: float = 0.2) -> CountMatrix:
+def filter_mito_ribo(m: CountMatrix, max_fraction: float = 0.2) -> CountMatrix:
     """Drop cells whose mito+ribo fraction of total counts exceeds ``max_fraction``.
 
     The comparison is strict (a fraction of exactly ``max_fraction`` stays).
@@ -126,8 +124,7 @@ def filter_mito_ribo(m: CountMatrix, mito_prefixes=MITO_PREFIXES,
     """
     if not 0.0 <= max_fraction <= 1.0:
         raise DataError(f"max_fraction must be in [0, 1], got {max_fraction!r}")
-    prefixes = tuple(p.upper() for p in tuple(mito_prefixes) + tuple(ribo_prefixes))
-    flagged = np.array([g.upper().startswith(prefixes) for g in m.col_ids])
+    flagged = np.array([g.upper().startswith(MITO_RIBO_PREFIXES) for g in m.col_ids])
     totals = m.counts.sum(axis=1).astype(np.float64)
     flagged_counts = m.counts[:, flagged].sum(axis=1).astype(np.float64)
     zero_total = totals == 0

@@ -106,30 +106,23 @@ def _noisy_counts(rng, rates, noise):
     return rng.poisson(rates).astype(np.int64)
 
 
-def _type_labels(cfg, n):
-    return [f"type{i % cfg.n_types}" for i in range(n)]
+def _gen_cells(cfg, profiles, n, stream, prefix):
+    """(counts [n, n_genes], labels) of cells ``prefix``00000...; cell i has type i % n_types."""
+    types = np.arange(n) % cfg.n_types
+    counts = _noisy_counts(_rng(cfg, stream), profiles.rates[types], cfg.noise)
+    cells = [f"{prefix}{i:05d}" for i in range(n)]
+    return CountMatrix(cells, profiles.gene_ids, counts), [f"type{t}" for t in types]
 
 
-def gen_sc(cfg: SynthConfig, profiles: TypeProfiles = None):
+def gen_sc(cfg: SynthConfig):
     """(counts [n_cells, n_genes], labels, profiles) for the expression-only side."""
-    if profiles is None:
-        profiles = make_profiles(cfg)
-    rng = _rng(cfg, _SC_STREAM)
-    labels = _type_labels(cfg, cfg.n_cells)
-    type_idx = np.array([int(lab[4:]) for lab in labels])
-    counts = _noisy_counts(rng, profiles.rates[type_idx], cfg.noise)
-    cells = [f"C{i:05d}" for i in range(cfg.n_cells)]
-    return CountMatrix(cells, profiles.gene_ids, counts), labels, profiles
+    profiles = make_profiles(cfg)
+    return (*_gen_cells(cfg, profiles, cfg.n_cells, _SC_STREAM, "C"), profiles)
 
 
 def gen_sc_query(cfg: SynthConfig, profiles: TypeProfiles, n_query: int):
     """Fresh held-out cells from the same type profiles (full gene set)."""
-    rng = _rng(cfg, _QUERY_STREAM)
-    labels = _type_labels(cfg, n_query)
-    type_idx = np.array([int(lab[4:]) for lab in labels])
-    counts = _noisy_counts(rng, profiles.rates[type_idx], cfg.noise)
-    cells = [f"Q{i:05d}" for i in range(n_query)]
-    return CountMatrix(cells, profiles.gene_ids, counts), labels
+    return _gen_cells(cfg, profiles, n_query, _QUERY_STREAM, "Q")
 
 
 def _grid_coords(side):
@@ -137,7 +130,7 @@ def _grid_coords(side):
 
 
 def spot_type_assignment(cfg: SynthConfig):
-    """(type index per spot, region list) for the configured layout."""
+    """(type index per spot, region list, grid coordinates) for the configured layout."""
     side = cfg.grid_side
     coords = _grid_coords(side)
     mid = side / 2.0 - 0.5  # boundary between grid halves

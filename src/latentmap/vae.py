@@ -118,12 +118,11 @@ def encode_mu(p: VaeParams, x) -> np.ndarray:
 
 @dataclass
 class LatentMatrix:
-    """Rows of d-dimensional codes; ``fixed`` marks a frozen training target."""
+    """Rows of d-dimensional codes; ``fix()`` makes them a read-only training target."""
 
     codes: np.ndarray
     row_ids: list = field(default_factory=list)
     source: str = "custom"  # sc2000 | sc500 | st_exp500 | st_exp_sp500 | custom
-    fixed: bool = False
 
     def __post_init__(self):
         self.codes = np.asarray(self.codes, dtype=np.float64)
@@ -131,11 +130,8 @@ class LatentMatrix:
             raise DataError("latent codes must be 2-D")
         if self.row_ids and len(self.row_ids) != self.codes.shape[0]:
             raise DataError("row id count does not match latent rows")
-        if self.fixed:
-            self.codes.setflags(write=False)
 
     def fix(self):
-        self.fixed = True
         self.codes.setflags(write=False)
         return self
 

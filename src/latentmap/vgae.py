@@ -18,7 +18,8 @@ ever built:
   D^-1/2 (A + I) D^-1/2, a scipy CSR matrix multiplied in by the ``spmm`` op;
 * the inner-product head scores only the requested pairs (``pair_dot``);
 * the adjacency loss scores the entries of A + I against as many non-edges,
-  drawn per step by rejection sampling against the graph's keys.
+  drawn per step by one rejection loop against the graph's keys: O(|E|)
+  draws on a sparse graph, O(n^2) = O(|E|) on a dense one.
 """
 
 from dataclasses import dataclass
@@ -226,32 +227,27 @@ def sample_negatives(keys, n, count, rng):
 
     ``keys`` are the ``SpatialGraph.keys`` of the graph on ``n`` nodes, and
     m = min(count, number of non-edges). Pairs are drawn uniformly without
-    replacement, by rejection against ``keys``, so a step costs O(count),
-    not O(n^2). When non-edges are fewer than half of all pairs, or the
-    sample would take more than half of them, they are enumerated and
-    sampled directly instead: then n^2 is O(|E| + count), and the rejection
-    loop always accepts at least an eighth of its draws.
+    replacement, by rejection against ``keys``: each round draws twice the
+    pairs still missing, scaled by all pairs over the non-edges not yet
+    drawn, and keeps the first draw of each new non-edge. A round thus
+    draws O(count) pairs on a sparse graph and at most 2 n^2 + 16 when the
+    non-edges are few or the sample takes most of them, where n^2 is
+    O(|E| + count).
     """
     keys = np.asarray(keys, dtype=np.int64)
     pairs = n * (n - 1) // 2
     free = pairs - int(np.count_nonzero(keys // n != keys % n))
     count = min(int(count), free)
-    if 2 * free < pairs or 2 * count > free:
-        iu, ju = np.triu_indices(n, k=1)
-        cand = iu.astype(np.int64) * n + ju
-        cand = cand[~_contains(keys, cand)]
-        chosen = cand[np.sort(rng.choice(len(cand), size=count, replace=False))]
-    else:
-        got = np.empty(0, dtype=np.int64)
-        while len(got) < count:
-            draw = 2 * (count - len(got)) * pairs // (free - len(got)) + 16
-            ij = rng.integers(0, n, size=(draw, 2))
-            lo, hi = ij.min(axis=1), ij.max(axis=1)
-            cand = (lo * n + hi)[lo != hi]
-            got = np.concatenate([got, cand[~_contains(keys, cand)]])
-            _, first = np.unique(got, return_index=True)  # keep first draws, in draw order
-            got = got[np.sort(first)]
-        chosen = np.sort(got[:count])
+    got = np.empty(0, dtype=np.int64)
+    while len(got) < count:
+        draw = 2 * (count - len(got)) * pairs // (free - len(got)) + 16
+        ij = rng.integers(0, n, size=(draw, 2))
+        lo, hi = ij.min(axis=1), ij.max(axis=1)
+        cand = (lo * n + hi)[lo != hi]
+        got = np.concatenate([got, cand[~_contains(keys, cand)]])
+        _, first = np.unique(got, return_index=True)  # keep first draws, in draw order
+        got = got[np.sort(first)]
+    chosen = np.sort(got[:count])
     return np.stack([chosen // n, chosen % n], axis=1).astype(np.intp)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from latentmap import cli, dataio, pipeline as pl, preprocess as pp
-from latentmap.errors import DataError, DependencyError
+from latentmap.errors import DataError, DependencyError, NumericError, ShapeError
 from latentmap.preprocess import CountMatrix
 
 
@@ -84,6 +84,24 @@ def test_synth_deterministic(tmp_path):
     assert cli.main(["synth", "--out", str(tmp_path / "b")] + args) == 0
     for name in ("sc_counts.csv", "st_counts.csv", "st_coords.csv", "truth_labels.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# sha256 of every file of a tiny corpus: the cell generator's rewrites keep these bytes
+_TINY_SYNTH_SHA256 = {
+    "regions.csv": "4438363bfed66fd799db10832b3b24d4df345e77895bed6cda7a7090035f08a7",
+    "sc_counts.csv": "6ac9e9ef271e3027a32a73c5ec1f194ee889063826f8a2dd072d945eae838ac6",
+    "sc_query_counts.csv": "3f80232f9d62122464c1301e4261dfb99647be7a2168677218ed0e6090c1fcec",
+    "st_coords.csv": "784f497849e145fa5902396d783fd34fa1ca71442aeeb950cacdc8cc850df101",
+    "st_counts.csv": "2ddef91554018c3d5523a2029dd270c6357a9674542a269dbb332aec1f1a49c2",
+    "truth_labels.csv": "36b9fdda85876b2c076713e5e24d27aeb8614d149c970ea299e42d518adc64a8",
+}
+
+
+def test_synth_tiny_corpus_golden_sha256(tmp_path):
+    rc = cli.main(["synth", "--out", str(tmp_path), "--seed", "5", "--n-cells", "12",
+                   "--n-genes", "10", "--n-shared", "6", "--grid-side", "4", "--n-query", "10"])
+    assert rc == 0
+    assert {p.name: cli.file_digest(p) for p in tmp_path.iterdir()} == _TINY_SYNTH_SHA256
 
 
 def test_preprocess_outputs_and_summary(data_dir):
@@ -319,6 +337,41 @@ def test_run_dir_text_files_golden_bytes(trained_run, data_dir):
     assert (trained_run / "panel_shared.txt").read_bytes() == panel
     config = (trained_run / "config.json").read_bytes()
     assert config == (json.dumps(json.loads(config), indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("stage", ["2", "3"])
+def test_frozen_latent_of_another_width_exits_3_naming_both(trained_run, data_dir, tmp_path,
+                                                            caplog, stage):
+    # the run's latents are 4 wide; rerunning a stage at latent_dim 6 must not reach the model
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    cfg6 = tmp_path / "cfg6.json"
+    pl.TrainConfig(s1_epochs=25, s2_epochs=3, s2b_epochs=2, s3_epochs=25, latent_dim=6,
+                   enc_hidden=(16, 8), kl_weight=0.01, seed=4).save(cfg6)
+    rc = cli.main(["train", "--stage", stage, "--force", "--data", str(data_dir),
+                   "--run-dir", str(run_dir), "--config", str(cfg6)])
+    assert rc == cli.EXIT_DATA
+    fixed = "z_sc2000" if stage == "2" else "z_st500"
+    assert f"the fixed {fixed} latent is 4 wide, but latent_dim is 6" in caplog.text
+    assert "Traceback" not in caplog.text
+    after = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    assert after.keys() == before.keys()
+    # config.json and manifest.json record the new config before any stage runs
+    for path, data in before.items():
+        if path.name not in ("config.json", "manifest.json"):
+            assert after[path] == data, path
+
+
+@pytest.mark.parametrize("error,code", [(DataError, 3), (ShapeError, 3), (DependencyError, 4),
+                                        (NumericError, 5)])
+def test_each_error_class_exits_with_its_code(monkeypatch, caplog, error, code):
+    def fail(args):
+        raise error("raised by the command")
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", fail)
+    assert cli.main(["gradcheck"]) == code
+    assert "raised by the command" in caplog.text
 
 
 def test_train_truncated_manifest_exits_3_naming_it(data_dir, tiny_config, tmp_path, caplog):
@@ -688,6 +741,37 @@ def test_bench_perfect_cluster_fixture(tmp_path):
     assert "mean=1.000000" in (out / "report.txt").read_text()
     assert (out / "confusion.csv").read_bytes() == b"true\\pred,a,b\na,8,0\nb,0,8\n"
     assert (out / "accuracy_vs_k.csv").read_bytes() == b"k,mean_accuracy,std\n3,1.0,0.0\n"
+
+
+def test_bench_golden_bytes_with_distance_and_vote_ties(tmp_path):
+    # small integer codes, eight of them duplicated: distance ties at the k-th
+    # neighbor and 2-2 vote ties at k = 4 both occur
+    rng = np.random.default_rng(3)
+    base = rng.integers(0, 3, size=(10, 2)).astype(float)
+    ids = [f"c{i:02d}" for i in range(18)]
+    latent = tmp_path / "z.csv"
+    dataio.write_latent_csv(latent, ids, np.vstack([base, base[:8]]))
+    dataio.write_labels_csv(tmp_path / "labels.csv", [(i, "abc"[n % 3]) for n, i in enumerate(ids)])
+    out = tmp_path / "bench"
+    rc = cli.main(["bench", "--latent", str(latent), "--labels", str(tmp_path / "labels.csv"),
+                   "--out", str(out), "--k", "1", "2", "3", "4", "--folds", "3",
+                   "--holdout", "0.3"])
+    assert rc == 0
+    assert (out / "report.txt").read_text() == (
+        f"latent: {latent}\nn: 18\nclasses: 3\nfolds: 3\nseed: 0\n\n"
+        "k=1 mean=0.277778 std=0.157135 folds=[0.500000 0.166667 0.166667]\n"
+        "k=2 mean=0.388889 std=0.207870 folds=[0.666667 0.166667 0.333333]\n"
+        "k=3 mean=0.388889 std=0.207870 folds=[0.666667 0.166667 0.333333]\n"
+        "k=4 mean=0.277778 std=0.157135 folds=[0.500000 0.166667 0.166667]\n"
+        "holdout fraction=0.3 k=1 accuracy=0.400000\n"
+        "ari(k=1, out-of-fold predictions): -0.023083\n")
+    assert (out / "confusion.csv").read_bytes() == b"true\\pred,a,b,c\na,0,4,2\nb,2,4,0\nc,2,3,1\n"
+    assert (out / "accuracy_vs_k.csv").read_bytes() == (
+        b"k,mean_accuracy,std\n"
+        b"1,0.27777777777777773,0.15713484026367722\n"
+        b"2,0.38888888888888884,0.20786985482077452\n"
+        b"3,0.38888888888888884,0.20786985482077452\n"
+        b"4,0.27777777777777773,0.15713484026367722\n")
 
 
 def test_gradcheck_command():

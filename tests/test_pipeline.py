@@ -141,7 +141,7 @@ def test_stage1_artifacts_and_shape(tmp_path, corpus):
     run = pl.RunDir(tmp_path / "run")
     z1 = pl.stage1(tiny_cfg(), corpus["x_big"], corpus["sc_ids"], run)
     assert z1.codes.shape == (len(corpus["sc_ids"]), 4)
-    assert z1.fixed
+    assert not z1.codes.flags.writeable  # frozen by fix()
     run.require_stage(1)
     header, rows = pl.read_history(run.path("history", "stage1.csv"))
     assert header == ["epoch", "total", "recon", "kl"]

@@ -459,14 +459,40 @@ def _check_negatives(g, neg, count):
     assert not keys & set(flat.tolist())  # disjoint from A + I
 
 
-@pytest.mark.parametrize("side,k", [(10, 4), (3, 4)])
-def test_sample_negatives_properties(side, k):
-    # 10x10: sparse graph, rejection sampling; 3x3: dense graph, enumeration
-    g = vgae.build_knn_graph(grid(side), k=k)
-    count = len(g.pos[0])
+def _dense_graphs():
+    six = vgae.build_knn_graph(np.random.default_rng(1).uniform(0, 4, size=(6, 2)), k=2)
+    n = 7
+    complete_minus_one = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != (2, 5)]
+    return {
+        # a 6-node k = 2 graph, as in the gradient-check suite: count >= non-edges
+        "six_k2": (six, len(six.pos[0])),
+        "complete_minus_one": (vgae.spatial_graph(n, complete_minus_one), 5),
+        "path_every_non_edge": (vgae.spatial_graph(9, [(i, i + 1) for i in range(8)]), 28),
+    }
+
+
+@pytest.mark.parametrize("case", ["10-4", "3-4", "six_k2", "complete_minus_one",
+                                  "path_every_non_edge"])
+def test_sample_negatives_properties(case):
+    # "side-k" is a kNN grid; from the sparse 10x10 grid to graphs whose every
+    # non-edge is asked for, one rejection loop serves every density
+    if case[0].isdigit():
+        side, k = map(int, case.split("-"))
+        g = vgae.build_knn_graph(grid(side), k=k)
+        count = len(g.pos[0])
+    else:
+        g, count = _dense_graphs()[case]
+    free = g.n * (g.n - 1) // 2 - len(g.edges)
+    if case != "10-4":
+        # dense: edges fill over half the pairs, or the sample takes over half the non-edges
+        assert 2 * free < g.n * (g.n - 1) // 2 or 2 * count > free
     for seed in range(5):
         neg = vgae.sample_negatives(g.keys, g.n, count, np.random.default_rng(seed))
         _check_negatives(g, neg, count)
+        again = vgae.sample_negatives(g.keys, g.n, count, np.random.default_rng(seed))
+        assert np.array_equal(neg, again)
+    if count >= free:
+        assert len(neg) == free
 
 
 def test_sample_negatives_complete_graph_terminates_empty():
