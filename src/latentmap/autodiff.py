@@ -378,8 +378,9 @@ def adam_step(opt):
     """One bias-corrected Adam update from the grads on ``opt.params``, in place.
 
     A parameter without a grad gets a zero gradient. A non-finite gradient
-    aborts, naming the offending parameter. Every temporary lives in
-    ``opt.scratch``; the operations are those of
+    aborts, naming the offending parameter, before any parameter, moment or
+    ``opt.t`` changes. Every temporary lives in ``opt.scratch``; the
+    operations are those of
 
         m = BETA1 * m + (1 - BETA1) * g
         v = BETA2 * v + (1 - BETA2) * (g * g)
@@ -387,13 +388,14 @@ def adam_step(opt):
 
     in the same order, so the result is the same to the bit.
     """
+    for name, p in opt.params.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise NumericError(f"non-finite gradient for parameter '{name}'")
     opt.t += 1
     bc1 = 1.0 - BETA1 ** opt.t
     bc2 = 1.0 - BETA2 ** opt.t
     for name, p in opt.params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter '{name}'")
         m = opt.m[name]
         v = opt.v[name]
         s1, s2 = (row[:p.size].reshape(p.shape) for row in opt.scratch)

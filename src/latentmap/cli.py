@@ -239,6 +239,8 @@ def cmd_train(args):
                 "config differs from the one recorded in this run directory's "
                 "manifest; use a fresh run directory or --force")
         run = pl.RunDir(args.run_dir)
+        # the first stage's input checks run before anything is written
+        task = pl.stage_task(stages[0], cfg, data, run, force=args.force)
         run.ensure_layout()
         cfg.save(run.path("config.json"))
         # an incremental run keeps the artifacts of the stages recorded before it
@@ -248,8 +250,10 @@ def cmd_train(args):
         write_manifest(args.run_dir, cfg.to_dict(), inputs, artifacts, cfg.seed, data.target_sum)
         dataio.write_id_list(run.path("panel_shared.txt"), data.panel_shared)
         for stage in stages:
+            if stage != stages[0]:
+                task = pl.stage_task(stage, cfg, data, run, force=args.force)
             log.info("running stage %d", stage)
-            pl.run_stage(stage, cfg, data, run, force=args.force)
+            task()
     return EXIT_OK
 
 

@@ -15,16 +15,20 @@ CSV conventions:
   * labels: header ``id,label``
   * latents: header ``id,z0,...,z{d-1}``
 
-Floats are written with ``repr``, as ``csv`` writes Python floats, so files
-are deterministic and round-trip exactly. Numeric tables (counts, matrices,
-latents, coordinates) take a vectorized path: a file in the canonical form
-their writers emit is parsed by ``np.loadtxt``; any other file goes through
-``read_table``, which gives the same values and the same errors. Their
-writers format each row with ``str.join`` and quote only the id cell, with
-the bytes ``csv`` would write; a matrix of small non-negative counts takes
-each count's text from a precomputed list. Text is UTF-8. Every file is
-written through a temporary file and a rename, so it appears whole or not at
-all.
+Numeric tables (counts, matrices, latents, coordinates) take a vectorized
+path. Their writers write each float as ``%.17g``: 17 significant digits
+name every IEEE double exactly, so files are deterministic and round-trip
+bit for bit (``0.1`` is written ``0.10000000000000001``, ``3.0`` as ``3``,
+``-0.0`` as ``-0``). Each float row is one ``%`` over a row template built
+once per file; integer counts are written as ``str`` writes them, a matrix
+of small non-negative counts taking each count's text from a precomputed
+list. Only the id cell is quoted, with the bytes ``csv`` would write. A file
+in the canonical form these writers emit is parsed by ``np.loadtxt``; any
+other file goes through ``read_table``, which gives the same values and the
+same errors. ``write_table`` (histories, ``bench`` tables) is the exception:
+it writes floats with ``repr``, as ``csv`` writes Python floats. Text is
+UTF-8. Every file is written through a temporary file and a rename, so it
+appears whole or not at all.
 """
 
 import contextlib
@@ -259,12 +263,12 @@ def _csv_cell(cell):
     return buf.getvalue()[:-2]
 
 
-def _write_numeric(path, header, row_ids, values, fmt):
-    """Write ``header``, then per id the id and ``fmt`` of each value in its row of ``values``.
+def _write_numeric(path, header, row_ids, values, format_row):
+    """Write ``header``, then per id the id and ``format_row`` of its row of ``values``.
 
-    The bytes are ``write_table``'s for the same cells when ``fmt`` is how
-    ``csv`` formats them (``repr`` for a float, ``str`` for an int). A row of
-    one field is left to ``write_table``, as ``csv`` quotes an empty one.
+    ``format_row`` takes the row as a tuple of Python numbers and returns its
+    fields joined by commas. The id cell gets ``csv``'s quoting. A row of one
+    field is left to ``write_table``, as ``csv`` quotes an empty one.
     """
     if values.shape != (len(row_ids), len(header) - 1):
         raise DataError(f"matrix shape {values.shape} does not match ids")
@@ -273,7 +277,14 @@ def _write_numeric(path, header, row_ids, values, fmt):
     with _atomic_file(path) as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for rid, row in zip(row_ids, values):
-            fh.write(f"{_csv_cell(rid)},{','.join(map(fmt, row.tolist()))}\n")
+            fh.write(f"{_csv_cell(rid)},{format_row(tuple(row.tolist()))}\n")
+
+
+def _write_floats(path, header, row_ids, values):
+    """``_write_numeric`` of ``values`` as float64, every value as ``%.17g``."""
+    values = np.asarray(values, dtype=np.float64)
+    template = ",".join(["%.17g"] * (len(header) - 1))
+    _write_numeric(path, header, row_ids, values, template.__mod__)
 
 
 def read_counts_csv(path) -> CountMatrix:
@@ -287,7 +298,8 @@ def write_counts_csv(path, m: CountMatrix):
     fmt = str
     if counts.size and counts.min() >= 0 and counts.max() < _COUNT_TABLE_BOUND:
         fmt = [str(i) for i in range(int(counts.max()) + 1)].__getitem__
-    _write_numeric(path, ["id"] + list(m.col_ids), m.row_ids, counts, fmt)
+    _write_numeric(path, ["id"] + list(m.col_ids), m.row_ids, counts,
+                   lambda row: ",".join(map(fmt, row)))
 
 
 def read_matrix_csv(path):
@@ -297,8 +309,7 @@ def read_matrix_csv(path):
 
 
 def write_matrix_csv(path, row_ids, col_ids, matrix):
-    _write_numeric(path, ["id"] + list(col_ids), row_ids,
-                   np.asarray(matrix, dtype=np.float64), repr)
+    _write_floats(path, ["id"] + list(col_ids), row_ids, matrix)
 
 
 def read_coords_csv(path):
@@ -309,8 +320,7 @@ def read_coords_csv(path):
 
 
 def write_coords_csv(path, spot_ids, coords):
-    _write_numeric(path, ["spot_id", "x", "y"], spot_ids,
-                   np.asarray(coords, dtype=np.float64), repr)
+    _write_floats(path, ["spot_id", "x", "y"], spot_ids, coords)
 
 
 def read_labels_csv(path):

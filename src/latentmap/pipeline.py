@@ -524,18 +524,31 @@ def load_pipeline_data(data_dir) -> PipelineData:
     return data
 
 
-def run_stage(stage: int, cfg: TrainConfig, data: PipelineData, run: RunDir,
-              force: bool = False):
+def stage_task(stage: int, cfg: TrainConfig, data: PipelineData, run: RunDir,
+               force: bool = False):
+    """Check stage ``stage``'s inputs in ``run``; return a call that runs the stage.
+
+    Every check happens here, before anything is written: artifacts of this
+    stage are refused without ``force``, the previous stage's must exist,
+    and its frozen latent must have the data's rows and be latent_dim wide.
+    """
     run.refuse_overwrite(stage, force)
     if stage == 1:
-        return stage1(cfg, data.sc2000[2], data.sc2000[0], run)
+        return lambda: stage1(cfg, data.sc2000[2], data.sc2000[0], run)
     if stage == 2:
         run.require_stage(1)
         fixed = run.load_latent("z_sc2000.csv")
-        return stage2(cfg, data.sc500[2], data.sc500[0], data.st500[2], data.st500[0],
-                      fixed, run)
+        _anchor_codes(fixed, data.sc500[0], "cell", cfg.latent_dim)
+        return lambda: stage2(cfg, data.sc500[2], data.sc500[0], data.st500[2],
+                              data.st500[0], fixed, run)
     if stage == 3:
         run.require_stage(2)
         fixed = run.load_latent("z_st500.csv")
-        return stage3(cfg, data.st500[2], data.st500[0], data.st_coords[1], fixed, run)
+        _anchor_codes(fixed, data.st500[0], "spot", cfg.latent_dim)
+        return lambda: stage3(cfg, data.st500[2], data.st500[0], data.st_coords[1], fixed, run)
     raise DataError(f"unknown stage {stage}")
+
+
+def run_stage(stage: int, cfg: TrainConfig, data: PipelineData, run: RunDir,
+              force: bool = False):
+    return stage_task(stage, cfg, data, run, force)()

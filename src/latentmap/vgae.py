@@ -242,11 +242,16 @@ def sample_negatives(keys, n, count, rng):
     while len(got) < count:
         draw = 2 * (count - len(got)) * pairs // (free - len(got)) + 16
         ij = rng.integers(0, n, size=(draw, 2))
-        lo, hi = ij.min(axis=1), ij.max(axis=1)
+        lo, hi = np.minimum(ij[:, 0], ij[:, 1]), np.maximum(ij[:, 0], ij[:, 1])
         cand = (lo * n + hi)[lo != hi]
-        got = np.concatenate([got, cand[~_contains(keys, cand)]])
-        _, first = np.unique(got, return_index=True)  # keep first draws, in draw order
-        got = got[np.sort(first)]
+        # one sort groups each pair's draws; the least draw index of a group
+        # is the pair's first draw, and the sorted pairs meet the sorted keys
+        order = np.argsort(cand)
+        ranked = cand[order]
+        start = np.flatnonzero(np.diff(ranked, prepend=-1))  # lo * n + hi >= 1 > -1
+        pair, first = ranked[start], np.minimum.reduceat(order, start)
+        new = ~_contains(keys, pair) & ~_contains(np.sort(got), pair)
+        got = np.concatenate([got, cand[np.sort(first[new])]])  # in draw order
     chosen = np.sort(got[:count])
     return np.stack([chosen // n, chosen % n], axis=1).astype(np.intp)
 

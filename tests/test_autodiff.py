@@ -528,6 +528,25 @@ def test_adam_nan_gradient_names_parameter():
         ad.adam_step(opt)
 
 
+def test_adam_non_finite_later_gradient_updates_nothing():
+    # the bad gradient sits on the last parameter: the earlier ones must not move
+    p = {name: ad.tensor([1.0, -2.0], requires_grad=True) for name in ("a", "b", "c")}
+    opt = ad.Adam(p, lr=0.1)
+    for t in p.values():
+        t.grad = np.array([0.5, -1.0])
+    ad.adam_step(opt)
+    before = {k: (p[k].data.copy(), opt.m[k].copy(), opt.v[k].copy()) for k in p}
+    p["a"].grad = np.array([0.25, 1.0])
+    p["b"].grad = None  # a zero gradient still decays the moments
+    p["c"].grad = np.array([1.0, np.inf])
+    with pytest.raises(NumericError, match="parameter 'c'"):
+        ad.adam_step(opt)
+    assert opt.t == 1
+    for k, (data, m, v) in before.items():
+        assert np.array_equal(p[k].data, data), k
+        assert np.array_equal(opt.m[k], m) and np.array_equal(opt.v[k], v), k
+
+
 def test_train_step_matches_hand_written_step():
     x = ad.tensor([[1.0, 2.0], [-1.0, 0.5]])
     p = {"w": ad.tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)}

@@ -91,7 +91,7 @@ _TINY_SYNTH_SHA256 = {
     "regions.csv": "4438363bfed66fd799db10832b3b24d4df345e77895bed6cda7a7090035f08a7",
     "sc_counts.csv": "6ac9e9ef271e3027a32a73c5ec1f194ee889063826f8a2dd072d945eae838ac6",
     "sc_query_counts.csv": "3f80232f9d62122464c1301e4261dfb99647be7a2168677218ed0e6090c1fcec",
-    "st_coords.csv": "784f497849e145fa5902396d783fd34fa1ca71442aeeb950cacdc8cc850df101",
+    "st_coords.csv": "0c3ac145df767e16f3e1e6ea0aac3906b21f1c30bec7663270330c50470fa2d8",
     "st_counts.csv": "2ddef91554018c3d5523a2029dd270c6357a9674542a269dbb332aec1f1a49c2",
     "truth_labels.csv": "36b9fdda85876b2c076713e5e24d27aeb8614d149c970ea299e42d518adc64a8",
 }
@@ -355,12 +355,8 @@ def test_frozen_latent_of_another_width_exits_3_naming_both(trained_run, data_di
     fixed = "z_sc2000" if stage == "2" else "z_st500"
     assert f"the fixed {fixed} latent is 4 wide, but latent_dim is 6" in caplog.text
     assert "Traceback" not in caplog.text
-    after = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
-    assert after.keys() == before.keys()
-    # config.json and manifest.json record the new config before any stage runs
-    for path, data in before.items():
-        if path.name not in ("config.json", "manifest.json"):
-            assert after[path] == data, path
+    # the checks run before any write: config.json and the manifest keep the old config
+    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
 
 @pytest.mark.parametrize("error,code", [(DataError, 3), (ShapeError, 3), (DependencyError, 4),
@@ -431,6 +427,14 @@ def test_rerun_without_force_refused(trained_run, data_dir, tiny_config):
     rc = cli.main(["train", "--stage", "1", "--data", str(data_dir),
                    "--run-dir", str(trained_run), "--config", str(tiny_config)])
     assert rc == cli.EXIT_DEPENDENCY
+
+
+def test_stage_without_its_inputs_refused_before_any_write(data_dir, tiny_config, tmp_path):
+    run_dir = tmp_path / "run"
+    rc = cli.main(["train", "--stage", "3", "--data", str(data_dir),
+                   "--run-dir", str(run_dir), "--config", str(tiny_config)])
+    assert rc == cli.EXIT_DEPENDENCY
+    assert [p for p in run_dir.rglob("*") if p.is_file()] == []
 
 
 def test_changed_config_on_resume_refused(trained_run, data_dir, tmp_path):

@@ -58,7 +58,45 @@ def test_matrix_csv_float_round_trip_is_exact(tmp_path):
     path = tmp_path / "m.csv"
     dataio.write_matrix_csv(path, ["r0", "r1", "r2", "r3"], ["a", "b", "c"], mat)
     _, _, back = dataio.read_matrix_csv(path)
-    assert np.array_equal(back, mat)  # bitwise, via repr round-trip
+    assert np.array_equal(back, mat)  # bitwise, via the 17-digit round-trip
+
+
+def test_float_writers_round_trip_every_bit_pattern(tmp_path, monkeypatch):
+    # random bit patterns plus the edges: signed zeros, subnormals, the
+    # normal/subnormal boundary, the largest doubles and short decimals
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, np.nextafter(tiny, 0.0),
+             np.finfo(np.float64).max, -np.finfo(np.float64).max, 0.1, 1 / 3, 3.0,
+             1e16, 1e17, 2.0 ** 53 + 2, 1e-7, 123456789.125]
+    bits = np.random.default_rng(7).integers(0, 1 << 64, size=20_000, dtype=np.uint64)
+    values = np.concatenate([edges, bits.view(np.float64)])
+    values = values[np.isfinite(values)]
+    values = np.resize(values, (len(values) // 10, 10))
+    ids = [f"r{i}" for i in range(len(values))]
+    matrix, coords, latent = (tmp_path / name for name in ("m.csv", "c.csv", "z.csv"))
+    dataio.write_matrix_csv(matrix, ids, [f"g{j}" for j in range(10)], values)
+    dataio.write_coords_csv(coords, ids, values[:, :2])
+    dataio.write_latent_csv(latent, ids, values)
+
+    def row_by_row(*args, **kwargs):
+        raise AssertionError("a file the writers emit must take the np.loadtxt path")
+
+    monkeypatch.setattr(dataio, "read_table", row_by_row)
+    for back, want in ((dataio.read_matrix_csv(matrix)[2], values),
+                       (dataio.read_coords_csv(coords)[1], values[:, :2]),
+                       (dataio.read_latent_csv(latent)[1], values)):
+        assert np.array_equal(back.view(np.int64), want.view(np.int64))  # bit for bit
+    monkeypatch.undo()
+
+    # nan and inf are written as repr writes them and read back row by row,
+    # where the float readers refuse them with the line
+    dataio.write_matrix_csv(matrix, ["a", "b"], ["x", "y"], [[np.nan, 1.0], [np.inf, -np.inf]])
+    assert matrix.read_bytes() == b"id,x,y\na,nan,1\nb,inf,-inf\n"
+    assert dataio._canonical_ids(matrix, None) is None
+    _, rows = dataio.read_table(matrix, lambda row: [float(v) for v in row[1:]])
+    assert np.array_equal(rows, [[np.nan, 1.0], [np.inf, -np.inf]], equal_nan=True)
+    with pytest.raises(DataError, match=r"m.csv:2: non-finite value 'nan' in column 2"):
+        dataio.read_matrix_csv(matrix)
 
 
 def test_matrix_csv_deterministic_bytes(tmp_path):
@@ -70,13 +108,14 @@ def test_matrix_csv_deterministic_bytes(tmp_path):
 
 
 def test_csv_writers_golden_bytes(tmp_path):
-    # repr of every float, csv quoting of awkward ids, exact big ints
+    # every float as %.17g, csv quoting of awkward ids, exact big ints
     mat = np.array([[-0.0, 0.1], [5e-324, 1e300]])
     path = tmp_path / "m.csv"
     dataio.write_matrix_csv(path, ["a,b", 'say "hi"'], ["x", "y"], mat)
     assert path.read_bytes() == (b'id,x,y\n'
-                                 b'"a,b",-0.0,0.1\n'
-                                 b'"say ""hi""",5e-324,1e+300\n')
+                                 b'"a,b",-0,0.10000000000000001\n'
+                                 b'"say ""hi""",4.9406564584124654e-324,'
+                                 b'1.0000000000000001e+300\n')
     counts = CountMatrix(["c,1", 'q"2'], ["g0", "g1"], [[0, 2 ** 53 + 1], [7, 12345678901234]])
     path = tmp_path / "counts.csv"
     dataio.write_counts_csv(path, counts)
@@ -91,13 +130,13 @@ def test_csv_writers_golden_bytes(tmp_path):
         assert path.read_bytes() == b"id,g0,g1\nc," + text + b"\n"
     path = tmp_path / "coords.csv"
     dataio.write_coords_csv(path, ["s,0"], [[-0.0, 0.1]])
-    assert path.read_bytes() == b'spot_id,x,y\n"s,0",-0.0,0.1\n'
+    assert path.read_bytes() == b'spot_id,x,y\n"s,0",-0,0.10000000000000001\n'
     # an empty id stays unquoted in a row of several fields, a leading space is kept
     path = tmp_path / "ids.csv"
     dataio.write_matrix_csv(path, ["", " lead", "two\nlines"], ["x", "y"],
                             [[1.5, -2.0], [0.0, 1e-7], [3.0, 1e16]])
-    assert path.read_bytes() == (b'id,x,y\n,1.5,-2.0\n lead,0.0,1e-07\n'
-                                 b'"two\nlines",3.0,1e+16\n')
+    assert path.read_bytes() == (b'id,x,y\n,1.5,-2\n lead,0,9.9999999999999995e-08\n'
+                                 b'"two\nlines",3,10000000000000000\n')
     dataio.write_counts_csv(path, CountMatrix(["", " s", "a\nb"], ["g0"], [[1], [2], [3]]))
     assert path.read_bytes() == b'id,g0\n,1\n s,2\n"a\nb",3\n'
     # a row of one field: csv quotes an empty one

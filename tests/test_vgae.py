@@ -527,6 +527,43 @@ def test_sample_negatives_covers_non_edges_evenly():
     assert chi2 < (free - 1) + 5 * np.sqrt(2 * (free - 1)), chi2
 
 
+def _sample_negatives_reference(keys, n, count, rng):
+    """The rejection loop as first written: deduplicate every draw so far with np.unique."""
+    keys = np.asarray(keys, dtype=np.int64)
+    pairs = n * (n - 1) // 2
+    free = pairs - int(np.count_nonzero(keys // n != keys % n))
+    count = min(int(count), free)
+    got = np.empty(0, dtype=np.int64)
+    while len(got) < count:
+        draw = 2 * (count - len(got)) * pairs // (free - len(got)) + 16
+        ij = rng.integers(0, n, size=(draw, 2))
+        lo, hi = ij.min(axis=1), ij.max(axis=1)
+        cand = (lo * n + hi)[lo != hi]
+        got = np.concatenate([got, cand[~vgae._contains(keys, cand)]])
+        _, first = np.unique(got, return_index=True)  # keep first draws, in draw order
+        got = got[np.sort(first)]
+    chosen = np.sort(got[:count])
+    return np.stack([chosen // n, chosen % n], axis=1).astype(np.intp)
+
+
+@pytest.mark.parametrize("case", ["8-6", "16-6", "64-6", "3-7", "six_k2", "complete_minus_one",
+                                  "path_every_non_edge"])
+def test_sample_negatives_matches_reference_loop(case):
+    # same RNG stream, same sample, and the same number of draws taken from it;
+    # "3-7" (9 nodes, few non-edges) takes two or three rounds on some seeds
+    if case[0].isdigit():
+        side, k = map(int, case.split("-"))
+        g = vgae.build_knn_graph(grid(side), k=k)
+        count = len(g.pos[0])
+    else:
+        g, count = _dense_graphs()[case]
+    for seed in range(20 if g.n < 100 else 5):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        neg = vgae.sample_negatives(g.keys, g.n, count, rng)
+        assert np.array_equal(neg, _sample_negatives_reference(g.keys, g.n, count, ref_rng))
+        assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+
 def test_graph_and_negatives_stay_sparse_in_memory():
     import tracemalloc
 
