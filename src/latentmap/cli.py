@@ -4,11 +4,12 @@ Commands: synth, preprocess, train, infer, bench, gradcheck.
 Exit codes: 0 ok, 2 usage, 3 data or shape error, 4 dependency error, 5 numeric
 failure (``EXIT_CODES`` maps each error class).
 
-Every training run records a manifest (config snapshot, input digests, seed,
-the preprocess ``target_sum``, tool version) at run start; resuming in the
-same run directory verifies the digests, and ``infer`` normalizes queries
-with the recorded ``target_sum``. A lock file keeps two commands out of one
-run directory.
+After each stage it completes, ``train`` records a manifest (config snapshot,
+input digests, seed, the preprocess ``target_sum``, tool version and the stage
+files on disk); resuming in the same run directory verifies the digests, and
+``infer`` normalizes queries with the recorded ``target_sum``. ``train`` holds
+a lock file, so two training commands never share a run directory; ``infer``
+reads without taking it.
 """
 
 import argparse
@@ -71,7 +72,7 @@ def _lock_owner_gone(lock_path):
 
 @contextlib.contextmanager
 def run_lock(run_dir):
-    os.makedirs(run_dir, exist_ok=True)
+    dataio.make_dirs(run_dir)
     lock_path = os.path.join(run_dir, ".lock")
     flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
     try:
@@ -99,33 +100,6 @@ def run_lock(run_dir):
             os.remove(lock_path)
 
 
-def write_manifest(run_dir, config, inputs, artifacts, seed, target_sum):
-    manifest = {
-        "tool_version": __version__,
-        "seed": seed,
-        "target_sum": target_sum,
-        "config": config,
-        "input_digests": {os.path.basename(p): file_digest(p) for p in inputs},
-        "artifacts": sorted(set(artifacts)),
-    }
-    dataio.write_json(os.path.join(run_dir, "manifest.json"), manifest)
-    return manifest
-
-
-def verify_manifest(run_dir, inputs):
-    path = os.path.join(run_dir, "manifest.json")
-    if not os.path.exists(path):
-        return None
-    manifest = dataio.read_json(path)
-    for p in inputs:
-        name = os.path.basename(p)
-        recorded = manifest.get("input_digests", {}).get(name)
-        if recorded is not None and recorded != file_digest(p):
-            raise DataError(f"input {name} changed since the manifest was written "
-                            f"(digest mismatch); use a fresh run directory")
-    return manifest
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -134,11 +108,13 @@ REGION_HEADER = ("label", "xmin", "xmax", "ymin", "ymax")
 
 
 def cmd_synth(args):
+    if args.n_query < 0:
+        raise DataError(f"--n-query must be >= 0, got {args.n_query}")
     cfg = sy.SynthConfig(n_cells=args.n_cells, n_genes=args.n_genes,
                          n_shared=args.n_shared, n_types=args.n_types,
                          grid_side=args.grid_side, noise=args.noise,
                          layout=args.layout, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
+    dataio.make_dirs(args.out)
     sc, sc_labels, profiles = sy.gen_sc(cfg)
     st, st_labels, regions = sy.gen_st(cfg, profiles)
     dataio.write_counts_csv(os.path.join(args.out, "sc_counts.csv"), sc)
@@ -197,7 +173,7 @@ def cmd_preprocess(args):
     panel_shared = pp.intersect_panel(sc_qc, st_qc, n=args.n_shared, ranked=ranked)
     in_panels = set(panel_big.gene_ids) | set(panel_shared.gene_ids)
 
-    os.makedirs(args.out, exist_ok=True)
+    dataio.make_dirs(args.out)
     out = lambda name: os.path.join(args.out, name)
     dataio.write_counts_csv(out("sc_counts_qc.csv"), sc_qc.take_cols(
         [i for i, g in enumerate(sc_qc.col_ids) if g in in_panels]))
@@ -230,30 +206,18 @@ def cmd_train(args):
         cfg = dataclasses.replace(cfg, seed=args.seed)
     stages = [1, 2, 3] if args.stage == "all" else [int(args.stage)]
     data = pl.load_pipeline_data(args.data)
-    inputs = [os.path.join(args.data, name) for name in pl.PREPROCESSED]
+    digests = {name: file_digest(os.path.join(args.data, name)) for name in pl.PREPROCESSED}
 
     with run_lock(args.run_dir):
-        manifest = verify_manifest(args.run_dir, inputs)
-        if manifest is not None and manifest.get("config") != cfg.to_dict() and not args.force:
-            raise DependencyError(
-                "config differs from the one recorded in this run directory's "
-                "manifest; use a fresh run directory or --force")
         run = pl.RunDir(args.run_dir)
-        # the first stage's input checks run before anything is written
-        task = pl.stage_task(stages[0], cfg, data, run, force=args.force)
-        run.ensure_layout()
-        cfg.save(run.path("config.json"))
-        # an incremental run keeps the artifacts of the stages recorded before it
-        artifacts = list(manifest.get("artifacts", [])) if manifest else []
+        run.verify_manifest(digests, cfg, args.force)
         for stage in stages:
-            artifacts += [os.path.basename(p) for p in run.stage_artifacts(stage)]
-        write_manifest(args.run_dir, cfg.to_dict(), inputs, artifacts, cfg.seed, data.target_sum)
-        dataio.write_id_list(run.path("panel_shared.txt"), data.panel_shared)
-        for stage in stages:
-            if stage != stages[0]:
-                task = pl.stage_task(stage, cfg, data, run, force=args.force)
             log.info("running stage %d", stage)
-            task()
+            pl.run_stage(stage, cfg, data, run, force=args.force)
+            # recorded after the stage: a stage that fails leaves the records as they were
+            cfg.save(run.path("config.json"))
+            dataio.write_id_list(run.path("panel_shared.txt"), data.panel_shared)
+            run.write_manifest(cfg, digests, data.target_sum)
     return EXIT_OK
 
 
@@ -304,7 +268,7 @@ def cmd_bench(args):
     lines.append(f"ari(k={first_k}, out-of-fold predictions): "
                  f"{bm.ari(labels, first_report.oof_predictions):.6f}")
     report_text = "\n".join(lines) + "\n"
-    os.makedirs(args.out, exist_ok=True)  # only once every flag has been checked
+    dataio.make_dirs(args.out)  # only once every flag has been checked
     out = lambda name: os.path.join(args.out, name)
     dataio.atomic_write(out("report.txt"), report_text)
     dataio.write_table(out("confusion.csv"), ["true\\pred", *emb.vocab],

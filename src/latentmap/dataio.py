@@ -108,7 +108,8 @@ def _atomic_file(path, binary=False):
     """A temporary file beside ``path`` that replaces ``path`` once the block succeeds.
 
     If the block or the rename fails, the temporary file is removed and
-    ``path`` keeps its previous content (or stays absent).
+    ``path`` keeps its previous content (or stays absent); an OSError (say,
+    a missing directory) becomes a DataError naming ``path``.
     """
     tmp = f"{path}.tmp"
     try:
@@ -116,10 +117,20 @@ def _atomic_file(path, binary=False):
               open(tmp, "w", encoding="utf-8", newline="")) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise DataError(f"{path}: cannot write: {exc.strerror or exc}") from exc
         raise
+
+
+def make_dirs(path):
+    """``os.makedirs(path, exist_ok=True)``; a path that cannot be a directory is a DataError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot create directory: {exc.strerror or exc}") from exc
 
 
 def write_table(path, header, rows):

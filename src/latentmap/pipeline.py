@@ -17,7 +17,9 @@ scale.
 
 All cross-stage state lives in a run directory:
 
-    config.json, manifest.json, panel_shared.txt (written by the CLI)
+    config.json, manifest.json, panel_shared.txt
+        (written by ``train`` after each stage completes; the manifest's
+        ``artifacts`` names the stage files on disk at that point)
     checkpoints/{vae_sc2000,vae_sc500,vae_st500,vgae_st}.{json,f64}
         (JSON header with the arch, the parameter names and shapes and the
         block's sha256, plus every parameter as one float64 block; the
@@ -27,7 +29,8 @@ All cross-stage state lives in a run directory:
     graph_edges.txt (the spot kNN edges)
 
 ``RunDir.stage_artifacts``, built from ``CHECKPOINTS`` and ``LATENTS``, names
-the files that gate each stage and that the run manifest lists.
+the files that gate each stage and that the run manifest lists. ``RunDir``
+alone reads and writes the manifest.
 """
 
 import copy
@@ -39,6 +42,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import __version__
 from . import autodiff as ad
 from . import dataio
 from . import discriminator as disc
@@ -98,8 +102,8 @@ class TrainConfig:
                 value = _check_int_list(f.name, value)
             elif not _TYPE_CHECKS[f.type](value):
                 raise DataError(f"{f.name} must be {_TYPE_NAMES[f.type]}, got {value!r}")
-            elif f.type is int:
-                value = int(value)  # numpy integers become plain ints for JSON
+            else:
+                value = f.type(value)  # plain ints and floats for JSON: 6 is saved as 6.0
             setattr(self, f.name, value)
         for name in ("s1_epochs", "s2_epochs", "s2b_epochs", "s3_epochs", "graph_k"):
             if getattr(self, name) < 1:
@@ -205,7 +209,7 @@ class RunDir:
 
     def ensure_layout(self):
         for sub in ("checkpoints", "latents", "history"):
-            os.makedirs(self.path(sub), exist_ok=True)
+            dataio.make_dirs(self.path(sub))
 
     def stage_artifacts(self, stage):
         out = [self.path("checkpoints", name) for name in CHECKPOINTS[stage]]
@@ -234,6 +238,34 @@ class RunDir:
         """
         path = self.path("manifest.json")
         return _read_target_sum(path, default=1e4) if os.path.exists(path) else 1e4
+
+    def verify_manifest(self, digests, cfg, force):
+        """Refuse to resume a run recorded with other inputs (``digests``: file name -> sha256).
+
+        Another config is refused too, unless ``force``. A run dir without a
+        manifest passes.
+        """
+        path = self.path("manifest.json")
+        if not os.path.exists(path):
+            return
+        manifest = dataio.read_json(path)
+        for name, digest in digests.items():
+            recorded = manifest.get("input_digests", {}).get(name)
+            if recorded is not None and recorded != digest:
+                raise DataError(f"input {name} changed since the manifest was written "
+                                f"(digest mismatch); use a fresh run directory")
+        if manifest.get("config") != cfg.to_dict() and not force:
+            raise DependencyError(
+                "config differs from the one recorded in this run directory's "
+                "manifest; use a fresh run directory or --force")
+
+    def write_manifest(self, cfg, digests, target_sum):
+        """Record the run in ``manifest.json``; ``artifacts`` lists the stage files on disk."""
+        dataio.write_json(self.path("manifest.json"), {
+            "tool_version": __version__, "seed": cfg.seed, "target_sum": target_sum,
+            "config": cfg.to_dict(), "input_digests": digests,
+            "artifacts": sorted(os.path.basename(p) for stage in CHECKPOINTS
+                                for p in self.stage_artifacts(stage) if os.path.exists(p))})
 
     def load_latent(self, name):
         ids, codes = dataio.read_latent_csv(self.path("latents", name))
@@ -292,25 +324,25 @@ def _anchor_codes(fixed, ids, kind, latent_dim):
     return fixed.codes
 
 
-def _generator_step(model, opt, x, noise, cfg, anchor_target, anchor_weight,
-                    d_params, adv_label, adv_weight, where):
+def _generator_step(cfg, model, opt, x, noise, d_params, adv_label, where, anchor=None):
     """One full-batch step for a 500-gene VAE inside stage 2.
 
-    Loss = recon + kl_weight * KL + anchor_weight * anchor + adv_weight * adv.
-    The anchor and the adversarial term act on the posterior mean, the same
-    quantity that later gets frozen. Returns [total, recon, kl, anchor, adv];
-    a term with zero weight reads 0.
+    Loss = recon + kl_weight * KL + w_anchor_sc * anchor + w_adv * adv, where
+    the anchor term ties the posterior mean to ``anchor`` (no anchor when it
+    is None) and the adversarial term pushes it toward ``adv_label``: both act
+    on the quantity that later gets frozen. Returns [total, recon, kl, anchor,
+    adv]; a term that is not taken reads 0.
     """
     def loss():
         total, recon, kl, mu = vae.vae_loss(model, x, noise, beta=cfg.kl_weight)
-        anchor = adv = ad.tensor(0.0)
-        if anchor_weight > 0 and anchor_target is not None:
-            anchor = euclidean_latent_loss(mu, anchor_target)
-            total = ad.add(total, ad.scale(anchor, anchor_weight))
-        if adv_weight > 0:
+        anchor_loss = adv = ad.tensor(0.0)
+        if cfg.w_anchor_sc > 0 and anchor is not None:
+            anchor_loss = euclidean_latent_loss(mu, anchor)
+            total = ad.add(total, ad.scale(anchor_loss, cfg.w_anchor_sc))
+        if cfg.w_adv > 0:
             adv = disc.adversarial_generator_loss(d_params, mu, target_label=adv_label)
-            total = ad.add(total, ad.scale(adv, adv_weight))
-        return total, recon, kl, anchor, adv
+            total = ad.add(total, ad.scale(adv, cfg.w_adv))
+        return total, recon, kl, anchor_loss, adv
 
     return ad.train_step(opt, loss, where)
 
@@ -366,16 +398,13 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
         for inner in range(cfg.s2b_epochs):
             where = f"stage 2, step {outer * cfg.s2b_epochs + inner}"
             sc_stats = _generator_step(
-                model_sc, opt_sc, x_sc, noise_sc.normal(size=(x_sc.shape[0], cfg.latent_dim)),
-                cfg, anchor, cfg.w_anchor_sc, d_params, adv_label=0.0,
-                adv_weight=cfg.w_adv, where=f"{where}, cells")
-            st_stats = _generator_step(
-                model_st, opt_st, x_st, noise_st.normal(size=(x_st.shape[0], cfg.latent_dim)),
-                cfg, None, 0.0, d_params, adv_label=1.0, adv_weight=cfg.w_adv,
-                where=f"{where}, spots")
-            rows.append([outer, inner, d_acc, d_steps,
-                         sc_stats[0], sc_stats[1], sc_stats[2], sc_stats[3], sc_stats[4],
-                         st_stats[0], st_stats[1], st_stats[2], st_stats[4]])
+                cfg, model_sc, opt_sc, x_sc, noise_sc.normal(size=(x_sc.shape[0], cfg.latent_dim)),
+                d_params, 0.0, f"{where}, cells", anchor=anchor)
+            total_st, recon_st, kl_st, _, adv_st = _generator_step(
+                cfg, model_st, opt_st, x_st, noise_st.normal(size=(x_st.shape[0], cfg.latent_dim)),
+                d_params, 1.0, f"{where}, spots")
+            rows.append([outer, inner, d_acc, d_steps, *sc_stats,
+                         total_st, recon_st, kl_st, adv_st])
 
     codes_sc = vae.encode_mu(model_sc, x_sc)
     codes_st = vae.encode_mu(model_st, x_st)
@@ -524,31 +553,21 @@ def load_pipeline_data(data_dir) -> PipelineData:
     return data
 
 
-def stage_task(stage: int, cfg: TrainConfig, data: PipelineData, run: RunDir,
-               force: bool = False):
-    """Check stage ``stage``'s inputs in ``run``; return a call that runs the stage.
+def run_stage(stage: int, cfg: TrainConfig, data: PipelineData, run: RunDir,
+              force: bool = False):
+    """Run stage ``stage`` on ``data`` in ``run``; returns what the stage returns.
 
-    Every check happens here, before anything is written: artifacts of this
-    stage are refused without ``force``, the previous stage's must exist,
-    and its frozen latent must have the data's rows and be latent_dim wide.
+    Artifacts of this stage are refused without ``force`` and the previous
+    stage's must exist. Stages 2 and 3 read the previous stage's frozen
+    latent and refuse one without the data's rows or latent_dim columns
+    before they write anything.
     """
     run.refuse_overwrite(stage, force)
     if stage == 1:
-        return lambda: stage1(cfg, data.sc2000[2], data.sc2000[0], run)
+        return stage1(cfg, data.sc2000[2], data.sc2000[0], run)
+    run.require_stage(stage - 1)
     if stage == 2:
-        run.require_stage(1)
-        fixed = run.load_latent("z_sc2000.csv")
-        _anchor_codes(fixed, data.sc500[0], "cell", cfg.latent_dim)
-        return lambda: stage2(cfg, data.sc500[2], data.sc500[0], data.st500[2],
-                              data.st500[0], fixed, run)
-    if stage == 3:
-        run.require_stage(2)
-        fixed = run.load_latent("z_st500.csv")
-        _anchor_codes(fixed, data.st500[0], "spot", cfg.latent_dim)
-        return lambda: stage3(cfg, data.st500[2], data.st500[0], data.st_coords[1], fixed, run)
-    raise DataError(f"unknown stage {stage}")
-
-
-def run_stage(stage: int, cfg: TrainConfig, data: PipelineData, run: RunDir,
-              force: bool = False):
-    return stage_task(stage, cfg, data, run, force)()
+        return stage2(cfg, data.sc500[2], data.sc500[0], data.st500[2], data.st500[0],
+                      run.load_latent("z_sc2000.csv"), run)
+    return stage3(cfg, data.st500[2], data.st500[0], data.st_coords[1],
+                  run.load_latent("z_st500.csv"), run)

@@ -40,10 +40,12 @@ class SynthConfig:
             raise DataError(f"noise must be a finite number >= 0, got {self.noise!r}")
         if self.seed < 0:
             raise DataError(f"seed must be >= 0, got {self.seed!r}")
+        for name, low in (("n_cells", 1), ("n_genes", 1), ("n_shared", 1), ("n_types", 1),
+                          ("grid_side", 2)):
+            if getattr(self, name) < low:
+                raise DataError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.n_shared > self.n_genes:
             raise DataError("n_shared cannot exceed n_genes")
-        if self.n_types < 1 or self.n_cells < 1 or self.grid_side < 2:
-            raise DataError("counts must be positive (grid_side >= 2)")
         if self.layout not in ("quadrants", "stripes"):
             raise DataError(f"unknown layout {self.layout!r}")
         if self.layout == "quadrants" and self.n_types > 4:

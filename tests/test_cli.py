@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -208,6 +210,10 @@ _BAD_FLAG_VALUES = [
     ("synth", "--noise", "-1", "noise must be a finite number >= 0, got -1.0"),
     ("synth", "--noise", "inf", "noise must be a finite number >= 0, got inf"),
     ("synth", "--seed", "-1", "seed must be >= 0, got -1"),
+    ("synth", "--n-genes", "0", "n_genes must be >= 1, got 0"),
+    ("synth", "--n-shared", "0", "n_shared must be >= 1, got 0"),
+    ("synth", "--n-shared", "-1", "n_shared must be >= 1, got -1"),
+    ("synth", "--n-query", "-3", "--n-query must be >= 0, got -3"),
     ("train", "--seed", "-1", "seed must be >= 0, got -1"),
     ("train", "--config", '{"seed": -3}', "config.json: seed must be >= 0, got -3"),
     ("bench", "--seed", "-1", "--seed must be >= 0, got -1"),
@@ -255,6 +261,35 @@ def test_bad_flag_value_exits_3_naming_it_before_writing(request, corpus_dir, tm
     assert "Traceback" not in caplog.text
     assert not out.exists()
     assert "relative error" not in capsys.readouterr().out  # no gradient check ran
+
+
+@pytest.mark.parametrize("command,target", [
+    ("synth", "a_file"), ("preprocess", "a_file"), ("train", "a_file"), ("bench", "a_file"),
+    ("infer", "missing_dir/pred.csv"), ("infer", "a_file/pred.csv")])
+def test_unwritable_output_exits_3_naming_it(corpus_dir, data_dir, tiny_config, trained_run,
+                                             tmp_path, caplog, command, target):
+    (tmp_path / "a_file").write_text("not a directory\n")
+    path = str(tmp_path / target)
+    argv = {
+        "synth": ["--n-cells", "20", "--n-genes", "30", "--n-shared", "10", "--grid-side", "4",
+                  "--out", path],
+        "preprocess": ["--sc-counts", str(corpus_dir / "sc_counts.csv"),
+                       "--st-counts", str(corpus_dir / "st_counts.csv"),
+                       "--st-coords", str(corpus_dir / "st_coords.csv"), "--out", path,
+                       "--min-genes", "30", "--min-cells", "10", "--n-hvg", "80",
+                       "--n-shared", "30"],
+        "train": ["--stage", "1", "--data", str(data_dir), "--run-dir", path,
+                  "--config", str(tiny_config)],
+        "infer": ["--run-dir", str(trained_run), "--allow-extra-genes",
+                  "--query", str(corpus_dir / "sc_query_counts.csv"), "--out", path],
+        "bench": ["--latent", str(trained_run / "latents" / "z_sc2000.csv"),
+                  "--labels", str(corpus_dir / "truth_labels.csv"), "--out", path],
+    }[command]
+    assert cli.main([command, *argv]) == cli.EXIT_DATA
+    assert path in caplog.text
+    assert "Traceback" not in caplog.text
+    assert (tmp_path / "a_file").read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_file"]  # no .tmp left behind
 
 
 def test_train_stage3_before_2_dependency_error(data_dir, tiny_config, tmp_path):
@@ -394,6 +429,22 @@ def test_train_corrupt_config_exits_3_naming_it(data_dir, tmp_path, caplog, cont
                    "--run-dir", str(tmp_path / "run"), "--config", str(config)])
     assert rc == cli.EXIT_DATA
     assert str(config) in caplog.text
+
+
+def test_failed_stage_leaves_the_records_of_the_stages_before_it(data_dir, tiny_config,
+                                                                  tmp_path, monkeypatch):
+    def fail(*args):
+        raise NumericError("stage 2 diverged")
+
+    monkeypatch.setattr(pl, "stage2", fail)
+    run_dir = tmp_path / "run"
+    rc = cli.main(["train", "--stage", "all", "--data", str(data_dir),
+                   "--run-dir", str(run_dir), "--config", str(tiny_config)])
+    assert rc == cli.EXIT_NUMERIC
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["artifacts"] == sorted(pl.CHECKPOINTS[1] + pl.LATENTS[1] + ["stage1.csv"])
+    assert (run_dir / "config.json").exists() and (run_dir / "panel_shared.txt").exists()
+    assert not (run_dir / "latents" / "z_sc500.csv").exists()
 
 
 def test_manifest_contents(trained_run, data_dir):
@@ -821,3 +872,11 @@ def test_determinism_two_cli_runs(data_dir, tiny_config, tmp_path):
     assert "checkpoints/vgae_st.f64" in {str(p) for p in files[0]}
     for rel in files[0]:
         assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes(), rel
+
+
+def test_readme_config_table_names_every_field_in_order():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        table = fh.read().split("| key | default | meaning |\n| --- | --- | --- |\n")[1]
+    first_column = [row.split("|")[1] for row in table.split("\n\n")[0].splitlines()]
+    names = [name for cell in first_column for name in re.findall(r"`([^`]+)`", cell)]
+    assert names == [f.name for f in dataclasses.fields(pl.TrainConfig)]

@@ -47,9 +47,11 @@ def test_atomic_write_failed_rename_keeps_old_target(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(dataio.os, "replace", fail)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(DataError) as err:
         dataio.write_matrix_csv(path, ["c0"], ["g0"], [[1.5]])
+    assert str(err.value) == f"{path}: cannot write: disk full"
     assert path.read_text() == "old\n"
+    assert not (tmp_path / "m.csv.tmp").exists()
 
 
 def test_matrix_csv_float_round_trip_is_exact(tmp_path):

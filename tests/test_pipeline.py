@@ -110,6 +110,14 @@ def test_config_validation():
         pl.TrainConfig.from_dict({"nope": 1})
 
 
+def test_integer_given_for_a_float_field_is_saved_as_a_float(tmp_path):
+    pl.TrainConfig(w_adv=6).save(tmp_path / "int.json")
+    pl.TrainConfig(w_adv=6.0).save(tmp_path / "float.json")
+    assert (tmp_path / "int.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+    cfg = pl.TrainConfig(w_adv=np.int64(6), seed=np.int64(3))
+    assert type(cfg.w_adv) is float and type(cfg.seed) is int
+
+
 def test_readme_config_table_lists_every_field_and_default():
     # a row `a` / `b` | 1 / 2 documents a = 1 and b = 2
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
