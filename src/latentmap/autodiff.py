@@ -14,6 +14,9 @@ constraints, in rough order of importance:
 * Only leaves keep gradients. ``backward`` passes adjoints of intermediate
   tensors along and drops them; parameters and other leaves accumulate
   theirs in ``.grad``.
+* One buffer per hidden activation: ``relu`` overwrites the fresh
+  ``matmul`` or ``spmm`` output it is given, and its vjp masks by the
+  output's sign, so a hidden layer keeps one array and no mask.
 * Sparse data enters only as a constant operand: ``spmm`` multiplies a
   fixed scipy sparse matrix into a tensor, and ``pair_dot`` scores chosen
   row pairs, so graph work costs O(nonzeros), never O(n^2). scipy.sparse is
@@ -243,8 +246,15 @@ def add_scalar(a, c):
 
 
 def relu(a):
-    mask = a.data > 0  # subgradient 0 at 0
-    return _make_out(np.maximum(a.data, 0.0), (a,), (lambda g: g * mask,))
+    """max(a, 0) written over ``a``'s own buffer, which the output then shares.
+
+    ``a`` must be an op output that no other op reads and whose producer's
+    vjps never read it (``matmul``, ``spmm``), so a hidden layer holds one
+    array. The vjp masks by ``out > 0``, true exactly where ``a > 0`` was
+    (NaN included): subgradient 0 at 0, and no mask is kept.
+    """
+    out = np.maximum(a.data, 0.0, out=a.data)
+    return _make_out(out, (a,), (lambda g: g * (out > 0),))
 
 
 def _stable_sigmoid(x):

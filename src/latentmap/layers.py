@@ -61,7 +61,11 @@ UNDRAWN = _Undrawn()
 
 
 def mlp_forward(layers, x, final_linear=True):
-    """Chain of Dense layers with ReLU between them; last layer linear by default."""
+    """Chain of Dense layers with ReLU between them; last layer linear by default.
+
+    Each ReLU runs in place on the product its layer just made, so a hidden
+    layer holds one array; ``x`` itself is never written.
+    """
     h = x
     for i, layer in enumerate(layers):
         h = layer(h)
@@ -190,10 +194,10 @@ def load_checkpoint(path, expect_kind=None):
 def from_header(path, build, value):
     """``build(value)`` for a ``value`` read from the checkpoint header at ``path``.
 
-    A missing key or a value of the wrong kind becomes a DataError naming
-    the header.
+    A missing key or a value of the wrong kind or range becomes a DataError
+    naming the header.
     """
     try:
         return build(value)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: bad checkpoint header: {type(exc).__name__}: {exc}") from None

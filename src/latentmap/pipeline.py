@@ -151,10 +151,14 @@ def _is_int(v):
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-_TYPE_CHECKS = {
-    int: _is_int,
-    float: lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v),
-}
+def _is_finite_real(v):
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+_TYPE_CHECKS = {int: _is_int, float: _is_finite_real}
 _TYPE_NAMES = {int: "an integer", float: "a finite number"}
 
 
@@ -249,8 +253,11 @@ class RunDir:
         if not os.path.exists(path):
             return
         manifest = dataio.read_json(path)
+        recorded_digests = manifest.get("input_digests", {})
+        if not isinstance(recorded_digests, dict):
+            raise DataError(f"{path}: 'input_digests' must be a JSON object")
         for name, digest in digests.items():
-            recorded = manifest.get("input_digests", {}).get(name)
+            recorded = recorded_digests.get(name)
             if recorded is not None and recorded != digest:
                 raise DataError(f"input {name} changed since the manifest was written "
                                 f"(digest mismatch); use a fresh run directory")
@@ -440,13 +447,12 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
     neg_rng = _rng(cfg.seed, _S3_NEGATIVES)
     weights = vg.VgaeLossWeights(recon_exp=cfg.w_recon_exp, recon_sp=cfg.w_recon_sp,
                                  recon_adj=cfg.w_recon_adj, kl=cfg.kl_weight)
-    ax = ad.spmm(graph.norm_adj, ad.tensor(x))  # the first GCN layer's constant input
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
     rows = []
 
     def loss():
         noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
-        *terms, mu = vg.vgae_loss(model, graph, x, coords_n, noise, weights, neg_rng, ax=ax)
+        *terms, mu = vg.vgae_loss(model, graph, x, coords_n, noise, weights, neg_rng)
         anchor_loss = euclidean_latent_loss(mu, anchor)
         terms[0] = ad.add(terms[0], ad.scale(anchor_loss, cfg.w_anchor_st))
         return (*terms, anchor_loss)
@@ -454,7 +460,7 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
     for epoch in range(cfg.s3_epochs):
         rows.append([epoch, *ad.train_step(opt, loss, f"stage 3, step {epoch}")])
 
-    codes = vg.encode_mu(model, graph.norm_adj, x, ax=ax)
+    codes = vg.encode_mu(model, graph.norm_adj, x)
     vg.save_vgae(run.path("checkpoints", "vgae_st.json"), model,
                  extra={"coord_transform": transform.to_dict()})
     run.write_latent("z_st_merged.csv", st_ids, codes)
@@ -514,8 +520,7 @@ PREPROCESSED = ("sc_counts_qc.csv", "st_counts_qc.csv", "st_coords.csv",
 def _read_target_sum(path, default=None):
     """The ``target_sum`` recorded in a JSON file (``default`` if absent): a finite number > 0."""
     value = dataio.read_json(path).get("target_sum", default)
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0):
+    if not (_is_finite_real(value) and value > 0):
         raise DataError(f"{path}: target_sum must be a finite number > 0, got {value!r}")
     return float(value)
 

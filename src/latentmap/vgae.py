@@ -16,6 +16,8 @@ ever built:
 * ``spatial_graph`` builds, once per edge set, the entries of A + I (as
   pairs and as sorted keys ``i * n + j``) and the GCN-normalized adjacency
   D^-1/2 (A + I) D^-1/2, a scipy CSR matrix multiplied in by the ``spmm`` op;
+* each GCN layer is A_hat (H W): the adjacency multiplies the narrow
+  product H W, so the graph branch holds nothing as wide as the gene panel;
 * the inner-product head scores only the requested pairs (``pair_dot``);
 * the adjacency loss scores the entries of A + I against as many non-edges,
   drawn per step by one rejection loop against the graph's keys: O(|E|)
@@ -170,14 +172,13 @@ def init_vgae(cfg: VgaeConfig, seed_or_rng) -> VgaeParams:
     return VgaeParams(cfg, np.random.default_rng(seed_or_rng))
 
 
-def vgae_encode(p: VgaeParams, norm_adj, x_exp, ax=None):
+def vgae_encode(p: VgaeParams, norm_adj, x_exp):
     """(mu, logvar) of the merged latent, each [n, d].
 
-    Expression branch: MLP(x) -> d/2. Graph branch: two GCN layers over the
-    sparse normalized adjacency -> d/2. Concatenate, merge with a fully
-    connected layer, then apply the posterior heads. ``ax`` is the first GCN
-    layer's input ``spmm(norm_adj, x_exp)``; a training loop, whose ``x_exp``
-    is a constant, computes it once and passes it in.
+    Expression branch: MLP(x) -> d/2. Graph branch: two GCN layers
+    A_hat (H W) over the sparse normalized adjacency -> d/2, so the first
+    never forms A_hat x [n, genes]. Concatenate, merge with a fully
+    connected layer, then apply the posterior heads.
     """
     x = ad.as_tensor(x_exp)
     if x.shape[1] != p.cfg.n_genes:
@@ -185,10 +186,8 @@ def vgae_encode(p: VgaeParams, norm_adj, x_exp, ax=None):
     if norm_adj.shape != (x.shape[0], x.shape[0]):
         raise ShapeError(f"vgae_encode: adjacency {tuple(norm_adj.shape)} vs {x.shape[0]} spots")
     z_exp = nn.mlp_forward(p.exp_enc, x)
-    if ax is None:
-        ax = ad.spmm(norm_adj, x)
-    g1 = ad.relu(ad.matmul(ad.as_tensor(ax), p.gcn_w1))
-    z_graph = ad.matmul(ad.spmm(norm_adj, g1), p.gcn_w2)
+    g1 = ad.relu(ad.spmm(norm_adj, ad.matmul(x, p.gcn_w1)))
+    z_graph = ad.spmm(norm_adj, ad.matmul(g1, p.gcn_w2))
     merged = p.merge(ad.concat_cols(z_exp, z_graph))
     return p.mu_head(merged), p.logvar_head(merged)
 
@@ -265,20 +264,18 @@ class VgaeLossWeights:
 
 
 def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
-              weights: VgaeLossWeights, rng, ax=None):
+              weights: VgaeLossWeights, rng):
     """(total, recon_exp, recon_sp, recon_adj, kl, mu): scalar tensors and the posterior mean.
 
     Adjacency reconstruction scores the positive entries of A + I
     (``graph.pos``) against an equal number of sampled non-edges (class
-    balance); ``rng`` drives the per-call negative sample. ``ax`` defaults
-    to ``spmm(graph.norm_adj, x_exp)``; a training loop, whose ``x_exp`` is
-    a constant, computes it once and passes it in. ``mu`` lets the caller
-    add terms on the posterior mean without a second encoder pass.
+    balance); ``rng`` drives the per-call negative sample. ``mu`` lets the
+    caller add terms on the posterior mean without a second encoder pass.
     """
     pos = graph.pos
     x_exp = ad.as_tensor(x_exp)
     x_sp = ad.as_tensor(x_sp)
-    mu, logvar = vgae_encode(p, graph.norm_adj, x_exp, ax=ax)
+    mu, logvar = vgae_encode(p, graph.norm_adj, x_exp)
     z = vae.reparameterize(mu, logvar, noise)
     neg = sample_negatives(graph.keys, graph.n, len(pos[0]), rng)
     rows = np.concatenate([pos[0], neg[:, 0]])
@@ -300,8 +297,8 @@ def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
     return total, recon_exp, recon_sp, recon_adj, kl, mu
 
 
-def encode_mu(p: VgaeParams, norm_adj, x_exp, ax=None) -> np.ndarray:
-    mu, _ = vgae_encode(p, norm_adj, ad.as_tensor(x_exp), ax=ax)
+def encode_mu(p: VgaeParams, norm_adj, x_exp) -> np.ndarray:
+    mu, _ = vgae_encode(p, norm_adj, ad.as_tensor(x_exp))
     return mu.data.copy()
 
 
@@ -339,8 +336,13 @@ class CoordTransform:
 
     @staticmethod
     def from_dict(d):
-        return CoordTransform(center=np.asarray(d["center"], dtype=np.float64),
-                              scale=float(d["scale"]))
+        """The transform ``to_dict`` wrote; a ValueError unless it has two
+        finite center values and a finite scale > 0."""
+        center, scale = np.asarray(d["center"], dtype=np.float64), float(d["scale"])
+        if center.shape != (2,) or not np.all(np.isfinite(center)) or not 0 < scale < np.inf:
+            raise ValueError("coord_transform needs two finite center values and a finite "
+                             f"scale > 0, got center {d['center']!r}, scale {d['scale']!r}")
+        return CoordTransform(center=center, scale=scale)
 
 
 def fit_coord_transform(coords) -> CoordTransform:

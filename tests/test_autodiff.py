@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from latentmap import autodiff as ad
+from latentmap import layers as nn
 from latentmap.errors import NumericError, ShapeError
 
 
@@ -193,6 +194,60 @@ def test_fused_ops_match_composite_chains_bitwise(seed):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("final_linear", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mlp_forward_matches_allocating_relu_chain_bitwise(seed, final_linear):
+    # mlp_forward's in-place ReLUs against matmul(bias=) + a ReLU that
+    # allocates its output and keeps a boolean mask, as ad.relu once did;
+    # one pre-activation is exactly 0, where both must take the subgradient 0
+    rng = np.random.default_rng(seed)
+    widths = [5, 6, 4, 3]
+    x0 = rng.normal(size=(7, 5))
+    x0[0] = 0.0
+    init = [(rng.normal(size=(a, b)), rng.normal(size=b)) for a, b in zip(widths, widths[1:])]
+    init[0][1][0] = 0.0
+    y0 = rng.normal(size=(7, 3))
+
+    def reference(layers, x):
+        h = x
+        for i, layer in enumerate(layers):
+            h = ad.matmul(h, layer.w, bias=layer.b)
+            if i < len(layers) - 1 or not final_linear:
+                mask = h.data > 0
+                h = ad._make_out(np.maximum(h.data, 0.0), (h,), (lambda g, m=mask: g * m,))
+        return h
+
+    def run(forward):
+        x = ad.tensor(x0.copy(), requires_grad=True)
+        layers = [nn.Dense(ad.tensor(w, requires_grad=True), ad.tensor(b, requires_grad=True))
+                  for w, b in init]
+        with ad.Tape():
+            out = forward(layers, x)
+            loss = ad.tsum(ad.mul(out, ad.tensor(y0)))
+            ad.backward(loss)
+        assert np.array_equal(x.data, x0)
+        return [out.data, loss.data, x.grad] + [t.grad for l in layers for t in (l.w, l.b)]
+
+    got = run(lambda layers, x: nn.mlp_forward(layers, x, final_linear=final_linear))
+    for a, b in zip(got, run(reference)):
+        assert np.array_equal(a, b)
+
+
+def test_mlp_forward_leaves_a_constant_input_unchanged():
+    x0 = np.array([[-1.0, 2.0], [0.5, -3.0]])
+    x = ad.tensor(x0.copy())
+    identity = nn.Dense(ad.tensor(np.eye(2)), ad.tensor(np.zeros(2)))
+    out = nn.mlp_forward([identity], x, final_linear=False)
+    assert np.array_equal(x.data, x0)
+    assert out.data.tolist() == [[0.0, 2.0], [0.5, 0.0]]
+
+
+def test_relu_shares_the_input_buffer():
+    a = ad.tensor([-1.0, 0.0, 2.0])
+    out = ad.relu(a)
+    assert out.data is a.data and out.data.tolist() == [0.0, 0.0, 2.0]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_affine_mse_matches_composite_chain(seed):
     # affine_mse scales its vjps after the products and sums squares with a
@@ -227,10 +282,11 @@ def test_affine_mse_matches_composite_chain(seed):
 ])
 def test_unary_backward_random_sweep(op, fn):
     # analytic gradient vs a pointwise central difference at 100 random
-    # points with magnitudes in [0.1, 10]
+    # points with magnitudes in [0.1, 10]; relu overwrites its input, so
+    # the tensor gets a copy of the points
     rng = np.random.default_rng(3)
     x0 = rng.uniform(0.1, 10.0, size=100) * rng.choice([-1.0, 1.0], size=100)
-    x = ad.tensor(x0, requires_grad=True)
+    x = ad.tensor(x0.copy(), requires_grad=True)
     with ad.Tape():
         loss = ad.tsum(getattr(ad, op)(x))
         ad.backward(loss)

@@ -419,16 +419,34 @@ def test_train_truncated_manifest_exits_3_naming_it(data_dir, tiny_config, tmp_p
 @pytest.mark.parametrize("content", [b'{"s1_epochs": 3, "s2_', b'{"s1_epochs": \xff}', b"5",
                                      b'{"s1_epochs": "x"}',
                                      b'{"learning_rate": -1, "disc_target_acc": 7}',
-                                     b'{"nope": 1}'],
+                                     b'{"nope": 1}', b'{"w_adv": 1%s}' % (b"0" * 400)],
                          ids=["truncated", "not-utf8", "not-an-object", "wrong-type",
-                              "out-of-range", "unknown-key"])
+                              "out-of-range", "unknown-key", "too-large-for-a-float"])
 def test_train_corrupt_config_exits_3_naming_it(data_dir, tmp_path, caplog, content):
     config = tmp_path / "config.json"
     config.write_bytes(content)
     rc = cli.main(["train", "--stage", "1", "--data", str(data_dir),
                    "--run-dir", str(tmp_path / "run"), "--config", str(config)])
     assert rc == cli.EXIT_DATA
-    assert str(config) in caplog.text
+    assert str(config) in caplog.text and "Traceback" not in caplog.text
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_manifest_whose_input_digests_is_not_an_object_exits_3(trained_run, data_dir,
+                                                                     tiny_config, tmp_path,
+                                                                     caplog):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["input_digests"] = list(manifest["input_digests"].values())
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    rc = cli.main(["train", "--stage", "3", "--force", "--data", str(data_dir),
+                   "--run-dir", str(run_dir), "--config", str(tiny_config)])
+    assert rc == cli.EXIT_DATA
+    assert f"{run_dir / 'manifest.json'}: 'input_digests' must be a JSON object" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
 
 def test_failed_stage_leaves_the_records_of_the_stages_before_it(data_dir, tiny_config,
@@ -577,6 +595,28 @@ def test_infer_damaged_checkpoint_header_exits_3(trained_run, corpus_dir, tmp_pa
     assert rc == cli.EXIT_DATA
     assert str(header_path) in caplog.text
     assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("center", [1.0, 2.0, 3.0], "two finite center values and a finite scale > 0"),
+    ("scale", 0, "two finite center values and a finite scale > 0"),
+    ("scale", 10 ** 400, "OverflowError")], ids=["three-centre-values", "zero-scale", "huge-scale"])
+def test_infer_bad_coord_transform_exits_3_before_writing(trained_run, corpus_dir, tmp_path,
+                                                         caplog, field, value, message):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    header_path = run / "checkpoints" / "vgae_st.json"
+    obj = json.loads(header_path.read_text())
+    obj["extra"]["coord_transform"][field] = value
+    header_path.write_text(json.dumps(obj))
+    out = tmp_path / "pred.csv"
+    rc = cli.main(["infer", "--run-dir", str(run),
+                   "--query", str(corpus_dir / "sc_query_counts.csv"),
+                   "--out", str(out), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DATA
+    assert str(header_path) in caplog.text and message in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("header", ["vae_sc500.json", "vgae_st.json"])
@@ -872,6 +912,38 @@ def test_determinism_two_cli_runs(data_dir, tiny_config, tmp_path):
     assert "checkpoints/vgae_st.f64" in {str(p) for p in files[0]}
     for rel in files[0]:
         assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes(), rel
+
+
+# every file of a stage 1 + stage 2 run on the module's corpus, config below
+_TINY_STAGE2_SHA256 = {
+    "checkpoints/vae_sc2000.f64": "7727ed65c791bb643942161b22891ee3672bdb8064aa02aa090327affdcabaa0",
+    "checkpoints/vae_sc2000.json": "cc58e1c3a292ac322454a13d0de6ba00378469ffade2b2ebf9a6cb9e6e3afbe3",
+    "checkpoints/vae_sc500.f64": "2aeec05682edf65837cd049a3743a15c788fb45e9ebcac12e281893f82b9dfc4",
+    "checkpoints/vae_sc500.json": "52e97fa88e57cbc70ecf7a87a4b8583ac18bbb34d1b20834dc324fcab4ffde84",
+    "checkpoints/vae_st500.f64": "27e5d4772e2b656682623c539d630091dd8df11cf3ebb842de64e2d6ea3de298",
+    "checkpoints/vae_st500.json": "e628eb6729bcc64a18f8a2f394d49278d605b5eb625ce1d13739fc1f54b64061",
+    "config.json": "ee183dea23b8dbdfde5bd9e6fa17d06039df672f8af5d8a0c4af5cd6314b4768",
+    "history/stage1.csv": "c0bc290886dd0cc3c161ea5a3c8c88979bd559378c7a4d6754f30a7e5e2b3dfd",
+    "history/stage2.csv": "508f56c4e8f7fd6d1431b1fa4b1e11880dd2f05dee78425cef3a3a9a88a59bbe",
+    "latents/z_sc2000.csv": "736560fa2013029e9f0213c91f91a69f984c154f9229099757109dc497328c04",
+    "latents/z_sc500.csv": "c408422034712c742ae104fb4856f4ebbe340b1a28bfd1674875e04abf78946e",
+    "latents/z_st500.csv": "b1702a5faab76cd079c40d76841e90064cd187700b8b4f9e2ffc128567705d8e",
+    "manifest.json": "2162791aedd9690a084632fc5626d439e53711243e111f5cda70cff67d3e33f8",
+    "panel_shared.txt": "aa6c50de99de4691ac1007a583a9a7ba1447dfe5205aee8181735dde102938f2",
+}
+
+
+def test_tiny_stage2_run_dir_golden_sha256(data_dir, tmp_path):
+    # stages 1 and 2 are MLPs only: any change to their arithmetic moves these digests
+    config = tmp_path / "config.json"
+    pl.TrainConfig(s1_epochs=6, s2_init_epochs=5, s2_epochs=2, s2b_epochs=1, latent_dim=4,
+                   enc_hidden=(16, 8), kl_weight=0.01, seed=4).save(config)
+    run_dir = tmp_path / "run"
+    for stage in ("1", "2"):
+        assert cli.main(["train", "--stage", stage, "--data", str(data_dir),
+                         "--run-dir", str(run_dir), "--config", str(config)]) == 0
+    assert {str(p.relative_to(run_dir)): cli.file_digest(p)
+            for p in sorted(run_dir.rglob("*")) if p.is_file()} == _TINY_STAGE2_SHA256
 
 
 def test_readme_config_table_names_every_field_in_order():

@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from latentmap import dataio
 from latentmap.errors import DataError
@@ -300,15 +299,9 @@ def test_float_matrix_read_and_write_memory_bound(tmp_path):
     mat = np.random.default_rng(2).normal(size=(1000, 2000))
     rows, cols = [f"c{i}" for i in range(1000)], [f"g{j}" for j in range(2000)]
     path = tmp_path / "m.csv"
-    tracemalloc.start()
-    try:
-        dataio.write_matrix_csv(path, rows, cols, mat)
-        write_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        ids, _, back = dataio.read_matrix_csv(path)
-        read_peak = tracemalloc.get_traced_memory()[1] - back.nbytes
-    finally:
-        tracemalloc.stop()
+    _, write_peak = traced_peak(lambda: dataio.write_matrix_csv(path, rows, cols, mat))
+    (ids, _, back), read_peak = traced_peak(lambda: dataio.read_matrix_csv(path))
+    read_peak -= back.nbytes
     assert ids == rows and np.array_equal(back, mat)
     assert write_peak < 4 * 2 ** 20
     assert read_peak < 8 * 2 ** 20

@@ -1,7 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from latentmap import autodiff as ad
 from latentmap import vae
@@ -167,12 +166,8 @@ def test_train_step_keeps_no_full_size_prediction():
     noise = rng.normal(size=(400, cfg.latent_dim))
     opt = ad.Adam(p.params())
     param_bytes = sum(t.data.nbytes for t in p.params().values())
-    tracemalloc.start()
-    try:
-        ad.train_step(opt, lambda: vae.vae_loss(p, x, noise)[:1], "memory test")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: ad.train_step(opt, lambda: vae.vae_loss(p, x, noise)[:1],
+                                                "memory test"))
     assert peak <= param_bytes + 2 * x.nbytes, (peak, param_bytes, x.nbytes)
 
 
