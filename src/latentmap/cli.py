@@ -8,13 +8,15 @@ After each stage it completes, ``train`` records a manifest (config snapshot,
 input digests, seed, the preprocess ``target_sum``, tool version and the stage
 files on disk); resuming in the same run directory verifies the digests, and
 ``infer`` normalizes queries with the recorded ``target_sum``. ``train`` holds
-a lock file, so two training commands never share a run directory; ``infer``
-reads without taking it.
+an exclusive ``flock`` on the run directory, so two training commands never
+share one; the kernel releases it when ``train`` exits or is killed, and
+``infer`` reads without taking it.
 """
 
 import argparse
 import contextlib
 import dataclasses
+import fcntl
 import hashlib
 import logging
 import math
@@ -54,50 +56,25 @@ def file_digest(path):
     return h.hexdigest()
 
 
-def _lock_owner_gone(lock_path):
-    """True when the lock names a PID that no longer exists on this host."""
-    try:
-        with open(lock_path) as fh:
-            pid = int(fh.read().strip())
-    except (OSError, ValueError):
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except OSError:
-        pass  # e.g. EPERM: the process exists under another user
-    return False
-
-
 @contextlib.contextmanager
 def run_lock(run_dir):
+    """Hold an exclusive ``flock`` on the run directory itself for the block.
+
+    The kernel drops the lock when its descriptor closes or the process
+    dies, however it dies, so nothing is written and nothing is left behind.
+    """
     dataio.make_dirs(run_dir)
-    lock_path = os.path.join(run_dir, ".lock")
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-    try:
-        fd = os.open(lock_path, flags)
-    except FileExistsError:
-        if not _lock_owner_gone(lock_path):
-            raise DependencyError(
-                f"run directory is locked ({lock_path}); another command is active "
-                "or a previous one crashed (delete the lock to recover)") from None
-        log.warning("removing stale lock %s: its process no longer exists", lock_path)
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(lock_path)
+    with contextlib.ExitStack() as held:
         try:
-            fd = os.open(lock_path, flags)
-        except FileExistsError:
-            raise DependencyError(
-                f"run directory is locked ({lock_path}); another command took "
-                "it while a stale lock was being replaced") from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
+            fd = os.open(run_dir, os.O_RDONLY)
+            held.callback(os.close, fd)
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise DependencyError(f"run directory {run_dir} is locked: another "
+                                  "train command is using it") from None
+        except OSError as exc:
+            raise DataError(f"{run_dir}: cannot lock: {exc.strerror or exc}") from exc
         yield
-    finally:
-        with contextlib.suppress(OSError):
-            os.remove(lock_path)
 
 
 # ---------------------------------------------------------------------------

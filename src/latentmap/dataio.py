@@ -41,7 +41,7 @@ import re
 import numpy as np
 
 from .errors import DataError
-from .preprocess import CountMatrix
+from .preprocess import CountMatrix, first_duplicate
 
 # The characters of a field after the first in a canonical numeric table, on
 # which np.loadtxt and int()/float() accept the same strings with the same
@@ -131,6 +131,16 @@ def make_dirs(path):
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise DataError(f"{path}: cannot create directory: {exc.strerror or exc}") from exc
+
+
+def remove_file(path):
+    """Remove ``path`` if it exists; any other OSError is a DataError naming it."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise DataError(f"{path}: cannot remove: {exc.strerror or exc}") from exc
 
 
 def write_table(path, header, rows):
@@ -301,7 +311,10 @@ def _write_floats(path, header, row_ids, values):
 def read_counts_csv(path) -> CountMatrix:
     """Dense CSV: header = gene ids, first column = cell id, integer cells."""
     header, row_ids, counts = _read_numeric(path, _int_row, np.int64, min_fields=2)
-    return CountMatrix(row_ids, header[1:], counts)
+    try:
+        return CountMatrix(row_ids, header[1:], counts)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_counts_csv(path, m: CountMatrix):
@@ -356,6 +369,9 @@ def read_latent_csv(path):
     row_ids, col_ids, mat = read_matrix_csv(path)
     if not all(c.startswith("z") for c in col_ids):
         raise DataError(f"{path}: expected latent columns z0..z{{d-1}}, got {col_ids[:3]}...")
+    dup = first_duplicate(row_ids)
+    if dup is not None:
+        raise DataError(f"{path}: duplicate id {dup!r}")
     return row_ids, mat
 
 

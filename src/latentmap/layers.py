@@ -194,10 +194,10 @@ def load_checkpoint(path, expect_kind=None):
 def from_header(path, build, value):
     """``build(value)`` for a ``value`` read from the checkpoint header at ``path``.
 
-    A missing key or a value of the wrong kind or range becomes a DataError
-    naming the header.
+    A missing key, a value of the wrong kind or range, or a size too large
+    to allocate becomes a DataError naming the header.
     """
     try:
         return build(value)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise DataError(f"{path}: bad checkpoint header: {type(exc).__name__}: {exc}") from None

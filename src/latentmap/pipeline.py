@@ -26,10 +26,13 @@ All cross-stage state lives in a run directory:
         vgae_st header also holds the coordinate transform)
     latents/{z_sc2000,z_sc500,z_st500,z_st_merged}.csv
     history/stage{1,2,3}.csv
-    graph_edges.txt (the spot kNN edges)
+    graph_edges.txt (the spot kNN edges, a stage-3 file)
 
 ``RunDir.stage_artifacts``, built from ``CHECKPOINTS`` and ``LATENTS``, names
-the files that gate each stage and that the run manifest lists. ``RunDir``
+the files that gate each stage and that the run manifest lists. A stage is
+refused over files of its own or of a later stage unless forced, and a
+forced rerun deletes the later stages' files once it has written its own,
+so every stage on disk was built from the latents on disk. ``RunDir``
 alone reads and writes the manifest.
 """
 
@@ -219,6 +222,8 @@ class RunDir:
         out = [self.path("checkpoints", name) for name in CHECKPOINTS[stage]]
         out += [self.path("latents", name) for name in LATENTS[stage]]
         out.append(self.path("history", f"stage{stage}.csv"))
+        if stage == 3:
+            out.append(self.path("graph_edges.txt"))
         return out
 
     def require_stage(self, stage):
@@ -226,13 +231,20 @@ class RunDir:
             if not os.path.exists(p):
                 raise DependencyError(f"missing artifact from stage {stage}: {p}")
 
+    def _artifacts_from(self, stage):
+        return [p for s in CHECKPOINTS if s >= stage for p in self.stage_artifacts(s)]
+
     def refuse_overwrite(self, stage, force):
-        if force:
-            return
-        existing = [p for p in self.stage_artifacts(stage) if os.path.exists(p)]
-        if existing:
-            raise DependencyError(
-                f"stage {stage} artifacts already exist (rerun with --force): {existing[0]}")
+        """Refuse, unless ``force``, to run ``stage`` over files of it or of a later stage."""
+        existing = [p for p in self._artifacts_from(stage) if os.path.exists(p)]
+        if existing and not force:
+            raise DependencyError(f"stage {stage} or a later stage already has artifacts "
+                                  f"(rerun with --force): {existing[0]}")
+
+    def remove_later_stages(self, stage):
+        """Delete the files of every stage after ``stage``, built from the latent it replaced."""
+        for p in self._artifacts_from(stage + 1):
+            dataio.remove_file(p)
 
     def target_sum(self):
         """The ``target_sum`` that ``train`` recorded in ``manifest.json``.
@@ -562,17 +574,23 @@ def run_stage(stage: int, cfg: TrainConfig, data: PipelineData, run: RunDir,
               force: bool = False):
     """Run stage ``stage`` on ``data`` in ``run``; returns what the stage returns.
 
-    Artifacts of this stage are refused without ``force`` and the previous
-    stage's must exist. Stages 2 and 3 read the previous stage's frozen
-    latent and refuse one without the data's rows or latent_dim columns
-    before they write anything.
+    Without ``force``, files of this stage or a later one are refused; the
+    previous stage's must exist. Stages 2 and 3 read the previous stage's
+    frozen latent and refuse one without the data's rows or latent_dim
+    columns before they write anything. Once the stage has written its
+    files, those of every later stage are deleted: they were built from
+    the latent this stage replaced.
     """
     run.refuse_overwrite(stage, force)
     if stage == 1:
-        return stage1(cfg, data.sc2000[2], data.sc2000[0], run)
-    run.require_stage(stage - 1)
-    if stage == 2:
-        return stage2(cfg, data.sc500[2], data.sc500[0], data.st500[2], data.st500[0],
-                      run.load_latent("z_sc2000.csv"), run)
-    return stage3(cfg, data.st500[2], data.st500[0], data.st_coords[1],
-                  run.load_latent("z_st500.csv"), run)
+        out = stage1(cfg, data.sc2000[2], data.sc2000[0], run)
+    elif stage == 2:
+        run.require_stage(1)
+        out = stage2(cfg, data.sc500[2], data.sc500[0], data.st500[2], data.st500[0],
+                     run.load_latent("z_sc2000.csv"), run)
+    else:
+        run.require_stage(2)
+        out = stage3(cfg, data.st500[2], data.st500[0], data.st_coords[1],
+                     run.load_latent("z_st500.csv"), run)
+    run.remove_later_stages(stage)
+    return out

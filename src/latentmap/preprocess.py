@@ -24,6 +24,16 @@ log = logging.getLogger("latentmap.preprocess")
 MITO_RIBO_PREFIXES = ("MT-", "MRP", "RPS", "RPL")  # mitochondrial, then ribosomal genes
 
 
+def first_duplicate(ids):
+    """The first id of ``ids`` that repeats an earlier one, or None."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
+    return None
+
+
 @dataclass
 class CountMatrix:
     """Integer expression counts with row (cell/spot) and column (gene) ids."""
@@ -42,12 +52,15 @@ class CountMatrix:
             raise DataError(
                 f"counts shape {self.counts.shape} does not match "
                 f"{len(self.row_ids)} row ids x {len(self.col_ids)} col ids")
-        if len(set(self.row_ids)) != len(self.row_ids):
-            raise DataError("duplicate row ids")
-        if len(set(self.col_ids)) != len(self.col_ids):
-            raise DataError("duplicate col ids")
-        if np.any(self.counts < 0):
-            raise DataError("negative counts")
+        for kind, ids in (("row", self.row_ids), ("col", self.col_ids)):
+            dup = first_duplicate(ids)
+            if dup is not None:
+                raise DataError(f"duplicate {kind} id {dup!r}")
+        negative = self.counts < 0
+        if negative.any():
+            i, j = np.argwhere(negative)[0]
+            raise DataError(f"negative count {self.counts[i, j]} for row {self.row_ids[i]!r}, "
+                            f"gene {self.col_ids[j]!r}")
 
     @property
     def n_rows(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -55,6 +56,10 @@ def trained_run(data_dir, tiny_config, tmp_path_factory):
                    "--run-dir", str(run_dir), "--config", str(tiny_config)])
     assert rc == 0
     return run_dir
+
+
+def _files(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def test_synth_writes_expected_files(corpus_dir):
@@ -498,6 +503,59 @@ def test_rerun_without_force_refused(trained_run, data_dir, tiny_config):
     assert rc == cli.EXIT_DEPENDENCY
 
 
+def test_forced_rerun_of_stage_1_deletes_the_stages_built_on_it(trained_run, data_dir,
+                                                                 corpus_dir, tmp_path, caplog):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    cfg6 = tmp_path / "cfg6.json"
+    pl.TrainConfig(s1_epochs=25, s2_epochs=3, s2b_epochs=2, s3_epochs=25, latent_dim=6,
+                   enc_hidden=(16, 8), kl_weight=0.01, seed=4).save(cfg6)
+    rc = cli.main(["train", "--stage", "1", "--force", "--data", str(data_dir),
+                   "--run-dir", str(run_dir), "--config", str(cfg6)])
+    assert rc == 0
+    stage1 = pl.CHECKPOINTS[1] + pl.LATENTS[1] + ["stage1.csv"]
+    assert {p.name for p in _files(run_dir)} == {
+        *stage1, "config.json", "manifest.json", "panel_shared.txt"}
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["artifacts"] == sorted(stage1) and manifest["config"]["latent_dim"] == 6
+    rc = cli.main(["infer", "--run-dir", str(run_dir),
+                   "--query", str(corpus_dir / "sc_query_counts.csv"),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DEPENDENCY
+    assert (f"missing artifact from stage 2: {run_dir / 'checkpoints' / 'vae_sc500.json'}"
+            in caplog.text)
+
+
+def test_stage_over_files_of_a_later_stage_refused_without_force(trained_run, data_dir,
+                                                                  tiny_config, tmp_path, caplog):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    for p in pl.RunDir(run_dir).stage_artifacts(2):
+        os.remove(p)
+    before = _files(run_dir)
+    rc = cli.main(["train", "--stage", "2", "--data", str(data_dir),
+                   "--run-dir", str(run_dir), "--config", str(tiny_config)])
+    assert rc == cli.EXIT_DEPENDENCY
+    assert "stage 2 or a later stage already has artifacts" in caplog.text
+    assert _files(run_dir) == before
+
+
+def test_failed_forced_rerun_leaves_the_later_stages_untouched(trained_run, data_dir,
+                                                               tiny_config, tmp_path,
+                                                               monkeypatch):
+    def diverge(*args, **kwargs):
+        raise NumericError("stage 2 diverged")
+
+    monkeypatch.setattr(pl, "_generator_step", diverge)
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    before = _files(run_dir)
+    rc = cli.main(["train", "--stage", "2", "--force", "--data", str(data_dir),
+                   "--run-dir", str(run_dir), "--config", str(tiny_config)])
+    assert rc == cli.EXIT_NUMERIC
+    assert _files(run_dir) == before
+
+
 def test_stage_without_its_inputs_refused_before_any_write(data_dir, tiny_config, tmp_path):
     run_dir = tmp_path / "run"
     rc = cli.main(["train", "--stage", "3", "--data", str(data_dir),
@@ -516,35 +574,86 @@ def test_changed_config_on_resume_refused(trained_run, data_dir, tmp_path):
     assert rc == cli.EXIT_DEPENDENCY
 
 
-def test_lock_blocks_concurrent_use(trained_run, data_dir, tiny_config):
-    lock = trained_run / ".lock"
-    lock.write_text(f"{os.getpid()}\n")  # a live holder
-    try:
+def test_lock_blocks_concurrent_use(trained_run, data_dir, tiny_config, tmp_path, caplog):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    before = _files(run_dir)
+    with cli.run_lock(run_dir):  # a second open of the directory is a second holder
         rc = cli.main(["train", "--stage", "1", "--data", str(data_dir),
-                       "--run-dir", str(trained_run), "--config", str(tiny_config),
-                       "--force"])
-        assert rc == cli.EXIT_DEPENDENCY
+                       "--run-dir", str(run_dir), "--config", str(tiny_config), "--force"])
+    assert rc == cli.EXIT_DEPENDENCY
+    assert f"run directory {run_dir} is locked" in caplog.text
+    assert _files(run_dir) == before
+
+
+def test_lock_of_a_killed_holder_is_released(tmp_path, caplog):
+    code = ("import sys, time\nfrom latentmap import cli\n"
+            "with cli.run_lock(sys.argv[1]):\n    print('held', flush=True)\n    time.sleep(600)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    child = subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             stdout=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "held\n"
+        with pytest.raises(DependencyError, match="locked"):
+            with cli.run_lock(tmp_path):
+                pass
     finally:
-        lock.unlink()
-
-
-def test_stale_lock_of_a_dead_process_is_replaced(tmp_path, caplog):
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()  # exited and reaped: its PID names no process
-    lock = tmp_path / ".lock"
-    lock.write_text(f"{child.pid}\n")
+        child.kill()  # SIGKILL: the child runs no cleanup of its own
+        child.wait()
+        child.stdout.close()
+    caplog.set_level("DEBUG")
     with cli.run_lock(tmp_path):
-        assert lock.read_text() == f"{os.getpid()}\n"
-    assert not lock.exists()
-    assert "stale lock" in caplog.text
+        pass
+    assert caplog.records == []
+    assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("content", ["", "not a pid\n"])
-def test_unreadable_lock_still_blocks(tmp_path, content):
-    (tmp_path / ".lock").write_text(content)
-    with pytest.raises(DependencyError, match="locked"):
-        with cli.run_lock(tmp_path):
-            pass
+@pytest.mark.parametrize("content", ["", "not a pid\n", "own pid"], ids=["empty", "garbage", "pid"])
+def test_lock_file_of_an_older_version_is_ignored(data_dir, tiny_config, tmp_path, content):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    lock = run_dir / ".lock"
+    lock.write_text(f"{os.getpid()}\n" if content == "own pid" else content)
+    os.utime(lock, ns=(1_000_000_000, 1_000_000_000))
+    before = (lock.read_bytes(), lock.stat().st_mtime_ns)
+    rc = cli.main(["train", "--stage", "1", "--data", str(data_dir),
+                   "--run-dir", str(run_dir), "--config", str(tiny_config)])
+    assert rc == 0
+    assert (lock.read_bytes(), lock.stat().st_mtime_ns) == before
+
+
+def test_lock_refused_by_the_os_exits_3_naming_the_run_dir(data_dir, tiny_config, tmp_path,
+                                                           monkeypatch, caplog):
+    def refuse(fd, operation):
+        raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+    monkeypatch.setattr(cli.fcntl, "flock", refuse)
+    run_dir = tmp_path / "run"
+    rc = cli.main(["train", "--stage", "1", "--data", str(data_dir),
+                   "--run-dir", str(run_dir), "--config", str(tiny_config)])
+    assert rc == cli.EXIT_DATA
+    assert f"{run_dir}: cannot lock: {os.strerror(errno.ENOLCK)}" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert list(run_dir.iterdir()) == []  # no stage ran unlocked
+
+
+def test_no_lock_file_during_or_after_a_run(data_dir, tiny_config, tmp_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    seen = []
+    stage1 = pl.stage1
+
+    def watched(*args):
+        seen.append(sorted(p.name for p in run_dir.iterdir()))
+        with pytest.raises(DependencyError, match="locked"):  # held while the stage runs
+            with cli.run_lock(run_dir):
+                pass
+        return stage1(*args)
+
+    monkeypatch.setattr(pl, "stage1", watched)
+    rc = cli.main(["train", "--stage", "1", "--data", str(data_dir),
+                   "--run-dir", str(run_dir), "--config", str(tiny_config)])
+    assert rc == 0 and seen == [[]]
+    assert not (run_dir / ".lock").exists()
 
 
 def test_infer_missing_arrays_file_exits_4(trained_run, corpus_dir, tmp_path, caplog):
@@ -634,6 +743,25 @@ def test_infer_arch_that_does_not_fit_the_arrays_exits_3(trained_run, corpus_dir
     assert rc == cli.EXIT_DATA
     assert str(header_path) in caplog.text and "checkpoint parameter" in caplog.text
     assert "Traceback" not in caplog.text
+
+
+@pytest.mark.parametrize("header", ["vae_sc500.json", "vgae_st.json"])
+def test_infer_arch_too_large_to_allocate_exits_3(trained_run, corpus_dir, tmp_path, caplog,
+                                                  header):
+    # np.zeros of the first layer asks for terabytes it never writes
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    header_path = run / "checkpoints" / header
+    obj = json.loads(header_path.read_text())
+    obj["arch"]["n_genes"] = 10 ** 11
+    header_path.write_text(json.dumps(obj))
+    rc = cli.main(["infer", "--run-dir", str(run),
+                   "--query", str(corpus_dir / "sc_query_counts.csv"),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DATA
+    assert str(header_path) in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "pred.csv").exists()
 
 
 def test_infer_panel_narrower_than_the_model_exits_3(trained_run, corpus_dir, tmp_path, caplog):
@@ -797,6 +925,50 @@ def test_infer_strict_panel_rejects_superset(trained_run, corpus_dir, tmp_path):
     assert rc == cli.EXIT_DATA  # full gene set is a superset of the panel
 
 
+def _damaged_counts(src, dst, damage):
+    """``src``, a canonical count CSV, written to ``dst`` with one defect; returns its message."""
+    lines = src.read_text().splitlines()
+    genes = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    if damage == "duplicate-gene":
+        genes[2] = genes[1]
+        message = f"duplicate col id {genes[1]!r}"
+    elif damage == "duplicate-row":
+        rows[1][0] = rows[0][0]
+        message = f"duplicate row id {rows[0][0]!r}"
+    else:
+        rows[0][1] = "-3"
+        message = f"negative count -3 for row {rows[0][0]!r}, gene {genes[1]!r}"
+    dst.write_text("".join(",".join(row) + "\n" for row in [genes, *rows]))
+    return f"{dst}: {message}"
+
+
+@pytest.mark.parametrize("damage", ["duplicate-gene", "duplicate-row", "negative"])
+def test_infer_bad_query_table_names_file_and_id(trained_run, corpus_dir, tmp_path, caplog,
+                                                 damage):
+    query = tmp_path / "query.csv"
+    message = _damaged_counts(corpus_dir / "sc_query_counts.csv", query, damage)
+    rc = cli.main(["infer", "--run-dir", str(trained_run), "--query", str(query),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DATA
+    assert message in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_preprocess_negative_count_names_the_input(corpus_dir, tmp_path, caplog):
+    sc = tmp_path / "sc_counts.csv"
+    message = _damaged_counts(corpus_dir / "sc_counts.csv", sc, "negative")
+    rc = cli.main(["preprocess", "--sc-counts", str(sc),
+                   "--st-counts", str(corpus_dir / "st_counts.csv"),
+                   "--st-coords", str(corpus_dir / "st_coords.csv"),
+                   "--out", str(tmp_path / "prep")])
+    assert rc == cli.EXIT_DATA
+    assert message in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "prep").exists()
+
+
 def test_bench_reports(trained_run, corpus_dir, tmp_path):
     out = tmp_path / "bench"
     rc = cli.main(["bench", "--latent", str(trained_run / "latents" / "z_sc2000.csv"),
@@ -819,6 +991,18 @@ def test_bench_unmatched_ids_listed(trained_run, tmp_path):
     rc = cli.main(["bench", "--latent", str(trained_run / "latents" / "z_sc2000.csv"),
                    "--labels", str(labels), "--out", str(tmp_path / "bench")])
     assert rc == cli.EXIT_DATA
+
+
+def test_bench_duplicate_latent_id_exits_3_naming_file_and_id(tmp_path, caplog):
+    latent = tmp_path / "z.csv"
+    dataio.write_latent_csv(latent, ["a", "b", "a"], np.eye(3))
+    dataio.write_labels_csv(tmp_path / "labels.csv", [("a", "x"), ("b", "y")])
+    rc = cli.main(["bench", "--latent", str(latent), "--labels", str(tmp_path / "labels.csv"),
+                   "--out", str(tmp_path / "bench"), "--k", "1", "--folds", "2"])
+    assert rc == cli.EXIT_DATA
+    assert f"{latent}: duplicate id 'a'" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "bench").exists()
 
 
 def test_bench_perfect_cluster_fixture(tmp_path):
