@@ -63,9 +63,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g):
         # g is kept, not copied: no vjp, backward or adam_step writes into a grad
         if self.grad is None:

@@ -153,8 +153,11 @@ def holdout_accuracy(e: LabeledEmbedding, k_neighbors: int, fraction: float = 0.
     """Single split: train on (1-fraction), test on fraction."""
     if not 0.0 < fraction < 1.0:
         raise DataError(f"holdout fraction must be in (0, 1), got {fraction}")
+    n_test = max(1, int(round(e.n * fraction)))
+    if n_test >= e.n:
+        raise DataError(f"holdout fraction {fraction} of {e.n} rows leaves no training row")
     order = np.random.default_rng(seed).permutation(e.n)
-    test_idx = np.sort(order[:max(1, int(round(e.n * fraction)))])
+    test_idx = np.sort(order[:n_test])
     y_hat = _predict_split(e, test_idx, k_neighbors)
     return accuracy([e.labels[i] for i in test_idx], y_hat)
 

@@ -132,8 +132,7 @@ def cmd_preprocess(args):
     sc = dataio.read_counts_csv(args.sc_counts)
     st = dataio.read_counts_csv(args.st_counts)
     spot_ids, coords = dataio.read_coords_csv(args.st_coords)
-    if spot_ids != st.row_ids:
-        raise DataError("st counts and coordinates disagree on spot ids")
+    dataio.check_spot_ids(args.st_counts, st.row_ids, args.st_coords, spot_ids)
 
     sc_qc, sc_summary = pp.run_qc(sc, min_genes=args.min_genes, min_cells=args.min_cells,
                                   max_mito_ribo=args.max_mito_ribo)
@@ -203,15 +202,17 @@ def cmd_infer(args):
     panel_path = run.path("panel_shared.txt")
     if not os.path.exists(panel_path):
         raise DependencyError(f"missing artifact: {panel_path}")
-    panel = dataio.read_id_list(panel_path)
+    panel = dataio.read_panel(panel_path)
     query = dataio.read_counts_csv(args.query)
-    missing = sorted(set(panel) - set(query.col_ids))
-    extra = sorted(set(query.col_ids) - set(panel))
-    if missing or (extra and not args.allow_extra_genes):
-        raise DataError(f"query panel mismatch: missing {missing[:10]}, extra {extra[:10]}")
-    x = pp.panel_matrix(query, pp.GenePanel(panel), target_sum=run.target_sum())
+    missing = sorted(set(panel.gene_ids) - set(query.col_ids))
+    extra = [] if args.allow_extra_genes else sorted(set(query.col_ids) - set(panel.gene_ids))
+    if missing or extra:
+        found = {"missing": missing, "extra": extra}
+        raise DataError(f"{args.query}: genes differ from the run's panel {panel_path}: "
+                        + ", ".join(f"{kind} {ids[:10]}" for kind, ids in found.items() if ids))
+    x = pp.panel_matrix(query, panel, target_sum=run.target_sum())
     x_hat, coords_norm, transform = pl.infer(run, x)
-    dataio.write_matrix_csv(args.out, query.row_ids, ["x_hat", "y_hat"] + list(panel),
+    dataio.write_matrix_csv(args.out, query.row_ids, ["x_hat", "y_hat"] + panel.gene_ids,
                             np.hstack([transform.denormalize(coords_norm), x_hat]))
     cx, cy = (float(v) for v in transform.center)
     print(f"coordinate frame: normalized * {transform.scale!r} + center ({cx!r}, {cy!r})")
@@ -287,13 +288,14 @@ def gradcheck_suite(seed=0):
     x_exp = rng.uniform(0.1, 2.0, size=(6, 7))
     x_sp = rng.normal(size=(6, 2))
     noise_g = rng.normal(size=(6, 4))
-    neg_seed = int(rng.integers(2 ** 32))
-    # a fresh generator per call fixes the negative sample, so the loss is a
-    # deterministic function of the parameters
-    results["vgae"] = ad.grad_check(
-        lambda: vg.vgae_loss(p_vgae, g, x_exp, x_sp, noise_g, vg.VgaeLossWeights(),
-                             np.random.default_rng(neg_seed))[0],
-        _draw_biases(p_vgae.params(), rng))
+    neg = vg.sample_negatives(g.keys, g.n, len(g.pos[0]),
+                              np.random.default_rng(int(rng.integers(2 ** 32))))
+
+    def vgae_total():
+        exp, sp, adj, kl, _ = vg.vgae_loss(p_vgae, g, x_exp, x_sp, noise_g, neg)
+        return ad.add(ad.add(exp, sp), ad.add(adj, kl))
+
+    results["vgae"] = ad.grad_check(vgae_total, _draw_biases(p_vgae.params(), rng))
 
     p_disc = discriminator.init_discriminator(4, rng, hidden=(8, 8, 8))
     z = rng.normal(size=(6, 4))

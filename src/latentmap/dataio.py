@@ -41,7 +41,7 @@ import re
 import numpy as np
 
 from .errors import DataError
-from .preprocess import CountMatrix, first_duplicate
+from .preprocess import CountMatrix, GenePanel, first_duplicate
 
 # The characters of a field after the first in a canonical numeric table, on
 # which np.loadtxt and int()/float() accept the same strings with the same
@@ -178,6 +178,14 @@ def read_id_list(path):
     if not ids:
         raise DataError(f"{path}: no ids found")
     return ids
+
+
+def read_panel(path) -> GenePanel:
+    """The gene panel in the id list at ``path``; a repeated gene is a DataError naming the file."""
+    try:
+        return GenePanel(read_id_list(path))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_id_list(path, ids):
@@ -341,6 +349,17 @@ def read_coords_csv(path):
     _, spot_ids, coords = _read_numeric(path, _float_row, np.float64,
                                         header=("spot_id", "x", "y"))
     return spot_ids, coords
+
+
+def check_spot_ids(counts_path, counts_ids, coords_path, coords_ids):
+    """A DataError naming both files and the first row where their spot ids differ, if any."""
+    if counts_ids == coords_ids:
+        return
+    row = next((i for i, (a, b) in enumerate(zip(counts_ids, coords_ids)) if a != b),
+               min(len(counts_ids), len(coords_ids)))
+    at = lambda ids: repr(ids[row]) if row < len(ids) else "no row"
+    raise DataError(f"{counts_path} and {coords_path} disagree on spot ids: data row {row + 1} "
+                    f"is {at(counts_ids)} in the first and {at(coords_ids)} in the second")
 
 
 def write_coords_csv(path, spot_ids, coords):

@@ -457,17 +457,19 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
                          _rng(cfg.seed, _S3_INIT))
     noise_rng = _rng(cfg.seed, _S3_NOISE)
     neg_rng = _rng(cfg.seed, _S3_NEGATIVES)
-    weights = vg.VgaeLossWeights(recon_exp=cfg.w_recon_exp, recon_sp=cfg.w_recon_sp,
-                                 recon_adj=cfg.w_recon_adj, kl=cfg.kl_weight)
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
     rows = []
 
     def loss():
+        """Stage 3's objective: the weighted VGAE terms plus the weighted anchor."""
         noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
-        *terms, mu = vg.vgae_loss(model, graph, x, coords_n, noise, weights, neg_rng)
+        neg = vg.sample_negatives(graph.keys, graph.n, len(graph.pos[0]), neg_rng)
+        exp, sp, adj, kl, mu = vg.vgae_loss(model, graph, x, coords_n, noise, neg)
+        vgae_total = ad.add(ad.add(ad.scale(exp, cfg.w_recon_exp), ad.scale(sp, cfg.w_recon_sp)),
+                            ad.add(ad.scale(adj, cfg.w_recon_adj), ad.scale(kl, cfg.kl_weight)))
         anchor_loss = euclidean_latent_loss(mu, anchor)
-        terms[0] = ad.add(terms[0], ad.scale(anchor_loss, cfg.w_anchor_st))
-        return (*terms, anchor_loss)
+        total = ad.add(vgae_total, ad.scale(anchor_loss, cfg.w_anchor_st))
+        return total, exp, sp, adj, kl, anchor_loss
 
     for epoch in range(cfg.s3_epochs):
         rows.append([epoch, *ad.train_step(opt, loss, f"stage 3, step {epoch}")])
@@ -553,20 +555,30 @@ def load_pipeline_data(data_dir) -> PipelineData:
             raise DependencyError(f"missing preprocessed artifact: {p}; "
                                   "re-run `latentmap preprocess` to write it")
     target_sum = _read_target_sum(paths["summary.json"])
-    sc = dataio.read_counts_csv(paths["sc_counts_qc.csv"])
-    st = dataio.read_counts_csv(paths["st_counts_qc.csv"])
-    panel_big = pp.GenePanel(dataio.read_id_list(paths["panel_hvg2000.txt"]))
-    panel_shared = pp.GenePanel(dataio.read_id_list(paths["panel_shared500.txt"]))
+    counts = {name: dataio.read_counts_csv(paths[name])
+              for name in ("sc_counts_qc.csv", "st_counts_qc.csv")}
+    panels = {name: dataio.read_panel(paths[name])
+              for name in ("panel_hvg2000.txt", "panel_shared500.txt")}
+
+    def matrix(counts_name, panel_name):
+        """(row ids, panel genes, normalized counts on the panel); an error names both files."""
+        m, panel = counts[counts_name], panels[panel_name]
+        try:
+            x = pp.panel_matrix(m, panel, target_sum)
+        except DataError as exc:
+            raise DataError(f"{paths[counts_name]} on {paths[panel_name]}: {exc}") from None
+        return m.row_ids, panel.gene_ids, x
+
     data = PipelineData(
-        sc2000=(sc.row_ids, panel_big.gene_ids, pp.panel_matrix(sc, panel_big, target_sum)),
-        sc500=(sc.row_ids, panel_shared.gene_ids, pp.panel_matrix(sc, panel_shared, target_sum)),
-        st500=(st.row_ids, panel_shared.gene_ids, pp.panel_matrix(st, panel_shared, target_sum)),
+        sc2000=matrix("sc_counts_qc.csv", "panel_hvg2000.txt"),
+        sc500=matrix("sc_counts_qc.csv", "panel_shared500.txt"),
+        st500=matrix("st_counts_qc.csv", "panel_shared500.txt"),
         st_coords=dataio.read_coords_csv(paths["st_coords.csv"]),
-        panel_shared=panel_shared.gene_ids,
+        panel_shared=panels["panel_shared500.txt"].gene_ids,
         target_sum=target_sum,
     )
-    if data.st500[0] != data.st_coords[0]:
-        raise DataError("st_counts_qc and st_coords disagree on spot ids")
+    dataio.check_spot_ids(paths["st_counts_qc.csv"], data.st500[0],
+                          paths["st_coords.csv"], data.st_coords[0])
     return data
 
 

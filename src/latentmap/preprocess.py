@@ -99,8 +99,9 @@ class GenePanel:
 
     def __post_init__(self):
         self.gene_ids = list(self.gene_ids)
-        if len(set(self.gene_ids)) != len(self.gene_ids):
-            raise DataError("panel contains duplicate gene ids")
+        dup = first_duplicate(self.gene_ids)
+        if dup is not None:
+            raise DataError(f"panel contains duplicate gene id {dup!r}")
 
     def __len__(self):
         return len(self.gene_ids)
@@ -185,15 +186,15 @@ def rank_genes(normed: np.ndarray, gene_ids) -> list:
     return [gene_ids[i] for i in order]
 
 
-def intersect_panel(sc: CountMatrix, st: CountMatrix, n: int = 500,
-                    target_sum: float = 1e4, ranked=None) -> GenePanel:
+def intersect_panel(sc: CountMatrix, st: CountMatrix, n: int = 500, ranked=None) -> GenePanel:
     """Top ``n`` shared genes, ranked by HVG dispersion computed on the sc data.
 
     Ranking is rank-then-intersect: genes are ranked on the full normalized
     sc matrix, the ranking is restricted to genes present in both datasets,
     and the first ``n`` survivors are the panel. A caller that already holds
     that ranking (``rank_genes`` of ``normalize_log1p(sc, target_sum)``)
-    passes it as ``ranked`` instead of having it computed again.
+    passes it as ``ranked`` instead of having it computed again; without
+    it, the sc matrix is normalized to the default total.
     """
     if n < 1:
         raise DataError(f"shared panel size must be >= 1, got {n!r}")
@@ -203,7 +204,7 @@ def intersect_panel(sc: CountMatrix, st: CountMatrix, n: int = 500,
     if len(shared) < n:
         raise DataError(f"only {len(shared)} genes shared between datasets, need {n}")
     if ranked is None:
-        ranked = rank_genes(normalize_log1p(sc, target_sum=target_sum), sc.col_ids)
+        ranked = rank_genes(normalize_log1p(sc), sc.col_ids)
     panel = [g for g in ranked if g in shared][:n]
     return GenePanel(panel)
 

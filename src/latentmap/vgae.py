@@ -255,29 +255,20 @@ def sample_negatives(keys, n, count, rng):
     return np.stack([chosen // n, chosen % n], axis=1).astype(np.intp)
 
 
-@dataclass
-class VgaeLossWeights:
-    recon_exp: float = 1.0
-    recon_sp: float = 1.0
-    recon_adj: float = 1.0
-    kl: float = 1.0
-
-
-def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
-              weights: VgaeLossWeights, rng):
-    """(total, recon_exp, recon_sp, recon_adj, kl, mu): scalar tensors and the posterior mean.
+def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise, neg):
+    """(recon_exp, recon_sp, recon_adj, kl, mu): unweighted scalar terms and the posterior mean.
 
     Adjacency reconstruction scores the positive entries of A + I
-    (``graph.pos``) against an equal number of sampled non-edges (class
-    balance); ``rng`` drives the per-call negative sample. ``mu`` lets the
-    caller add terms on the posterior mean without a second encoder pass.
+    (``graph.pos``) against the non-edges ``neg`` (a ``sample_negatives``
+    array; as many as the positives keeps the classes balanced). ``mu``
+    lets the caller add terms on the posterior mean without a second
+    encoder pass.
     """
     pos = graph.pos
     x_exp = ad.as_tensor(x_exp)
     x_sp = ad.as_tensor(x_sp)
     mu, logvar = vgae_encode(p, graph.norm_adj, x_exp)
     z = vae.reparameterize(mu, logvar, noise)
-    neg = sample_negatives(graph.keys, graph.n, len(pos[0]), rng)
     rows = np.concatenate([pos[0], neg[:, 0]])
     cols = np.concatenate([pos[1], neg[:, 1]])
     # vgae_decode without its output heads: each head runs inside its loss
@@ -288,13 +279,7 @@ def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise,
     recon_sp = ad.affine_mse(h_sp, p.coord_head.w, p.coord_head.b, x_sp)
     labels = np.concatenate([np.ones(len(pos[0])), np.zeros(len(neg))])
     recon_adj = ad.bce_with_logits(edge_logits, labels)
-
-    kl = vae.kl_divergence(mu, logvar)
-    total = ad.add(ad.add(ad.scale(recon_exp, weights.recon_exp),
-                          ad.scale(recon_sp, weights.recon_sp)),
-                   ad.add(ad.scale(recon_adj, weights.recon_adj),
-                          ad.scale(kl, weights.kl)))
-    return total, recon_exp, recon_sp, recon_adj, kl, mu
+    return recon_exp, recon_sp, recon_adj, vae.kl_divergence(mu, logvar), mu
 
 
 def encode_mu(p: VgaeParams, norm_adj, x_exp) -> np.ndarray:

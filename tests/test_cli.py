@@ -969,6 +969,104 @@ def test_preprocess_negative_count_names_the_input(corpus_dir, tmp_path, caplog)
     assert not (tmp_path / "prep").exists()
 
 
+def _rename_first_spot(path):
+    """Rename the first spot of the coordinates CSV at ``path``; returns (old id, new id)."""
+    lines = path.read_text().splitlines(keepends=True)
+    old, rest = lines[1].split(",", 1)
+    lines[1] = f"renamed_{old},{rest}"
+    path.write_text("".join(lines))
+    return old, f"renamed_{old}"
+
+
+def test_preprocess_spot_id_mismatch_names_both_files_and_the_id(corpus_dir, tmp_path, caplog):
+    coords = tmp_path / "st_coords.csv"
+    shutil.copyfile(corpus_dir / "st_coords.csv", coords)
+    old, new = _rename_first_spot(coords)
+    counts = corpus_dir / "st_counts.csv"
+    rc = cli.main(["preprocess", "--sc-counts", str(corpus_dir / "sc_counts.csv"),
+                   "--st-counts", str(counts), "--st-coords", str(coords),
+                   "--out", str(tmp_path / "prep")])
+    assert rc == cli.EXIT_DATA
+    assert (f"{counts} and {coords} disagree on spot ids: data row 1 is {old!r} in the first "
+            f"and {new!r} in the second") in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "prep").exists()
+
+
+def test_check_spot_ids_of_different_lengths_names_the_first_missing_row():
+    with pytest.raises(DataError, match=r"a.csv and b.csv disagree on spot ids: data row 3 "
+                                        r"is 's2' in the first and no row in the second"):
+        dataio.check_spot_ids("a.csv", ["s0", "s1", "s2"], "b.csv", ["s0", "s1"])
+    dataio.check_spot_ids("a.csv", ["s0", "s1"], "b.csv", ["s0", "s1"])
+
+
+def _damaged_prep(data_dir, tmp_path, damage):
+    """A copy of the preprocess output ``data_dir`` with one defect; returns (dir, message)."""
+    prep = tmp_path / "prep"
+    shutil.copytree(data_dir, prep)
+    if damage == "spot-ids":
+        old, new = _rename_first_spot(prep / "st_coords.csv")
+        return prep, (f"{prep / 'st_counts_qc.csv'} and {prep / 'st_coords.csv'} disagree on "
+                      f"spot ids: data row 1 is {old!r} in the first and {new!r} in the second")
+    panel = prep / ("panel_hvg2000.txt" if damage == "duplicate-hvg" else "panel_shared500.txt")
+    genes = dataio.read_id_list(panel)
+    if damage == "missing-gene":
+        dataio.write_id_list(panel, genes + ["GZZZZZ"])
+        return prep, (f"{prep / 'sc_counts_qc.csv'} on {panel}: "
+                      "matrix is missing panel genes: ['GZZZZZ']")
+    dataio.write_id_list(panel, genes + genes[1:2])
+    return prep, f"{panel}: panel contains duplicate gene id {genes[1]!r}"
+
+
+@pytest.mark.parametrize("damage", ["spot-ids", "duplicate-hvg", "duplicate-shared",
+                                    "missing-gene"])
+def test_train_bad_preprocessed_input_names_the_files_and_the_id(data_dir, tiny_config, tmp_path,
+                                                                 caplog, damage):
+    prep, message = _damaged_prep(data_dir, tmp_path, damage)
+    run_dir = tmp_path / "run"
+    rc = cli.main(["train", "--stage", "1", "--data", str(prep), "--run-dir", str(run_dir),
+                   "--config", str(tiny_config)])
+    assert rc == cli.EXIT_DATA
+    assert message in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not run_dir.exists()
+
+
+def test_infer_duplicate_panel_gene_names_the_file_and_the_id(trained_run, corpus_dir,
+                                                              tmp_path, caplog):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    panel_path = run / "panel_shared.txt"
+    genes = dataio.read_id_list(panel_path)
+    dataio.write_id_list(panel_path, genes + genes[:1])
+    rc = cli.main(["infer", "--run-dir", str(run),
+                   "--query", str(corpus_dir / "sc_query_counts.csv"),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DATA
+    assert f"{panel_path}: panel contains duplicate gene id {genes[0]!r}" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("allow_extra", [True, False])
+def test_infer_query_panel_mismatch_names_both_files(trained_run, tmp_path, caplog, allow_extra):
+    panel_path = trained_run / "panel_shared.txt"
+    panel = dataio.read_id_list(panel_path)
+    query = tmp_path / "query.csv"
+    genes = panel[1:] + ["NOT_A_GENE"]  # the first panel gene missing, one extra
+    dataio.write_counts_csv(query, CountMatrix(["q0"], genes, [[3] * len(genes)]))
+    rc = cli.main(["infer", "--run-dir", str(trained_run), "--query", str(query),
+                   "--out", str(tmp_path / "pred.csv")]
+                  + (["--allow-extra-genes"] if allow_extra else []))
+    assert rc == cli.EXIT_DATA
+    expected = f"{query}: genes differ from the run's panel {panel_path}: missing {[panel[0]]}"
+    if allow_extra:
+        assert expected in caplog.text and "extra" not in caplog.text
+    else:
+        assert f"{expected}, extra ['NOT_A_GENE']" in caplog.text
+    assert not (tmp_path / "pred.csv").exists()
+
+
 def test_bench_reports(trained_run, corpus_dir, tmp_path):
     out = tmp_path / "bench"
     rc = cli.main(["bench", "--latent", str(trained_run / "latents" / "z_sc2000.csv"),
@@ -1001,6 +1099,19 @@ def test_bench_duplicate_latent_id_exits_3_naming_file_and_id(tmp_path, caplog):
                    "--out", str(tmp_path / "bench"), "--k", "1", "--folds", "2"])
     assert rc == cli.EXIT_DATA
     assert f"{latent}: duplicate id 'a'" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "bench").exists()
+
+
+def test_bench_holdout_without_a_training_row_exits_3_naming_the_split(tmp_path, caplog):
+    latent = tmp_path / "z.csv"
+    dataio.write_latent_csv(latent, ["a", "b", "c"], np.eye(3))
+    dataio.write_labels_csv(tmp_path / "labels.csv", [("a", "x"), ("b", "y"), ("c", "x")])
+    rc = cli.main(["bench", "--latent", str(latent), "--labels", str(tmp_path / "labels.csv"),
+                   "--out", str(tmp_path / "bench"), "--k", "1", "--folds", "3",
+                   "--holdout", "0.9"])
+    assert rc == cli.EXIT_DATA
+    assert "holdout fraction 0.9 of 3 rows leaves no training row" in caplog.text
     assert "Traceback" not in caplog.text
     assert not (tmp_path / "bench").exists()
 

@@ -345,17 +345,18 @@ def test_stage3_ablation_matches_standalone_vgae(tmp_path, corpus):
                          pl._rng(cfg.seed, pl._S3_INIT))
     noise_rng = pl._rng(cfg.seed, pl._S3_NOISE)
     neg_rng = pl._rng(cfg.seed, pl._S3_NEGATIVES)
-    weights = vg.VgaeLossWeights(recon_exp=cfg.w_recon_exp, recon_sp=cfg.w_recon_sp,
-                                 recon_adj=cfg.w_recon_adj, kl=cfg.kl_weight)
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
     standalone = []
     for _ in range(5):
         noise = noise_rng.normal(size=(corpus["x_st"].shape[0], 4))
+        neg = vg.sample_negatives(graph.keys, graph.n, len(graph.pos[0]), neg_rng)
         opt.zero_grad()
         with ad.Tape():
-            total, *_, mu = vg.vgae_loss(model, graph, corpus["x_st"],
-                                         transform.normalize(corpus["coords"]),
-                                         noise, weights, neg_rng)
+            exp, sp, adj, kl, mu = vg.vgae_loss(model, graph, corpus["x_st"],
+                                                transform.normalize(corpus["coords"]), noise, neg)
+            # the default weights are not 1, so this pins stage 3's association order
+            total = ad.add(ad.add(ad.scale(exp, cfg.w_recon_exp), ad.scale(sp, cfg.w_recon_sp)),
+                           ad.add(ad.scale(adj, cfg.w_recon_adj), ad.scale(kl, cfg.kl_weight)))
             anchor = pl.euclidean_latent_loss(mu, z_st.codes)
             total = ad.add(total, ad.scale(anchor, 0.0))
             ad.backward(total)

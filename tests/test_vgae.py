@@ -32,6 +32,17 @@ def tiny_vgae(seed=0, n_genes=12, latent_dim=4):
     return vgae.init_vgae(cfg, seed)
 
 
+def weighted_total(terms, recon_exp=1.0, recon_sp=1.0, recon_adj=1.0, kl=1.0):
+    """The weighted sum of ``vgae_loss``'s four terms, in stage 3's association order."""
+    t_exp, t_sp, t_adj, t_kl = terms[:4]
+    return ad.add(ad.add(ad.scale(t_exp, recon_exp), ad.scale(t_sp, recon_sp)),
+                  ad.add(ad.scale(t_adj, recon_adj), ad.scale(t_kl, kl)))
+
+
+def balanced_negatives(g, rng):
+    return vgae.sample_negatives(g.keys, g.n, len(g.pos[0]), rng)
+
+
 # ---------------------------------------------------------------------------
 # graph construction
 # ---------------------------------------------------------------------------
@@ -249,10 +260,10 @@ def test_loss_kl_only_zero_at_prior():
         t.data[...] = 0.0
     rng = np.random.default_rng(11)
     g = vgae.build_knn_graph(rng.uniform(0, 4, size=(6, 2)), k=2)
-    weights = vgae.VgaeLossWeights(recon_exp=0.0, recon_sp=0.0, recon_adj=0.0, kl=1.0)
-    total, _, _, _, kl, _ = vgae.vgae_loss(p, g, rng.normal(size=(6, 12)),
-                                           rng.normal(size=(6, 2)), np.zeros((6, 4)),
-                                           weights, rng)
+    x, xy = rng.normal(size=(6, 12)), rng.normal(size=(6, 2))
+    *terms, _ = vgae.vgae_loss(p, g, x, xy, np.zeros((6, 4)), balanced_negatives(g, rng))
+    total = weighted_total(terms, recon_exp=0.0, recon_sp=0.0, recon_adj=0.0, kl=1.0)
+    kl = terms[3]
     assert total.item() == 0.0 and kl.item() == 0.0
 
 
@@ -263,25 +274,49 @@ def test_full_loss_grad_check_small_instance():
     x = rng.uniform(0.1, 2.0, size=(8, 12))
     xy = rng.normal(size=(8, 2))
     noise = rng.normal(size=(8, 4))
-    weights = vgae.VgaeLossWeights()
+    neg = balanced_negatives(g, np.random.default_rng(12))
 
     def loss():
-        # a fresh generator per call fixes the negative sample, so the loss is
-        # a deterministic function of params
-        return vgae.vgae_loss(p, g, x, xy, noise, weights, np.random.default_rng(12))[0]
+        return weighted_total(vgae.vgae_loss(p, g, x, xy, noise, neg))
 
     assert ad.grad_check(loss, p.params()) < 1e-4
 
 
-def _train_vgae(p, g, x, sp, weights, steps, seed, lr=1e-2):
+def test_loss_is_a_function_of_its_inputs():
+    # no generator inside: two calls on the same inputs agree bit for bit,
+    # in every term and in every leaf gradient
+    p = tiny_vgae(seed=18, n_genes=12)
+    rng = np.random.default_rng(18)
+    g = vgae.build_knn_graph(rng.uniform(0, 4, size=(8, 2)), k=2)
+    x = rng.uniform(0.1, 2.0, size=(8, 12))
+    xy = rng.normal(size=(8, 2))
+    noise = rng.normal(size=(8, 4))
+    neg = balanced_negatives(g, rng)
+    runs = []
+    for _ in range(2):
+        for t in p.params().values():
+            t.grad = None
+        with ad.Tape():
+            *terms, mu = vgae.vgae_loss(p, g, x, xy, noise, neg)
+            ad.backward(weighted_total(terms))
+        runs.append(([t.item() for t in terms], mu.data.copy(),
+                     {name: t.grad.copy() for name, t in p.params().items()}))
+    (terms_a, mu_a, grads_a), (terms_b, mu_b, grads_b) = runs
+    assert terms_a == terms_b and np.array_equal(mu_a, mu_b)
+    assert grads_a.keys() == grads_b.keys()
+    assert all(np.array_equal(grads_a[name], grads_b[name]) for name in grads_a)
+
+
+def _train_vgae(p, g, x, sp, steps, seed, lr=1e-2, **weights):
     rng = np.random.default_rng(seed)
     opt = ad.Adam(p.params(), lr=lr)
     history = []
     for _ in range(steps):
         noise = rng.normal(size=(x.shape[0], p.cfg.latent_dim))
+        neg = balanced_negatives(g, rng)
         opt.zero_grad()
         with ad.Tape():
-            total, *_ = vgae.vgae_loss(p, g, x, sp, noise, weights, rng)
+            total = weighted_total(vgae.vgae_loss(p, g, x, sp, noise, neg), **weights)
             ad.backward(total)
         ad.adam_step(opt)
         history.append(total.item())
@@ -295,8 +330,8 @@ def test_path_graph_adjacency_reconstruction_trains_below_point_one():
     assert g.edges == [(0, 1), (1, 2), (2, 3)]
     p = tiny_vgae(seed=13, n_genes=5)
     x = rng.normal(size=(4, 5))
-    weights = vgae.VgaeLossWeights(recon_exp=0.0, recon_sp=0.0, recon_adj=1.0, kl=1e-4)
-    _train_vgae(p, g, x, coords, weights, steps=400, seed=13)
+    _train_vgae(p, g, x, coords, steps=400, seed=13,
+                recon_exp=0.0, recon_sp=0.0, recon_adj=1.0, kl=1e-4)
     mu = vgae.encode_mu(p, g.norm_adj, x)
     pos_r, pos_c = g.pos
     neg = vgae.sample_negatives(g.keys, g.n, g.n * g.n, rng)  # every non-edge
@@ -316,8 +351,7 @@ def test_training_decreases_total_loss_30pct():
     x = rng.normal(size=(50, 12))
     tr = vgae.fit_coord_transform(coords)
     p = tiny_vgae(seed=14)
-    history = _train_vgae(p, g, x, tr.normalize(coords), vgae.VgaeLossWeights(kl=1e-3),
-                          steps=300, seed=14)
+    history = _train_vgae(p, g, x, tr.normalize(coords), steps=300, seed=14, kl=1e-3)
     assert history[-1] <= 0.7 * history[0]
 
 
@@ -347,8 +381,8 @@ def test_two_block_graph_heldout_edge_auc():
                           coord_hidden=(8,))
     p = vgae.init_vgae(cfg, 15)
     tr = vgae.fit_coord_transform(coords)
-    weights = vgae.VgaeLossWeights(recon_exp=1.0, recon_sp=1.0, recon_adj=2.0, kl=1e-4)
-    _train_vgae(p, g, x, tr.normalize(coords), weights, steps=500, seed=15)
+    _train_vgae(p, g, x, tr.normalize(coords), steps=500, seed=15,
+                recon_exp=1.0, recon_sp=1.0, recon_adj=2.0, kl=1e-4)
 
     mu = vgae.encode_mu(p, g.norm_adj, x)
     neg = vgae.sample_negatives(full.keys, full.n, 200, rng)
@@ -569,11 +603,15 @@ def test_train_step_keeps_one_buffer_per_hidden_activation():
     xy = rng.normal(size=(g.n, 2))
     noise = rng.normal(size=(g.n, cfg.latent_dim))
     opt = ad.Adam(p.params())
-    weights, neg_rng = vgae.VgaeLossWeights(), np.random.default_rng(2)
+    neg_rng = np.random.default_rng(2)
     param_bytes = sum(t.data.nbytes for t in p.params().values())
     widths = 2 * sum(cfg.exp_hidden) + 2 * cfg.gcn_hidden + sum(cfg.coord_hidden)
     hidden_bytes = 8 * g.n * widths
-    _, peak = traced_peak(lambda: ad.train_step(
-        opt, lambda: vgae.vgae_loss(p, g, x, xy, noise, weights, neg_rng)[:5], "memory test"))
+
+    def loss():  # the negative sample is part of the step, as in stage 3
+        *terms, _ = vgae.vgae_loss(p, g, x, xy, noise, balanced_negatives(g, neg_rng))
+        return (weighted_total(terms), *terms)
+
+    _, peak = traced_peak(lambda: ad.train_step(opt, loss, "memory test"))
     assert peak <= 1.5 * (param_bytes + x.nbytes + hidden_bytes), (peak, param_bytes, x.nbytes,
                                                                     hidden_bytes)
