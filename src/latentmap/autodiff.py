@@ -316,13 +316,6 @@ def affine_mse(h, w, b, target):
                       lambda g: r.sum(axis=0) * c(g), lambda g: r * -c(g)))
 
 
-def sum_cols(a):
-    """Row sums of a matrix: [n, m] -> [n]."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"sum_cols expects a matrix, got shape {tuple(a.shape)}")
-    return _make_out(a.data.sum(axis=1), (a,), (lambda g: np.repeat(g[:, None], a.shape[1], axis=1),))
-
-
 def concat_cols(a, b):
     """Concatenate two matrices with the same row count along columns."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:

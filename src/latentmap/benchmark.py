@@ -94,11 +94,16 @@ def knn_predict(train: LabeledEmbedding, queries, k: int) -> list:
     return [train.vocab[i] for i in counts.argmax(axis=1)]  # argmax takes the first max
 
 
-def _fold_slices(n, folds, seed):
+def check_folds(n, folds):
+    """Refuse a fold count below 2 or above the row count ``n``."""
     if folds < 2:
         raise DataError(f"folds must be >= 2, got {folds}")
     if n < folds:
-        raise DataError(f"n={n} smaller than folds={folds}")
+        raise DataError(f"{n} rows cannot fill {folds} folds")
+
+
+def _fold_slices(n, folds, seed):
+    check_folds(n, folds)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(order, folds)]
@@ -148,16 +153,21 @@ def default_k_values(n_classes: int) -> list:
     return [k for k in ks if k >= 1]
 
 
+def holdout_size(n, fraction) -> int:
+    """Test rows of a hold-out split of ``n`` rows; refuses one without a training row."""
+    if not 0.0 < fraction < 1.0:
+        raise DataError(f"holdout fraction must be in (0, 1), got {fraction}")
+    n_test = max(1, int(round(n * fraction)))
+    if n_test >= n:
+        raise DataError(f"holdout fraction {fraction} of {n} rows leaves no training row")
+    return n_test
+
+
 def holdout_accuracy(e: LabeledEmbedding, k_neighbors: int, fraction: float = 0.25,
                      seed: int = 0) -> float:
     """Single split: train on (1-fraction), test on fraction."""
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"holdout fraction must be in (0, 1), got {fraction}")
-    n_test = max(1, int(round(e.n * fraction)))
-    if n_test >= e.n:
-        raise DataError(f"holdout fraction {fraction} of {e.n} rows leaves no training row")
     order = np.random.default_rng(seed).permutation(e.n)
-    test_idx = np.sort(order[:n_test])
+    test_idx = np.sort(order[:holdout_size(e.n, fraction)])
     y_hat = _predict_split(e, test_idx, k_neighbors)
     return accuracy([e.labels[i] for i in test_idx], y_hat)
 

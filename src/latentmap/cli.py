@@ -210,7 +210,11 @@ def cmd_infer(args):
         found = {"missing": missing, "extra": extra}
         raise DataError(f"{args.query}: genes differ from the run's panel {panel_path}: "
                         + ", ".join(f"{kind} {ids[:10]}" for kind, ids in found.items() if ids))
-    x = pp.panel_matrix(query, panel, target_sum=run.target_sum())
+    target_sum = run.target_sum()
+    try:
+        x = pp.panel_matrix(query, panel, target_sum=target_sum)
+    except DataError as exc:
+        raise DataError(f"{args.query} on {panel_path}: {exc}") from None
     x_hat, coords_norm, transform = pl.infer(run, x)
     dataio.write_matrix_csv(args.out, query.row_ids, ["x_hat", "y_hat"] + panel.gene_ids,
                             np.hstack([transform.denormalize(coords_norm), x_hat]))
@@ -224,10 +228,18 @@ def cmd_bench(args):
     if args.seed < 0:
         raise DataError(f"--seed must be >= 0, got {args.seed}")
     ids, codes = dataio.read_latent_csv(args.latent)
+    # the split flags are checked against the latent's rows before any work
+    for flag, value, check in (("--folds", args.folds, bm.check_folds),
+                               ("--holdout", args.holdout, bm.holdout_size)):
+        try:
+            if value is not None:
+                check(len(ids), value)
+        except DataError as exc:
+            raise DataError(f"{flag} {value} on {args.latent}: {exc}") from None
     labels_by_id = dataio.read_labels_csv(args.labels)
     unmatched = [i for i in ids if i not in labels_by_id]
     if unmatched:
-        raise DataError(f"latent ids without labels: {unmatched[:10]}")
+        raise DataError(f"{args.latent}: ids without labels in {args.labels}: {unmatched[:10]}")
     labels = [labels_by_id[i] for i in ids]
     emb = bm.LabeledEmbedding(codes, labels)
     k_values = args.k if args.k else bm.default_k_values(len(emb.vocab))
@@ -239,7 +251,7 @@ def cmd_bench(args):
         lines.append(f"k={k} mean={report.mean:.6f} std={report.std:.6f} folds=[{fold_str}]")
         for w in report.warnings:
             lines.append(f"  warning: {w}")
-    if args.holdout:
+    if args.holdout is not None:
         acc = bm.holdout_accuracy(emb, k_values[0], fraction=args.holdout, seed=args.seed)
         lines.append(f"holdout fraction={args.holdout} k={k_values[0]} accuracy={acc:.6f}")
     first_k, first_report = sweep[0]
@@ -278,7 +290,7 @@ def gradcheck_suite(seed=0):
     p_vae = vae.init_vae(vae.VaeConfig(n_genes=7, latent_dim=4, enc_hidden=(6, 5)), rng)
     x = rng.uniform(0.1, 2.0, size=(5, 7))
     noise = rng.normal(size=(5, 4))
-    results["vae"] = ad.grad_check(lambda: vae.vae_loss(p_vae, x, noise, beta=1.0)[0],
+    results["vae"] = ad.grad_check(lambda: ad.add(*vae.vae_loss(p_vae, x, noise)[:2]),
                                    _draw_biases(p_vae.params(), rng))
 
     g = vg.build_knn_graph(rng.uniform(0, 4, size=(6, 2)), k=2)
@@ -299,7 +311,7 @@ def gradcheck_suite(seed=0):
 
     p_disc = discriminator.init_discriminator(4, rng, hidden=(8, 8, 8))
     z = rng.normal(size=(6, 4))
-    labels = rng.integers(0, 2, size=6).astype(float)
+    labels = rng.integers(0, 2, size=(6, 1)).astype(float)
     results["discriminator"] = ad.grad_check(
         lambda: ad.bce_with_logits(discriminator.disc_forward(p_disc, z), labels),
         _draw_biases(p_disc.params(), rng))
@@ -357,7 +369,7 @@ def build_parser():
     p.add_argument("--max-mito-ribo", type=float, default=0.2)
     p.add_argument("--n-hvg", type=int, default=2000)
     p.add_argument("--n-shared", type=int, default=500)
-    p.add_argument("--target-sum", type=float, default=1e4)
+    p.add_argument("--target-sum", type=float, default=pp.TARGET_SUM)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("train", help="run the training stages")

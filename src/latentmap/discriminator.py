@@ -38,11 +38,11 @@ def init_discriminator(latent_dim, seed_or_rng, hidden=(128, 128, 128)) -> Discr
 
 
 def disc_forward(p: DiscriminatorParams, z):
-    """Logits [n] for latent codes z [n, d]."""
+    """Logits [n, 1] for latent codes z [n, d]."""
     z = ad.as_tensor(z)
     if z.shape[1] != p.latent_dim:
         raise ShapeError(f"disc_forward: input width {z.shape[1]}, model expects {p.latent_dim}")
-    return ad.sum_cols(nn.mlp_forward(p.layers + [p.head], z))  # [n, 1] -> [n]
+    return nn.mlp_forward(p.layers + [p.head], z)
 
 
 def disc_accuracy(p: DiscriminatorParams, z_sc, z_st) -> float:
@@ -57,17 +57,15 @@ def disc_accuracy(p: DiscriminatorParams, z_sc, z_st) -> float:
     return correct / (logits_sc.size + logits_st.size)
 
 
-def train_discriminator(p: DiscriminatorParams, z_sc, z_st,
-                        alpha: float = 0.9, max_iters: int = 50, lr: float = 1e-3):
+def train_discriminator(p: DiscriminatorParams, z_sc, z_st, alpha: float, max_iters: int,
+                        lr: float):
     """Full-batch Adam on BCE until accuracy >= alpha or ``max_iters`` steps.
 
     The latents are treated as constants (no gradient reaches whatever
     produced them). Returns (params, final_accuracy, steps_taken).
     """
-    z_sc = np.asarray(z_sc, dtype=np.float64)
-    z_st = np.asarray(z_st, dtype=np.float64)
     z_all = ad.tensor(np.vstack([z_sc, z_st]))
-    labels = np.concatenate([np.ones(len(z_sc)), np.zeros(len(z_st))])
+    labels = np.concatenate([np.ones((len(z_sc), 1)), np.zeros((len(z_st), 1))])
     opt = ad.Adam(p.params(), lr=lr)
     steps = 0
     acc = disc_accuracy(p, z_sc, z_st)

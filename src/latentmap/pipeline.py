@@ -250,10 +250,11 @@ class RunDir:
         """The ``target_sum`` that ``train`` recorded in ``manifest.json``.
 
         A run dir without a manifest (one built through the Python API), or
-        whose manifest does not record it, uses 1e4, the preprocess default.
+        whose manifest does not record it, uses the preprocess default.
         """
         path = self.path("manifest.json")
-        return _read_target_sum(path, default=1e4) if os.path.exists(path) else 1e4
+        return (_read_target_sum(path, default=pp.TARGET_SUM) if os.path.exists(path)
+                else pp.TARGET_SUM)
 
     def verify_manifest(self, digests, cfg, force):
         """Refuse to resume a run recorded with other inputs (``digests``: file name -> sha256).
@@ -308,11 +309,14 @@ def _train_vae(cfg, model, x, noise_rng, epochs, where):
     """``epochs`` Adam steps of the VAE loss on ``x``; one row [epoch, total, recon, kl] each."""
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
     rows = []
-    for epoch in range(epochs):
+
+    def loss():
         noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
-        terms = ad.train_step(opt, lambda: vae.vae_loss(model, x, noise, beta=cfg.kl_weight)[:3],
-                              f"{where}, step {epoch}")
-        rows.append([epoch, *terms])
+        recon, kl, _ = vae.vae_loss(model, x, noise)
+        return ad.add(recon, ad.scale(kl, cfg.kl_weight)), recon, kl
+
+    for epoch in range(epochs):
+        rows.append([epoch, *ad.train_step(opt, loss, f"{where}, step {epoch}")])
     return rows
 
 
@@ -343,25 +347,27 @@ def _anchor_codes(fixed, ids, kind, latent_dim):
     return fixed.codes
 
 
-def _generator_step(cfg, model, opt, x, noise, d_params, adv_label, where, anchor=None):
-    """One full-batch step for a 500-gene VAE inside stage 2.
+def _generator_step(cfg, model, opt, x, noise_rng, d_params, adv_label, where, anchor=None):
+    """One full-batch step for a 500-gene VAE inside stage 2, on noise drawn from ``noise_rng``.
 
     Loss = recon + kl_weight * KL + w_anchor_sc * anchor + w_adv * adv, where
-    the anchor term ties the posterior mean to ``anchor`` (no anchor when it
-    is None) and the adversarial term pushes it toward ``adv_label``: both act
-    on the quantity that later gets frozen. Returns [total, recon, kl, anchor,
-    adv]; a term that is not taken reads 0.
+    the anchor term ties the posterior mean to ``anchor`` and the adversarial
+    term pushes it toward ``adv_label``: both act on the quantity that later
+    gets frozen. Every term is taken whatever its weight. Returns [total,
+    recon, kl, anchor, adv]; spots have no anchor (``anchor`` None), and
+    their row leaves that term out.
     """
     def loss():
-        total, recon, kl, mu = vae.vae_loss(model, x, noise, beta=cfg.kl_weight)
-        anchor_loss = adv = ad.tensor(0.0)
-        if cfg.w_anchor_sc > 0 and anchor is not None:
-            anchor_loss = euclidean_latent_loss(mu, anchor)
-            total = ad.add(total, ad.scale(anchor_loss, cfg.w_anchor_sc))
-        if cfg.w_adv > 0:
-            adv = disc.adversarial_generator_loss(d_params, mu, target_label=adv_label)
-            total = ad.add(total, ad.scale(adv, cfg.w_adv))
-        return total, recon, kl, anchor_loss, adv
+        noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
+        recon, kl, mu = vae.vae_loss(model, x, noise)
+        total = ad.add(recon, ad.scale(kl, cfg.kl_weight))
+        anchor_terms = []
+        if anchor is not None:
+            anchor_terms = [euclidean_latent_loss(mu, anchor)]
+            total = ad.add(total, ad.scale(anchor_terms[0], cfg.w_anchor_sc))
+        adv = disc.adversarial_generator_loss(d_params, mu, target_label=adv_label)
+        total = ad.add(total, ad.scale(adv, cfg.w_adv))
+        return total, recon, kl, *anchor_terms, adv
 
     return ad.train_step(opt, loss, where)
 
@@ -416,14 +422,11 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
             max_iters=cfg.disc_max_iters, lr=cfg.disc_lr)
         for inner in range(cfg.s2b_epochs):
             where = f"stage 2, step {outer * cfg.s2b_epochs + inner}"
-            sc_stats = _generator_step(
-                cfg, model_sc, opt_sc, x_sc, noise_sc.normal(size=(x_sc.shape[0], cfg.latent_dim)),
-                d_params, 0.0, f"{where}, cells", anchor=anchor)
-            total_st, recon_st, kl_st, _, adv_st = _generator_step(
-                cfg, model_st, opt_st, x_st, noise_st.normal(size=(x_st.shape[0], cfg.latent_dim)),
-                d_params, 1.0, f"{where}, spots")
-            rows.append([outer, inner, d_acc, d_steps, *sc_stats,
-                         total_st, recon_st, kl_st, adv_st])
+            sc_stats = _generator_step(cfg, model_sc, opt_sc, x_sc, noise_sc, d_params, 0.0,
+                                       f"{where}, cells", anchor=anchor)
+            st_stats = _generator_step(cfg, model_st, opt_st, x_st, noise_st, d_params, 1.0,
+                                       f"{where}, spots")
+            rows.append([outer, inner, d_acc, d_steps, *sc_stats, *st_stats])
 
     codes_sc = vae.encode_mu(model_sc, x_sc)
     codes_st = vae.encode_mu(model_st, x_st)
@@ -523,7 +526,7 @@ class PipelineData:
     st500: tuple
     st_coords: tuple  # (spot_ids, [n, 2])
     panel_shared: list
-    target_sum: float = 1e4  # the normalization of the three matrices
+    target_sum: float = pp.TARGET_SUM  # the normalization of the three matrices
 
 
 # the preprocess outputs that training reads; the run manifest records their digests

@@ -22,6 +22,7 @@ from .errors import DataError
 log = logging.getLogger("latentmap.preprocess")
 
 MITO_RIBO_PREFIXES = ("MT-", "MRP", "RPS", "RPL")  # mitochondrial, then ribosomal genes
+TARGET_SUM = 1e4  # the default total each row is scaled to before log1p
 
 
 def first_duplicate(ids):
@@ -152,14 +153,14 @@ def filter_mito_ribo(m: CountMatrix, max_fraction: float = 0.2) -> CountMatrix:
     return m.take_rows(keep)
 
 
-def normalize_log1p(m: CountMatrix, target_sum: float = 1e4) -> np.ndarray:
+def normalize_log1p(m: CountMatrix, target_sum: float = TARGET_SUM) -> np.ndarray:
     """Scale each row to ``target_sum`` total, then log1p. Returns float64 matrix."""
     if not (math.isfinite(target_sum) and target_sum > 0):
         raise DataError(f"target_sum must be a finite number > 0, got {target_sum!r}")
     totals = m.counts.sum(axis=1).astype(np.float64)
     if np.any(totals == 0):
         bad = [m.row_ids[i] for i in np.flatnonzero(totals == 0)[:5]]
-        raise DataError(f"zero-total rows present (should have been filtered): {bad}")
+        raise DataError(f"rows with zero total counts: {bad}")
     # row-major whatever the counts' layout (a column subset is column-major),
     # so tensors adopt it without a copy; normalized in place, no temporaries
     out = m.counts.astype(np.float64, order="C")
@@ -218,7 +219,7 @@ def subset_counts(m: CountMatrix, panel: GenePanel) -> CountMatrix:
     return m.take_cols([index[g] for g in panel.gene_ids])
 
 
-def panel_matrix(m: CountMatrix, panel: GenePanel, target_sum: float = 1e4) -> np.ndarray:
+def panel_matrix(m: CountMatrix, panel: GenePanel, target_sum: float = TARGET_SUM) -> np.ndarray:
     """Counts restricted to the panel, then normalized+log1p.
 
     Restriction happens before normalization so that datasets measured on

@@ -89,8 +89,8 @@ def kl_divergence(mu, logvar):
     return ad.scale(ad.tsum(per_entry), 0.5 / n)
 
 
-def vae_loss(p: VaeParams, x, noise, beta: float = 1.0):
-    """(total, recon, kl, mu) where total = recon + beta * kl.
+def vae_loss(p: VaeParams, x, noise):
+    """The unweighted terms (recon, kl, mu); the caller weighs and sums them.
 
     recon is the MSE between the input and its reconstruction through the
     sampled latent; the output head runs inside ``affine_mse``, so the
@@ -101,9 +101,7 @@ def vae_loss(p: VaeParams, x, noise, beta: float = 1.0):
     mu, logvar = encode(p, x)
     z = reparameterize(mu, logvar, noise)
     recon = ad.affine_mse(_decode_hidden(p, z), p.out_head.w, p.out_head.b, x)
-    kl = kl_divergence(mu, logvar)
-    total = ad.add(recon, ad.scale(kl, beta))
-    return total, recon, kl, mu
+    return recon, kl_divergence(mu, logvar), mu
 
 
 def encode_mu(p: VaeParams, x) -> np.ndarray:

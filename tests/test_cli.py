@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from latentmap import cli, dataio, pipeline as pl, preprocess as pp
+from latentmap import benchmark as bm, cli, dataio, pipeline as pl, preprocess as pp
 from latentmap.errors import DataError, DependencyError, NumericError, ShapeError
 from latentmap.preprocess import CountMatrix
 
@@ -226,6 +226,7 @@ _BAD_FLAG_VALUES = [
     ("bench", "--folds", "0", "folds must be >= 2, got 0"),
     ("bench", "--k", "0", "k must be positive, got 0"),
     ("bench", "--holdout", "1.5", "holdout fraction must be in (0, 1), got 1.5"),
+    ("bench", "--holdout", "0", "holdout fraction must be in (0, 1), got 0.0"),
     ("gradcheck", "--seed", "-1", "--seed must be >= 0, got -1"),
     ("gradcheck", "--tolerance", "nan", "--tolerance must be a finite number > 0, got nan"),
     ("gradcheck", "--tolerance", "inf", "--tolerance must be a finite number > 0, got inf"),
@@ -1048,6 +1049,21 @@ def test_infer_duplicate_panel_gene_names_the_file_and_the_id(trained_run, corpu
     assert not (tmp_path / "pred.csv").exists()
 
 
+def test_infer_query_cell_without_panel_counts_names_both_files(trained_run, tmp_path, caplog):
+    # the cell has counts, but none on the panel: only the extra gene is expressed
+    panel_path = trained_run / "panel_shared.txt"
+    panel = dataio.read_id_list(panel_path)
+    query = tmp_path / "query.csv"
+    dataio.write_counts_csv(query, CountMatrix(["q0", "q1"], panel + ["EXTRA"],
+                                               [[3] * len(panel) + [0], [0] * len(panel) + [7]]))
+    rc = cli.main(["infer", "--run-dir", str(trained_run), "--query", str(query),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DATA
+    assert f"{query} on {panel_path}: rows with zero total counts: ['q1']" in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "pred.csv").exists()
+
+
 @pytest.mark.parametrize("allow_extra", [True, False])
 def test_infer_query_panel_mismatch_names_both_files(trained_run, tmp_path, caplog, allow_extra):
     panel_path = trained_run / "panel_shared.txt"
@@ -1083,12 +1099,15 @@ def test_bench_reports(trained_run, corpus_dir, tmp_path):
     assert len(acc_k) == 3
 
 
-def test_bench_unmatched_ids_listed(trained_run, tmp_path):
+def test_bench_unmatched_ids_listed(trained_run, tmp_path, caplog):
     labels = tmp_path / "labels.csv"
     labels.write_text("id,label\nonly_one,typeA\n")
-    rc = cli.main(["bench", "--latent", str(trained_run / "latents" / "z_sc2000.csv"),
+    latent = trained_run / "latents" / "z_sc2000.csv"
+    rc = cli.main(["bench", "--latent", str(latent),
                    "--labels", str(labels), "--out", str(tmp_path / "bench")])
     assert rc == cli.EXIT_DATA
+    first = dataio.read_latent_csv(latent)[0][0]
+    assert f"{latent}: ids without labels in {labels}: ['{first}'" in caplog.text
 
 
 def test_bench_duplicate_latent_id_exits_3_naming_file_and_id(tmp_path, caplog):
@@ -1103,15 +1122,40 @@ def test_bench_duplicate_latent_id_exits_3_naming_file_and_id(tmp_path, caplog):
     assert not (tmp_path / "bench").exists()
 
 
-def test_bench_holdout_without_a_training_row_exits_3_naming_the_split(tmp_path, caplog):
+def _refuse_sweep(*args, **kwargs):
+    raise AssertionError("the k-fold sweep ran before the split flags were checked")
+
+
+def _three_row_bench(tmp_path, monkeypatch, *flags):
+    """``bench`` on a 3-row latent whose k-fold sweep must not start; returns (rc, latent)."""
     latent = tmp_path / "z.csv"
     dataio.write_latent_csv(latent, ["a", "b", "c"], np.eye(3))
     dataio.write_labels_csv(tmp_path / "labels.csv", [("a", "x"), ("b", "y"), ("c", "x")])
+    monkeypatch.setattr(bm, "sweep_k", _refuse_sweep)
     rc = cli.main(["bench", "--latent", str(latent), "--labels", str(tmp_path / "labels.csv"),
-                   "--out", str(tmp_path / "bench"), "--k", "1", "--folds", "3",
-                   "--holdout", "0.9"])
+                   "--out", str(tmp_path / "bench"), "--k", "1", *flags])
+    return rc, latent
+
+
+def test_bench_holdout_without_a_training_row_exits_3_naming_the_split(tmp_path, caplog,
+                                                                        monkeypatch):
+    rc, latent = _three_row_bench(tmp_path, monkeypatch, "--folds", "3", "--holdout", "0.9")
     assert rc == cli.EXIT_DATA
-    assert "holdout fraction 0.9 of 3 rows leaves no training row" in caplog.text
+    assert (f"--holdout 0.9 on {latent}: holdout fraction 0.9 of 3 rows leaves no training row"
+            in caplog.text)
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("flags,named", [
+    ([], "--folds 4 on {latent}: 3 rows cannot fill 4 folds"),
+    (["--folds", "1"], "--folds 1 on {latent}: folds must be >= 2, got 1"),
+], ids=["default-folds", "folds-below-2"])
+def test_bench_folds_the_rows_cannot_fill_exits_3_naming_flag_and_file(tmp_path, caplog,
+                                                                       monkeypatch, flags, named):
+    rc, latent = _three_row_bench(tmp_path, monkeypatch, *flags)
+    assert rc == cli.EXIT_DATA
+    assert named.format(latent=latent) in caplog.text
     assert "Traceback" not in caplog.text
     assert not (tmp_path / "bench").exists()
 

@@ -19,7 +19,7 @@ def test_zero_params_gives_half_probability_and_st_prior_accuracy():
     z_sc = np.ones((3, 4))
     z_st = np.zeros((5, 4))
     logits = disc.disc_forward(p, z_sc)
-    assert np.array_equal(logits.data, np.zeros(3))
+    assert np.array_equal(logits.data, np.zeros((3, 1)))
     # logit 0 -> class 0, so every row predicts "spot"
     assert disc.disc_accuracy(p, z_sc, z_st) == 5 / 8
 
@@ -28,7 +28,7 @@ def test_duplicated_rows_give_duplicated_logits():
     p = disc.init_discriminator(4, 1)
     row = np.random.default_rng(1).normal(size=4)
     logits = disc.disc_forward(p, np.vstack([row, row])).data
-    assert logits[0] == logits[1]
+    assert logits.shape == (2, 1) and logits[0, 0] == logits[1, 0]
 
 
 def test_forward_matches_numpy_reference():
@@ -38,7 +38,7 @@ def test_forward_matches_numpy_reference():
     h = z
     for layer in p.layers:
         h = np.maximum(h @ layer.w.data + layer.b.data, 0.0)
-    expected = (h @ p.head.w.data + p.head.b.data)[:, 0]
+    expected = h @ p.head.w.data + p.head.b.data  # [n, 1]
     assert np.array_equal(disc.disc_forward(p, z).data, expected)
 
 
@@ -55,9 +55,9 @@ def test_accuracy_matches_brute_force_counts():
     acc = disc.disc_accuracy(p, z_sc, z_st)
     correct = 0
     for row in z_sc:
-        correct += disc.disc_forward(p, row[None, :]).data[0] > 0
+        correct += disc.disc_forward(p, row[None, :]).data[0, 0] > 0
     for row in z_st:
-        correct += disc.disc_forward(p, row[None, :]).data[0] <= 0
+        correct += disc.disc_forward(p, row[None, :]).data[0, 0] <= 0
     assert acc == correct / 40
     assert 0.0 <= acc <= 1.0
 
@@ -74,9 +74,11 @@ def test_already_separating_params_return_in_zero_steps():
     rng = np.random.default_rng(4)
     z_sc, z_st = gaussian_clouds(rng, 50)
     p = disc.init_discriminator(10, 4)
-    p, acc, _ = disc.train_discriminator(p, z_sc, z_st, alpha=0.95, max_iters=200)
+    p, acc, _ = disc.train_discriminator(p, z_sc, z_st, alpha=0.95, max_iters=200,
+                                         lr=1e-3)
     assert acc >= 0.95
-    p, acc2, steps = disc.train_discriminator(p, z_sc, z_st, alpha=0.95, max_iters=200)
+    p, acc2, steps = disc.train_discriminator(p, z_sc, z_st, alpha=0.95, max_iters=200,
+                                              lr=1e-3)
     assert steps == 0 and acc2 >= 0.95
 
 
@@ -84,7 +86,7 @@ def test_disjoint_clouds_reach_95pct_within_10_epochs():
     rng = np.random.default_rng(5)
     z_sc, z_st = gaussian_clouds(rng, 1000, d=10, mean=3.0, sigma=0.5)
     p = disc.init_discriminator(10, 5)
-    p, acc, steps = disc.train_discriminator(p, z_sc, z_st, alpha=0.95, max_iters=10)
+    p, acc, steps = disc.train_discriminator(p, z_sc, z_st, alpha=0.95, max_iters=10, lr=1e-3)
     assert acc >= 0.95
     assert steps <= 10
 
@@ -95,7 +97,7 @@ def test_identical_clouds_halt_at_max_iters_near_chance():
     z_sc = rng.normal(size=(n, 10))
     z_st = rng.normal(size=(n, 10))
     p = disc.init_discriminator(10, 6)
-    p, _, steps = disc.train_discriminator(p, z_sc, z_st, alpha=0.9, max_iters=50)
+    p, _, steps = disc.train_discriminator(p, z_sc, z_st, alpha=0.9, max_iters=50, lr=1e-3)
     assert steps == 50  # never reached alpha
     # statistical oracle: held-out draws from the same distribution
     held_sc = rng.normal(size=(n, 10))
@@ -109,7 +111,7 @@ def test_train_never_exceeds_max_iters():
     z_sc = rng.normal(size=(40, 4))
     z_st = rng.normal(size=(40, 4))
     p = disc.init_discriminator(4, 7)
-    _, _, steps = disc.train_discriminator(p, z_sc, z_st, alpha=1.1, max_iters=13)
+    _, _, steps = disc.train_discriminator(p, z_sc, z_st, alpha=1.1, max_iters=13, lr=1e-3)
     assert steps == 13
 
 
@@ -124,7 +126,7 @@ def test_train_discriminator_matches_standalone_loop():
 
     q = disc.init_discriminator(4, 11)
     z_all = ad.tensor(np.vstack([z_sc, z_st]))
-    labels = np.concatenate([np.ones(30), np.zeros(20)])
+    labels = np.concatenate([np.ones((30, 1)), np.zeros((20, 1))])
     opt = ad.Adam(q.params(), lr=1e-2)
     for _ in range(7):
         opt.zero_grad()
@@ -173,7 +175,7 @@ def test_generator_loss_leaves_discriminator_weights_without_grads():
     z0 = rng.normal(size=(6, 3))
     grads = []
     for forward in (lambda z: disc.adversarial_generator_loss(p, z, target_label=1.0),
-                    lambda z: ad.bce_with_logits(disc.disc_forward(p, z), np.ones(6))):
+                    lambda z: ad.bce_with_logits(disc.disc_forward(p, z), np.ones((6, 1)))):
         z = ad.tensor(z0, requires_grad=True)
         with ad.Tape():
             loss = forward(z)

@@ -191,7 +191,8 @@ def test_stage1_history_matches_standalone_vae(tmp_path, corpus):
         noise = noise_rng.normal(size=(x.shape[0], 4))
         opt.zero_grad()
         with ad.Tape():
-            total, recon, kl, _ = vae.vae_loss(model, x, noise, beta=cfg.kl_weight)
+            recon, kl, _ = vae.vae_loss(model, x, noise)
+            total = ad.add(recon, ad.scale(kl, cfg.kl_weight))
             ad.backward(total)
         ad.adam_step(opt)
         standalone.append([epoch, total.item(), recon.item(), kl.item()])
@@ -318,12 +319,32 @@ def test_stage2_ablation_reduces_to_independent_vaes(tmp_path, corpus):
         noise = noise_rng.normal(size=(corpus["x_sc"].shape[0], 4))
         opt.zero_grad()
         with ad.Tape():
-            total, recon, kl, _ = vae.vae_loss(model, corpus["x_sc"], noise, beta=cfg.kl_weight)
+            recon, kl, _ = vae.vae_loss(model, corpus["x_sc"], noise)
+            total = ad.add(recon, ad.scale(kl, cfg.kl_weight))
             ad.backward(total)
         ad.adam_step(opt)
         standalone.append(total.item())
     got = [row[header.index("total_sc")] for row in rows]
     assert got == pytest.approx(standalone, abs=0.0)  # bitwise identical
+
+
+def test_stage2_records_zero_weight_terms(tmp_path, corpus):
+    # a zero weight drops a term from the total, not from the history: the
+    # ablation's anchor and adversarial columns hold the terms, and row 0
+    # (before any generator update) equals a default-weight run's
+    histories = []
+    for name, over in (("ablation", dict(w_anchor_sc=0.0, w_adv=0.0)), ("default", {})):
+        cfg = tiny_cfg(s2_epochs=2, s2b_epochs=1, **over)
+        run = pl.RunDir(tmp_path / name)
+        z1 = pl.stage1(cfg, corpus["x_big"], corpus["sc_ids"], run)
+        pl.stage2(cfg, corpus["x_sc"], corpus["sc_ids"], corpus["x_st"], corpus["st_ids"],
+                  z1, run)
+        histories.append(pl.read_history(run.path("history", "stage2.csv")))
+    (header, ablation), (_, default) = histories
+    for column in ("anchor_sc", "adv_sc", "adv_st"):
+        i = header.index(column)
+        assert all(row[i] > 0 for row in ablation), column
+        assert ablation[0][i] == default[0][i], column
 
 
 def test_stage3_ablation_matches_standalone_vgae(tmp_path, corpus):

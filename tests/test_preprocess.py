@@ -143,7 +143,7 @@ def test_normalize_row_sums_hit_target():
 
 
 def test_normalize_zero_row_errors():
-    with pytest.raises(DataError, match="zero-total"):
+    with pytest.raises(DataError, match=r"rows with zero total counts: \['c0'\]"):
         pp.normalize_log1p(make_matrix([[0, 0], [1, 1]]))
 
 

@@ -114,16 +114,25 @@ def test_kl_nonnegative_sweep():
         assert vae.kl_divergence(mu, logvar).item() >= 0.0
 
 
-def test_vae_loss_beta_zero_is_plain_autoencoder():
+def test_vae_loss_returns_unweighted_recon_kl_and_posterior_mean():
     p = tiny_vae(seed=6)
-    x = np.random.default_rng(6).normal(size=(5, 12))
-    total, recon, kl, loss_mu = vae.vae_loss(p, x, np.zeros((5, 4)), beta=0.0)
-    assert total.item() == recon.item()
-    mu, _ = vae.encode(p, x)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(5, 12))
+    noise = rng.normal(size=(5, 4))
+    recon, kl, loss_mu = vae.vae_loss(p, x, noise)
+    mu, logvar = vae.encode(p, x)
     assert np.array_equal(loss_mu.data, mu.data)  # the loss hands back the posterior mean
-    manual = float(np.mean((vae.decode(p, mu.data).data - x) ** 2))
-    assert recon.item() == pytest.approx(manual, abs=1e-12)
-    assert kl.item() >= 0.0
+    z = mu.data + np.exp(logvar.data / 2) * noise
+    manual = float(np.mean((vae.decode(p, z).data - x) ** 2))
+    assert recon.item() == pytest.approx(manual, rel=1e-12)
+    assert kl.item() == vae.kl_divergence(mu, logvar).item()  # no weight applied
+    assert kl.item() > 0.0
+
+
+def weighted_total(p, x, noise, beta):
+    """recon + beta * KL, as the training stages form it."""
+    recon, kl, _ = vae.vae_loss(p, x, noise)
+    return ad.add(recon, ad.scale(kl, beta))
 
 
 def test_vae_loss_training_decreases_30pct():
@@ -136,12 +145,12 @@ def test_vae_loss_training_decreases_30pct():
         noise = rng.normal(size=(50, 4))
         opt.zero_grad()
         with ad.Tape():
-            total, _, _, _ = vae.vae_loss(p, x, noise, beta=1e-3)
+            total = weighted_total(p, x, noise, 1e-3)
             ad.backward(total)
         ad.adam_step(opt)
         if first is None:
             first = total.item()
-    final, _, _, _ = vae.vae_loss(p, x, np.zeros((50, 4)), beta=1e-3)
+    final = weighted_total(p, x, np.zeros((50, 4)), 1e-3)
     assert final.item() <= 0.7 * first
 
 
@@ -150,7 +159,7 @@ def test_vae_grad_check():
     rng = np.random.default_rng(8)
     x = rng.uniform(0.1, 2.0, size=(4, 6))
     noise = rng.normal(size=(4, 2))
-    err = ad.grad_check(lambda: vae.vae_loss(p, x, noise, beta=1.0)[0], p.params())
+    err = ad.grad_check(lambda: weighted_total(p, x, noise, 1.0), p.params())
     assert err < 1e-4
 
 
@@ -166,7 +175,7 @@ def test_train_step_keeps_no_full_size_prediction():
     noise = rng.normal(size=(400, cfg.latent_dim))
     opt = ad.Adam(p.params())
     param_bytes = sum(t.data.nbytes for t in p.params().values())
-    _, peak = traced_peak(lambda: ad.train_step(opt, lambda: vae.vae_loss(p, x, noise)[:1],
+    _, peak = traced_peak(lambda: ad.train_step(opt, lambda: (weighted_total(p, x, noise, 1.0),),
                                                 "memory test"))
     assert peak <= param_bytes + 2 * x.nbytes, (peak, param_bytes, x.nbytes)
 
@@ -185,7 +194,7 @@ def test_encoder_grad_check():
 
 
 def test_capacity_sanity_one_hot_rows():
-    # beta=0, latent_dim >= n_genes: 10 one-hot rows reach recon < 1e-2
+    # recon alone, latent_dim >= n_genes: 10 one-hot rows reach recon < 1e-2
     x = np.eye(10)
     p = vae.init_vae(vae.VaeConfig(n_genes=10, latent_dim=10, enc_hidden=(32,)), 10)
     opt = ad.Adam(p.params(), lr=1e-2)
@@ -193,8 +202,8 @@ def test_capacity_sanity_one_hot_rows():
     for step in range(2000):
         opt.zero_grad()
         with ad.Tape():
-            total, recon, _, _ = vae.vae_loss(p, x, np.zeros((10, 10)), beta=0.0)
-            ad.backward(total)
+            recon, _, _ = vae.vae_loss(p, x, np.zeros((10, 10)))
+            ad.backward(recon)
         ad.adam_step(opt)
         recon_val = recon.item()
         if recon_val < 1e-2:

@@ -390,6 +390,27 @@ def test_two_block_graph_heldout_edge_auc():
     assert auc >= 0.9
 
 
+def test_edge_auc_equals_the_pairwise_count():
+    # the brute-force definition over every (positive, negative) pair of
+    # scores, ties counted half; every other case rounds the codes to one
+    # decimal, which gives many tied scores
+    rng = np.random.default_rng(17)
+    ties_seen = 0
+    for case in range(100):
+        z = rng.normal(size=(12, 3))
+        if case % 2:
+            z = np.round(z, 1)
+        pos = rng.integers(0, 12, size=(int(rng.integers(1, 30)), 2))
+        neg = rng.integers(0, 12, size=(int(rng.integers(1, 30)), 2))
+        score = lambda pairs: (z[pairs[:, 0]] * z[pairs[:, 1]]).sum(axis=1)  # edge_auc's scores
+        pairs = [(p, q) for p in score(pos) for q in score(neg)]
+        greater = sum(p > q for p, q in pairs)
+        ties = sum(p == q for p, q in pairs)
+        ties_seen += ties
+        assert vgae.edge_auc(z, pos, neg) == (greater + 0.5 * ties) / len(pairs)
+    assert ties_seen > 100
+
+
 def test_coord_transform_round_trip():
     rng = np.random.default_rng(16)
     coords = rng.uniform(-5, 20, size=(40, 2))
