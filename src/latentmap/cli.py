@@ -139,15 +139,20 @@ def cmd_preprocess(args):
     # spots have a limited panel, so the per-spot gene floor does not apply
     st_qc, st_summary = pp.run_qc(st, min_genes=0, min_cells=args.min_cells,
                                   max_mito_ribo=args.max_mito_ribo)
-    keep = {r for r in st_qc.row_ids}
-    coord_keep = [i for i, r in enumerate(st.row_ids) if r in keep]
-    coords = coords[coord_keep]
 
     # one ranking serves both panels
     ranked = pp.rank_genes(pp.normalize_log1p(sc_qc, args.target_sum), sc_qc.col_ids)
     panel_big = pp.GenePanel(ranked[:args.n_hvg])
     panel_shared = pp.intersect_panel(sc_qc, st_qc, n=args.n_shared, ranked=ranked)
     in_panels = set(panel_big.gene_ids) | set(panel_shared.gene_ids)
+    # train normalizes each matrix over its panel, which needs counts on it
+    sc_qc, sc_empty = pp.drop_empty_rows(sc_qc, panel_big, panel_shared)
+    st_qc, st_empty = pp.drop_empty_rows(st_qc, panel_shared)
+    if sc_empty or st_empty:
+        log.warning("dropping %d cell(s) and %d spot(s) with no counts on a panel",
+                    sc_empty, st_empty)
+    keep = set(st_qc.row_ids)
+    coords = coords[[i for i, r in enumerate(st.row_ids) if r in keep]]
 
     dataio.make_dirs(args.out)
     out = lambda name: os.path.join(args.out, name)

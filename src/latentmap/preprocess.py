@@ -210,13 +210,36 @@ def intersect_panel(sc: CountMatrix, st: CountMatrix, n: int = 500, ranked=None)
     return GenePanel(panel)
 
 
-def subset_counts(m: CountMatrix, panel: GenePanel) -> CountMatrix:
-    """Restrict a count matrix to the panel's genes, in panel order."""
+def _panel_columns(m: CountMatrix, panel: GenePanel) -> list:
+    """Column indices of the panel's genes in ``m``, in panel order."""
     index = {g: i for i, g in enumerate(m.col_ids)}
     missing = [g for g in panel.gene_ids if g not in index]
     if missing:
         raise DataError(f"matrix is missing panel genes: {missing[:10]}")
-    return m.take_cols([index[g] for g in panel.gene_ids])
+    return [index[g] for g in panel.gene_ids]
+
+
+def subset_counts(m: CountMatrix, panel: GenePanel) -> CountMatrix:
+    """Restrict a count matrix to the panel's genes, in panel order."""
+    return m.take_cols(_panel_columns(m, panel))
+
+
+def drop_empty_rows(m: CountMatrix, *panels) -> tuple:
+    """(``m`` without the rows that have no counts on one of ``panels``, the number dropped).
+
+    ``normalize_log1p`` cannot scale such a row, so a matrix cut to a panel
+    keeps only rows with counts on it.
+    """
+    keep = np.ones(m.n_rows, dtype=bool)
+    for panel in panels:
+        on_panel = np.zeros(m.n_cols, dtype=m.counts.dtype)
+        on_panel[_panel_columns(m, panel)] = 1
+        keep &= m.counts @ on_panel > 0  # counts are >= 0
+    if keep.all():
+        return m, 0
+    if not keep.any():
+        raise DataError("no row has counts on every panel")
+    return m.take_rows(np.flatnonzero(keep)), int(m.n_rows - keep.sum())
 
 
 def panel_matrix(m: CountMatrix, panel: GenePanel, target_sum: float = TARGET_SUM) -> np.ndarray:

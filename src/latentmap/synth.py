@@ -100,12 +100,16 @@ def _noisy_counts(rng, rates, noise):
     """Poisson draws around the profile; lognormal jitter adds overdispersion.
 
     The -noise^2/2 shift keeps the jitter's mean at 1 so the expected rate
-    stays equal to the profile.
+    stays equal to the profile. The jitter is built in one buffer, which
+    then takes the rates in place.
     """
     if noise > 0:
-        jitter = np.exp(noise * rng.normal(size=rates.shape) - 0.5 * noise ** 2)
-        rates = rates * jitter
-    return rng.poisson(rates).astype(np.int64)
+        jitter = rng.normal(size=rates.shape)
+        jitter *= noise
+        jitter -= 0.5 * noise ** 2
+        np.exp(jitter, out=jitter)
+        rates = np.multiply(jitter, rates, out=jitter)
+    return rng.poisson(rates).astype(np.int64, copy=False)
 
 
 def _gen_cells(cfg, profiles, n, stream, prefix):

@@ -12,7 +12,8 @@ Graph work is O(|E|), following the sparse formulation of GCN and VGAE
 (Kipf & Welling, arXiv:1609.02907 and arXiv:1611.07308); nothing n x n is
 ever built:
 
-* the kNN graph comes from a k-d tree query, re-sorted by (distance, index);
+* the kNN graph comes from a numpy grid of cells that hold about k + 1
+  points each, searched outward until no unsearched point can be nearer;
 * ``spatial_graph`` builds, once per edge set, the entries of A + I (as
   pairs and as sorted keys ``i * n + j``) and the GCN-normalized adjacency
   D^-1/2 (A + I) D^-1/2, a scipy CSR matrix multiplied in by the ``spmm`` op;
@@ -32,6 +33,8 @@ from . import autodiff as ad
 from . import layers as nn
 from . import vae
 from .errors import DataError, ShapeError
+
+_KNN_CHUNK = 1 << 16  # candidate distances the kNN search holds at once
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +84,14 @@ def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
     """Union-symmetrized k-nearest-neighbor graph over 2-D points.
 
     Distance ties break toward the smaller point index; self-loops are
-    excluded from the edge set (A + I adds them back). A k-d tree proposes
-    candidates; any row whose candidate list might cut through a tie at its
-    k-th distance is queried again with more neighbors, and the final order
-    comes from exact distances.
+    excluded from the edge set (A + I adds them back). The search runs on a
+    grid of square cells sized to hold about k + 1 points each (a degenerate
+    bounding box falls back to its long side). Each pending point ranks the
+    points of the (2r + 1)^2 cells around its own by (exact distance,
+    index); no point outside those cells is nearer than r cell sides, so a
+    point whose k-th distance is below that is done, and the rest search
+    again with r doubled.
     """
-    from scipy.spatial import cKDTree  # kept off the inference import path
-
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
     if k < 1:
@@ -96,29 +100,79 @@ def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
         raise DataError(f"need more points than neighbors: n={n}, k={k}")
     if not np.all(np.isfinite(coords)):
         raise DataError("coordinates must be finite")
-    tree = cKDTree(coords)
+    lo = coords.min(axis=0)
+    extent = coords.max(axis=0) - lo
+    side = max(float(np.sqrt(extent[0] * extent[1] * (k + 1) / n)),
+               float(extent.max()) * (k + 1) / n)
+    if 0.0 < side < np.inf:
+        cell = np.floor((coords - lo) / side).astype(np.int64)
+    else:  # all points coincide: one cell
+        cell = np.zeros((n, 2), dtype=np.int64)
+    ny = int(cell[:, 1].max()) + 1
+    span = int(cell.max()) + 1  # a window of r >= span - 1 covers every cell
+    key = cell[:, 0] * ny + cell[:, 1]  # a column of cells is one run of keys
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    xy = coords.T.copy()
     nbrs = np.empty((n, k), dtype=np.intp)
     pending = np.arange(n)
-    m = min(n, 2 * k + 1)
+    r = 1
     while pending.size:
-        dist, idx = tree.query(coords[pending], k=m)
-        is_self = idx == pending[:, None]  # by index: duplicate points share distance 0
-        kth = np.argmax(np.cumsum(~is_self, axis=1) >= k, axis=1)
-        kth_dist = dist[np.arange(len(pending)), kth]
-        # every point at the k-th distance must be a candidate; the relative
-        # margin covers k-d tree distances that differ from ours in the last bit
-        done = (dist[:, -1] > kth_dist * (1.0 + 1e-9)) | (m == n)
-        rows, idx = pending[done], idx[done]
-        exact = np.sqrt(((coords[rows][:, None, :] - coords[idx]) ** 2).sum(axis=2))
-        exact[idx == rows[:, None]] = np.inf
-        order = np.lexsort((idx, exact), axis=1)[:, :k]  # distance, then smaller index
-        nbrs[rows] = np.take_along_axis(idx, order, axis=1)
-        pending = pending[~done]
-        m = min(n, 2 * m)
+        # per point, the 2r + 1 runs of sorted_key that its window's columns hold
+        cx, cy = cell[pending, 0], cell[pending, 1]
+        col = (cx[:, None] + np.arange(-r, r + 1)) * ny
+        start = np.searchsorted(sorted_key, col + np.maximum(cy - r, 0)[:, None], "left")
+        lens = np.searchsorted(sorted_key, col + np.minimum(cy + r, ny - 1)[:, None],
+                               "right") - start
+        count = lens.sum(axis=1)
+        # the relative margin covers cell indices rounded in their last bits
+        reach = r * side * (1.0 - 1e-9)
+        # chunks of points with similar counts, padded to at most _KNN_CHUNK candidates
+        by_count = np.argsort(count, kind="stable")
+        left = []
+        a = 0
+        while a < len(pending):
+            w = count[by_count[a:a + _KNN_CHUNK // count[by_count[a]]]]
+            b = a + max(1, int(np.count_nonzero(np.arange(1, len(w) + 1) * w <= _KNN_CHUNK)))
+            rows = by_count[a:b]
+            pts, tot, ln = pending[rows], count[rows], lens[rows].reshape(-1)
+            # each point's runs end to end, laid into its row; n pads after every index
+            at = np.repeat(start[rows].reshape(-1) - (np.cumsum(ln) - ln), ln) + np.arange(ln.sum())
+            cand = np.full((len(rows), tot[-1]), n)
+            cand[np.arange(tot[-1]) < tot[:, None]] = order[at]
+            cand.sort(axis=1)
+            near, kth = _k_nearest(xy, pts, cand, k)
+            done = (kth < reach) | (r + 1 >= span)
+            nbrs[pts[done]] = near[done]
+            left.append(pts[~done])
+            a = b
+        pending = np.concatenate(left)
+        r *= 2
     i = np.repeat(np.arange(n), k)
     j = nbrs.reshape(-1)
     keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
     return spatial_graph(n, np.stack([keys // n, keys % n], axis=1))
+
+
+def _k_nearest(xy, pts, cand, k):
+    """([m, k] nearest candidates of each point by (distance, index), their k-th distance).
+
+    ``xy`` holds the x and y rows of every point; row i of ``cand`` holds
+    point ``pts[i]``'s candidates in ascending order, padded with the point
+    count. A point is never its own neighbor (by index: duplicates share
+    distance 0); with fewer than k other candidates the k-th distance is inf.
+    """
+    n = xy.shape[1]
+    dist = np.zeros(cand.shape)
+    for axis in xy:  # dx^2 + dy^2
+        d = axis[np.minimum(cand, n - 1)]
+        d -= axis[pts][:, None]
+        d *= d
+        dist += d
+    np.sqrt(dist, out=dist)
+    dist[(cand == n) | (cand == pts[:, None])] = np.inf
+    sel = np.argsort(dist, axis=1, kind="stable")[:, :k]  # stable: the smaller index first
+    return np.take_along_axis(cand, sel, axis=1), dist[np.arange(len(pts)), sel[:, -1]]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import traced_peak
 
 from latentmap import autodiff as ad
 from latentmap import layers as nn
@@ -273,6 +274,65 @@ def test_affine_mse_matches_composite_chain(seed):
 
     for got, want in zip(run(True), run(False)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _affine_mse_leaves(rows, target_grad, seed=3):
+    rng = np.random.default_rng(seed)
+    values = (rng.normal(size=(rows, 6)), rng.normal(size=(6, 9)), rng.normal(size=9),
+              rng.normal(size=(rows, 9)))
+    return [ad.tensor(v, requires_grad=i < 3 or target_grad) for i, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("target_grad", [False, True])
+@pytest.mark.parametrize("rows", [511, 512, 513, 1100, 4096])
+def test_affine_mse_blocks_match_composite_chain(rows, target_grad):
+    # around and past one block of AFFINE_MSE_ROWS rows, against the unfused
+    # chain; past one block the block sums move the last bits, so the
+    # error is taken relative to each array's largest entry
+    assert ad.AFFINE_MSE_ROWS == 512
+
+    def run(fused):
+        leaves = _affine_mse_leaves(rows, target_grad)
+        h, w, b, y = leaves
+        with ad.Tape():
+            loss = (ad.affine_mse(h, w, b, y) if fused
+                    else _composite_mse(ad.matmul(h, w, bias=b), y))
+            ad.backward(loss)
+        return [loss.data] + [t.grad for t in leaves]
+
+    got, want = run(True), run(False)
+    assert (got[-1] is None) == (want[-1] is None) == (not target_grad)
+    for a, b in zip(got, want):
+        if b is not None:
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_affine_mse_backward_twice_on_one_tape():
+    # the vjps scale the kept products into new arrays, so a second pass
+    # over the same tape adds the same gradients again
+    leaves = _affine_mse_leaves(1100, target_grad=True)
+    with ad.Tape():
+        loss = ad.affine_mse(*leaves)
+        ad.backward(loss)
+        first = [t.grad.copy() for t in leaves]
+        ad.backward(loss)
+    for t, g in zip(leaves, first):
+        assert np.array_equal(t.grad, 2.0 * g)
+
+
+def test_affine_mse_keeps_well_under_the_residual():
+    # a stage-3 expression head: 4096 spots, 128 hidden units, 500 genes;
+    # the residual alone would be 4096 * 500 * 8 bytes = 16.4 MB
+    rng = np.random.default_rng(0)
+    h = ad.tensor(rng.normal(size=(4096, 128)), requires_grad=True)
+    w = ad.tensor(rng.normal(size=(128, 500)), requires_grad=True)
+    b = ad.tensor(rng.normal(size=500), requires_grad=True)
+    y = ad.tensor(rng.normal(size=(4096, 500)))
+    with ad.Tape() as tape:
+        _, peak = traced_peak(lambda: ad.affine_mse(h, w, b, y))
+        assert len(tape.entries) == 1
+    # kept: r w^T (4.2 MB), h^T r and colsum(r); transient: one block of r (2 MB)
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("op,fn", [

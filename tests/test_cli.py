@@ -192,6 +192,31 @@ def test_preprocess_drop_counts_match_recount(corpus_dir, data_dir):
     assert summary["sc"]["cells_dropped_low_genes"] == int((expressed < 30).sum())
 
 
+def test_preprocess_drops_a_spot_with_no_counts_on_the_shared_panel(corpus_dir, tiny_config,
+                                                                    tmp_path, caplog):
+    # all of spot S00000's counts moved onto one gene that the 10-gene panel leaves out
+    st = dataio.read_counts_csv(corpus_dir / "st_counts.csv")
+    counts = st.counts.copy()
+    counts[0] = 0
+    counts[0, 0] = st.counts[0].sum()
+    dataio.write_counts_csv(tmp_path / "st_counts.csv", CountMatrix(st.row_ids, st.col_ids, counts))
+    prep = tmp_path / "prep"
+    rc = cli.main(["preprocess", "--sc-counts", str(corpus_dir / "sc_counts.csv"),
+                   "--st-counts", str(tmp_path / "st_counts.csv"),
+                   "--st-coords", str(corpus_dir / "st_coords.csv"), "--out", str(prep),
+                   "--min-genes", "30", "--min-cells", "10", "--n-hvg", "80", "--n-shared", "10"])
+    assert rc == 0
+    assert st.col_ids[0] not in dataio.read_id_list(prep / "panel_shared500.txt")
+    kept = dataio.read_counts_csv(prep / "st_counts_qc.csv").row_ids
+    assert kept == st.row_ids[1:]
+    assert dataio.read_coords_csv(prep / "st_coords.csv")[0] == kept
+    assert json.loads((prep / "summary.json").read_text())["st"]["spots_out"] == len(kept)
+    assert "0 cell(s) and 1 spot(s) with no counts on a panel" in caplog.text
+    rc = cli.main(["train", "--stage", "1", "--data", str(prep),
+                   "--run-dir", str(tmp_path / "run"), "--config", str(tiny_config)])
+    assert rc == 0
+
+
 def test_preprocess_unparseable_file_reports_line(tmp_path, corpus_dir):
     bad = tmp_path / "bad.csv"
     bad.write_text("id,g0\nc0,notanumber\n")
@@ -790,6 +815,18 @@ def test_import_and_infer_leave_scipy_sparse_unloaded(trained_run, corpus_dir, t
                            "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"],
                           env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "False 0 False"
+
+
+def test_train_all_stages_leaves_scipy_spatial_unloaded(data_dir, tiny_config, tmp_path):
+    # the stage-3 kNN graph comes from a numpy cell grid, not a k-d tree
+    code = ("import sys\nfrom latentmap import cli\nrc = cli.main(sys.argv[1:])\n"
+            "print(rc, 'scipy.spatial' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code, "train", "--stage", "all",
+                           "--data", str(data_dir), "--run-dir", str(tmp_path / "run"),
+                           "--config", str(tiny_config)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("query", ["not_utf8.csv", "a_directory"])

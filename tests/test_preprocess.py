@@ -119,6 +119,17 @@ def test_zero_total_cell_removed_with_warning(caplog):
     assert any("zero total" in rec.message for rec in caplog.records)
 
 
+def test_drop_empty_rows_needs_counts_on_every_panel():
+    m = make_matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3], [4, 5, 0]])
+    first, second = pp.GenePanel(["g000", "g002"]), pp.GenePanel(["g001"])
+    kept, dropped = pp.drop_empty_rows(m, first, second)
+    assert kept.row_ids == ["c3"] and dropped == 3
+    assert kept.counts.tolist() == [[4, 5, 0]]
+    assert pp.drop_empty_rows(m, pp.GenePanel(["g000", "g001", "g002"])) == (m, 0)
+    with pytest.raises(DataError, match="no row has counts on every panel"):
+        pp.drop_empty_rows(m, pp.GenePanel(["g002"]), second)
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------

@@ -9,11 +9,15 @@ from latentmap.errors import DataError
 
 
 def brute_force_knn_edges(coords, k):
+    # distances rounded as build_knn_graph rounds them, sqrt(dx^2 + dy^2):
+    # on a hex lattice, points equidistant in exact arithmetic differ in
+    # their last bits, and another rounding (np.linalg.norm's) orders them
+    # differently
     coords = np.asarray(coords, dtype=np.float64)
     n = len(coords)
     edges = set()
     for i in range(n):
-        scored = sorted((float(np.linalg.norm(coords[i] - coords[j])), j)
+        scored = sorted((float(np.sqrt(np.sum((coords[i] - coords[j]) ** 2))), j)
                         for j in range(n) if j != i)
         for _, j in scored[:k]:
             edges.add((min(i, j), max(i, j)))
@@ -458,6 +462,35 @@ def test_knn_with_duplicate_points_matches_brute_force():
     coords = coords[rng.permutation(len(coords))]
     for k in (1, 3, 6):
         assert vgae.build_knn_graph(coords, k=k).edges == brute_force_knn_edges(coords, k)
+
+
+def _knn_layout(name):
+    rng = np.random.default_rng(5)
+    if name == "hex":
+        return np.array([[x + 0.5 * (y % 2), y * np.sqrt(3.0) / 2.0]
+                         for y in range(10) for x in range(10)])
+    if name == "duplicates":  # two points hold a third of the input
+        base = rng.uniform(0, 10, size=(60, 2))
+        return np.vstack([base, np.repeat(base[:2], 15, axis=0)])[rng.permutation(90)]
+    if name == "all_coincide":
+        return np.zeros((20, 2))
+    if name == "collinear_axis":  # a bounding box of zero area
+        return np.stack([rng.uniform(0, 10, 80), np.full(80, 3.0)], axis=1)
+    if name == "collinear_diagonal":  # a full bounding box, points on one line
+        t = rng.uniform(0, 10, 80)
+        return np.stack([t, 2.0 * t - 1.0], axis=1)
+    if name == "clustered":  # dense clusters far apart in a sparse box
+        centres = rng.uniform(0, 100, size=(4, 2))
+        return centres[rng.integers(0, 4, 100)] + 0.2 * rng.normal(size=(100, 2))
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("k", [1, 6, 10])
+@pytest.mark.parametrize("layout", ["hex", "duplicates", "all_coincide", "collinear_axis",
+                                    "collinear_diagonal", "clustered"])
+def test_knn_layouts_match_brute_force(layout, k):
+    coords = _knn_layout(layout)
+    assert vgae.build_knn_graph(coords, k=k).edges == brute_force_knn_edges(coords, k)
 
 
 def test_norm_adj_csr_equals_dense_formula():
