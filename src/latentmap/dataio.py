@@ -20,15 +20,16 @@ path. Their writers write each float as ``%.17g``: 17 significant digits
 name every IEEE double exactly, so files are deterministic and round-trip
 bit for bit (``0.1`` is written ``0.10000000000000001``, ``3.0`` as ``3``,
 ``-0.0`` as ``-0``). Each float row is one ``%`` over a row template built
-once per file; integer counts are written as ``str`` writes them, a matrix
-of small non-negative counts taking each count's text from a precomputed
-list. Only the id cell is quoted, with the bytes ``csv`` would write. A file
-in the canonical form these writers emit is parsed by ``np.loadtxt``; any
-other file goes through ``read_table``, which gives the same values and the
-same errors. ``write_table`` (histories, ``bench`` tables) is the exception:
-it writes floats with ``repr``, as ``csv`` writes Python floats. Text is
-UTF-8. Every file is written through a temporary file and a rename, so it
-appears whole or not at all.
+once per file. Integer counts are written as ``str`` writes them: each row
+indexes one object array of the texts ``str(0) .. str(B - 1)``, built once
+per file with B = min(max + 1, 4096), and the few counts of B or more are
+patched with ``str``. Only the id cell is quoted, with the bytes ``csv``
+would write. A file in the canonical form these writers emit is parsed by
+``np.loadtxt``; any other file goes through ``read_table``, which gives the
+same values and the same errors. ``write_table`` (histories, ``bench``
+tables) is the exception: it writes floats with ``repr``, as ``csv`` writes
+Python floats. Text is UTF-8. Every file is written through a temporary file
+and a rename, so it appears whole or not at all.
 """
 
 import contextlib
@@ -52,8 +53,8 @@ _NUMBER_BYTES = b"0123456789+-.eE,"
 # A cell holding none of these is written by csv (QUOTE_MINIMAL) as it is.
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 
-# A count matrix whose values all lie in [0, bound) takes each value's text
-# from a list of ``str(0) .. str(max)`` built per write, not from ``str``.
+# Counts below this take their text from a table of ``str(0) ..`` built per
+# write; the rare larger ones (real UMI data has some) are patched with ``str``.
 _COUNT_TABLE_BOUND = 1 << 12
 
 
@@ -295,8 +296,8 @@ def _csv_cell(cell):
 def _write_numeric(path, header, row_ids, values, format_row):
     """Write ``header``, then per id the id and ``format_row`` of its row of ``values``.
 
-    ``format_row`` takes the row as a tuple of Python numbers and returns its
-    fields joined by commas. The id cell gets ``csv``'s quoting. A row of one
+    ``format_row`` takes the row as a 1-D array and returns its fields joined
+    by commas. The id cell gets ``csv``'s quoting. A row of one
     field is left to ``write_table``, as ``csv`` quotes an empty one.
     """
     if values.shape != (len(row_ids), len(header) - 1):
@@ -306,14 +307,14 @@ def _write_numeric(path, header, row_ids, values, format_row):
     with _atomic_file(path) as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for rid, row in zip(row_ids, values):
-            fh.write(f"{_csv_cell(rid)},{format_row(tuple(row.tolist()))}\n")
+            fh.write(f"{_csv_cell(rid)},{format_row(row)}\n")
 
 
 def _write_floats(path, header, row_ids, values):
     """``_write_numeric`` of ``values`` as float64, every value as ``%.17g``."""
     values = np.asarray(values, dtype=np.float64)
     template = ",".join(["%.17g"] * (len(header) - 1))
-    _write_numeric(path, header, row_ids, values, template.__mod__)
+    _write_numeric(path, header, row_ids, values, lambda row: template % tuple(row.tolist()))
 
 
 def read_counts_csv(path) -> CountMatrix:
@@ -326,12 +327,20 @@ def read_counts_csv(path) -> CountMatrix:
 
 
 def write_counts_csv(path, m: CountMatrix):
+    """Write ``m`` in the layout ``read_counts_csv`` reads, each count as ``str`` writes it."""
     counts = m.counts.astype(np.int64, copy=False)
-    fmt = str
-    if counts.size and counts.min() >= 0 and counts.max() < _COUNT_TABLE_BOUND:
-        fmt = [str(i) for i in range(int(counts.max()) + 1)].__getitem__
-    _write_numeric(path, ["id"] + list(m.col_ids), m.row_ids, counts,
-                   lambda row: ",".join(map(fmt, row)))
+    top = int(counts.max()) if counts.size else 0
+    texts = np.array([str(v) for v in range(min(top + 1, _COUNT_TABLE_BOUND))], dtype=object)
+    last = len(texts) - 1
+
+    def format_row(row):  # counts are >= 0: CountMatrix checks
+        cells = texts.take(row, mode="clip")
+        if top > last:
+            beyond = np.flatnonzero(row > last)
+            cells[beyond] = [str(v) for v in row[beyond].tolist()]
+        return ",".join(cells.tolist())
+
+    _write_numeric(path, ["id"] + list(m.col_ids), m.row_ids, counts, format_row)
 
 
 def read_matrix_csv(path):

@@ -26,7 +26,9 @@ TARGET_SUM = 1e4  # the default total each row is scaled to before log1p
 
 
 def first_duplicate(ids):
-    """The first id of ``ids`` that repeats an earlier one, or None."""
+    """The first id of ``ids`` (a list) that repeats an earlier one, or None."""
+    if len(set(ids)) == len(ids):
+        return None
     seen = set()
     for i in ids:
         if i in seen:
@@ -57,9 +59,8 @@ class CountMatrix:
             dup = first_duplicate(ids)
             if dup is not None:
                 raise DataError(f"duplicate {kind} id {dup!r}")
-        negative = self.counts < 0
-        if negative.any():
-            i, j = np.argwhere(negative)[0]
+        if self.counts.size and self.counts.min() < 0:
+            i, j = np.argwhere(self.counts < 0)[0]
             raise DataError(f"negative count {self.counts[i, j]} for row {self.row_ids[i]!r}, "
                             f"gene {self.col_ids[j]!r}")
 
@@ -71,11 +72,22 @@ class CountMatrix:
     def n_cols(self):
         return len(self.col_ids)
 
+    # A take that keeps every row or column in order returns the matrix itself,
+    # not a copy: nothing changes a CountMatrix in place.
     def take_rows(self, idx):
+        if _keeps_all(idx, self.n_rows):
+            return self
         return CountMatrix([self.row_ids[i] for i in idx], self.col_ids, self.counts[idx, :])
 
     def take_cols(self, idx):
+        if _keeps_all(idx, self.n_cols):
+            return self
         return CountMatrix(self.row_ids, [self.col_ids[i] for i in idx], self.counts[:, idx])
+
+
+def _keeps_all(idx, n):
+    """Whether the indices ``idx`` are exactly 0, 1, ..., n - 1."""
+    return len(idx) == n and bool(np.array_equal(idx, np.arange(n)))
 
 
 @dataclass
@@ -182,7 +194,7 @@ def dispersion(normed: np.ndarray) -> np.ndarray:
 
 def rank_genes(normed: np.ndarray, gene_ids) -> list:
     """All gene ids ordered by descending dispersion, ties broken lexicographically."""
-    disp = dispersion(normed)
+    disp = dispersion(normed).tolist()
     order = sorted(range(len(gene_ids)), key=lambda i: (-disp[i], gene_ids[i]))
     return [gene_ids[i] for i in order]
 

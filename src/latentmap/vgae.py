@@ -13,7 +13,9 @@ Graph work is O(|E|), following the sparse formulation of GCN and VGAE
 ever built:
 
 * the kNN graph comes from a numpy grid of cells that hold about k + 1
-  points each, searched outward until no unsearched point can be nearer;
+  points each where there are points, searched outward until no unsearched
+  point can be nearer; the few points with nothing near (outliers) are
+  ranked against every point instead;
 * ``spatial_graph`` builds, once per edge set, the entries of A + I (as
   pairs and as sorted keys ``i * n + j``) and the GCN-normalized adjacency
   D^-1/2 (A + I) D^-1/2, a scipy CSR matrix multiplied in by the ``spmm`` op;
@@ -35,6 +37,8 @@ from . import vae
 from .errors import DataError, ShapeError
 
 _KNN_CHUNK = 1 << 16  # candidate distances the kNN search holds at once
+_KNN_MAX_REACH = 32  # a point pending past this window reach, in cells, ranks every point
+_KNN_MAX_SPAN = 1 << 28  # cells per axis at most, so cell keys stay far inside int64
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +89,13 @@ def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
 
     Distance ties break toward the smaller point index; self-loops are
     excluded from the edge set (A + I adds them back). The search runs on a
-    grid of square cells sized to hold about k + 1 points each (a degenerate
-    bounding box falls back to its long side). Each pending point ranks the
-    points of the (2r + 1)^2 cells around its own by (exact distance,
-    index); no point outside those cells is nearer than r cell sides, so a
-    point whose k-th distance is below that is done, and the rest search
-    again with r doubled.
+    grid of square cells sized by ``_grid_cells`` to hold about k + 1 points
+    each where there are points. Each pending point ranks the points of the
+    (2r + 1)^2 cells around its own by (exact distance, index); no point
+    outside those cells is nearer than r cell sides, so a point whose k-th
+    distance is below that is done, and the rest search again with r
+    doubled. Once r would pass ``_KNN_MAX_REACH``, the points still pending
+    rank every point, in chunks.
     """
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
@@ -100,14 +105,7 @@ def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
         raise DataError(f"need more points than neighbors: n={n}, k={k}")
     if not np.all(np.isfinite(coords)):
         raise DataError("coordinates must be finite")
-    lo = coords.min(axis=0)
-    extent = coords.max(axis=0) - lo
-    side = max(float(np.sqrt(extent[0] * extent[1] * (k + 1) / n)),
-               float(extent.max()) * (k + 1) / n)
-    if 0.0 < side < np.inf:
-        cell = np.floor((coords - lo) / side).astype(np.int64)
-    else:  # all points coincide: one cell
-        cell = np.zeros((n, 2), dtype=np.int64)
+    cell, side = _grid_cells(coords, k)
     ny = int(cell[:, 1].max()) + 1
     span = int(cell.max()) + 1  # a window of r >= span - 1 covers every cell
     key = cell[:, 0] * ny + cell[:, 1]  # a column of cells is one run of keys
@@ -118,6 +116,13 @@ def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
     pending = np.arange(n)
     r = 1
     while pending.size:
+        if r > _KNN_MAX_REACH:
+            step = max(1, _KNN_CHUNK // n)
+            for a in range(0, len(pending), step):
+                pts = pending[a:a + step]
+                everyone = np.broadcast_to(np.arange(n), (len(pts), n))
+                nbrs[pts] = _k_nearest(xy, pts, everyone, k)[0]
+            break
         # per point, the 2r + 1 runs of sorted_key that its window's columns hold
         cx, cy = cell[pending, 0], cell[pending, 1]
         col = (cx[:, None] + np.arange(-r, r + 1)) * ny
@@ -152,6 +157,34 @@ def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
     j = nbrs.reshape(-1)
     keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
     return spatial_graph(n, np.stack([keys // n, keys % n], axis=1))
+
+
+def _grid_cells(coords, k):
+    """(the [n, 2] integer cell of every point, the cell side) of the kNN grid.
+
+    The first side gives the bounding box about k + 1 points per cell (a
+    degenerate box falls back to its long side). Clustered points leave most
+    of the box empty, so the side is then sized from the area the occupied
+    cells cover, side <- sqrt(occupied * side^2 * (k + 1) / n), for as long
+    as that shrinks it by a tenth or more and leaves at most
+    ``_KNN_MAX_SPAN`` cells per axis. All points equal (or a box too wide
+    for floats) give one cell.
+    """
+    n = len(coords)
+    lo = coords.min(axis=0)
+    extent = coords.max(axis=0) - lo
+    side = max(float(np.sqrt(extent[0] * extent[1] * (k + 1) / n)),
+               float(extent.max()) * (k + 1) / n)
+    if not 0.0 < side < np.inf:
+        return np.zeros((n, 2), dtype=np.int64), side
+    finest = float(extent.max()) / _KNN_MAX_SPAN
+    while True:
+        cell = np.floor((coords - lo) / side).astype(np.int64)
+        occupied = len(np.unique(cell[:, 0] * (int(cell[:, 1].max()) + 1) + cell[:, 1]))
+        finer = side * float(np.sqrt(occupied * (k + 1) / n))
+        if not finest <= finer <= 0.9 * side:
+            return cell, side
+        side = finer
 
 
 def _k_nearest(xy, pts, cand, k):

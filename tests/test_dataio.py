@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from conftest import traced_peak
@@ -123,7 +126,7 @@ def test_csv_writers_golden_bytes(tmp_path):
     assert path.read_bytes() == (b'id,g0,g1\n'
                                  b'"c,1",0,9007199254740993\n'
                                  b'"q""2",7,12345678901234\n')
-    # counts below 4096 come from a lookup list, the rest from str: same bytes
+    # counts below 4096 come from a table of texts, the rest are patched with str: same bytes
     assert dataio._COUNT_TABLE_BOUND == 4096
     for row, text in (([0, 4095], b"0,4095"), ([0, 4096], b"0,4096"),
                       ([4095, 4096], b"4095,4096"), ([0, 2 ** 53 + 1], b"0,9007199254740993")):
@@ -143,6 +146,49 @@ def test_csv_writers_golden_bytes(tmp_path):
     # a row of one field: csv quotes an empty one
     dataio.write_matrix_csv(path, ["", "a"], [], np.zeros((2, 0)))
     assert path.read_bytes() == b'id\n""\na\n'
+
+
+def _counts_reference_bytes(m):
+    """``m`` as csv writes its ids and ``str`` each count: the bytes ``write_counts_csv`` owes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id"] + m.col_ids)
+    writer.writerows([rid] + list(map(str, row))
+                     for rid, row in zip(m.row_ids, m.counts.tolist()))
+    return buf.getvalue().encode()
+
+
+def _counts_case(name):
+    rng = np.random.default_rng(12)
+    if name == "every_count_to_5000":
+        counts = rng.permutation(5004).reshape(6, 834)
+        return CountMatrix([f"c{i}" for i in range(6)], [f"g{j}" for j in range(834)], counts)
+    if name == "table_and_beyond":  # poisson-lognormal rows, a few counts past the table
+        counts = rng.poisson(np.exp(rng.normal(1.0, 1.5, size=(7, 50))))
+        counts[1, 3], counts[1, 40], counts[4, 0] = 4096, 5000, 2 ** 53 + 1
+        counts[6] = 4095
+        counts[6, ::5] = 10 ** 12
+        return CountMatrix([f"c{i}" for i in range(7)], [f"g{j}" for j in range(50)], counts)
+    if name == "only_beyond":
+        return CountMatrix(["c0", "c1"], ["g0", "g1"], [[5000, 4096], [4097, 10 ** 9]])
+    if name == "all_zero":
+        return CountMatrix(["c0", "c1"], ["g0", "g1", "g2"], np.zeros((2, 3), dtype=np.int64))
+    if name == "quoted_ids":
+        ids = ["a,b", 'say "hi"', "", " lead", "two\nlines"]
+        counts = rng.integers(0, 9000, size=(5, 4))
+        return CountMatrix(ids, ["g0", "g,1", "g2", "g3"], counts)
+    if name == "zero_rows":
+        return CountMatrix([], ["g0", "g1"], np.zeros((0, 2), dtype=np.int64))
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("name", ["every_count_to_5000", "table_and_beyond", "only_beyond",
+                                  "all_zero", "quoted_ids", "zero_rows"])
+def test_counts_writer_bytes_equal_str_of_every_count(tmp_path, name):
+    m = _counts_case(name)
+    path = tmp_path / "counts.csv"
+    dataio.write_counts_csv(path, m)
+    assert path.read_bytes() == _counts_reference_bytes(m)
 
 
 def test_atomic_write_bytes(tmp_path):

@@ -85,6 +85,47 @@ def test_filters_preserve_id_row_correspondence():
         assert m1.counts[i, j] == counts[oi, oj]
 
 
+def test_take_keeping_every_row_and_column_in_order_returns_the_matrix():
+    m = make_matrix(np.arange(12).reshape(3, 4))
+    assert m.take_rows(np.arange(3)) is m and m.take_rows([0, 1, 2]) is m
+    assert m.take_cols(np.arange(4)) is m and m.take_cols([0, 1, 2, 3]) is m
+    # so a filter that drops nothing, and a panel already in column order, copy nothing
+    assert pp.run_qc(m, min_genes=0, min_cells=0, max_mito_ribo=1.0)[0] is m
+    assert pp.subset_counts(m, pp.GenePanel(m.col_ids)) is m
+
+
+@pytest.mark.parametrize("axis,idx", [("rows", [0, 2]), ("rows", [2, 1, 0]), ("rows", [0, 1]),
+                                      ("cols", [1, 3]), ("cols", [3, 2, 1, 0]),
+                                      ("cols", [0, 1, 2])])
+def test_take_that_drops_or_reorders_copies(axis, idx):
+    m = make_matrix(np.arange(12).reshape(3, 4))
+    out = m.take_rows(idx) if axis == "rows" else m.take_cols(idx)
+    assert out is not m and not np.shares_memory(out.counts, m.counts)
+    if axis == "rows":
+        assert out.row_ids == [m.row_ids[i] for i in idx] and out.col_ids == m.col_ids
+        assert np.array_equal(out.counts, m.counts[idx])
+    else:
+        assert out.col_ids == [m.col_ids[j] for j in idx] and out.row_ids == m.row_ids
+        assert np.array_equal(out.counts, m.counts[:, idx])
+
+
+def test_count_matrix_errors_name_the_first_offender():
+    counts = np.ones((5, 3), dtype=np.int64)
+    with pytest.raises(DataError, match="^duplicate row id 'b'$"):
+        pp.CountMatrix(["a", "b", "c", "b", "a"], ["g0", "g1", "g2"], counts)
+    with pytest.raises(DataError, match="^duplicate col id 'g1'$"):
+        pp.CountMatrix(list("abcde"), ["g0", "g1", "g1"], counts)
+    with pytest.raises(DataError, match="^panel contains duplicate gene id 'y'$"):
+        pp.GenePanel(["x", "y", "z", "y", "x"])
+    counts[1, 2], counts[3, 0], counts[0, 1] = -3, -7, 0
+    with pytest.raises(DataError, match="^negative count -3 for row 'b', gene 'g2'$"):
+        pp.CountMatrix(list("abcde"), ["g0", "g1", "g2"], counts)
+    assert pp.first_duplicate(["p", "q", "r", "q", "p"]) == "q"
+    assert pp.first_duplicate(["p", "q"]) is None and pp.first_duplicate([]) is None
+    # an empty matrix has no count to check
+    assert pp.CountMatrix([], ["g0"], np.zeros((0, 1), dtype=np.int64)).n_rows == 0
+
+
 # ---------------------------------------------------------------------------
 # mito/ribo filter
 # ---------------------------------------------------------------------------
@@ -207,6 +248,18 @@ def test_select_hvg_permutation_stable():
     perm = rng.permutation(6)
     ranked_perm = pp.rank_genes(normed[:, perm], [ids[j] for j in perm])
     assert ranked == ranked_perm
+
+
+def test_rank_genes_order_on_ties_and_zero_means():
+    # integer values give many equal dispersions; zero-mean genes rank last at -inf
+    rng = np.random.default_rng(9)
+    normed = rng.integers(0, 3, size=(5, 60)).astype(np.float64)
+    normed[:, ::7] = 0.0
+    ids = [f"g{j:02d}" for j in rng.permutation(60)]
+    disp = pp.dispersion(normed)
+    assert len(set(disp.tolist())) < 40 and np.isneginf(disp).sum() == 9
+    # the reference sorts on numpy scalars
+    assert pp.rank_genes(normed, ids) == sorted(ids, key=lambda g: (-disp[ids.index(g)], g))
 
 
 # ---------------------------------------------------------------------------

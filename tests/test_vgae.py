@@ -482,15 +482,56 @@ def _knn_layout(name):
     if name == "clustered":  # dense clusters far apart in a sparse box
         centres = rng.uniform(0, 100, size=(4, 2))
         return centres[rng.integers(0, 4, 100)] + 0.2 * rng.normal(size=(100, 2))
+    if name == "far_outlier":  # one point far from a unit square: ranked against every point
+        return np.vstack([rng.uniform(0, 1, size=(150, 2)), [[1e5, 1e5]]])
+    if name == "two_squares":  # two unit squares 1000 apart
+        return np.vstack([rng.uniform(0, 1, size=(75, 2)), rng.uniform(1000, 1001, size=(75, 2))])
+    if name == "extreme_scale":  # a scale ratio of 1e21: the cell side stops at the span cap
+        return np.vstack([rng.uniform(0, 1e-9, size=(150, 2)), [[1e12, 1e12]]])
     raise ValueError(name)
 
 
 @pytest.mark.parametrize("k", [1, 6, 10])
 @pytest.mark.parametrize("layout", ["hex", "duplicates", "all_coincide", "collinear_axis",
-                                    "collinear_diagonal", "clustered"])
+                                    "collinear_diagonal", "clustered", "far_outlier",
+                                    "two_squares", "extreme_scale"])
 def test_knn_layouts_match_brute_force(layout, k):
     coords = _knn_layout(layout)
     assert vgae.build_knn_graph(coords, k=k).edges == brute_force_knn_edges(coords, k)
+
+
+def _knn_work_layout(name):
+    rng = np.random.default_rng(8)
+    grid = np.array([[x, y] for y in range(64) for x in range(64)], dtype=np.float64)
+    if name == "uniform":
+        return rng.uniform(0, 1, size=(4096, 2))
+    if name == "grid":
+        return grid
+    if name == "gapped_grid":  # a 24-column band missing from the grid
+        return grid[(grid[:, 0] < 20) | (grid[:, 0] >= 44)]
+    if name == "far_outlier":
+        return np.vstack([rng.uniform(0, 1, size=(4095, 2)), [[1e5, 1e5]]])
+    if name == "two_squares":  # two sections on one slide
+        return np.vstack([rng.uniform(0, 1, size=(2048, 2)),
+                          rng.uniform(1000, 1001, size=(2048, 2))])
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("layout", ["uniform", "grid", "gapped_grid", "far_outlier", "two_squares"])
+def test_knn_search_ranks_a_bounded_number_of_candidates_per_point(layout, monkeypatch):
+    # a work count, not a clock: a cell grid sized from the bounding box alone
+    # ranked 2,000-4,000 candidates per point on the outlier and two-square layouts
+    ranked = []
+    k_nearest = vgae._k_nearest
+
+    def counting(xy, pts, cand, k):
+        ranked.append(cand.size)
+        return k_nearest(xy, pts, cand, k)
+
+    monkeypatch.setattr(vgae, "_k_nearest", counting)
+    coords = _knn_work_layout(layout)
+    vgae.build_knn_graph(coords, k=6)
+    assert sum(ranked) <= 100 * len(coords)
 
 
 def test_norm_adj_csr_equals_dense_formula():
