@@ -10,10 +10,10 @@ constraints, in rough order of importance:
   bitwise reproducible run to run.
 * No broadcasting: a layer's bias row vector enters through ``matmul``'s
   ``bias`` operand, so an affine map is one tape entry, and an output layer
-  scored by mean squared error is one ``affine_mse`` entry. That entry
-  forms the residual r a block of rows at a time and keeps only the
-  products its vjps read (r W^T, as wide as its input, and two small ones),
-  never the [rows, outputs] residual.
+  scored by mean squared error against data is one ``affine_mse`` entry.
+  That entry forms the residual r a block of rows at a time and keeps only
+  the products its vjps read (r W^T, as wide as its input, and two small
+  ones), never the [rows, outputs] residual.
 * Only leaves keep gradients. ``backward`` passes adjoints of intermediate
   tensors along and drops them; parameters and other leaves accumulate
   theirs in ``.grad``.
@@ -291,18 +291,18 @@ AFFINE_MSE_ROWS = 512  # rows of the residual that affine_mse holds at once
 def affine_mse(h, w, b, target):
     """Mean over all entries of (h @ w + b - target)^2, as a scalar tensor.
 
-    A network's output layer and its squared error as one tape entry that
+    A network's output layer and its squared error against constant data
+    (a target that requires a gradient is refused) as one tape entry that
     never holds the whole residual. It walks the rows in blocks of
     ``AFFINE_MSE_ROWS``: each block forms its residual r, adds r . r to the
-    loss and, on a tape, adds to the products the vjps read, only for the
-    operands that need a gradient: r @ w^T (written block by block into one
-    array shaped like h), h^T r, colsum(r), and r itself only for a target. With
-    c = 2 g / n each vjp is its product times c, so the products are never
-    written after the forward and ``backward`` can run twice on one tape.
-    Against ``tmean(square(sub(matmul(h, w, bias=b), target)))`` values and
-    gradients differ in their last bits: the scaling comes after the
-    products, and the sum of squares is a dot product (and, past one
-    block, a sum over blocks).
+    loss and, when a tape records, adds to the three products the vjps read:
+    r @ w^T (written block by block into one array shaped like h), h^T r and
+    colsum(r). With c = 2 g / n each vjp is its product times c, so the
+    products are never written after the forward and ``backward`` can run
+    twice on one tape. Against ``tmean(square(sub(matmul(h, w, bias=b),
+    target)))`` values and gradients differ in their last bits: the scaling
+    comes after the products, and the sum of squares is a dot product (and,
+    past one block, a sum over blocks).
     """
     if h.data.ndim != 2 or w.data.ndim != 2 or h.shape[1] != w.shape[0]:
         raise ShapeError(f"affine_mse: cannot multiply {tuple(h.shape)} by {tuple(w.shape)}")
@@ -313,10 +313,10 @@ def affine_mse(h, w, b, target):
     if target.shape != out_shape:
         raise ShapeError(f"affine_mse: target {tuple(target.shape)} differs from output "
                          f"{out_shape} of {tuple(h.shape)} @ {tuple(w.shape)}")
-    taped = _active_tape() is not None
-    need_h, need_w, need_b, need_t = (taped and t.requires_grad for t in (h, w, b, target))
-    rw = np.empty((h.shape[0], w.shape[0])) if need_h else None
-    r_all = np.empty(out_shape) if need_t else None
+    if target.requires_grad:
+        raise ValueError("affine_mse: the target must be constant, not require a gradient")
+    taped = _active_tape() is not None and any(t.requires_grad for t in (h, w, b))
+    rw = np.empty((h.shape[0], w.shape[0])) if taped else None
     hr = colsum = None
     block = np.empty((min(h.shape[0], AFFINE_MSE_ROWS), w.shape[1]))  # each r in turn
     total = np.float64(0.0)
@@ -327,21 +327,16 @@ def affine_mse(h, w, b, target):
         r -= target.data[rows]
         flat = r.reshape(-1)
         total += flat @ flat
-        if need_h:
+        if taped:
             np.matmul(r, w.data.T, out=rw[rows])
-        if need_w:
             part = h.data[rows].T @ r
             hr = part if hr is None else np.add(hr, part, out=hr)
-        if need_b:
             part = r.sum(axis=0)
             colsum = part if colsum is None else np.add(colsum, part, out=colsum)
-        if need_t:
-            r_all[rows] = r
     n = out_shape[0] * out_shape[1]
     c = lambda g: g / n * 2.0
-    return _make_out(np.asarray(total / n), (h, w, b, target),
-                     (lambda g: rw * c(g), lambda g: hr * c(g),
-                      lambda g: colsum * c(g), lambda g: r_all * -c(g)))
+    return _make_out(np.asarray(total / n), (h, w, b),
+                     (lambda g: rw * c(g), lambda g: hr * c(g), lambda g: colsum * c(g)))
 
 
 def concat_cols(a, b):

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import DataError
 
+KNN_BLOCK_ENTRIES = 1 << 20  # [query, training row, dim] differences knn_predict holds at once
+
 
 @dataclass
 class LabeledEmbedding:
@@ -77,15 +79,19 @@ def knn_predict(train: LabeledEmbedding, queries, k: int) -> list:
     """Majority label among the k nearest training rows (euclidean).
 
     dist(x, y) = sqrt(sum_i (x_i - y_i)^2); distance ties prefer the smaller
-    training index, vote ties the earlier vocabulary label.
+    training index, vote ties the earlier vocabulary label. Queries are ranked
+    in blocks whose differences to the training rows fit ``KNN_BLOCK_ENTRIES``.
     """
     if k <= 0:
         raise DataError(f"k must be positive, got {k}")
     if k > train.n:
         raise DataError(f"k={k} exceeds training size {train.n}")
     queries = np.asarray(queries, dtype=np.float64)
-    d2 = ((queries[:, None, :] - train.codes[None, :, :]) ** 2).sum(axis=2)
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]  # stable: ties keep index order
+    step = max(1, KNN_BLOCK_ENTRIES // max(1, train.codes.size))
+    nearest = np.empty((len(queries), k), dtype=np.intp)
+    for a in range(0, len(queries), step):
+        d2 = ((queries[a:a + step, None, :] - train.codes[None, :, :]) ** 2).sum(axis=2)
+        nearest[a:a + step] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     vocab_index = {label: i for i, label in enumerate(train.vocab)}
     votes = np.array([vocab_index[label] for label in train.labels])[nearest]
     v = len(train.vocab)

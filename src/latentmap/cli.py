@@ -305,7 +305,7 @@ def gradcheck_suite(seed=0):
     x_exp = rng.uniform(0.1, 2.0, size=(6, 7))
     x_sp = rng.normal(size=(6, 2))
     noise_g = rng.normal(size=(6, 4))
-    neg = vg.sample_negatives(g.keys, g.n, len(g.pos[0]),
+    neg = vg.sample_negatives(g.keys, g.n, len(g.keys),
                               np.random.default_rng(int(rng.integers(2 ** 32))))
 
     def vgae_total():

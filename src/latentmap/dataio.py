@@ -410,8 +410,8 @@ def write_latent_csv(path, row_ids, codes):
 
 
 def write_edge_list(path, edges):
-    """One ``i j`` pair per line; the benchmark's edge-AUC check reads it back."""
-    atomic_write(path, "".join(f"{i} {j}\n" for i, j in edges))
+    """[m, 2] ``edges`` as one ``i j`` line each; the benchmark's edge-AUC check reads it back."""
+    atomic_write(path, "".join(f"{i} {j}\n" for i, j in edges.tolist()))
 
 
 def atomic_write(path, data):

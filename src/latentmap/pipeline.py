@@ -466,7 +466,7 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
     def loss():
         """Stage 3's objective: the weighted VGAE terms plus the weighted anchor."""
         noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
-        neg = vg.sample_negatives(graph.keys, graph.n, len(graph.pos[0]), neg_rng)
+        neg = vg.sample_negatives(graph.keys, graph.n, len(graph.keys), neg_rng)
         exp, sp, adj, kl, mu = vg.vgae_loss(model, graph, x, coords_n, noise, neg)
         vgae_total = ad.add(ad.add(ad.scale(exp, cfg.w_recon_exp), ad.scale(sp, cfg.w_recon_sp)),
                             ad.add(ad.scale(adj, cfg.w_recon_adj), ad.scale(kl, cfg.kl_weight)))

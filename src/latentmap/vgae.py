@@ -16,15 +16,16 @@ ever built:
   points each where there are points, searched outward until no unsearched
   point can be nearer; the few points with nothing near (outliers) are
   ranked against every point instead;
-* ``spatial_graph`` builds, once per edge set, the entries of A + I (as
-  pairs and as sorted keys ``i * n + j``) and the GCN-normalized adjacency
-  D^-1/2 (A + I) D^-1/2, a scipy CSR matrix multiplied in by the ``spmm`` op;
+* ``spatial_graph`` builds, once per edge set, A + I's upper-triangle
+  entries as one sorted key array ``i * n + j`` and the GCN-normalized
+  adjacency D^-1/2 (A + I) D^-1/2, a scipy CSR matrix multiplied in by the
+  ``spmm`` op;
 * each GCN layer is A_hat (H W): the adjacency multiplies the narrow
   product H W, so the graph branch holds nothing as wide as the gene panel;
 * the inner-product head scores only the requested pairs (``pair_dot``);
-* the adjacency loss scores the entries of A + I against as many non-edges,
-  drawn per step by one rejection loop against the graph's keys: O(|E|)
-  draws on a sparse graph, O(n^2) = O(|E|) on a dense one.
+* the adjacency loss scores those keys against as many non-edge keys, drawn
+  per step by one rejection loop against them: O(|E|) draws on a sparse
+  graph, O(n^2) = O(|E|) on a dense one.
 """
 
 from dataclasses import dataclass
@@ -49,39 +50,41 @@ _KNN_MAX_SPAN = 1 << 28  # cells per axis at most, so cell keys stay far inside 
 class SpatialGraph:
     """A symmetric spot graph and the constants of A + I, built by ``spatial_graph``.
 
-    ``pos`` holds A + I's upper-triangle entries as (rows, cols), self-loops
-    first, then ``edges`` in order; ``keys`` holds them as sorted ``i * n + j``.
+    ``keys`` holds A + I's upper-triangle entries, self-loops included, as
+    sorted ``i * n + j``; the edge list is derived from them where it is read.
     """
 
     n: int
-    edges: list  # [(i, j) with i < j]
-    pos: tuple  # (rows, cols)
-    keys: np.ndarray
+    keys: np.ndarray  # sorted int64 i * n + j, i <= j
     norm_adj: "scipy.sparse.csr_matrix"  # D^-1/2 (A + I) D^-1/2
+
+    @property
+    def edges(self):
+        """A's edges as an [m, 2] array of (i, j) with i < j, in key order."""
+        i, j = np.divmod(self.keys, self.n)
+        return np.stack([i, j], axis=1)[i != j]
 
 
 def spatial_graph(n: int, edges) -> SpatialGraph:
     """The ``SpatialGraph`` on ``n`` nodes with ``edges`` = pairs (i, j), 0 <= i < j < n.
 
-    The normalized adjacency is a CSR matrix whose entries equal the dense
-    formula's bit for bit.
+    The pairs are a set: order and repeats do not matter. The normalized
+    adjacency is a CSR matrix whose entries equal the dense formula's bit for bit.
     """
     import scipy.sparse as sp  # kept off the inference import path
 
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if e.size and (np.any(e[:, 0] >= e[:, 1]) or e.min() < 0 or e.max() >= n):
         raise DataError(f"edges must be pairs (i, j) with 0 <= i < j < {n}")
-    loops = np.arange(n, dtype=np.int64)
-    rows, cols = np.hstack([np.stack([loops, loops]), e.T])  # self-loops first
-    upper = rows * n + cols
-    full = np.unique(np.concatenate([upper, e[:, 1] * n + e[:, 0]]))  # row-major: canonical CSR
+    loops = np.arange(n, dtype=np.int64) * (n + 1)  # i * n + i
+    keys = np.unique(np.concatenate([loops, e[:, 0] * n + e[:, 1]]))
+    full = np.unique(np.concatenate([keys, e[:, 1] * n + e[:, 0]]))  # row-major: canonical CSR
     r, c = full // n, full % n
     counts = np.bincount(r, minlength=n)
     d_inv_sqrt = 1.0 / np.sqrt(counts.astype(np.float64))  # >= 1 via the self-loop
     indptr = np.concatenate([[0], np.cumsum(counts)])
     norm_adj = sp.csr_matrix((d_inv_sqrt[r] * d_inv_sqrt[c], c, indptr), shape=(n, n))
-    return SpatialGraph(n=n, edges=list(map(tuple, e.tolist())), pos=(rows, cols),
-                        keys=np.sort(upper), norm_adj=norm_adj)
+    return SpatialGraph(n=n, keys=keys, norm_adj=norm_adj)
 
 
 def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
@@ -153,10 +156,8 @@ def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
             a = b
         pending = np.concatenate(left)
         r *= 2
-    i = np.repeat(np.arange(n), k)
-    j = nbrs.reshape(-1)
-    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
-    return spatial_graph(n, np.stack([keys // n, keys % n], axis=1))
+    pairs = np.stack([np.repeat(np.arange(n), k), nbrs.reshape(-1)], axis=1)
+    return spatial_graph(n, np.sort(pairs, axis=1))  # each pair as i < j
 
 
 def _grid_cells(coords, k):
@@ -309,20 +310,19 @@ def _contains(sorted_keys, query):
 
 
 def sample_negatives(keys, n, count, rng):
-    """Distinct upper-triangle non-edges of A + I, as a sorted [m, 2] array.
+    """Distinct upper-triangle non-edges of A + I, as sorted keys ``i * n + j``.
 
     ``keys`` are the ``SpatialGraph.keys`` of the graph on ``n`` nodes, and
-    m = min(count, number of non-edges). Pairs are drawn uniformly without
-    replacement, by rejection against ``keys``: each round draws twice the
-    pairs still missing, scaled by all pairs over the non-edges not yet
-    drawn, and keeps the first draw of each new non-edge. A round thus
-    draws O(count) pairs on a sparse graph and at most 2 n^2 + 16 when the
-    non-edges are few or the sample takes most of them, where n^2 is
-    O(|E| + count).
+    the result holds min(count, number of non-edges) keys. Pairs are drawn
+    uniformly without replacement, by rejection against ``keys``: each round
+    draws twice the pairs still missing, scaled by all pairs over the
+    non-edges not yet drawn, and keeps the first draw of each new non-edge.
+    A round thus draws O(count) pairs on a sparse graph and at most
+    2 n^2 + 16 when the non-edges are few or the sample takes most of them,
+    where n^2 is O(|E| + count).
     """
-    keys = np.asarray(keys, dtype=np.int64)
     pairs = n * (n - 1) // 2
-    free = pairs - int(np.count_nonzero(keys // n != keys % n))
+    free = pairs - (len(keys) - n)  # the keys hold every self-loop
     count = min(int(count), free)
     got = np.empty(0, dtype=np.int64)
     while len(got) < count:
@@ -338,33 +338,31 @@ def sample_negatives(keys, n, count, rng):
         pair, first = ranked[start], np.minimum.reduceat(order, start)
         new = ~_contains(keys, pair) & ~_contains(np.sort(got), pair)
         got = np.concatenate([got, cand[np.sort(first[new])]])  # in draw order
-    chosen = np.sort(got[:count])
-    return np.stack([chosen // n, chosen % n], axis=1).astype(np.intp)
+    return np.sort(got[:count])
 
 
 def vgae_loss(p: VgaeParams, graph: SpatialGraph, x_exp, x_sp, noise, neg):
     """(recon_exp, recon_sp, recon_adj, kl, mu): unweighted scalar terms and the posterior mean.
 
-    Adjacency reconstruction scores the positive entries of A + I
-    (``graph.pos``) against the non-edges ``neg`` (a ``sample_negatives``
-    array; as many as the positives keeps the classes balanced). ``mu``
-    lets the caller add terms on the posterior mean without a second
-    encoder pass.
+    Adjacency reconstruction scores the entries of A + I (``graph.keys``:
+    the self-loops, then the edges in key order) against the non-edge keys
+    ``neg`` (from ``sample_negatives``; as many as ``graph.keys`` keeps the
+    classes balanced). ``mu`` lets the caller add terms on the posterior
+    mean without a second encoder pass.
     """
-    pos = graph.pos
     x_exp = ad.as_tensor(x_exp)
     x_sp = ad.as_tensor(x_sp)
     mu, logvar = vgae_encode(p, graph.norm_adj, x_exp)
     z = vae.reparameterize(mu, logvar, noise)
-    rows = np.concatenate([pos[0], neg[:, 0]])
-    cols = np.concatenate([pos[1], neg[:, 1]])
+    loop = graph.keys // graph.n == graph.keys % graph.n
+    rows, cols = np.divmod(np.concatenate([graph.keys[loop], graph.keys[~loop], neg]), graph.n)
     # vgae_decode without its output heads: each head runs inside its loss
     h_exp, h_sp = _decode_hidden(p, z)
     edge_logits = ad.pair_dot(z, rows, cols)
 
     recon_exp = ad.affine_mse(h_exp, p.out_head.w, p.out_head.b, x_exp)
     recon_sp = ad.affine_mse(h_sp, p.coord_head.w, p.coord_head.b, x_sp)
-    labels = np.concatenate([np.ones(len(pos[0])), np.zeros(len(neg))])
+    labels = np.concatenate([np.ones(len(graph.keys)), np.zeros(len(neg))])
     recon_adj = ad.bce_with_logits(edge_logits, labels)
     return recon_exp, recon_sp, recon_adj, vae.kl_divergence(mu, logvar), mu
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from latentmap import benchmark as bm
 from latentmap.errors import DataError
@@ -136,6 +137,29 @@ def test_knn_random_matches_oracle():
     for k in range(1, 31):
         pred = bm.knn_predict(train, queries, k)
         assert pred == [brute_force_knn(codes, labels, q, k, train.vocab) for q in queries]
+
+
+def test_knn_one_row_blocks_match_one_block(monkeypatch):
+    # small integer codes: distance ties at the k-th neighbor and vote ties
+    rng = np.random.default_rng(8)
+    codes = rng.integers(0, 3, size=(40, 3)).astype(float)
+    train = bm.LabeledEmbedding(codes, [["a", "b", "c"][i] for i in rng.integers(0, 3, size=40)])
+    queries = rng.integers(0, 3, size=(25, 3)).astype(float)
+    assert 25 * train.codes.size <= bm.KNN_BLOCK_ENTRIES  # one block by default
+    whole = [bm.knn_predict(train, queries, k) for k in (1, 4, 9)]
+    monkeypatch.setattr(bm, "KNN_BLOCK_ENTRIES", 1)
+    assert [bm.knn_predict(train, queries, k) for k in (1, 4, 9)] == whole
+
+
+def test_knn_memory_does_not_grow_with_the_queries():
+    # 400 queries against 1,500 training rows of 10 dims: the differences of
+    # all of them would be 48 MB, and their squares as much again; a block
+    # holds about 8 MB of each
+    rng = np.random.default_rng(9)
+    train = bm.LabeledEmbedding(rng.normal(size=(1500, 10)), ["a", "b"] * 750)
+    queries = rng.normal(size=(400, 10))
+    _, peak = traced_peak(lambda: bm.knn_predict(train, queries, 5))
+    assert peak < 25e6, peak
 
 
 def test_knn_distance_tie_prefers_smaller_index():

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from latentmap import benchmark as bm, cli, dataio, pipeline as pl, preprocess as pp
+from latentmap import benchmark as bm, cli, dataio, pipeline as pl, preprocess as pp, vgae as vg
 from latentmap.errors import DataError, DependencyError, NumericError, ShapeError
 from latentmap.preprocess import CountMatrix
 
@@ -1320,6 +1320,50 @@ def test_tiny_stage2_run_dir_golden_sha256(data_dir, tmp_path):
                          "--run-dir", str(run_dir), "--config", str(config)]) == 0
     assert {str(p.relative_to(run_dir)): cli.file_digest(p)
             for p in sorted(run_dir.rglob("*")) if p.is_file()} == _TINY_STAGE2_SHA256
+
+
+# every file of a three-stage run on the module's corpus, config below
+_TINY_STAGE3_SHA256 = {
+    "checkpoints/vae_sc2000.f64": "7727ed65c791bb643942161b22891ee3672bdb8064aa02aa090327affdcabaa0",
+    "checkpoints/vae_sc2000.json": "cc58e1c3a292ac322454a13d0de6ba00378469ffade2b2ebf9a6cb9e6e3afbe3",
+    "checkpoints/vae_sc500.f64": "2aeec05682edf65837cd049a3743a15c788fb45e9ebcac12e281893f82b9dfc4",
+    "checkpoints/vae_sc500.json": "52e97fa88e57cbc70ecf7a87a4b8583ac18bbb34d1b20834dc324fcab4ffde84",
+    "checkpoints/vae_st500.f64": "27e5d4772e2b656682623c539d630091dd8df11cf3ebb842de64e2d6ea3de298",
+    "checkpoints/vae_st500.json": "e628eb6729bcc64a18f8a2f394d49278d605b5eb625ce1d13739fc1f54b64061",
+    "checkpoints/vgae_st.f64": "fff5ca62bba51cfa87182caf613209e319a82bc35b4254c46464559527039ed2",
+    "checkpoints/vgae_st.json": "e098a9ebc73c33b3da467d2b1dc1cab48c67416f65dd1f126523f09f30df41df",
+    "config.json": "95ef5657a576939dbb5188dcfb676156540f3684a8b980ac99e3125eb125dd31",
+    "graph_edges.txt": "00aa60aa1583aa34a57aabcf00abb12d834ae58f46b5ceef46f17810c421b2b6",
+    "history/stage1.csv": "c0bc290886dd0cc3c161ea5a3c8c88979bd559378c7a4d6754f30a7e5e2b3dfd",
+    "history/stage2.csv": "508f56c4e8f7fd6d1431b1fa4b1e11880dd2f05dee78425cef3a3a9a88a59bbe",
+    "history/stage3.csv": "93a92bbfddc4bbae705f74a5a047542f008681082d371405b4eb05d9d0209ca3",
+    "latents/z_sc2000.csv": "736560fa2013029e9f0213c91f91a69f984c154f9229099757109dc497328c04",
+    "latents/z_sc500.csv": "c408422034712c742ae104fb4856f4ebbe340b1a28bfd1674875e04abf78946e",
+    "latents/z_st500.csv": "b1702a5faab76cd079c40d76841e90064cd187700b8b4f9e2ffc128567705d8e",
+    "latents/z_st_merged.csv": "2b1027fa9f450e18a2594fa1dc6fc14cd45d84971c6c0d6ece0acdc5c0b0178a",
+    "manifest.json": "ac2483c60ef2457c80558c6e51e20d0051191284d5f84cb55612e379ef755166",
+    "panel_shared.txt": "aa6c50de99de4691ac1007a583a9a7ba1447dfe5205aee8181735dde102938f2",
+}
+
+
+def test_tiny_stage3_run_dir_golden_sha256(data_dir, tmp_path):
+    # stage 3 adds the kNN graph, the negative draws and the GCN to the digests
+    config = tmp_path / "config.json"
+    pl.TrainConfig(s1_epochs=6, s2_init_epochs=5, s2_epochs=2, s2b_epochs=1, s3_epochs=5,
+                   latent_dim=4, enc_hidden=(16, 8), kl_weight=0.01, seed=4).save(config)
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--stage", "all", "--data", str(data_dir),
+                     "--run-dir", str(run_dir), "--config", str(config)]) == 0
+    assert {str(p.relative_to(run_dir)): cli.file_digest(p)
+            for p in sorted(run_dir.rglob("*")) if p.is_file()} == _TINY_STAGE3_SHA256
+
+
+def test_lattice_graph_edges_golden_sha256(tmp_path):
+    # graph_edges.txt of a 64 x 64 spot lattice at k = 6, as stage 3 writes it
+    coords = np.array([[x, y] for y in range(64) for x in range(64)], dtype=np.float64)
+    path = tmp_path / "graph_edges.txt"
+    dataio.write_edge_list(path, vg.build_knn_graph(coords, k=6).edges)
+    assert cli.file_digest(path) == "9ea212317d644547bd212ee89c97c4e522a82b64cc714f48db741498e09aac1b"
 
 
 def test_readme_config_table_names_every_field_in_order():

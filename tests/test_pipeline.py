@@ -370,7 +370,7 @@ def test_stage3_ablation_matches_standalone_vgae(tmp_path, corpus):
     standalone = []
     for _ in range(5):
         noise = noise_rng.normal(size=(corpus["x_st"].shape[0], 4))
-        neg = vg.sample_negatives(graph.keys, graph.n, len(graph.pos[0]), neg_rng)
+        neg = vg.sample_negatives(graph.keys, graph.n, len(graph.keys), neg_rng)
         opt.zero_grad()
         with ad.Tape():
             exp, sp, adj, kl, mu = vg.vgae_loss(model, graph, corpus["x_st"],

@@ -24,6 +24,16 @@ def brute_force_knn_edges(coords, k):
     return sorted(edges)
 
 
+def edge_list(g):
+    """``g.edges`` as a list of (i, j) tuples."""
+    return [tuple(e) for e in g.edges.tolist()]
+
+
+def key_pairs(keys, n):
+    """[m, 2] (i, j) rows of the keys ``i * n + j``."""
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
 def all_pairs(n):
     """(rows, cols) of every entry of an n x n matrix, row-major."""
     rows, cols = np.indices((n, n)).reshape(2, -1)
@@ -44,7 +54,7 @@ def weighted_total(terms, recon_exp=1.0, recon_sp=1.0, recon_adj=1.0, kl=1.0):
 
 
 def balanced_negatives(g, rng):
-    return vgae.sample_negatives(g.keys, g.n, len(g.pos[0]), rng)
+    return vgae.sample_negatives(g.keys, g.n, len(g.keys), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +63,7 @@ def balanced_negatives(g, rng):
 
 def test_knn_collinear_points():
     g = vgae.build_knn_graph([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]], k=1)
-    assert g.edges == [(0, 1), (1, 2)]
+    assert edge_list(g) == [(0, 1), (1, 2)]
 
 
 def test_knn_grid_interior_axis_neighbors():
@@ -67,7 +77,7 @@ def test_knn_grid_interior_axis_neighbors():
 
 def test_knn_two_points():
     g = vgae.build_knn_graph([[0.0, 0.0], [1.0, 1.0]], k=1)
-    assert g.edges == [(0, 1)]
+    assert edge_list(g) == [(0, 1)]
 
 
 def test_knn_matches_brute_force():
@@ -75,14 +85,14 @@ def test_knn_matches_brute_force():
     coords = rng.uniform(0, 10, size=(30, 2))
     for k in (1, 3, 6):
         g = vgae.build_knn_graph(coords, k=k)
-        assert g.edges == brute_force_knn_edges(coords, k)
+        assert edge_list(g) == brute_force_knn_edges(coords, k)
 
 
 def test_knn_duplicate_coords_tie_by_index():
     coords = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 5.0]]
     g = vgae.build_knn_graph(coords, k=1)
     # each duplicate picks the smallest other index
-    assert (0, 1) in g.edges and (0, 2) in g.edges
+    assert (0, 1) in edge_list(g) and (0, 2) in edge_list(g)
 
 
 def test_knn_too_few_points_errors():
@@ -119,10 +129,13 @@ def test_spatial_graph_pos_and_keys_match_brute_force():
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [upper[t] for t in rng.choice(len(upper), size=20, replace=False)]  # unsorted
     g = vgae.spatial_graph(n, edges)
-    assert g.n == n and g.edges == edges
-    pos = [(i, i) for i in range(n)] + edges  # self-loops first, then the edges in order
-    assert list(zip(g.pos[0].tolist(), g.pos[1].tolist())) == pos
-    assert g.keys.tolist() == sorted(i * n + j for i, j in pos)
+    assert g.n == n and edge_list(g) == sorted(edges)  # in key order
+    pos = [(i, i) for i in range(n)] + edges  # the entries of A + I's upper triangle
+    assert g.keys.dtype == np.int64 and g.keys.tolist() == sorted(i * n + j for i, j in pos)
+    # the pairs are a set: order and repeats change nothing
+    again = vgae.spatial_graph(n, edges[::-1] + edges[:5])
+    assert np.array_equal(again.keys, g.keys)
+    assert (again.norm_adj != g.norm_adj).nnz == 0
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +344,16 @@ def test_path_graph_adjacency_reconstruction_trains_below_point_one():
     rng = np.random.default_rng(13)
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     g = vgae.build_knn_graph(coords, k=1)
-    assert g.edges == [(0, 1), (1, 2), (2, 3)]
+    assert edge_list(g) == [(0, 1), (1, 2), (2, 3)]
     p = tiny_vgae(seed=13, n_genes=5)
     x = rng.normal(size=(4, 5))
     _train_vgae(p, g, x, coords, steps=400, seed=13,
                 recon_exp=0.0, recon_sp=0.0, recon_adj=1.0, kl=1e-4)
     mu = vgae.encode_mu(p, g.norm_adj, x)
-    pos_r, pos_c = g.pos
     neg = vgae.sample_negatives(g.keys, g.n, g.n * g.n, rng)  # every non-edge
     assert len(neg) == 3
-    rows = np.concatenate([pos_r, neg[:, 0]])
-    cols = np.concatenate([pos_c, neg[:, 1]])
-    labels = np.concatenate([np.ones(len(pos_r)), np.zeros(len(neg))])
+    rows, cols = np.divmod(np.concatenate([g.keys, neg]), g.n)
+    labels = np.concatenate([np.ones(len(g.keys)), np.zeros(len(neg))])
     logits = (mu[rows] * mu[cols]).sum(axis=1)
     final = ad.bce_with_logits(ad.tensor(logits), labels).item()
     assert final < 0.1
@@ -390,7 +401,7 @@ def test_two_block_graph_heldout_edge_auc():
 
     mu = vgae.encode_mu(p, g.norm_adj, x)
     neg = vgae.sample_negatives(full.keys, full.n, 200, rng)
-    auc = vgae.edge_auc(mu, np.asarray(held), neg)
+    auc = vgae.edge_auc(mu, np.asarray(held), key_pairs(neg, full.n))
     assert auc >= 0.9
 
 
@@ -440,7 +451,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# sparse graph: k-d tree kNN, CSR adjacency, negative sampling
+# sparse graph: grid kNN, CSR adjacency, negative sampling
 # ---------------------------------------------------------------------------
 
 def grid(side):
@@ -450,18 +461,18 @@ def grid(side):
 @pytest.mark.parametrize("k", [6, 8])
 def test_knn_grid_full_of_ties_matches_brute_force(k):
     coords = grid(20)
-    assert vgae.build_knn_graph(coords, k=k).edges == brute_force_knn_edges(coords, k)
+    assert edge_list(vgae.build_knn_graph(coords, k=k)) == brute_force_knn_edges(coords, k)
 
 
 def test_knn_with_duplicate_points_matches_brute_force():
     rng = np.random.default_rng(21)
     base = rng.uniform(0, 10, size=(40, 2))
-    # scattered duplicates, plus one point repeated more often than the first
-    # k-d tree query returns neighbors, which forces a wider query
+    # scattered duplicates, plus one point repeated more than k times: its
+    # copies fill its own grid cell, and their distance-0 ties break by index
     coords = np.vstack([base, base[rng.choice(40, size=10)], np.repeat(base[:1], 15, axis=0)])
     coords = coords[rng.permutation(len(coords))]
     for k in (1, 3, 6):
-        assert vgae.build_knn_graph(coords, k=k).edges == brute_force_knn_edges(coords, k)
+        assert edge_list(vgae.build_knn_graph(coords, k=k)) == brute_force_knn_edges(coords, k)
 
 
 def _knn_layout(name):
@@ -497,7 +508,7 @@ def _knn_layout(name):
                                     "two_squares", "extreme_scale"])
 def test_knn_layouts_match_brute_force(layout, k):
     coords = _knn_layout(layout)
-    assert vgae.build_knn_graph(coords, k=k).edges == brute_force_knn_edges(coords, k)
+    assert edge_list(vgae.build_knn_graph(coords, k=k)) == brute_force_knn_edges(coords, k)
 
 
 def _knn_work_layout(name):
@@ -554,13 +565,12 @@ def test_normalize_adjacency_rejects_malformed_edges():
 
 
 def _check_negatives(g, neg, count):
-    keys = set(g.keys.tolist())
     free = g.n * (g.n - 1) // 2 - len(g.edges)
-    assert neg.shape == (min(count, free), 2)
-    assert np.all(neg[:, 0] < neg[:, 1])  # upper triangle, no self-loops
-    flat = neg[:, 0] * g.n + neg[:, 1]
-    assert np.all(np.diff(flat) > 0)  # sorted and unique
-    assert not keys & set(flat.tolist())  # disjoint from A + I
+    assert neg.dtype == np.int64 and neg.shape == (min(count, free),)
+    i, j = np.divmod(neg, g.n)
+    assert np.all(i < j)  # upper triangle, no self-loops
+    assert np.all(np.diff(neg) > 0)  # sorted and unique
+    assert not set(g.keys.tolist()) & set(neg.tolist())  # disjoint from A + I
 
 
 def _dense_graphs():
@@ -569,7 +579,7 @@ def _dense_graphs():
     complete_minus_one = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != (2, 5)]
     return {
         # a 6-node k = 2 graph, as in the gradient-check suite: count >= non-edges
-        "six_k2": (six, len(six.pos[0])),
+        "six_k2": (six, len(six.keys)),
         "complete_minus_one": (vgae.spatial_graph(n, complete_minus_one), 5),
         "path_every_non_edge": (vgae.spatial_graph(9, [(i, i + 1) for i in range(8)]), 28),
     }
@@ -583,7 +593,7 @@ def test_sample_negatives_properties(case):
     if case[0].isdigit():
         side, k = map(int, case.split("-"))
         g = vgae.build_knn_graph(grid(side), k=k)
-        count = len(g.pos[0])
+        count = len(g.keys)
     else:
         g, count = _dense_graphs()[case]
     free = g.n * (g.n - 1) // 2 - len(g.edges)
@@ -603,7 +613,7 @@ def test_sample_negatives_complete_graph_terminates_empty():
     g = vgae.build_knn_graph(grid(3)[:5], k=4)  # n = k + 1: every pair is an edge
     assert len(g.edges) == 10
     neg = vgae.sample_negatives(g.keys, g.n, 15, np.random.default_rng(0))
-    assert neg.shape == (0, 2)
+    assert neg.shape == (0,)
 
 
 def test_sample_negatives_deterministic_per_seed():
@@ -621,7 +631,7 @@ def test_sample_negatives_covers_non_edges_evenly():
     rng = np.random.default_rng(23)
     hits = {}
     for _ in range(400):
-        for i, j in vgae.sample_negatives(keys, g.n, 60, rng).tolist():
+        for i, j in key_pairs(vgae.sample_negatives(keys, g.n, 60, rng), g.n).tolist():
             hits[(i, j)] = hits.get((i, j), 0) + 1
     free = g.n * (g.n - 1) // 2 - len(g.edges)
     assert len(hits) == free
@@ -646,8 +656,7 @@ def _sample_negatives_reference(keys, n, count, rng):
         got = np.concatenate([got, cand[~vgae._contains(keys, cand)]])
         _, first = np.unique(got, return_index=True)  # keep first draws, in draw order
         got = got[np.sort(first)]
-    chosen = np.sort(got[:count])
-    return np.stack([chosen // n, chosen % n], axis=1).astype(np.intp)
+    return np.sort(got[:count])
 
 
 @pytest.mark.parametrize("case", ["8-6", "16-6", "64-6", "3-7", "six_k2", "complete_minus_one",
@@ -658,7 +667,7 @@ def test_sample_negatives_matches_reference_loop(case):
     if case[0].isdigit():
         side, k = map(int, case.split("-"))
         g = vgae.build_knn_graph(grid(side), k=k)
-        count = len(g.pos[0])
+        count = len(g.keys)
     else:
         g, count = _dense_graphs()[case]
     for seed in range(20 if g.n < 100 else 5):
@@ -675,7 +684,7 @@ def test_graph_and_negatives_stay_sparse_in_memory():
 
     def build_and_sample():
         g = vgae.build_knn_graph(coords, k=6)
-        vgae.sample_negatives(g.keys, g.n, len(g.pos[0]), np.random.default_rng(0))
+        vgae.sample_negatives(g.keys, g.n, len(g.keys), np.random.default_rng(0))
 
     _, peak = traced_peak(build_and_sample)
     # one dense 4096 x 4096 float64 array alone is 134 MB
