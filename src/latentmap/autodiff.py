@@ -8,6 +8,12 @@ constraints, in rough order of importance:
   topological order, and the backward pass walks it once in reverse. With a
   fixed op sequence the accumulation order is fixed, so gradients are
   bitwise reproducible run to run.
+* The tape holds only what backward reads. An entry names the op's output
+  by a serial id, not by the tensor, and each vjp closes over the arrays it
+  reads and no tensor, so an output that no vjp reads (the product fed to
+  ``spmm``, say) is freed as soon as the forward drops it. ``backward``
+  pops each entry as it passes it, freeing its arrays as the pass moves
+  back, so a tape serves one ``backward``.
 * No broadcasting: a layer's bias row vector enters through ``matmul``'s
   ``bias`` operand, so an affine map is one tape entry, and an output layer
   scored by mean squared error against data is one ``affine_mse`` entry.
@@ -30,11 +36,14 @@ outside a tape they just compute values, which is what inference and
 finite-difference probing use.
 """
 
+import itertools
+
 import numpy as np
 
 from .errors import NumericError, ShapeError
 
 _TAPE_STACK = []
+_SERIALS = itertools.count()  # ids of taped op outputs, unique across tapes
 
 
 def _active_tape():
@@ -42,9 +51,12 @@ def _active_tape():
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient of the same shape."""
+    """A dense float64 array plus an optional gradient of the same shape.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    ``node`` is the serial id a tape gave the op that made it, or None.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, values, requires_grad=False):
         # asarray keeps 0-d scalars 0-d and adopts float64 arrays without copying
@@ -54,6 +66,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.node = None
 
     @property
     def shape(self):
@@ -87,15 +100,20 @@ def as_tensor(x):
 
 
 class Tape:
-    """Ordered record of executed ops.
+    """Ordered record of executed ops, consumed by one ``backward``.
 
-    Each entry is ``(out, [(input, vjp), ...])`` where ``vjp`` maps the
-    output adjoint to that input's adjoint contribution. Entries are
-    appended in execution order, so inputs always precede their consumers.
+    Each entry is ``(serial, [(input, vjp), ...])``: ``serial`` is the id
+    the op's output got when recorded, ``input`` is the serial of an input
+    this tape produced or else the input tensor itself (a leaf), and ``vjp``
+    maps the output adjoint to that input's adjoint contribution. No op
+    output is kept. Entries are appended in execution order, so inputs
+    always precede their consumers.
     """
 
     def __init__(self):
         self.entries = []
+        self.produced = set()  # serials of the outputs recorded here
+        self.spent = False  # set by backward, which consumes the entries
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -107,7 +125,9 @@ class Tape:
         return False
 
     def record(self, out, rules):
-        self.entries.append((out, rules))
+        out.node = next(_SERIALS)
+        self.produced.add(out.node)
+        self.entries.append((out.node, rules))
 
 
 def _make_out(values, inputs, vjps):
@@ -116,7 +136,8 @@ def _make_out(values, inputs, vjps):
     out = Tensor(values, requires_grad=needs)
     tape = _active_tape()
     if needs and tape is not None:
-        rules = [(t, v) for t, v in zip(inputs, vjps) if t.requires_grad]
+        rules = [(t.node if t.node in tape.produced else t, v)
+                 for t, v in zip(inputs, vjps) if t.requires_grad]
         tape.record(out, rules)
     return out
 
@@ -127,28 +148,35 @@ def backward(loss):
     A leaf is a requires_grad tensor that no entry of the active tape
     produced (a parameter, or an input made outside the tape). Adjoints of
     op outputs live only in this pass's adjoint map and are dropped once
-    passed on; their ``.grad`` stays None. Repeated calls without clearing
-    grads accumulate into the leaves, and each pass keeps its own map, so
-    the passes stay independent.
+    passed on; their ``.grad`` stays None. The pass pops each tape entry as
+    it passes it, so the tape's arrays are freed on the way back and a
+    second call on the same tape raises RuntimeError. Grads accumulate into
+    the leaves until cleared, so passes over tapes recorded one after the
+    other add up.
     """
     if loss.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {tuple(loss.shape)}")
     tape = _active_tape()
     if tape is None:
         raise RuntimeError("backward called with no active tape")
+    if tape.spent:
+        raise RuntimeError("backward: the tape was consumed by an earlier backward; "
+                           "record the loss again on a new Tape")
+    tape.spent = True
 
-    adjoint = {id(loss): (loss, np.ones_like(loss.data))}
-    for out, rules in reversed(tape.entries):
-        rec = adjoint.pop(id(out), None)
-        if rec is None:
+    entries = tape.entries
+    adjoint = {loss.node if loss.node in tape.produced else loss: np.ones_like(loss.data)}
+    while entries:
+        serial, rules = entries.pop()
+        g = adjoint.pop(serial, None)
+        if g is None:
             continue
-        g = rec[1]
         for inp, vjp in rules:
             gi = vjp(g)
-            prev = adjoint.get(id(inp))
-            adjoint[id(inp)] = (inp, gi if prev is None else prev[1] + gi)
-    # whatever is left never appeared as an op output on this tape: leaves
-    for t, g in adjoint.values():
+            prev = adjoint.get(inp)
+            adjoint[inp] = gi if prev is None else prev + gi
+    # every serial was popped with its entry; what is left are leaf tensors
+    for t, g in adjoint.items():
         if t.requires_grad:
             t._accumulate(g)
 
@@ -169,8 +197,9 @@ def matmul(a, b, bias=None):
     """
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: cannot multiply {tuple(a.shape)} by {tuple(b.shape)}")
-    out = a.data @ b.data
-    vjp_a, vjp_b = (lambda g: g @ b.data.T), (lambda g: a.data.T @ g)
+    a_data, b_data = a.data, b.data
+    out = a_data @ b_data
+    vjp_a, vjp_b = (lambda g: g @ b_data.T), (lambda g: a_data.T @ g)
     if bias is None:
         return _make_out(out, (a, b), (vjp_a, vjp_b))
     if bias.shape != (b.shape[1],):
@@ -210,13 +239,14 @@ def pair_dot(z, rows, cols):
         raise ShapeError(f"pair_dot expects a matrix, got shape {tuple(z.shape)}")
     if rows.shape != cols.shape or rows.ndim != 1:
         raise ShapeError(f"pair_dot: rows {rows.shape} and cols {cols.shape} must be equal 1-D")
-    n = z.shape[0]
+    zd = z.data
+    n = zd.shape[0]
 
     def vjp(g):
         m = sp.coo_matrix((g, (rows, cols)), shape=(n, n))
-        return m @ z.data + m.T @ z.data
+        return m @ zd + m.T @ zd
 
-    out = (z.data[rows] * z.data[cols]).sum(axis=1)
+    out = (zd[rows] * zd[cols]).sum(axis=1)
     return _make_out(out, (z,), (vjp,))
 
 
@@ -232,7 +262,8 @@ def sub(a, b):
 
 def mul(a, b):
     _check_same_shape(a, b, "mul")
-    return _make_out(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
+    a_data, b_data = a.data, b.data
+    return _make_out(a_data * b_data, (a, b), (lambda g: g * b_data, lambda g: g * a_data))
 
 
 def scale(a, c):
@@ -272,17 +303,19 @@ def exp(a):
 
 
 def square(a):
-    return _make_out(a.data * a.data, (a,), (lambda g: g * 2.0 * a.data,))
+    x = a.data
+    return _make_out(x * x, (a,), (lambda g: g * 2.0 * x,))
 
 
 def tsum(a):
     """Sum of all entries, as a scalar tensor."""
-    return _make_out(np.asarray(a.data.sum()), (a,), (lambda g: np.broadcast_to(g, a.shape).copy(),))
+    shape = a.shape
+    return _make_out(np.asarray(a.data.sum()), (a,), (lambda g: np.broadcast_to(g, shape).copy(),))
 
 
 def tmean(a):
-    n = a.size
-    return _make_out(np.asarray(a.data.mean()), (a,), (lambda g: np.broadcast_to(g / n, a.shape).copy(),))
+    n, shape = a.size, a.shape
+    return _make_out(np.asarray(a.data.mean()), (a,), (lambda g: np.broadcast_to(g / n, shape).copy(),))
 
 
 AFFINE_MSE_ROWS = 512  # rows of the residual that affine_mse holds at once
@@ -297,12 +330,11 @@ def affine_mse(h, w, b, target):
     ``AFFINE_MSE_ROWS``: each block forms its residual r, adds r . r to the
     loss and, when a tape records, adds to the three products the vjps read:
     r @ w^T (written block by block into one array shaped like h), h^T r and
-    colsum(r). With c = 2 g / n each vjp is its product times c, so the
-    products are never written after the forward and ``backward`` can run
-    twice on one tape. Against ``tmean(square(sub(matmul(h, w, bias=b),
-    target)))`` values and gradients differ in their last bits: the scaling
-    comes after the products, and the sum of squares is a dot product (and,
-    past one block, a sum over blocks).
+    colsum(r). With c = 2 g / n each vjp scales its product by c in place,
+    which holds because ``backward`` runs each vjp once. Against
+    ``tmean(square(sub(matmul(h, w, bias=b), target)))`` values and gradients
+    differ in their last bits: the scaling comes after the products, and the
+    sum of squares is a dot product (and, past one block, a sum over blocks).
     """
     if h.data.ndim != 2 or w.data.ndim != 2 or h.shape[1] != w.shape[0]:
         raise ShapeError(f"affine_mse: cannot multiply {tuple(h.shape)} by {tuple(w.shape)}")
@@ -336,7 +368,9 @@ def affine_mse(h, w, b, target):
     n = out_shape[0] * out_shape[1]
     c = lambda g: g / n * 2.0
     return _make_out(np.asarray(total / n), (h, w, b),
-                     (lambda g: rw * c(g), lambda g: hr * c(g), lambda g: colsum * c(g)))
+                     (lambda g: np.multiply(rw, c(g), out=rw),
+                      lambda g: np.multiply(hr, c(g), out=hr),
+                      lambda g: np.multiply(colsum, c(g), out=colsum)))
 
 
 def concat_cols(a, b):

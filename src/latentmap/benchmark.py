@@ -82,16 +82,33 @@ def knn_predict(train: LabeledEmbedding, queries, k: int) -> list:
     training index, vote ties the earlier vocabulary label. Queries are ranked
     in blocks whose differences to the training rows fit ``KNN_BLOCK_ENTRIES``.
     """
-    if k <= 0:
-        raise DataError(f"k must be positive, got {k}")
+    _check_k(k)
     if k > train.n:
         raise DataError(f"k={k} exceeds training size {train.n}")
-    queries = np.asarray(queries, dtype=np.float64)
+    return _vote(train, _nearest(train, np.asarray(queries, dtype=np.float64), k))
+
+
+def _check_k(k):
+    if k <= 0:
+        raise DataError(f"k must be positive, got {k}")
+
+
+def _nearest(train: LabeledEmbedding, queries, k):
+    """[query, k] training rows by distance, ties toward the smaller index.
+
+    The ranking is a stable argsort, so the first j columns of a k ranking
+    are the j ranking for every j <= k.
+    """
     step = max(1, KNN_BLOCK_ENTRIES // max(1, train.codes.size))
     nearest = np.empty((len(queries), k), dtype=np.intp)
     for a in range(0, len(queries), step):
         d2 = ((queries[a:a + step, None, :] - train.codes[None, :, :]) ** 2).sum(axis=2)
         nearest[a:a + step] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return nearest
+
+
+def _vote(train: LabeledEmbedding, nearest):
+    """Majority label of each row of ``nearest``; ties go to the earlier vocabulary label."""
     vocab_index = {label: i for i, label in enumerate(train.vocab)}
     votes = np.array([vocab_index[label] for label in train.labels])[nearest]
     v = len(train.vocab)
@@ -115,11 +132,10 @@ def _fold_slices(n, folds, seed):
     return [np.sort(chunk) for chunk in np.array_split(order, folds)]
 
 
-def _predict_split(e: LabeledEmbedding, test_idx, k: int) -> list:
-    """kNN labels of the rows ``test_idx`` of ``e``, trained on every other row."""
+def _train_split(e: LabeledEmbedding, test_idx) -> LabeledEmbedding:
+    """Every row of ``e`` outside ``test_idx``, in index order."""
     train_idx = np.setdiff1d(np.arange(e.n), test_idx)
-    train = LabeledEmbedding(e.codes[train_idx], [e.labels[i] for i in train_idx], vocab=e.vocab)
-    return knn_predict(train, e.codes[test_idx], min(k, train.n))
+    return LabeledEmbedding(e.codes[train_idx], [e.labels[i] for i in train_idx], vocab=e.vocab)
 
 
 def kfold_cv(e: LabeledEmbedding, k_neighbors: int, folds: int = 4, seed: int = 0) -> CvReport:
@@ -129,28 +145,39 @@ def kfold_cv(e: LabeledEmbedding, k_neighbors: int, folds: int = 4, seed: int = 
     fold is still scored. The confusion matrix counts the out-of-fold
     predictions.
     """
-    accs, warnings = [], []
-    oof = [None] * e.n
+    return sweep_k(e, [k_neighbors], folds=folds, seed=seed)[0][1]
+
+
+def sweep_k(e: LabeledEmbedding, k_values, folds: int = 4, seed: int = 0) -> list:
+    """(k, kfold_cv report) per k, on the one fold split the seed gives.
+
+    Each fold ranks its distances once, at the largest k capped to the
+    training size, and each k votes on a prefix of that ranking.
+    """
+    k_values = list(k_values)
+    if not k_values:
+        raise DataError("empty k list")
+    for k in k_values:
+        _check_k(k)
+    warnings = []
+    runs = [([], [None] * e.n) for _ in k_values]  # per k: fold accuracies, out-of-fold labels
     for f, test_idx in enumerate(_fold_slices(e.n, folds, seed)):
         y_true = [e.labels[i] for i in test_idx]
         absent = sorted(lab for lab in e.vocab if e.labels.count(lab) == y_true.count(lab))
         if absent:
             warnings.append(f"fold {f}: classes absent from training split: {absent}")
-        y_hat = _predict_split(e, test_idx, k_neighbors)
-        for i, pred in zip(test_idx, y_hat):
-            oof[i] = pred
-        accs.append(accuracy(y_true, y_hat))
-    return CvReport(fold_accuracies=accs, mean=float(np.mean(accs)), std=float(np.std(accs)),
-                    confusion=confusion_matrix(e.labels, oof, e.vocab), warnings=warnings,
-                    oof_predictions=oof)
-
-
-def sweep_k(e: LabeledEmbedding, k_values, folds: int = 4, seed: int = 0) -> list:
-    """kfold_cv per k; the seed gives every k the same fold split."""
-    k_values = list(k_values)
-    if not k_values:
-        raise DataError("empty k list")
-    return [(k, kfold_cv(e, k, folds=folds, seed=seed)) for k in k_values]
+        train = _train_split(e, test_idx)
+        nearest = _nearest(train, e.codes[test_idx], min(max(k_values), train.n))
+        for k, (accs, oof) in zip(k_values, runs):
+            y_hat = _vote(train, nearest[:, :k])
+            for i, pred in zip(test_idx, y_hat):
+                oof[i] = pred
+            accs.append(accuracy(y_true, y_hat))
+    return [(k, CvReport(fold_accuracies=accs, mean=float(np.mean(accs)),
+                         std=float(np.std(accs)),
+                         confusion=confusion_matrix(e.labels, oof, e.vocab),
+                         warnings=list(warnings), oof_predictions=oof))
+            for k, (accs, oof) in zip(k_values, runs)]
 
 
 def default_k_values(n_classes: int) -> list:
@@ -174,7 +201,8 @@ def holdout_accuracy(e: LabeledEmbedding, k_neighbors: int, fraction: float = 0.
     """Single split: train on (1-fraction), test on fraction."""
     order = np.random.default_rng(seed).permutation(e.n)
     test_idx = np.sort(order[:holdout_size(e.n, fraction)])
-    y_hat = _predict_split(e, test_idx, k_neighbors)
+    train = _train_split(e, test_idx)
+    y_hat = knn_predict(train, e.codes[test_idx], min(k_neighbors, train.n))
     return accuracy([e.labels[i] for i in test_idx], y_hat)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,14 +316,20 @@ def test_affine_mse_blocks_match_composite_chain(rows, target_grad):
 
 
 def test_affine_mse_backward_twice_on_one_tape():
-    # the vjps scale the kept products into new arrays, so a second pass
-    # over the same tape adds the same gradients again
+    # the vjps scale the kept products in place, so a tape serves one pass:
+    # a second backward on it raises and leaves the grads as they were, and
+    # the forward recorded again on a new tape adds the same gradients again
     h, w, b, y = _affine_mse_leaves(1100, target_grad=False)
     with ad.Tape():
         loss = ad.affine_mse(h, w, b, y)
         ad.backward(loss)
         first = [t.grad.copy() for t in (h, w, b)]
-        ad.backward(loss)
+        with pytest.raises(RuntimeError, match="consumed by an earlier backward"):
+            ad.backward(loss)
+    for t, g in zip((h, w, b), first):
+        assert np.array_equal(t.grad, g)
+    with ad.Tape():
+        ad.backward(ad.affine_mse(h, w, b, y))
     for t, g in zip((h, w, b), first):
         assert np.array_equal(t.grad, 2.0 * g)
 
@@ -428,11 +435,11 @@ def test_backward_non_scalar_rejected():
 
 
 def test_backward_accumulates_across_calls():
+    # each call consumes its tape, so the calls run on two tapes
     x = ad.tensor([1.0, 2.0], requires_grad=True)
-    with ad.Tape():
-        loss = ad.tsum(ad.square(x))
-        ad.backward(loss)
-        ad.backward(loss)
+    for _ in range(2):
+        with ad.Tape():
+            ad.backward(ad.tsum(ad.square(x)))
     assert np.array_equal(x.grad, [4.0, 8.0])
 
 
@@ -473,16 +480,19 @@ def test_backward_keeps_grads_on_leaves_only():
     x = ad.tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
     w = ad.tensor([[1.0, 0.5], [-1.0, 2.0]], requires_grad=True)
     b = ad.tensor([0.1, -0.2], requires_grad=True)
-    with ad.Tape() as tape:
-        h = ad.relu(ad.matmul(x, w, bias=b))
-        loss = ad.affine_mse(h, w, b, ad.tensor(np.ones((2, 2))))
-        ad.backward(loss)
-        first = {name: t.grad.copy() for name, t in (("x", x), ("w", w), ("b", b))}
-        ad.backward(loss)
-    for out, _ in tape.entries:
-        assert out.grad is None
-    assert h.grad is None and loss.grad is None
-    for name, t in (("x", x), ("w", w), ("b", b)):
+    leaves = (("x", x), ("w", w), ("b", b))
+    first = None
+    for _ in range(2):
+        with ad.Tape():
+            outputs = [ad.matmul(x, w, bias=b)]  # every op output the tape records
+            outputs.append(ad.relu(outputs[-1]))
+            outputs.append(ad.affine_mse(outputs[-1], w, b, ad.tensor(np.ones((2, 2)))))
+            ad.backward(outputs[-1])
+        for out in outputs:
+            assert out.grad is None
+        if first is None:
+            first = {name: t.grad.copy() for name, t in leaves}
+    for name, t in leaves:
         assert np.array_equal(t.grad, 2.0 * first[name]), name
 
 
@@ -530,6 +540,26 @@ def test_spmm_matches_dense_product_and_grad_check():
     w = ad.tensor(rng.normal(size=(5, 3)))
     assert np.allclose(ad.spmm(a, h).data, dense @ h.data, atol=1e-12)
     assert ad.grad_check(lambda: ad.tsum(ad.mul(ad.spmm(a, h), w)), {"h": h}) < 1e-6
+
+
+def test_tape_frees_a_product_no_vjp_reads():
+    # spmm's vjp reads only its adjoint and matmul's w-vjp only x, so once
+    # the forward has passed the matmul product nothing holds it: of the
+    # two [2000, 64] arrays made, only the spmm output stays
+    rng = np.random.default_rng(12)
+    a = sp.random(2000, 2000, density=0.002, format="csr", random_state=12)
+    x = ad.tensor(rng.normal(size=(2000, 32)))
+    w = ad.tensor(rng.normal(size=(32, 64)), requires_grad=True)
+    with ad.Tape():
+        tracemalloc.start()
+        try:
+            out = ad.spmm(a, ad.matmul(x, w))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        ad.backward(ad.tsum(out))
+    assert out.data.nbytes <= held < 1.25 * out.data.nbytes, held
+    assert np.allclose(w.grad, x.data.T @ (a.T @ np.ones((2000, 64))))
 
 
 def test_spmm_rejects_dense_and_misaligned_operands():

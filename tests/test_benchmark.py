@@ -271,6 +271,30 @@ def test_sweep_reuses_fold_split_across_k():
     assert all(report.mean == 1.0 for _, report in sweep)
 
 
+def test_sweep_k_matches_kfold_cv_per_k():
+    # small integer codes: distance ties at the k-th neighbor; 20 rows in 4
+    # folds train on 15, so k = 20 votes over every training row
+    rng = np.random.default_rng(12)
+    codes = rng.integers(0, 3, size=(20, 2)).astype(float)
+    e = bm.LabeledEmbedding(codes, [["a", "b", "c"][i] for i in rng.integers(0, 3, size=20)])
+    k_values = [4, 1, 20, 2, 4, 15, 7]
+    sweep = bm.sweep_k(e, k_values, folds=4, seed=13)
+    assert [k for k, _ in sweep] == k_values
+    slices = bm._fold_slices(e.n, 4, seed=13)
+    for k, report in sweep:
+        single = bm.kfold_cv(e, k, folds=4, seed=13)
+        assert report.fold_accuracies == single.fold_accuracies, k
+        assert report.oof_predictions == single.oof_predictions, k
+        assert np.array_equal(report.confusion, single.confusion), k
+        assert report.warnings == single.warnings, k
+        for test_idx in slices:  # each fold against knn_predict on its training rows
+            train_idx = [i for i in range(e.n) if i not in set(test_idx)]
+            train = bm.LabeledEmbedding(codes[train_idx], [e.labels[i] for i in train_idx],
+                                        vocab=e.vocab)
+            want = bm.knn_predict(train, codes[test_idx], min(k, train.n))
+            assert [report.oof_predictions[i] for i in test_idx] == want, k
+
+
 def test_default_k_values_include_class_count():
     assert 4 in bm.default_k_values(4)
     assert 7 in bm.default_k_values(7)

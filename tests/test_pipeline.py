@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from latentmap import autodiff as ad
 from latentmap import pipeline as pl
@@ -385,6 +386,37 @@ def test_stage3_ablation_matches_standalone_vgae(tmp_path, corpus):
         standalone.append(total.item())
     got = [row[header.index("total")] for row in rows]
     assert got == pytest.approx(standalone, abs=0.0)
+
+
+def test_stage3_step_peak_memory():
+    # one stage-3 step at the default sizes (500 genes, latent 10, hidden
+    # 128 and 64) on a 32 x 32 grid, the loss built as stage 3 builds it.
+    # Measured tracemalloc peak: 9.47 MB, against 11.86 MB while the tape
+    # kept every op output; the bound leaves 10% above the measured value
+    from latentmap import vgae as vg
+
+    side = 32
+    coords = np.array([[float(x), float(y)] for y in range(side) for x in range(side)])
+    rng = np.random.default_rng(0)
+    x = np.log1p(rng.poisson(1.0, size=(side * side, 500)).astype(float))
+    cfg = pl.TrainConfig()
+    anchor = rng.normal(size=(len(x), cfg.latent_dim))
+    graph = vg.build_knn_graph(coords, k=cfg.graph_k)
+    coords_n = vg.fit_coord_transform(coords).normalize(coords)
+    model = vg.init_vgae(vg.VgaeConfig(n_genes=500, latent_dim=cfg.latent_dim,
+                                       exp_hidden=cfg.enc_hidden), 0)
+    opt = ad.Adam(model.params(), lr=cfg.learning_rate)
+
+    def loss():
+        noise = rng.normal(size=(len(x), cfg.latent_dim))
+        neg = vg.sample_negatives(graph.keys, graph.n, len(graph.keys), rng)
+        exp, sp, adj, kl, mu = vg.vgae_loss(model, graph, x, coords_n, noise, neg)
+        total = ad.add(ad.add(ad.scale(exp, cfg.w_recon_exp), ad.scale(sp, cfg.w_recon_sp)),
+                       ad.add(ad.scale(adj, cfg.w_recon_adj), ad.scale(kl, cfg.kl_weight)))
+        return (ad.add(total, ad.scale(pl.euclidean_latent_loss(mu, anchor), cfg.w_anchor_st)),)
+
+    _, peak = traced_peak(lambda: ad.train_step(opt, loss, "stage 3 memory test"))
+    assert peak < 1.1 * 9.47e6, peak
 
 
 def test_infer_empty_query(tmp_path, corpus):
