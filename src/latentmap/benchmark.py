@@ -138,7 +138,7 @@ def _train_split(e: LabeledEmbedding, test_idx) -> LabeledEmbedding:
     return LabeledEmbedding(e.codes[train_idx], [e.labels[i] for i in train_idx], vocab=e.vocab)
 
 
-def kfold_cv(e: LabeledEmbedding, k_neighbors: int, folds: int = 4, seed: int = 0) -> CvReport:
+def kfold_cv(e: LabeledEmbedding, k_neighbors: int, folds: int, seed: int) -> CvReport:
     """Seeded shuffle into ``folds`` near-equal groups; each group tested once.
 
     A class absent from some training split is recorded as a warning and the
@@ -148,7 +148,7 @@ def kfold_cv(e: LabeledEmbedding, k_neighbors: int, folds: int = 4, seed: int = 
     return sweep_k(e, [k_neighbors], folds=folds, seed=seed)[0][1]
 
 
-def sweep_k(e: LabeledEmbedding, k_values, folds: int = 4, seed: int = 0) -> list:
+def sweep_k(e: LabeledEmbedding, k_values, folds: int, seed: int) -> list:
     """(k, kfold_cv report) per k, on the one fold split the seed gives.
 
     Each fold ranks its distances once, at the largest k capped to the
@@ -196,8 +196,8 @@ def holdout_size(n, fraction) -> int:
     return n_test
 
 
-def holdout_accuracy(e: LabeledEmbedding, k_neighbors: int, fraction: float = 0.25,
-                     seed: int = 0) -> float:
+def holdout_accuracy(e: LabeledEmbedding, k_neighbors: int, fraction: float,
+                     seed: int) -> float:
     """Single split: train on (1-fraction), test on fraction."""
     order = np.random.default_rng(seed).permutation(e.n)
     test_idx = np.sort(order[:holdout_size(e.n, fraction)])

@@ -87,10 +87,8 @@ REGION_HEADER = ("label", "xmin", "xmax", "ymin", "ymax")
 def cmd_synth(args):
     if args.n_query < 0:
         raise DataError(f"--n-query must be >= 0, got {args.n_query}")
-    cfg = sy.SynthConfig(n_cells=args.n_cells, n_genes=args.n_genes,
-                         n_shared=args.n_shared, n_types=args.n_types,
-                         grid_side=args.grid_side, noise=args.noise,
-                         layout=args.layout, seed=args.seed)
+    cfg = sy.SynthConfig(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(sy.SynthConfig)})
     dataio.make_dirs(args.out)
     sc, sc_labels, profiles = sy.gen_sc(cfg)
     st, st_labels, regions = sy.gen_st(cfg, profiles)
@@ -287,7 +285,7 @@ def _draw_biases(params, rng):
     return params
 
 
-def gradcheck_suite(seed=0):
+def gradcheck_suite(seed):
     """Small-instance gradient checks for each network; returns name -> error."""
     rng = np.random.default_rng(seed)
     results = {}
@@ -352,14 +350,10 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-cells", type=int, default=1000)
-    p.add_argument("--n-genes", type=int, default=2000)
-    p.add_argument("--n-shared", type=int, default=500)
-    p.add_argument("--n-types", type=int, default=4)
-    p.add_argument("--grid-side", type=int, default=16)
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--layout", choices=["quadrants", "stripes"], default="quadrants")
+    # one flag per SynthConfig field, with its type and default
+    for f in dataclasses.fields(sy.SynthConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=f.type, default=f.default,
+                       choices=sy.LAYOUTS if f.name == "layout" else None)
     p.add_argument("--n-query", type=int, default=0,
                    help="also emit held-out query cells for inference tests")
     p.set_defaults(func=cmd_synth)

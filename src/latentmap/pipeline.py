@@ -293,7 +293,9 @@ class RunDir:
         return lm.fix()
 
     def write_latent(self, name, row_ids, codes):
+        """Write ``latents/<name>``; returns it frozen, named like ``load_latent`` names it."""
         dataio.write_latent_csv(self.path("latents", name), row_ids, codes)
+        return vae.LatentMatrix(codes, list(row_ids), source=name.removesuffix(".csv")).fix()
 
 
 def read_history(path):
@@ -330,11 +332,11 @@ def stage1(cfg: TrainConfig, x_sc2000, row_ids, run: RunDir):
     rows = _train_vae(cfg, model, x, _rng(cfg.seed, _S1_NOISE), cfg.s1_epochs, "stage 1")
     codes = vae.encode_mu(model, x)
     vae.save_vae(run.path("checkpoints", "vae_sc2000.json"), model)
-    run.write_latent("z_sc2000.csv", row_ids, codes)
+    latent = run.write_latent("z_sc2000.csv", row_ids, codes)
     dataio.write_table(run.path("history", "stage1.csv"),
                        ["epoch", "total", "recon", "kl"], rows)
     log.info("stage 1 done: %d epochs, final total %.5f", cfg.s1_epochs, rows[-1][1])
-    return vae.LatentMatrix(codes, list(row_ids), source="sc2000").fix()
+    return latent
 
 
 def _anchor_codes(fixed, ids, kind, latent_dim):
@@ -432,15 +434,14 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
     codes_st = vae.encode_mu(model_st, x_st)
     vae.save_vae(run.path("checkpoints", "vae_sc500.json"), model_sc)
     vae.save_vae(run.path("checkpoints", "vae_st500.json"), model_st)
-    run.write_latent("z_sc500.csv", sc_ids, codes_sc)
-    run.write_latent("z_st500.csv", st_ids, codes_st)
+    latents = (run.write_latent("z_sc500.csv", sc_ids, codes_sc),
+               run.write_latent("z_st500.csv", st_ids, codes_st))
     dataio.write_table(run.path("history", "stage2.csv"),
                        ["outer", "inner", "disc_acc", "disc_steps",
                         "total_sc", "recon_sc", "kl_sc", "anchor_sc", "adv_sc",
                         "total_st", "recon_st", "kl_st", "adv_st"], rows)
     log.info("stage 2 done: %d outer epochs, final anchor %.5f", cfg.s2_epochs, rows[-1][7])
-    return (vae.LatentMatrix(codes_sc, list(sc_ids), source="sc500").fix(),
-            vae.LatentMatrix(codes_st, list(st_ids), source="st_exp500").fix())
+    return latents
 
 
 def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir):
@@ -480,13 +481,13 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
     codes = vg.encode_mu(model, graph.norm_adj, x)
     vg.save_vgae(run.path("checkpoints", "vgae_st.json"), model,
                  extra={"coord_transform": transform.to_dict()})
-    run.write_latent("z_st_merged.csv", st_ids, codes)
+    latent = run.write_latent("z_st_merged.csv", st_ids, codes)
     dataio.write_edge_list(run.path("graph_edges.txt"), graph.edges)
     dataio.write_table(run.path("history", "stage3.csv"),
                        ["epoch", "total", "recon_exp", "recon_sp", "recon_adj", "kl", "anchor_st"],
                        rows)
     log.info("stage 3 done: %d epochs, final anchor %.5f", cfg.s3_epochs, rows[-1][6])
-    return vae.LatentMatrix(codes, list(st_ids), source="st_exp_sp500").fix()
+    return latent
 
 
 def infer(run: RunDir, x_query):

@@ -120,7 +120,7 @@ class GenePanel:
         return len(self.gene_ids)
 
 
-def filter_cells(m: CountMatrix, min_genes: int = 200) -> CountMatrix:
+def filter_cells(m: CountMatrix, min_genes: int) -> CountMatrix:
     """Drop cells expressing (count > 0) fewer than ``min_genes`` genes."""
     if min_genes < 0:
         raise DataError(f"min_genes must be >= 0, got {min_genes!r}")
@@ -131,7 +131,7 @@ def filter_cells(m: CountMatrix, min_genes: int = 200) -> CountMatrix:
     return m.take_rows(keep)
 
 
-def filter_genes(m: CountMatrix, min_cells: int = 60) -> CountMatrix:
+def filter_genes(m: CountMatrix, min_cells: int) -> CountMatrix:
     """Drop genes expressed in fewer than ``min_cells`` cells."""
     if min_cells < 0:
         raise DataError(f"min_cells must be >= 0, got {min_cells!r}")
@@ -142,7 +142,7 @@ def filter_genes(m: CountMatrix, min_cells: int = 60) -> CountMatrix:
     return m.take_cols(keep)
 
 
-def filter_mito_ribo(m: CountMatrix, max_fraction: float = 0.2) -> CountMatrix:
+def filter_mito_ribo(m: CountMatrix, max_fraction: float) -> CountMatrix:
     """Drop cells whose mito+ribo fraction of total counts exceeds ``max_fraction``.
 
     The comparison is strict (a fraction of exactly ``max_fraction`` stays).
@@ -272,8 +272,7 @@ class QcSummary:
     cells_mito_ribo: int = 0
 
 
-def run_qc(m: CountMatrix, min_genes: int = 200, min_cells: int = 60,
-           max_mito_ribo: float = 0.2) -> tuple:
+def run_qc(m: CountMatrix, min_genes: int, min_cells: int, max_mito_ribo: float) -> tuple:
     """Cells -> genes -> mito/ribo, each applied exactly once, with drop counts."""
     summary = QcSummary()
     n0 = m.n_rows

@@ -4,8 +4,9 @@ Cells and spots share per-type Poisson rate profiles on the shared gene
 panel, which makes the pipeline's core assumption (same expression
 distribution for the same cell type on the shared genes) true by
 construction. Spots live on a grid partitioned into typed regions
-(quadrants or horizontal stripes), and the region map is kept so inferred
-coordinates can be scored against the truth.
+(quadrants or horizontal stripes); each spot takes the type of the one
+region that holds it, and the region map is kept so inferred coordinates
+can be scored against the truth.
 """
 
 from dataclasses import dataclass
@@ -23,6 +24,8 @@ _QUERY_STREAM = 3
 
 RATE_FLOOR = 0.5  # keeps every gene comfortably above the QC thresholds
 
+LAYOUTS = ("quadrants", "stripes")
+
 
 @dataclass
 class SynthConfig:
@@ -32,7 +35,7 @@ class SynthConfig:
     n_types: int = 4
     grid_side: int = 16
     noise: float = 0.3
-    layout: str = "quadrants"  # quadrants | stripes
+    layout: str = LAYOUTS[0]  # one of LAYOUTS
     seed: int = 0
 
     def __post_init__(self):
@@ -46,7 +49,7 @@ class SynthConfig:
                 raise DataError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if self.n_shared > self.n_genes:
             raise DataError("n_shared cannot exceed n_genes")
-        if self.layout not in ("quadrants", "stripes"):
+        if self.layout not in LAYOUTS:
             raise DataError(f"unknown layout {self.layout!r}")
         if self.layout == "quadrants" and self.n_types > 4:
             raise DataError("quadrant layout supports at most 4 types (use stripes)")
@@ -80,7 +83,8 @@ class Region:
     ymax: float
 
     def contains(self, x, y):
-        return self.xmin <= x < self.xmax and self.ymin <= y < self.ymax
+        """Elementwise: scalars give a bool, arrays a boolean array."""
+        return (self.xmin <= x) & (x < self.xmax) & (self.ymin <= y) & (y < self.ymax)
 
 
 def _rng(cfg, stream):
@@ -136,28 +140,25 @@ def _grid_coords(side):
 
 
 def spot_type_assignment(cfg: SynthConfig):
-    """(type index per spot, region list, grid coordinates) for the configured layout."""
+    """(type index per spot, region list, grid coordinates) for the configured layout.
+
+    The regions partition the grid, and region i carries type i % n_types;
+    each spot takes the type of the one region that holds it.
+    """
     side = cfg.grid_side
     coords = _grid_coords(side)
-    mid = side / 2.0 - 0.5  # boundary between grid halves
-    regions = []
-    types = np.zeros(cfg.n_spots, dtype=int)
+    lo, hi = -0.5, side - 0.5
     if cfg.layout == "quadrants":
-        for q in range(4):
-            right = q % 2 == 1
-            top = q // 2 == 1
-            xmin, xmax = (mid, side - 0.5) if right else (-0.5, mid)
-            ymin, ymax = (mid, side - 0.5) if top else (-0.5, mid)
-            label = f"type{q % cfg.n_types}"
-            regions.append(Region(label, xmin, xmax, ymin, ymax))
-        q_of = (coords[:, 0] > mid).astype(int) + 2 * (coords[:, 1] > mid).astype(int)
-        types = q_of % cfg.n_types
+        mid = side / 2.0 - 0.5  # boundary between grid halves
+        halves = [(lo, mid), (mid, hi)]
+        boxes = [(*halves[q % 2], *halves[q // 2]) for q in range(4)]
     else:  # stripes
         band_height = side / cfg.n_types
-        for b in range(cfg.n_types):
-            regions.append(Region(f"type{b}", -0.5, side - 0.5,
-                                  b * band_height - 0.5, (b + 1) * band_height - 0.5))
-        types = np.minimum((coords[:, 1] + 0.5) // band_height, cfg.n_types - 1).astype(int)
+        boxes = [(lo, hi, b * band_height - 0.5, (b + 1) * band_height - 0.5)
+                 for b in range(cfg.n_types)]
+    regions = [Region(f"type{i % cfg.n_types}", *box) for i, box in enumerate(boxes)]
+    inside = np.array([r.contains(coords[:, 0], coords[:, 1]) for r in regions])
+    types = inside.argmax(axis=0) % cfg.n_types
     return types, regions, coords
 
 

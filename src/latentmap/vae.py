@@ -120,7 +120,7 @@ class LatentMatrix:
 
     codes: np.ndarray
     row_ids: list = field(default_factory=list)
-    source: str = "custom"  # sc2000 | sc500 | st_exp500 | st_exp_sp500 | custom
+    source: str = "custom"  # the latent file's stem (z_sc2000, z_st500, ...) or custom
 
     def __post_init__(self):
         self.codes = np.asarray(self.codes, dtype=np.float64)

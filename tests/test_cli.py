@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from latentmap import benchmark as bm, cli, dataio, pipeline as pl, preprocess as pp, vgae as vg
+from latentmap import benchmark as bm, cli, dataio, pipeline as pl, preprocess as pp
+from latentmap import synth as sy, vgae as vg
 from latentmap.errors import DataError, DependencyError, NumericError, ShapeError
 from latentmap.preprocess import CountMatrix
 
@@ -93,6 +94,16 @@ def test_synth_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_synth_flags_are_synth_config_fields_with_its_defaults():
+    args = vars(cli.build_parser().parse_args(["synth", "--out", "d"]))
+    assert {f.name: args[f.name] for f in dataclasses.fields(sy.SynthConfig)} == \
+        dataclasses.asdict(sy.SynthConfig())
+    del args["func"]
+    assert args == {"command": "synth", "out": "d", "n_cells": 1000, "n_genes": 2000,
+                    "n_shared": 500, "n_types": 4, "grid_side": 16, "noise": 0.3,
+                    "layout": "quadrants", "seed": 0, "n_query": 0}
+
+
 # sha256 of every file of a tiny corpus: the cell generator's rewrites keep these bytes
 _TINY_SYNTH_SHA256 = {
     "regions.csv": "4438363bfed66fd799db10832b3b24d4df345e77895bed6cda7a7090035f08a7",
@@ -158,9 +169,9 @@ def test_pipeline_data_is_panel_matrix_of_qc_counts(corpus_dir, data_dir):
     # the training matrices are exactly what infer's normalization gives the QC'd counts
     target_sum = json.loads((data_dir / "summary.json").read_text())["target_sum"]
     sc, _ = pp.run_qc(dataio.read_counts_csv(corpus_dir / "sc_counts.csv"),
-                      min_genes=30, min_cells=10)
+                      min_genes=30, min_cells=10, max_mito_ribo=0.2)
     st, _ = pp.run_qc(dataio.read_counts_csv(corpus_dir / "st_counts.csv"),
-                      min_genes=0, min_cells=10)
+                      min_genes=0, min_cells=10, max_mito_ribo=0.2)
     big = pp.GenePanel(dataio.read_id_list(data_dir / "panel_hvg2000.txt"))
     shared = pp.GenePanel(dataio.read_id_list(data_dir / "panel_shared500.txt"))
     data = pl.load_pipeline_data(data_dir)
@@ -1265,9 +1276,11 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["train"])  # missing required args
-    assert exc.value.code == cli.EXIT_USAGE
+    for argv in (["train"],  # missing required args
+                 ["synth", "--out", "d", "--layout", "rings"]):  # not in synth.LAYOUTS
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_USAGE
 
 
 def test_determinism_two_cli_runs(data_dir, tiny_config, tmp_path):

@@ -439,3 +439,16 @@ def test_stage2_id_mismatch_rejected(tmp_path, corpus):
     bad_ids[0] = "intruder"
     with pytest.raises(DataError, match="cell ids"):
         pl.stage2(cfg, corpus["x_sc"], bad_ids, corpus["x_st"], corpus["st_ids"], z1, run)
+
+
+def test_stage2_names_the_frozen_latent_by_its_file(tmp_path, corpus):
+    # the Python-API path names the latent as a reload from latents/ does
+    run = pl.RunDir(tmp_path / "run")
+    z1 = pl.stage1(tiny_cfg(s1_epochs=2), corpus["x_big"], corpus["sc_ids"], run)
+    assert z1.source == run.load_latent("z_sc2000.csv").source == "z_sc2000"
+    with pytest.raises(DataError, match="the fixed z_sc2000 latent is 4 wide, but latent_dim is 6"):
+        pl.stage2(tiny_cfg(latent_dim=6), corpus["x_sc"], corpus["sc_ids"], corpus["x_st"],
+                  corpus["st_ids"], z1, run)
+    bad_ids = ["intruder", *corpus["sc_ids"][1:]]
+    with pytest.raises(DataError, match="cell ids do not match the rows of the fixed z_sc2000"):
+        pl.stage2(tiny_cfg(), corpus["x_sc"], bad_ids, corpus["x_st"], corpus["st_ids"], z1, run)

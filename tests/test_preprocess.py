@@ -155,7 +155,7 @@ def test_zero_total_cell_removed_with_warning(caplog):
     cols = ["MT-CO1", "ACTB"]
     counts = [[0, 0], [1, 9]]
     with caplog.at_level("WARNING", logger="latentmap.preprocess"):
-        m = pp.filter_mito_ribo(make_matrix(counts, col_ids=cols))
+        m = pp.filter_mito_ribo(make_matrix(counts, col_ids=cols), max_fraction=0.2)
     assert m.row_ids == ["c1"]
     assert any("zero total" in rec.message for rec in caplog.records)
 

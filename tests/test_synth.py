@@ -88,6 +88,34 @@ def test_stripes_layout_supports_many_types():
         assert synth.point_in_regions(regions, f"type{t}", x, y)
 
 
+@pytest.mark.parametrize("layout", synth.LAYOUTS)
+def test_each_spot_lies_in_one_region_carrying_its_label(layout):
+    # odd sides put the quadrant boundary on a column of spots, and stripes of
+    # a height like 5/6 put a band boundary on a row of them
+    for side in range(2, 18):
+        for n_types in range(1, (4 if layout == "quadrants" else 8) + 1):
+            if n_types > side ** 2:
+                continue
+            cfg = small_cfg(layout=layout, grid_side=side, n_types=n_types)
+            types, regions, coords = synth.spot_type_assignment(cfg)
+            inside = np.array([r.contains(coords[:, 0], coords[:, 1]) for r in regions])
+            assert np.all(inside.sum(axis=0) == 1), (side, n_types)
+            holder = [regions[i].label for i in inside.argmax(axis=0)]
+            assert holder == [f"type{t}" for t in types], (side, n_types)
+
+
+def test_region_contains_agrees_on_arrays_and_scalars():
+    r = synth.Region("type0", -0.5, 2.0, 1.0, 3.5)
+    xs = np.array([-1.0, -0.5, 0.0, 1.9, 2.0, 3.0, 1.0, 1.0, 1.0])
+    ys = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.5, 1.0, 3.5])
+    got = r.contains(xs, ys)
+    assert got.dtype == bool
+    assert got.tolist() == [bool(r.contains(float(x), float(y))) for x, y in zip(xs, ys)]
+    assert got.tolist() == [False, True, True, True, False, False, False, True, False]
+    assert synth.point_in_regions([r], "type0", 0.0, 1.0)
+    assert not synth.point_in_regions([r], "type1", 0.0, 1.0)
+
+
 def test_quadrants_with_too_many_types_error():
     with pytest.raises(DataError, match="stripes"):
         small_cfg(n_types=5)

@@ -230,6 +230,6 @@ def test_checkpoint_bytes_deterministic(tmp_path):
 
 
 def test_latent_matrix_fixed_is_immutable():
-    lm = vae.LatentMatrix(np.ones((2, 3)), ["a", "b"], source="sc2000").fix()
+    lm = vae.LatentMatrix(np.ones((2, 3)), ["a", "b"], source="z_sc2000").fix()
     with pytest.raises(ValueError):
         lm.codes[0, 0] = 5.0

@@ -693,12 +693,13 @@ def test_graph_and_negatives_stay_sparse_in_memory():
 
 def test_train_step_keeps_one_buffer_per_hidden_activation():
     # A stage-3 step must hold the grads (one copy of the params), the
-    # expression residual (as big as x) and one [n, width] array per hidden
-    # activation: the two ReLU'd layers of each MLP and, per GCN layer 1,
-    # x W1 and A_hat (x W1). The bound leaves half as much again for the
-    # latent-wide arrays and backward's temporaries. Measured peaks on the
-    # 32 x 32 grid: 13.9 MB; 22.8 MB with a copy and a mask beside each
-    # ReLU and A_hat x formed in the step (18.7 MB with A_hat x made before it).
+    # r W^T that affine_mse keeps for the expression head (as wide as the
+    # decoder's last hidden layer, not as x) and one [n, width] array per
+    # hidden activation a vjp reads: the two ReLU'd layers of each MLP and
+    # ReLU(A_hat (x W1)); the tape frees x W1, which no vjp reads. The bound
+    # still counts all of x and two arrays for the GCN layer, and leaves half
+    # as much again for the latent-wide arrays and backward's temporaries.
+    # Measured peak on the 32 x 32 grid: 9.39 MB, against a bound of 15.8 MB.
     g = vgae.build_knn_graph(grid(32), k=6)
     cfg = vgae.VgaeConfig()
     p = vgae.init_vgae(cfg, 0)
