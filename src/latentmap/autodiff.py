@@ -417,7 +417,7 @@ class Adam:
     shared step count; ``adam_step`` applies one update.
     """
 
-    def __init__(self, params, lr=1e-3):
+    def __init__(self, params, lr):
         self.params = dict(params)
         self.lr = lr
         self.t = 0

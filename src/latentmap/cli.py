@@ -4,10 +4,11 @@ Commands: synth, preprocess, train, infer, bench, gradcheck.
 Exit codes: 0 ok, 2 usage, 3 data or shape error, 4 dependency error, 5 numeric
 failure (``EXIT_CODES`` maps each error class).
 
-After each stage it completes, ``train`` records a manifest (config snapshot,
-input digests, seed, the preprocess ``target_sum``, tool version and the stage
-files on disk); resuming in the same run directory verifies the digests, and
-``infer`` normalizes queries with the recorded ``target_sum``. ``train`` holds
+After each stage it completes, ``train`` has ``pipeline.RunDir`` record the
+config, the shared panel and a manifest (input digests, seed, the preprocess
+``target_sum``, tool version and the stage files on disk); resuming in the same
+run directory verifies the digests, and ``infer`` reads the recorded panel and
+``target_sum`` through ``RunDir``. ``train`` holds
 an exclusive ``flock`` on the run directory, so two training commands never
 share one; the kernel releases it when ``train`` exits or is killed, and
 ``infer`` reads without taking it.
@@ -194,18 +195,13 @@ def cmd_train(args):
             log.info("running stage %d", stage)
             pl.run_stage(stage, cfg, data, run, force=args.force)
             # recorded after the stage: a stage that fails leaves the records as they were
-            cfg.save(run.path("config.json"))
-            dataio.write_id_list(run.path("panel_shared.txt"), data.panel_shared)
-            run.write_manifest(cfg, digests, data.target_sum)
+            run.write_records(cfg, data.panel_shared, digests, data.target_sum)
     return EXIT_OK
 
 
 def cmd_infer(args):
     run = pl.RunDir(args.run_dir)
-    panel_path = run.path("panel_shared.txt")
-    if not os.path.exists(panel_path):
-        raise DependencyError(f"missing artifact: {panel_path}")
-    panel = dataio.read_panel(panel_path)
+    panel, panel_path = run.read_panel()
     query = dataio.read_counts_csv(args.query)
     missing = sorted(set(panel.gene_ids) - set(query.col_ids))
     extra = [] if args.allow_extra_genes else sorted(set(query.col_ids) - set(panel.gene_ids))

@@ -15,7 +15,7 @@ from .errors import ShapeError
 
 
 class DiscriminatorParams:
-    def __init__(self, latent_dim, rng, hidden=(128, 128, 128)):
+    def __init__(self, latent_dim, rng, hidden):
         self.latent_dim = latent_dim
         widths = [latent_dim, *hidden]
         self.layers = nn.init_stack(rng, widths)
@@ -77,7 +77,7 @@ def train_discriminator(p: DiscriminatorParams, z_sc, z_st, alpha: float, max_it
     return p, acc, steps
 
 
-def adversarial_generator_loss(p: DiscriminatorParams, z, target_label: float = 1.0):
+def adversarial_generator_loss(p: DiscriminatorParams, z, target_label: float):
     """BCE of the discriminator's output against a flipped label.
 
     Non-saturating generator objective: gradients flow through the

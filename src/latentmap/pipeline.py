@@ -18,8 +18,8 @@ scale.
 All cross-stage state lives in a run directory:
 
     config.json, manifest.json, panel_shared.txt
-        (written by ``train`` after each stage completes; the manifest's
-        ``artifacts`` names the stage files on disk at that point)
+        (written by ``RunDir.write_records`` after each stage ``train``
+        completes; the manifest's ``artifacts`` names the stage files on disk)
     checkpoints/{vae_sc2000,vae_sc500,vae_st500,vgae_st}.{json,f64}
         (JSON header with the arch, the parameter names and shapes and the
         block's sha256, plus every parameter as one float64 block; the
@@ -32,8 +32,8 @@ All cross-stage state lives in a run directory:
 the files that gate each stage and that the run manifest lists. A stage is
 refused over files of its own or of a later stage unless forced, and a
 forced rerun deletes the later stages' files once it has written its own,
-so every stage on disk was built from the latents on disk. ``RunDir``
-alone reads and writes the manifest.
+so every stage on disk was built from the latents on disk. ``cli`` names
+no file of a run directory: it reads and writes one through ``RunDir``.
 """
 
 import copy
@@ -279,13 +279,22 @@ class RunDir:
                 "config differs from the one recorded in this run directory's "
                 "manifest; use a fresh run directory or --force")
 
-    def write_manifest(self, cfg, digests, target_sum):
-        """Record the run in ``manifest.json``; ``artifacts`` lists the stage files on disk."""
+    def write_records(self, cfg, panel, digests, target_sum):
+        """Write ``config.json``, ``panel_shared.txt`` (``panel``'s ids) and ``manifest.json``."""
+        cfg.save(self.path("config.json"))
+        dataio.write_id_list(self.path("panel_shared.txt"), panel)
         dataio.write_json(self.path("manifest.json"), {
             "tool_version": __version__, "seed": cfg.seed, "target_sum": target_sum,
             "config": cfg.to_dict(), "input_digests": digests,
             "artifacts": sorted(os.path.basename(p) for stage in CHECKPOINTS
                                 for p in self.stage_artifacts(stage) if os.path.exists(p))})
+
+    def read_panel(self):
+        """(the recorded panel, its path); DependencyError if ``panel_shared.txt`` is missing."""
+        path = self.path("panel_shared.txt")
+        if not os.path.exists(path):
+            raise DependencyError(f"missing artifact: {path}")
+        return dataio.read_panel(path), path
 
     def load_latent(self, name):
         ids, codes = dataio.read_latent_csv(self.path("latents", name))
@@ -307,19 +316,17 @@ def read_history(path):
 # stages
 # ---------------------------------------------------------------------------
 
-def _train_vae(cfg, model, x, noise_rng, epochs, where):
-    """``epochs`` Adam steps of the VAE loss on ``x``; one row [epoch, total, recon, kl] each."""
+def _vae_terms(cfg, model, x, noise_rng):
+    """(recon + kl_weight * KL, recon, KL, posterior mean) on ``x``, noise from ``noise_rng``."""
+    noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
+    recon, kl, mu = vae.vae_loss(model, x, noise)
+    return ad.add(recon, ad.scale(kl, cfg.kl_weight)), recon, kl, mu
+
+
+def _fit(cfg, model, loss, epochs, where):
+    """``epochs`` Adam steps of ``loss`` on ``model``'s parameters; one row [epoch, *terms] each."""
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
-    rows = []
-
-    def loss():
-        noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
-        recon, kl, _ = vae.vae_loss(model, x, noise)
-        return ad.add(recon, ad.scale(kl, cfg.kl_weight)), recon, kl
-
-    for epoch in range(epochs):
-        rows.append([epoch, *ad.train_step(opt, loss, f"{where}, step {epoch}")])
-    return rows
+    return [[epoch, *ad.train_step(opt, loss, f"{where}, step {epoch}")] for epoch in range(epochs)]
 
 
 def stage1(cfg: TrainConfig, x_sc2000, row_ids, run: RunDir):
@@ -329,7 +336,8 @@ def stage1(cfg: TrainConfig, x_sc2000, row_ids, run: RunDir):
     model = vae.init_vae(vae.VaeConfig(n_genes=x.shape[1], latent_dim=cfg.latent_dim,
                                        enc_hidden=cfg.enc_hidden),
                          _rng(cfg.seed, _S1_INIT))
-    rows = _train_vae(cfg, model, x, _rng(cfg.seed, _S1_NOISE), cfg.s1_epochs, "stage 1")
+    rng = _rng(cfg.seed, _S1_NOISE)
+    rows = _fit(cfg, model, lambda: _vae_terms(cfg, model, x, rng)[:3], cfg.s1_epochs, "stage 1")
     codes = vae.encode_mu(model, x)
     vae.save_vae(run.path("checkpoints", "vae_sc2000.json"), model)
     latent = run.write_latent("z_sc2000.csv", row_ids, codes)
@@ -360,16 +368,13 @@ def _generator_step(cfg, model, opt, x, noise_rng, d_params, adv_label, where, a
     their row leaves that term out.
     """
     def loss():
-        noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
-        recon, kl, mu = vae.vae_loss(model, x, noise)
-        total = ad.add(recon, ad.scale(kl, cfg.kl_weight))
-        anchor_terms = []
+        total, *terms, mu = _vae_terms(cfg, model, x, noise_rng)
         if anchor is not None:
-            anchor_terms = [euclidean_latent_loss(mu, anchor)]
-            total = ad.add(total, ad.scale(anchor_terms[0], cfg.w_anchor_sc))
-        adv = disc.adversarial_generator_loss(d_params, mu, target_label=adv_label)
-        total = ad.add(total, ad.scale(adv, cfg.w_adv))
-        return total, recon, kl, *anchor_terms, adv
+            terms.append(euclidean_latent_loss(mu, anchor))
+            total = ad.add(total, ad.scale(terms[-1], cfg.w_anchor_sc))
+        terms.append(disc.adversarial_generator_loss(d_params, mu, target_label=adv_label))
+        total = ad.add(total, ad.scale(terms[-1], cfg.w_adv))
+        return total, *terms
 
     return ad.train_step(opt, loss, where)
 
@@ -383,8 +388,10 @@ def _pretrain_shared_init(cfg, vae_cfg, x_sc, x_st):
     preserve that correspondence while the anchors specialize each side.
     """
     pre = vae.init_vae(vae_cfg, _rng(cfg.seed, _S2_VAE_INIT))
-    _train_vae(cfg, pre, np.vstack([x_sc, x_st]), _rng(cfg.seed, _S2_NOISE_PRE),
-               cfg.s2_init_epochs, "stage 2 pretraining")
+    x = np.vstack([x_sc, x_st])
+    rng = _rng(cfg.seed, _S2_NOISE_PRE)
+    _fit(cfg, pre, lambda: _vae_terms(cfg, pre, x, rng)[:3], cfg.s2_init_epochs,
+         "stage 2 pretraining")
     return pre
 
 
@@ -461,8 +468,6 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
                          _rng(cfg.seed, _S3_INIT))
     noise_rng = _rng(cfg.seed, _S3_NOISE)
     neg_rng = _rng(cfg.seed, _S3_NEGATIVES)
-    opt = ad.Adam(model.params(), lr=cfg.learning_rate)
-    rows = []
 
     def loss():
         """Stage 3's objective: the weighted VGAE terms plus the weighted anchor."""
@@ -475,8 +480,7 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
         total = ad.add(vgae_total, ad.scale(anchor_loss, cfg.w_anchor_st))
         return total, exp, sp, adj, kl, anchor_loss
 
-    for epoch in range(cfg.s3_epochs):
-        rows.append([epoch, *ad.train_step(opt, loss, f"stage 3, step {epoch}")])
+    rows = _fit(cfg, model, loss, cfg.s3_epochs, "stage 3")
 
     codes = vg.encode_mu(model, graph.norm_adj, x)
     vg.save_vgae(run.path("checkpoints", "vgae_st.json"), model,

@@ -199,7 +199,7 @@ def rank_genes(normed: np.ndarray, gene_ids) -> list:
     return [gene_ids[i] for i in order]
 
 
-def intersect_panel(sc: CountMatrix, st: CountMatrix, n: int = 500, ranked=None) -> GenePanel:
+def intersect_panel(sc: CountMatrix, st: CountMatrix, n: int, ranked=None) -> GenePanel:
     """Top ``n`` shared genes, ranked by HVG dispersion computed on the sc data.
 
     Ranking is rank-then-intersect: genes are ranked on the full normalized

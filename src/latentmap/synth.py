@@ -53,8 +53,8 @@ class SynthConfig:
             raise DataError(f"unknown layout {self.layout!r}")
         if self.layout == "quadrants" and self.n_types > 4:
             raise DataError("quadrant layout supports at most 4 types (use stripes)")
-        if self.n_types > self.n_spots:
-            raise DataError("more types than spots")
+        if self.layout == "stripes" and self.n_types > self.grid_side:  # a band needs a grid row
+            raise DataError(f"stripes layout: n_types {self.n_types} > grid_side {self.grid_side}")
 
     @property
     def n_spots(self):

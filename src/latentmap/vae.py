@@ -19,8 +19,8 @@ from .errors import DataError, ShapeError
 @dataclass
 class VaeConfig:
     n_genes: int
-    latent_dim: int = 10
-    enc_hidden: tuple = (128, 64)
+    latent_dim: int
+    enc_hidden: tuple
 
 
 class VaeParams:

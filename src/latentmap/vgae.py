@@ -87,7 +87,7 @@ def spatial_graph(n: int, edges) -> SpatialGraph:
     return SpatialGraph(n=n, keys=keys, norm_adj=norm_adj)
 
 
-def build_knn_graph(coords, k: int = 6) -> SpatialGraph:
+def build_knn_graph(coords, k: int) -> SpatialGraph:
     """Union-symmetrized k-nearest-neighbor graph over 2-D points.
 
     Distance ties break toward the smaller point index; self-loops are
@@ -215,9 +215,9 @@ def _k_nearest(xy, pts, cand, k):
 
 @dataclass
 class VgaeConfig:
-    n_genes: int = 500
-    latent_dim: int = 10
-    exp_hidden: tuple = (128, 64)
+    n_genes: int
+    latent_dim: int
+    exp_hidden: tuple
     gcn_hidden: int = 64
     coord_hidden: tuple = (64, 32)
 

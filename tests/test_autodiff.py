@@ -627,7 +627,7 @@ def test_adam_first_step_size():
 def test_adam_zero_gradient_keeps_params():
     p = {"x": ad.tensor([3.0, -1.0], requires_grad=True),
          "y": ad.tensor([2.0], requires_grad=True)}  # no grad at all counts as zero
-    opt = ad.Adam(p)
+    opt = ad.Adam(p, lr=1e-3)
     p["x"].grad = np.zeros(2)
     ad.adam_step(opt)
     assert np.array_equal(p["x"].data, [3.0, -1.0])
@@ -675,7 +675,7 @@ def test_adam_matches_textbook_expression_bitwise():
 
 def test_adam_nan_gradient_names_parameter():
     p = {"theta": ad.tensor([1.0], requires_grad=True)}
-    opt = ad.Adam(p)
+    opt = ad.Adam(p, lr=1e-3)
     p["theta"].grad = np.array([np.nan])
     with pytest.raises(NumericError, match="theta"):
         ad.adam_step(opt)

@@ -255,6 +255,7 @@ _BAD_FLAG_VALUES = [
     ("synth", "--n-shared", "0", "n_shared must be >= 1, got 0"),
     ("synth", "--n-shared", "-1", "n_shared must be >= 1, got -1"),
     ("synth", "--n-query", "-3", "--n-query must be >= 0, got -3"),
+    ("synth", "--n-types", "5", "stripes layout: n_types 5 > grid_side 4"),
     ("train", "--seed", "-1", "seed must be >= 0, got -1"),
     ("train", "--config", '{"seed": -3}', "config.json: seed must be >= 0, got -3"),
     ("bench", "--seed", "-1", "--seed must be >= 0, got -1"),
@@ -282,7 +283,7 @@ def test_bad_flag_value_exits_3_naming_it_before_writing(request, corpus_dir, tm
                 "--min-genes", "30", "--min-cells", "10", "--n-hvg", "80", "--n-shared", "30"]
     elif command == "synth":
         argv = ["synth", "--out", str(out), "--n-cells", "20", "--n-genes", "30",
-                "--n-shared", "10", "--grid-side", "4"]
+                "--n-shared", "10", "--grid-side", "4", "--layout", "stripes"]
     elif command == "train":
         argv = ["train", "--stage", "1", "--data", str(request.getfixturevalue("data_dir")),
                 "--run-dir", str(out), "--config", str(request.getfixturevalue("tiny_config"))]

@@ -187,7 +187,7 @@ def test_generator_loss_leaves_discriminator_weights_without_grads():
         t.grad = None
     z = ad.tensor(z0, requires_grad=True)
     with ad.Tape():
-        ad.backward(disc.adversarial_generator_loss(p, z))
+        ad.backward(disc.adversarial_generator_loss(p, z, target_label=1.0))
     assert all(t.grad is None for t in p.params().values())
     assert all(np.shares_memory(f.w.data, l.w.data)
                for f, l in zip(p.frozen().layers, p.layers))

@@ -2,12 +2,15 @@ import copy
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 from conftest import traced_peak
 
+from latentmap import __version__
 from latentmap import autodiff as ad
+from latentmap import dataio
 from latentmap import pipeline as pl
 from latentmap import preprocess as pp
 from latentmap import synth
@@ -140,6 +143,38 @@ def test_read_history_non_numeric_value_names_file_and_line(tmp_path):
     path.write_text("epoch,total\n0,1.5\n1,abc\n")
     with pytest.raises(DataError, match=r"stage1.csv:3: could not convert"):
         pl.read_history(path)
+
+
+# ---------------------------------------------------------------------------
+# run directory
+# ---------------------------------------------------------------------------
+
+def test_run_dir_records_are_the_config_the_panel_and_the_manifest(tmp_path, corpus):
+    run = pl.RunDir(tmp_path / "run")
+    cfg = tiny_cfg(s1_epochs=2)
+    pl.stage1(cfg, corpus["x_big"], corpus["sc_ids"], run)
+    files = lambda: {os.path.relpath(os.path.join(d, f), run.root)
+                     for d, _, names in os.walk(run.root) for f in names}
+    before = files()
+    digests = {"sc_counts_qc.csv": "ab" * 32}
+    run.write_records(cfg, corpus["panel"], digests, 5000.0)
+    assert files() - before == {"config.json", "panel_shared.txt", "manifest.json"}
+    assert pl.TrainConfig.load(run.path("config.json")) == cfg
+    assert dataio.read_id_list(run.path("panel_shared.txt")) == corpus["panel"]
+    assert dataio.read_json(run.path("manifest.json")) == {
+        "tool_version": __version__, "seed": cfg.seed, "target_sum": 5000.0,
+        "config": cfg.to_dict(), "input_digests": digests,
+        "artifacts": sorted(pl.CHECKPOINTS[1] + pl.LATENTS[1] + ["stage1.csv"])}
+    panel, path = run.read_panel()
+    assert panel.gene_ids == corpus["panel"] and path == run.path("panel_shared.txt")
+    assert run.target_sum() == 5000.0
+
+
+def test_run_dir_without_a_panel_is_a_dependency_error_naming_the_file(tmp_path):
+    run = pl.RunDir(tmp_path / "run")
+    with pytest.raises(DependencyError,
+                       match=f"missing artifact: {re.escape(run.path('panel_shared.txt'))}"):
+        run.read_panel()
 
 
 # ---------------------------------------------------------------------------

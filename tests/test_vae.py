@@ -168,12 +168,12 @@ def test_train_step_keeps_no_full_size_prediction():
     # only the residual of the reconstruction loss. A prediction, its
     # residual and a full-size adjoint kept through backward would take it
     # past params + 3 x input; the bound is params + 2 x input.
-    cfg = vae.VaeConfig(n_genes=2000)
+    cfg = vae.VaeConfig(n_genes=2000, latent_dim=10, enc_hidden=(128, 64))
     p = vae.init_vae(cfg, 0)
     rng = np.random.default_rng(1)
     x = rng.uniform(0.0, 3.0, size=(400, cfg.n_genes))
     noise = rng.normal(size=(400, cfg.latent_dim))
-    opt = ad.Adam(p.params())
+    opt = ad.Adam(p.params(), lr=1e-3)
     param_bytes = sum(t.data.nbytes for t in p.params().values())
     _, peak = traced_peak(lambda: ad.train_step(opt, lambda: (weighted_total(p, x, noise, 1.0),),
                                                 "memory test"))

@@ -696,27 +696,22 @@ def test_train_step_keeps_one_buffer_per_hidden_activation():
     # r W^T that affine_mse keeps for the expression head (as wide as the
     # decoder's last hidden layer, not as x) and one [n, width] array per
     # hidden activation a vjp reads: the two ReLU'd layers of each MLP and
-    # ReLU(A_hat (x W1)); the tape frees x W1, which no vjp reads. The bound
-    # still counts all of x and two arrays for the GCN layer, and leaves half
-    # as much again for the latent-wide arrays and backward's temporaries.
-    # Measured peak on the 32 x 32 grid: 9.39 MB, against a bound of 15.8 MB.
+    # ReLU(A_hat (x W1)); the tape frees x W1, which no vjp reads. Measured
+    # peak on the 32 x 32 grid: 9.39 MB; the bound leaves 10% above it, so one
+    # more [n, genes] array (4.1 MB) held through the step fails the test.
     g = vgae.build_knn_graph(grid(32), k=6)
-    cfg = vgae.VgaeConfig()
+    cfg = vgae.VgaeConfig(n_genes=500, latent_dim=10, exp_hidden=(128, 64))
     p = vgae.init_vgae(cfg, 0)
     rng = np.random.default_rng(1)
     x = rng.uniform(0.0, 3.0, size=(g.n, cfg.n_genes))
     xy = rng.normal(size=(g.n, 2))
     noise = rng.normal(size=(g.n, cfg.latent_dim))
-    opt = ad.Adam(p.params())
+    opt = ad.Adam(p.params(), lr=1e-3)
     neg_rng = np.random.default_rng(2)
-    param_bytes = sum(t.data.nbytes for t in p.params().values())
-    widths = 2 * sum(cfg.exp_hidden) + 2 * cfg.gcn_hidden + sum(cfg.coord_hidden)
-    hidden_bytes = 8 * g.n * widths
 
     def loss():  # the negative sample is part of the step, as in stage 3
         *terms, _ = vgae.vgae_loss(p, g, x, xy, noise, balanced_negatives(g, neg_rng))
         return (weighted_total(terms), *terms)
 
     _, peak = traced_peak(lambda: ad.train_step(opt, loss, "memory test"))
-    assert peak <= 1.5 * (param_bytes + x.nbytes + hidden_bytes), (peak, param_bytes, x.nbytes,
-                                                                    hidden_bytes)
+    assert peak < 1.1 * 9.39e6, peak
