@@ -17,9 +17,10 @@ constraints, in rough order of importance:
 * No broadcasting: a layer's bias row vector enters through ``matmul``'s
   ``bias`` operand, so an affine map is one tape entry, and an output layer
   scored by mean squared error against data is one ``affine_mse`` entry.
-  That entry forms the residual r a block of rows at a time and keeps only
-  the products its vjps read (r W^T, as wide as its input, and two small
-  ones), never the [rows, outputs] residual.
+  That entry forms the residual r a block of rows at a time, the block
+  sized by an entry budget so that it stays the same size however wide the
+  output is, and keeps only the products its vjps read (r W^T, as wide as
+  its input, and two small ones), never the [rows, outputs] residual.
 * Only leaves keep gradients. ``backward`` passes adjoints of intermediate
   tensors along and drops them; parameters and other leaves accumulate
   theirs in ``.grad``.
@@ -30,6 +31,9 @@ constraints, in rough order of importance:
   fixed scipy sparse matrix into a tensor, and ``pair_dot`` scores chosen
   row pairs, so graph work costs O(nonzeros), never O(n^2). scipy.sparse is
   imported only when one of them runs, which keeps it off the inference path.
+* Bounded optimizer scratch: ``adam_step`` walks each parameter in flat
+  chunks of at most ``ADAM_CHUNK`` entries, so Adam holds its moments plus
+  two rows of that width, however wide the largest parameter is.
 
 Ops only record onto a tape while one is active (``with Tape(): ...``);
 outside a tape they just compute values, which is what inference and
@@ -318,7 +322,8 @@ def tmean(a):
     return _make_out(np.asarray(a.data.mean()), (a,), (lambda g: np.broadcast_to(g / n, shape).copy(),))
 
 
-AFFINE_MSE_ROWS = 512  # rows of the residual that affine_mse holds at once
+# entries of the residual that affine_mse holds at once: 512 rows of a 500-gene panel
+AFFINE_MSE_ENTRIES = 512 * 500
 
 
 def affine_mse(h, w, b, target):
@@ -327,7 +332,9 @@ def affine_mse(h, w, b, target):
     A network's output layer and its squared error against constant data
     (a target that requires a gradient is refused) as one tape entry that
     never holds the whole residual. It walks the rows in blocks of
-    ``AFFINE_MSE_ROWS``: each block forms its residual r, adds r . r to the
+    ``max(1, AFFINE_MSE_ENTRIES // outputs)`` rows, so a block holds at most
+    that many entries whatever the output width (512 rows at 500 outputs,
+    128 at 2000): each block forms its residual r, adds r . r to the
     loss and, when a tape records, adds to the three products the vjps read:
     r @ w^T (written block by block into one array shaped like h), h^T r and
     colsum(r). With c = 2 g / n each vjp scales its product by c in place,
@@ -350,10 +357,11 @@ def affine_mse(h, w, b, target):
     taped = _active_tape() is not None and any(t.requires_grad for t in (h, w, b))
     rw = np.empty((h.shape[0], w.shape[0])) if taped else None
     hr = colsum = None
-    block = np.empty((min(h.shape[0], AFFINE_MSE_ROWS), w.shape[1]))  # each r in turn
+    step = max(1, AFFINE_MSE_ENTRIES // max(w.shape[1], 1))
+    block = np.empty((min(h.shape[0], step), w.shape[1]))  # each r in turn
     total = np.float64(0.0)
-    for i in range(0, h.shape[0], AFFINE_MSE_ROWS):
-        rows = slice(i, min(i + AFFINE_MSE_ROWS, h.shape[0]))
+    for i in range(0, h.shape[0], step):
+        rows = slice(i, min(i + step, h.shape[0]))
         r = np.matmul(h.data[rows], w.data, out=block[:rows.stop - i])
         r += b.data
         r -= target.data[rows]
@@ -408,6 +416,7 @@ def bce_with_logits(logits, labels):
 
 # Adam's moment decays and denominator floor: the paper's defaults
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+ADAM_CHUNK = 1 << 15  # entries of a parameter that adam_step updates at once
 
 
 class Adam:
@@ -423,8 +432,9 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        # two work rows shared by every parameter's update
-        self.scratch = np.empty((2, max((p.size for p in self.params.values()), default=0)))
+        # two work rows shared by every chunk of every parameter's update
+        widest = max((p.size for p in self.params.values()), default=0)
+        self.scratch = np.empty((2, min(widest, ADAM_CHUNK)))
 
     def zero_grad(self):
         for p in self.params.values():
@@ -436,14 +446,16 @@ def adam_step(opt):
 
     A parameter without a grad gets a zero gradient. A non-finite gradient
     aborts, naming the offending parameter, before any parameter, moment or
-    ``opt.t`` changes. Every temporary lives in ``opt.scratch``; the
-    operations are those of
+    ``opt.t`` changes. Each parameter is updated in flat chunks of at most
+    ``ADAM_CHUNK`` entries, and every temporary of a chunk lives in
+    ``opt.scratch``. On each chunk the operations are those of
 
         m = BETA1 * m + (1 - BETA1) * g
         v = BETA2 * v + (1 - BETA2) * (g * g)
         p -= lr * (m / bc1) / (sqrt(v / bc2) + EPSILON)
 
-    in the same order, so the result is the same to the bit.
+    in the same order; every one is elementwise, so the result is that of
+    the whole-array update to the bit.
     """
     for name, p in opt.params.items():
         if p.grad is not None and not np.all(np.isfinite(p.grad)):
@@ -451,25 +463,29 @@ def adam_step(opt):
     opt.t += 1
     bc1 = 1.0 - BETA1 ** opt.t
     bc2 = 1.0 - BETA2 ** opt.t
+    row1, row2 = opt.scratch
     for name, p in opt.params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m = opt.m[name]
-        v = opt.v[name]
-        s1, s2 = (row[:p.size].reshape(p.shape) for row in opt.scratch)
-        np.multiply(g, 1.0 - BETA1, out=s1)
-        m *= BETA1
-        m += s1
-        np.multiply(g, g, out=s1)
-        s1 *= 1.0 - BETA2
-        v *= BETA2
-        v += s1
-        np.divide(m, bc1, out=s1)
-        s1 *= opt.lr
-        np.divide(v, bc2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += EPSILON
-        s1 /= s2
-        p.data -= s1
+        # flat views; a zero gradient is a read-only broadcast, not an array
+        g_all = p.grad.reshape(-1) if p.grad is not None else np.broadcast_to(0.0, p.size)
+        p_all, m_all, v_all = (a.reshape(-1) for a in (p.data, opt.m[name], opt.v[name]))
+        for i in range(0, p.size, ADAM_CHUNK):
+            part = slice(i, i + ADAM_CHUNK)
+            g, m, v, x = g_all[part], m_all[part], v_all[part], p_all[part]
+            s1, s2 = row1[:x.size], row2[:x.size]
+            np.multiply(g, 1.0 - BETA1, out=s1)
+            m *= BETA1
+            m += s1
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - BETA2
+            v *= BETA2
+            v += s1
+            np.divide(m, bc1, out=s1)
+            s1 *= opt.lr
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += EPSILON
+            s1 /= s2
+            x -= s1
 
 
 def train_step(opt, loss_fn, where):

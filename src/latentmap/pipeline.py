@@ -531,7 +531,7 @@ class PipelineData:
     st500: tuple
     st_coords: tuple  # (spot_ids, [n, 2])
     panel_shared: list
-    target_sum: float = pp.TARGET_SUM  # the normalization of the three matrices
+    target_sum: float  # the normalization of the three matrices, as preprocess recorded it
 
 
 # the preprocess outputs that training reads; the run manifest records their digests

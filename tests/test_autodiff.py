@@ -276,32 +276,18 @@ def test_affine_mse_matches_composite_chain(seed):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def _affine_mse_leaves(rows, target_grad, seed=3):
+def _affine_mse_leaves(rows, target_grad, outputs=500, seed=3):
     rng = np.random.default_rng(seed)
-    values = (rng.normal(size=(rows, 6)), rng.normal(size=(6, 9)), rng.normal(size=9),
-              rng.normal(size=(rows, 9)))
+    values = (rng.normal(size=(rows, 6)), rng.normal(size=(6, outputs)),
+              rng.normal(size=outputs), rng.normal(size=(rows, outputs)))
     return [ad.tensor(v, requires_grad=i < 3 or target_grad) for i, v in enumerate(values)]
 
 
-@pytest.mark.parametrize("target_grad", [False, True])
-@pytest.mark.parametrize("rows", [511, 512, 513, 1100, 4096])
-def test_affine_mse_blocks_match_composite_chain(rows, target_grad):
-    # around and past one block of AFFINE_MSE_ROWS rows, against the unfused
-    # chain; past one block the block sums move the last bits, so the
-    # error is taken relative to each array's largest entry. The target is
-    # data, so the op keeps no product for a target vjp: a target that
-    # requires a gradient is refused before anything is taped
-    assert ad.AFFINE_MSE_ROWS == 512
-    if target_grad:
-        h, w, b, y = _affine_mse_leaves(rows, target_grad)
-        with ad.Tape() as tape:
-            with pytest.raises(ValueError, match="affine_mse: the target must be constant"):
-                ad.affine_mse(h, w, b, y)
-            assert tape.entries == []
-        return
-
+def _assert_affine_mse_matches_composite_chain(rows, outputs):
+    # past one block the block sums move the last bits, so the error is
+    # taken relative to each array's largest entry
     def run(fused):
-        leaves = _affine_mse_leaves(rows, target_grad)
+        leaves = _affine_mse_leaves(rows, False, outputs)
         h, w, b, y = leaves
         with ad.Tape():
             loss = (ad.affine_mse(h, w, b, y) if fused
@@ -313,6 +299,30 @@ def test_affine_mse_blocks_match_composite_chain(rows, target_grad):
     assert got[-1] is None and want[-1] is None
     for a, b in zip(got[:-1], want[:-1]):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("target_grad", [False, True])
+@pytest.mark.parametrize("rows", [511, 512, 513, 1100, 4096])
+def test_affine_mse_blocks_match_composite_chain(rows, target_grad):
+    # around and past one block, against the unfused chain: at 500 outputs
+    # the entry budget makes a block 512 rows. The target is data, so the
+    # op keeps no product for a target vjp: a target that requires a
+    # gradient is refused before anything is taped
+    assert ad.AFFINE_MSE_ENTRIES // 500 == 512
+    if target_grad:
+        h, w, b, y = _affine_mse_leaves(rows, target_grad)
+        with ad.Tape() as tape:
+            with pytest.raises(ValueError, match="affine_mse: the target must be constant"):
+                ad.affine_mse(h, w, b, y)
+            assert tape.entries == []
+        return
+    _assert_affine_mse_matches_composite_chain(rows, 500)
+
+
+def test_affine_mse_wide_output_blocks_match_composite_chain():
+    # at 2000 outputs a block is 128 rows, so 300 rows cross two blocks
+    assert ad.AFFINE_MSE_ENTRIES // 2000 == 128
+    _assert_affine_mse_matches_composite_chain(300, 2000)
 
 
 def test_affine_mse_backward_twice_on_one_tape():
@@ -347,6 +357,22 @@ def test_affine_mse_keeps_well_under_the_residual():
         assert len(tape.entries) == 1
     # kept: r w^T (4.2 MB), h^T r and colsum(r); transient: one block of r (2 MB)
     assert peak < 8e6
+
+
+def test_affine_mse_block_does_not_grow_with_the_output_width():
+    # 4000 outputs: a block of 512 rows would be 16.4 MB on its own; the
+    # entry budget holds it to 64 rows. Kept: r w^T, h^T r and colsum(r);
+    # transient: one block of r and one block's h^T r before it is added
+    rng = np.random.default_rng(1)
+    h = ad.tensor(rng.normal(size=(1024, 128)), requires_grad=True)
+    w = ad.tensor(rng.normal(size=(128, 4000)), requires_grad=True)
+    b = ad.tensor(rng.normal(size=4000), requires_grad=True)
+    y = ad.tensor(rng.normal(size=(1024, 4000)))
+    with ad.Tape() as tape:
+        _, peak = traced_peak(lambda: ad.affine_mse(h, w, b, y))
+        assert len(tape.entries) == 1
+    kept = h.data.nbytes + 2 * w.data.nbytes + b.data.nbytes
+    assert peak < 1.05 * (ad.AFFINE_MSE_ENTRIES * 8 + kept)
 
 
 @pytest.mark.parametrize("op,fn", [
@@ -668,6 +694,52 @@ def test_adam_matches_textbook_expression_bitwise():
             m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
             v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
             ref[k] = ref[k] - 0.01 * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8)
+    for k in p:
+        assert np.array_equal(p[k].data, ref[k]), k
+        assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), k
+
+
+def test_adam_scratch_does_not_grow_with_the_parameter():
+    # a [4000, 128] parameter: Adam keeps m and v and two rows of one chunk
+    # (plus 4 KiB for the Python objects), not two rows of 512,000 entries
+    p = {"w": ad.tensor(np.ones((4000, 128)), requires_grad=True)}
+    opt, peak = traced_peak(lambda: ad.Adam(p, lr=1e-3))
+    assert opt.scratch.shape == (2, ad.ADAM_CHUNK)
+    assert peak <= opt.m["w"].nbytes + opt.v["w"].nbytes + 2 * ad.ADAM_CHUNK * 8 + 4096
+
+
+def test_adam_chunks_match_the_whole_array_update_bitwise():
+    # a parameter of two and a half chunks and one that has a grad on the
+    # first step only, against the in-place sequence run on whole arrays
+    rng = np.random.default_rng(17)
+    shapes = {"w": (ad.ADAM_CHUNK * 5 // 8, 4), "b": (3, 5)}
+    p = {k: ad.tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+    ref = {k: t.data.copy() for k, t in p.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    opt = ad.Adam(p, lr=0.01)
+    for t in range(1, 4):
+        grads = {"w": rng.normal(size=shapes["w"]),
+                 "b": rng.normal(size=shapes["b"]) if t == 1 else np.zeros(shapes["b"])}
+        p["w"].grad = grads["w"]
+        p["b"].grad = grads["b"] if t == 1 else None
+        ad.adam_step(opt)
+        bc1, bc2 = 1.0 - ad.BETA1 ** t, 1.0 - ad.BETA2 ** t
+        for k, g in grads.items():
+            s1 = np.multiply(g, 1.0 - ad.BETA1)
+            m[k] *= ad.BETA1
+            m[k] += s1
+            s1 = np.multiply(g, g)
+            s1 *= 1.0 - ad.BETA2
+            v[k] *= ad.BETA2
+            v[k] += s1
+            s1 = np.divide(m[k], bc1)
+            s1 *= 0.01
+            s2 = np.sqrt(np.divide(v[k], bc2))
+            s2 += ad.EPSILON
+            s1 /= s2
+            ref[k] -= s1
+    assert p["w"].size == ad.ADAM_CHUNK * 5 // 2
     for k in p:
         assert np.array_equal(p[k].data, ref[k]), k
         assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k]), k

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,8 +204,8 @@ def test_stage1_deterministic_rerun(tmp_path, corpus):
         runs.append(run)
     for name in ("latents/z_sc2000.csv", "history/stage1.csv", "checkpoints/vae_sc2000.json",
                  "checkpoints/vae_sc2000.f64"):
-        a = open(runs[0].path(*name.split("/")), "rb").read()
-        b = open(runs[1].path(*name.split("/")), "rb").read()
+        a = Path(runs[0].path(*name.split("/"))).read_bytes()
+        b = Path(runs[1].path(*name.split("/"))).read_bytes()
         assert a == b, name
 
 
@@ -246,7 +247,8 @@ def test_all_stages_deterministic_rerun(tmp_path, corpus):
         sc500=(corpus["sc_ids"], corpus["panel"], corpus["x_sc"]),
         st500=(corpus["st_ids"], corpus["panel"], corpus["x_st"]),
         st_coords=(corpus["st_ids"], corpus["coords"]),
-        panel_shared=corpus["panel"])
+        panel_shared=corpus["panel"],
+        target_sum=pp.TARGET_SUM)
     roots = [tmp_path / "a", tmp_path / "b"]
     for root in roots:
         for stage in (1, 2, 3):
@@ -275,7 +277,8 @@ def test_stage_gating(tmp_path, corpus):
         sc500=(corpus["sc_ids"], corpus["panel"], corpus["x_sc"]),
         st500=(corpus["st_ids"], corpus["panel"], corpus["x_st"]),
         st_coords=(corpus["st_ids"], corpus["coords"]),
-        panel_shared=corpus["panel"])
+        panel_shared=corpus["panel"],
+        target_sum=pp.TARGET_SUM)
     with pytest.raises(DependencyError, match="stage 1"):
         pl.run_stage(2, tiny_cfg(), data, run)
     with pytest.raises(DependencyError, match="stage 2"):
@@ -291,7 +294,8 @@ def test_stage_refuses_overwrite_without_force(tmp_path, corpus):
         sc500=(corpus["sc_ids"], corpus["panel"], corpus["x_sc"]),
         st500=(corpus["st_ids"], corpus["panel"], corpus["x_st"]),
         st_coords=(corpus["st_ids"], corpus["coords"]),
-        panel_shared=corpus["panel"])
+        panel_shared=corpus["panel"],
+        target_sum=pp.TARGET_SUM)
     with pytest.raises(DependencyError, match="--force"):
         pl.run_stage(1, cfg, data, run)
     pl.run_stage(1, cfg, data, run, force=True)  # allowed explicitly
@@ -311,11 +315,11 @@ def test_full_pipeline_small(tmp_path, corpus):
     run.require_stage(3)
 
     # fixed latents are byte-identical before and after later stages
-    z1_bytes = open(run.path("latents", "z_sc2000.csv"), "rb").read()
+    z1_bytes = Path(run.path("latents", "z_sc2000.csv")).read_bytes()
     x_hat, coords_norm, transform = pl.infer(run, corpus["x_sc"][:3])
     assert x_hat.shape == (3, len(corpus["panel"]))
     assert coords_norm.shape == (3, 2)
-    assert open(run.path("latents", "z_sc2000.csv"), "rb").read() == z1_bytes
+    assert Path(run.path("latents", "z_sc2000.csv")).read_bytes() == z1_bytes
 
     # stage-2 history has the documented columns
     header, rows = pl.read_history(run.path("history", "stage2.csv"))
