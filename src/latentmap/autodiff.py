@@ -455,15 +455,22 @@ def adam_step(opt):
         p -= lr * (m / bc1) / (sqrt(v / bc2) + EPSILON)
 
     in the same order; every one is elementwise, so the result is that of
-    the whole-array update to the bit.
+    the whole-array update to the bit. The finite check runs chunk by chunk
+    too, into a bool view of the first scratch row.
     """
+    row1, row2 = opt.scratch
+    finite = row1.view(np.bool_)
     for name, p in opt.params.items():
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
-            raise NumericError(f"non-finite gradient for parameter '{name}'")
+        if p.grad is None:
+            continue
+        g_all = p.grad.reshape(-1)
+        for i in range(0, g_all.size, ADAM_CHUNK):
+            g = g_all[i:i + ADAM_CHUNK]
+            if not np.isfinite(g, out=finite[:g.size]).all():
+                raise NumericError(f"non-finite gradient for parameter '{name}'")
     opt.t += 1
     bc1 = 1.0 - BETA1 ** opt.t
     bc2 = 1.0 - BETA2 ** opt.t
-    row1, row2 = opt.scratch
     for name, p in opt.params.items():
         # flat views; a zero gradient is a read-only broadcast, not an array
         g_all = p.grad.reshape(-1) if p.grad is not None else np.broadcast_to(0.0, p.size)

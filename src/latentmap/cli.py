@@ -191,7 +191,8 @@ def cmd_train(args):
     with run_lock(args.run_dir):
         run = pl.RunDir(args.run_dir)
         run.verify_manifest(digests, cfg, args.force)
-        for stage in stages:
+        for i, stage in enumerate(stages):
+            data.drop_unread(stages[i:])  # frees each matrix no stage left to run reads
             log.info("running stage %d", stage)
             pl.run_stage(stage, cfg, data, run, force=args.force)
             # recorded after the stage: a stage that fails leaves the records as they were

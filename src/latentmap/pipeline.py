@@ -15,6 +15,15 @@ latent distributions coincide.
 An "epoch" everywhere is one full-batch Adam step; the datasets are desk
 scale.
 
+``load_pipeline_data`` builds the three training matrices once, each
+written by ``pp.panel_matrix`` straight from the integer counts: the
+2000-gene cell matrix that stage 1 reads, and the 500-gene cell and spot
+matrices of stage 2, the spot one read again by stage 3
+(``STAGE_MATRICES``). ``train`` drops each with ``PipelineData.drop_unread``
+as soon as no stage left in the command reads it: the 2000-gene matrix
+after stage 1, the 500-gene cell matrix after stage 2, and both before a
+``--stage 3`` run starts.
+
 All cross-stage state lives in a run directory:
 
     config.json, manifest.json, panel_shared.txt
@@ -522,9 +531,18 @@ def infer(run: RunDir, x_query):
 # orchestration over a data directory
 # ---------------------------------------------------------------------------
 
+# The PipelineData matrices each stage reads. Nothing else states it:
+# run_stage refuses a stage whose matrix was dropped, and ``drop_unread``
+# frees a matrix once no stage left to run reads it.
+STAGE_MATRICES = {1: ("sc2000",), 2: ("sc500", "st500"), 3: ("st500",)}
+
+
 @dataclass
 class PipelineData:
-    """Preprocessed artifacts the stages consume."""
+    """Preprocessed artifacts the stages consume.
+
+    A matrix is None once ``drop_unread`` has dropped it.
+    """
 
     sc2000: tuple  # (row_ids, col_ids, matrix)
     sc500: tuple
@@ -532,6 +550,12 @@ class PipelineData:
     st_coords: tuple  # (spot_ids, [n, 2])
     panel_shared: list
     target_sum: float  # the normalization of the three matrices, as preprocess recorded it
+
+    def drop_unread(self, stages):
+        """Drop each matrix that none of ``stages`` reads, so that its memory is freed."""
+        read = {name for stage in stages for name in STAGE_MATRICES[stage]}
+        for name in {name for names in STAGE_MATRICES.values() for name in names} - read:
+            setattr(self, name, None)
 
 
 # the preprocess outputs that training reads; the run manifest records their digests
@@ -553,7 +577,9 @@ def load_pipeline_data(data_dir) -> PipelineData:
     The directory holds QC-filtered integer counts, the two gene panels and
     ``summary.json``. Each matrix is ``pp.panel_matrix`` of the counts on
     its panel with the recorded ``target_sum``, the normalization ``infer``
-    applies to query cells. A missing file is a DependencyError; a
+    applies to query cells; the integer counts are freed on return, so
+    the three float64 matrices are all the data this holds. A missing
+    file is a DependencyError; a
     ``summary.json`` that cannot be read or has no valid ``target_sum`` is a
     DataError naming it.
     """
@@ -599,8 +625,12 @@ def run_stage(stage: int, cfg: TrainConfig, data: PipelineData, run: RunDir,
     frozen latent and refuse one without the data's rows or latent_dim
     columns before they write anything. Once the stage has written its
     files, those of every later stage are deleted: they were built from
-    the latent this stage replaced.
+    the latent this stage replaced. A stage whose matrix ``data`` has
+    dropped is a ValueError.
     """
+    dropped = [name for name in STAGE_MATRICES[stage] if getattr(data, name) is None]
+    if dropped:
+        raise ValueError(f"stage {stage} reads {dropped}, dropped from this PipelineData")
     run.refuse_overwrite(stage, force)
     if stage == 1:
         out = stage1(cfg, data.sc2000[2], data.sc2000[0], run)

@@ -9,6 +9,14 @@ shared 500-gene sets) are ranked by dispersion of the normalized values.
 Filters are strict at the boundary: a cell expressing exactly ``min_genes``
 genes stays, one expressing ``min_genes - 1`` goes, and symmetrically for
 genes/cells.
+
+``panel_matrix`` builds every matrix that training and inference read
+(``train``'s three, ``infer``'s query): it writes the normalized panel
+straight from the counts into its one float64 result, a block of at most
+``NORMALIZE_BLOCK_ENTRIES`` counts at a time, with each row total summed
+exactly over the integers. It makes no integer copy of the panel's
+columns, and its values are those of ``normalize_log1p(subset_counts(m,
+panel))`` to the bit.
 """
 
 import logging
@@ -23,6 +31,7 @@ log = logging.getLogger("latentmap.preprocess")
 
 MITO_RIBO_PREFIXES = ("MT-", "MRP", "RPS", "RPL")  # mitochondrial, then ribosomal genes
 TARGET_SUM = 1e4  # the default total each row is scaled to before log1p
+NORMALIZE_BLOCK_ENTRIES = 1 << 16  # counts that normalize_log1p and panel_matrix hold at once
 
 
 def first_duplicate(ids):
@@ -167,17 +176,38 @@ def filter_mito_ribo(m: CountMatrix, max_fraction: float) -> CountMatrix:
 
 def normalize_log1p(m: CountMatrix, target_sum: float = TARGET_SUM) -> np.ndarray:
     """Scale each row to ``target_sum`` total, then log1p. Returns float64 matrix."""
+    return _normalized(m, None, target_sum)
+
+
+def _normalized(m: CountMatrix, cols, target_sum: float) -> np.ndarray:
+    """``normalize_log1p`` of the counts on the columns ``cols`` (every column if None).
+
+    Each block of rows, at most ``NORMALIZE_BLOCK_ENTRIES`` counts, is
+    gathered, its totals summed over the integers, then cast, scaled and
+    log1p'd in its rows of the float64 result: every value is the one the
+    whole-matrix expression gives.
+    """
     if not (math.isfinite(target_sum) and target_sum > 0):
         raise DataError(f"target_sum must be a finite number > 0, got {target_sum!r}")
-    totals = m.counts.sum(axis=1).astype(np.float64)
-    if np.any(totals == 0):
-        bad = [m.row_ids[i] for i in np.flatnonzero(totals == 0)[:5]]
-        raise DataError(f"rows with zero total counts: {bad}")
-    # row-major whatever the counts' layout (a column subset is column-major),
-    # so tensors adopt it without a copy; normalized in place, no temporaries
-    out = m.counts.astype(np.float64, order="C")
-    out *= (target_sum / totals)[:, None]
-    return np.log1p(out, out=out)
+    width = m.n_cols if cols is None else len(cols)
+    out = np.empty((m.n_rows, width))
+    rows = max(1, NORMALIZE_BLOCK_ENTRIES // max(width, 1))
+    zero_rows = []
+    for lo in range(0, m.n_rows, rows):
+        block = m.counts[lo:lo + rows]
+        if cols is not None:
+            block = np.take(block, cols, axis=1)
+        totals = block.sum(axis=1)
+        zero_rows.extend(lo + np.flatnonzero(totals == 0))
+        if zero_rows:  # the error names rows from later blocks too, so keep reading
+            continue
+        dst = out[lo:lo + rows]
+        dst[...] = block
+        dst *= (target_sum / totals.astype(np.float64))[:, None]
+        np.log1p(dst, out=dst)
+    if zero_rows:
+        raise DataError(f"rows with zero total counts: {[m.row_ids[i] for i in zero_rows[:5]]}")
+    return out
 
 
 def dispersion(normed: np.ndarray) -> np.ndarray:
@@ -258,9 +288,13 @@ def panel_matrix(m: CountMatrix, panel: GenePanel, target_sum: float = TARGET_SU
     """Counts restricted to the panel, then normalized+log1p.
 
     Restriction happens before normalization so that datasets measured on
-    different gene sets become comparable on the shared panel.
+    different gene sets become comparable on the shared panel. The result
+    is ``normalize_log1p(subset_counts(m, panel), target_sum)`` to the bit,
+    without the integer copy of the panel's columns that ``subset_counts``
+    makes.
     """
-    return normalize_log1p(subset_counts(m, panel), target_sum=target_sum)
+    cols = np.asarray(_panel_columns(m, panel), dtype=np.intp)
+    return _normalized(m, None if _keeps_all(cols, m.n_cols) else cols, target_sum)
 
 
 @dataclass

@@ -708,6 +708,16 @@ def test_adam_scratch_does_not_grow_with_the_parameter():
     assert peak <= opt.m["w"].nbytes + opt.v["w"].nbytes + 2 * ad.ADAM_CHUNK * 8 + 4096
 
 
+def test_adam_step_allocates_nothing_that_grows_with_the_parameter():
+    # the finite check and the update both work in opt.scratch: one step on a
+    # [4000, 128] parameter allocates a few views, not a 512,000-entry bool mask
+    p = {"w": ad.tensor(np.ones((4000, 128)), requires_grad=True)}
+    opt = ad.Adam(p, lr=1e-3)
+    p["w"].grad = np.full((4000, 128), 0.5)
+    _, peak = traced_peak(lambda: ad.adam_step(opt))
+    assert opt.t == 1 and peak <= 16 * 1024, peak
+
+
 def test_adam_chunks_match_the_whole_array_update_bitwise():
     # a parameter of two and a half chunks and one that has a grad on the
     # first step only, against the in-place sequence run on whole arrays

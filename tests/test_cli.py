@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -1370,6 +1371,41 @@ def test_tiny_stage3_run_dir_golden_sha256(data_dir, tmp_path):
                      "--run-dir", str(run_dir), "--config", str(config)]) == 0
     assert {str(p.relative_to(run_dir)): cli.file_digest(p)
             for p in sorted(run_dir.rglob("*")) if p.is_file()} == _TINY_STAGE3_SHA256
+
+
+def test_tiny_stages_run_one_by_one_give_the_all_run_bytes(data_dir, tmp_path):
+    # --stage 2 and --stage 3 on their own read the matrices train keeps for them
+    config = tmp_path / "config.json"
+    pl.TrainConfig(s1_epochs=6, s2_init_epochs=5, s2_epochs=2, s2b_epochs=1, s3_epochs=5,
+                   latent_dim=4, enc_hidden=(16, 8), kl_weight=0.01, seed=4).save(config)
+    run_dir = tmp_path / "run"
+    for stage in ("1", "2", "3"):
+        assert cli.main(["train", "--stage", stage, "--data", str(data_dir),
+                         "--run-dir", str(run_dir), "--config", str(config)]) == 0
+    assert {str(p.relative_to(run_dir)): cli.file_digest(p)
+            for p in sorted(run_dir.rglob("*")) if p.is_file()} == _TINY_STAGE3_SHA256
+
+
+def test_train_frees_each_matrix_once_no_later_stage_reads_it(data_dir, tiny_config, tmp_path,
+                                                             monkeypatch):
+    # each stage notes which matrices of the earlier stages are still alive when it starts
+    received, alive = {}, {}
+
+    def watch(stage, fn):
+        def watched(cfg, *args):
+            alive[stage] = {name: ref() is not None for name, ref in received.items()}
+            received.update({f"stage{stage} arg{i}": weakref.ref(a) for i, a in enumerate(args)
+                             if isinstance(a, np.ndarray)})
+            return fn(cfg, *args)
+        return watched
+
+    for stage in (1, 2, 3):
+        monkeypatch.setattr(pl, f"stage{stage}", watch(stage, getattr(pl, f"stage{stage}")))
+    assert cli.main(["train", "--stage", "all", "--data", str(data_dir),
+                     "--run-dir", str(tmp_path / "run"), "--config", str(tiny_config)]) == 0
+    # stage 1 reads sc2000; stage 2 sc500, st500; stage 3 st500 and the coordinates
+    assert alive[2] == {"stage1 arg0": False}
+    assert alive[3] == {"stage1 arg0": False, "stage2 arg0": False, "stage2 arg2": True}
 
 
 def test_lattice_graph_edges_golden_sha256(tmp_path):

@@ -283,6 +283,13 @@ def test_stage_gating(tmp_path, corpus):
         pl.run_stage(2, tiny_cfg(), data, run)
     with pytest.raises(DependencyError, match="stage 2"):
         pl.run_stage(3, tiny_cfg(), data, run)
+    # a stage 3 run keeps only the spot matrix; a stage whose matrix is dropped writes nothing
+    data.drop_unread([3])
+    assert data.sc2000 is None and data.sc500 is None and data.st500[2] is corpus["x_st"]
+    for stage, name in ((1, "sc2000"), (2, "sc500")):
+        with pytest.raises(ValueError, match=f"stage {stage} reads \\['{name}'\\]"):
+            pl.run_stage(stage, tiny_cfg(), data, run)
+    assert not any(p.is_file() for p in (tmp_path / "run").rglob("*"))
 
 
 def test_stage_refuses_overwrite_without_force(tmp_path, corpus):

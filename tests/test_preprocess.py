@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from latentmap import preprocess as pp
 from latentmap.errors import DataError
@@ -331,6 +332,37 @@ def test_panel_matrix_normalizes_within_panel():
     out = pp.panel_matrix(m, pp.GenePanel(["a", "b"]), target_sum=100.0)
     # restricted counts [1, 1] -> scaled to [50, 50]
     assert out[0, 0] == pytest.approx(math.log(51.0))
+    # blocked from the counts, it is the normalization of the subset to the bit, over
+    # several row blocks, an unsorted panel, the whole matrix and a one-gene panel
+    rng = np.random.default_rng(3)
+    m = make_matrix(rng.poisson(0.7, size=(301, 700)) + (np.arange(700) == 5))
+    rows = pp.NORMALIZE_BLOCK_ENTRIES // 600
+    assert m.n_rows > 2 * rows
+    for genes in (list(rng.permutation(m.col_ids)[:600]), m.col_ids, [m.col_ids[5]]):
+        panel = pp.GenePanel(genes)
+        out = pp.panel_matrix(m, panel, target_sum=1e4)
+        assert out.flags["C_CONTIGUOUS"]
+        assert np.array_equal(out, pp.normalize_log1p(pp.subset_counts(m, panel), 1e4))
+    # zero-total rows in two row blocks: the error names the first five
+    counts = m.counts.copy()
+    counts[np.ix_([3, 250, 251, 252, 253, 299], range(600))] = 0
+    m = make_matrix(counts)
+    with pytest.raises(DataError, match=r"rows with zero total counts: "
+                                        r"\['c3', 'c250', 'c251', 'c252', 'c253'\]$"):
+        pp.panel_matrix(m, pp.GenePanel(m.col_ids[:600]))
+
+
+def test_panel_matrix_holds_the_result_and_one_row_block():
+    # 1000 x 2500 counts on an unsorted 2,000-gene panel: no int64 copy of
+    # the panel's 16 MB of columns, only the float64 result and one block
+    # (plus 128 KiB: numpy's 64 KiB ufunc buffer and the panel's column indices)
+    rng = np.random.default_rng(5)
+    m = make_matrix(rng.poisson(0.8, size=(1000, 2500)) + 1)
+    panel = pp.GenePanel(list(rng.permutation(m.col_ids)[:2000]))
+    out, peak = traced_peak(lambda: pp.panel_matrix(m, panel))
+    rows = pp.NORMALIZE_BLOCK_ENTRIES // 2000
+    block = rows * 2000 * 8
+    assert peak <= out.nbytes + block + 128 * 1024, (peak, out.nbytes, block)
 
 
 def test_panel_missing_gene_errors():
