@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Commands: synth, preprocess, train, infer, bench, gradcheck.
-Exit codes: 0 ok, 2 usage, 3 data or shape error, 4 dependency error, 5 numeric
-failure (``EXIT_CODES`` maps each error class).
+Exit codes: 0 ok, 2 usage, 3 data or shape error (or an allocation that
+fails), 4 dependency error, 5 numeric failure (``EXIT_CODES`` maps each
+error class).
 
 After each stage it completes, ``train`` has ``pipeline.RunDir`` record the
 config, the shared panel and a manifest (input digests, seed, the preprocess
@@ -185,18 +186,21 @@ def cmd_train(args):
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     stages = [1, 2, 3] if args.stage == "all" else [int(args.stage)]
-    data = pl.load_pipeline_data(args.data)
+    inputs, panel, target_sum = pl.load_pipeline_data(args.data, stages)
+    if 3 in inputs and cfg.graph_k >= len(inputs[3][1]):  # the kNN graph needs k < spots
+        raise DataError(f"graph_k {cfg.graph_k} must be below the spot count, "
+                        f"{len(inputs[3][1])} in {os.path.join(args.data, 'st_counts_qc.csv')}")
     digests = {name: file_digest(os.path.join(args.data, name)) for name in pl.PREPROCESSED}
 
     with run_lock(args.run_dir):
         run = pl.RunDir(args.run_dir)
         run.verify_manifest(digests, cfg, args.force)
-        for i, stage in enumerate(stages):
-            data.drop_unread(stages[i:])  # frees each matrix no stage left to run reads
+        for stage in stages:
             log.info("running stage %d", stage)
-            pl.run_stage(stage, cfg, data, run, force=args.force)
+            # popped, so an array is freed once no stage left to run holds it
+            pl.run_stage(stage, cfg, inputs.pop(stage), run, force=args.force)
             # recorded after the stage: a stage that fails leaves the records as they were
-            run.write_records(cfg, data.panel_shared, digests, data.target_sum)
+            run.write_records(cfg, panel, digests, target_sum)
     return EXIT_OK
 
 
@@ -415,6 +419,9 @@ def main(argv=None):
     except LatentMapError as exc:
         log.error("%s", exc)
         return EXIT_CODES[type(exc)]
+    except MemoryError as exc:  # a model or input too large for this machine
+        log.error("out of memory: %s", exc)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -18,11 +18,11 @@ scale.
 ``load_pipeline_data`` builds the three training matrices once, each
 written by ``pp.panel_matrix`` straight from the integer counts: the
 2000-gene cell matrix that stage 1 reads, and the 500-gene cell and spot
-matrices of stage 2, the spot one read again by stage 3
-(``STAGE_MATRICES``). ``train`` drops each with ``PipelineData.drop_unread``
-as soon as no stage left in the command reads it: the 2000-gene matrix
-after stage 1, the 500-gene cell matrix after stage 2, and both before a
-``--stage 3`` run starts.
+matrices of stage 2, the spot one read again by stage 3. It hands back
+only the inputs of the stages asked for, one tuple per stage, so a matrix
+lives as long as a tuple that holds it: ``train`` passes each stage its
+tuple and keeps none, which frees the 2000-gene matrix after stage 1 and
+the 500-gene cell matrix after stage 2.
 
 All cross-stage state lives in a run directory:
 
@@ -531,33 +531,6 @@ def infer(run: RunDir, x_query):
 # orchestration over a data directory
 # ---------------------------------------------------------------------------
 
-# The PipelineData matrices each stage reads. Nothing else states it:
-# run_stage refuses a stage whose matrix was dropped, and ``drop_unread``
-# frees a matrix once no stage left to run reads it.
-STAGE_MATRICES = {1: ("sc2000",), 2: ("sc500", "st500"), 3: ("st500",)}
-
-
-@dataclass
-class PipelineData:
-    """Preprocessed artifacts the stages consume.
-
-    A matrix is None once ``drop_unread`` has dropped it.
-    """
-
-    sc2000: tuple  # (row_ids, col_ids, matrix)
-    sc500: tuple
-    st500: tuple
-    st_coords: tuple  # (spot_ids, [n, 2])
-    panel_shared: list
-    target_sum: float  # the normalization of the three matrices, as preprocess recorded it
-
-    def drop_unread(self, stages):
-        """Drop each matrix that none of ``stages`` reads, so that its memory is freed."""
-        read = {name for stage in stages for name in STAGE_MATRICES[stage]}
-        for name in {name for names in STAGE_MATRICES.values() for name in names} - read:
-            setattr(self, name, None)
-
-
 # the preprocess outputs that training reads; the run manifest records their digests
 PREPROCESSED = ("sc_counts_qc.csv", "st_counts_qc.csv", "st_coords.csv",
                 "panel_hvg2000.txt", "panel_shared500.txt", "summary.json")
@@ -571,17 +544,24 @@ def _read_target_sum(path, default=None):
     return float(value)
 
 
-def load_pipeline_data(data_dir) -> PipelineData:
-    """The training matrices, built from a ``latentmap preprocess`` output directory.
+def load_pipeline_data(data_dir, stages):
+    """The inputs of ``stages``, built from a ``latentmap preprocess`` output directory.
+
+    Returns ``(inputs, panel, target_sum)``. ``inputs`` maps each of
+    ``stages`` to the arguments its ``stage1/2/3`` takes from the data:
+    (the 2000-gene cell matrix, cell ids); (the 500-gene cell matrix, cell
+    ids, the 500-gene spot matrix, spot ids); (that spot matrix, spot ids,
+    coordinates). ``panel`` is the shared panel's gene ids and
+    ``target_sum`` the recorded normalization, both for the run records.
 
     The directory holds QC-filtered integer counts, the two gene panels and
     ``summary.json``. Each matrix is ``pp.panel_matrix`` of the counts on
     its panel with the recorded ``target_sum``, the normalization ``infer``
-    applies to query cells; the integer counts are freed on return, so
-    the three float64 matrices are all the data this holds. A missing
-    file is a DependencyError; a
-    ``summary.json`` that cannot be read or has no valid ``target_sum`` is a
-    DataError naming it.
+    applies to query cells. All three are built whatever ``stages``, so a
+    bad directory fails before any stage runs; the integer counts, and
+    each matrix that none of ``stages`` reads, are freed on return. A missing
+    file is a DependencyError; a ``summary.json`` that cannot be read or
+    has no valid ``target_sum`` is a DataError naming it.
     """
     paths = {name: os.path.join(data_dir, name) for name in PREPROCESSED}
     for name, p in paths.items():
@@ -595,52 +575,43 @@ def load_pipeline_data(data_dir) -> PipelineData:
               for name in ("panel_hvg2000.txt", "panel_shared500.txt")}
 
     def matrix(counts_name, panel_name):
-        """(row ids, panel genes, normalized counts on the panel); an error names both files."""
-        m, panel = counts[counts_name], panels[panel_name]
+        """Normalized counts on the panel; an error names both files."""
         try:
-            x = pp.panel_matrix(m, panel, target_sum)
+            return pp.panel_matrix(counts[counts_name], panels[panel_name], target_sum)
         except DataError as exc:
             raise DataError(f"{paths[counts_name]} on {paths[panel_name]}: {exc}") from None
-        return m.row_ids, panel.gene_ids, x
 
-    data = PipelineData(
-        sc2000=matrix("sc_counts_qc.csv", "panel_hvg2000.txt"),
-        sc500=matrix("sc_counts_qc.csv", "panel_shared500.txt"),
-        st500=matrix("st_counts_qc.csv", "panel_shared500.txt"),
-        st_coords=dataio.read_coords_csv(paths["st_coords.csv"]),
-        panel_shared=panels["panel_shared500.txt"].gene_ids,
-        target_sum=target_sum,
-    )
-    dataio.check_spot_ids(paths["st_counts_qc.csv"], data.st500[0],
-                          paths["st_coords.csv"], data.st_coords[0])
-    return data
+    sc_ids = counts["sc_counts_qc.csv"].row_ids
+    st_ids = counts["st_counts_qc.csv"].row_ids
+    sc2000 = matrix("sc_counts_qc.csv", "panel_hvg2000.txt")
+    sc500 = matrix("sc_counts_qc.csv", "panel_shared500.txt")
+    st500 = matrix("st_counts_qc.csv", "panel_shared500.txt")
+    spot_ids, coords = dataio.read_coords_csv(paths["st_coords.csv"])
+    dataio.check_spot_ids(paths["st_counts_qc.csv"], st_ids, paths["st_coords.csv"], spot_ids)
+    inputs = {1: (sc2000, sc_ids), 2: (sc500, sc_ids, st500, st_ids), 3: (st500, st_ids, coords)}
+    return ({stage: inputs[stage] for stage in stages}, panels["panel_shared500.txt"].gene_ids,
+            target_sum)
 
 
-def run_stage(stage: int, cfg: TrainConfig, data: PipelineData, run: RunDir,
-              force: bool = False):
-    """Run stage ``stage`` on ``data`` in ``run``; returns what the stage returns.
+def run_stage(stage: int, cfg: TrainConfig, inputs: tuple, run: RunDir, force: bool = False):
+    """Run stage ``stage`` on ``inputs`` in ``run``; returns what the stage returns.
 
-    Without ``force``, files of this stage or a later one are refused; the
+    ``inputs`` is the stage's tuple from ``load_pipeline_data``. Without
+    ``force``, files of this stage or a later one are refused; the
     previous stage's must exist. Stages 2 and 3 read the previous stage's
     frozen latent and refuse one without the data's rows or latent_dim
     columns before they write anything. Once the stage has written its
     files, those of every later stage are deleted: they were built from
-    the latent this stage replaced. A stage whose matrix ``data`` has
-    dropped is a ValueError.
+    the latent this stage replaced.
     """
-    dropped = [name for name in STAGE_MATRICES[stage] if getattr(data, name) is None]
-    if dropped:
-        raise ValueError(f"stage {stage} reads {dropped}, dropped from this PipelineData")
     run.refuse_overwrite(stage, force)
     if stage == 1:
-        out = stage1(cfg, data.sc2000[2], data.sc2000[0], run)
+        out = stage1(cfg, *inputs, run)
     elif stage == 2:
         run.require_stage(1)
-        out = stage2(cfg, data.sc500[2], data.sc500[0], data.st500[2], data.st500[0],
-                     run.load_latent("z_sc2000.csv"), run)
+        out = stage2(cfg, *inputs, run.load_latent("z_sc2000.csv"), run)
     else:
         run.require_stage(2)
-        out = stage3(cfg, data.st500[2], data.st500[0], data.st_coords[1],
-                     run.load_latent("z_st500.csv"), run)
+        out = stage3(cfg, *inputs, run.load_latent("z_st500.csv"), run)
     run.remove_later_stages(stage)
     return out

@@ -175,12 +175,18 @@ def test_pipeline_data_is_panel_matrix_of_qc_counts(corpus_dir, data_dir):
                       min_genes=0, min_cells=10, max_mito_ribo=0.2)
     big = pp.GenePanel(dataio.read_id_list(data_dir / "panel_hvg2000.txt"))
     shared = pp.GenePanel(dataio.read_id_list(data_dir / "panel_shared500.txt"))
-    data = pl.load_pipeline_data(data_dir)
-    for got, m, panel in ((data.sc2000, sc, big), (data.sc500, sc, shared),
-                          (data.st500, st, shared)):
-        assert got[0] == m.row_ids and got[1] == panel.gene_ids
-        assert np.array_equal(got[2], pp.panel_matrix(m, panel, target_sum))
-    assert data.st_coords[0] == st.row_ids
+    inputs, panel_ids, got_target_sum = pl.load_pipeline_data(data_dir, [1, 2, 3])
+    assert panel_ids == shared.gene_ids and got_target_sum == target_sum
+    for (x, ids), m, panel in (((inputs[1][0], inputs[1][1]), sc, big),
+                               ((inputs[2][0], inputs[2][1]), sc, shared),
+                               ((inputs[2][2], inputs[2][3]), st, shared)):
+        assert ids == m.row_ids
+        assert np.array_equal(x, pp.panel_matrix(m, panel, target_sum))
+    # stages 2 and 3 read one spot matrix; stage 3 also reads the coordinates
+    assert inputs[3][0] is inputs[2][2] and inputs[3][1] == st.row_ids
+    assert np.array_equal(inputs[3][2], dataio.read_coords_csv(data_dir / "st_coords.csv")[1])
+    # only the stages asked for get inputs
+    assert list(pl.load_pipeline_data(data_dir, [3])[0]) == [3]
 
 
 def test_preprocess_passthrough_thresholds(corpus_dir, tmp_path):
@@ -1083,6 +1089,34 @@ def test_train_bad_preprocessed_input_names_the_files_and_the_id(data_dir, tiny_
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("stage", ["all", "3"])
+def test_train_graph_k_of_the_spot_count_exits_3_before_any_write(data_dir, tmp_path, caplog,
+                                                                  stage):
+    # n spots give each at most n - 1 neighbours; stage 3 would fail only after stages 1 and 2
+    n_spots = len(dataio.read_counts_csv(data_dir / "st_counts_qc.csv").row_ids)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"graph_k": n_spots}))
+    run_dir = tmp_path / "run"
+    rc = cli.main(["train", "--stage", stage, "--data", str(data_dir), "--run-dir", str(run_dir),
+                   "--config", str(config)])
+    assert rc == cli.EXIT_DATA
+    assert (f"graph_k {n_spots} must be below the spot count, {n_spots} in "
+            f"{data_dir / 'st_counts_qc.csv'}") in caplog.text
+    assert "Traceback" not in caplog.text
+    assert not run_dir.exists()
+
+
+def test_train_model_too_large_to_allocate_exits_3(data_dir, tmp_path, caplog):
+    # the first weight matrix would outgrow a 48-bit address space, so nothing is allocated
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"enc_hidden": [10 ** 14]}))
+    rc = cli.main(["train", "--stage", "1", "--data", str(data_dir),
+                   "--run-dir", str(tmp_path / "run"), "--config", str(config)])
+    assert rc == cli.EXIT_DATA
+    assert re.search(r"out of memory: Unable to allocate .* for an array with shape", caplog.text)
+    assert "Traceback" not in caplog.text
+
+
 def test_infer_duplicate_panel_gene_names_the_file_and_the_id(trained_run, corpus_dir,
                                                               tmp_path, caplog):
     run = tmp_path / "run"
@@ -1386,26 +1420,53 @@ def test_tiny_stages_run_one_by_one_give_the_all_run_bytes(data_dir, tmp_path):
             for p in sorted(run_dir.rglob("*")) if p.is_file()} == _TINY_STAGE3_SHA256
 
 
+@pytest.mark.parametrize("stage", ["all", "2", "3"])
 def test_train_frees_each_matrix_once_no_later_stage_reads_it(data_dir, tiny_config, tmp_path,
-                                                             monkeypatch):
-    # each stage notes which matrices of the earlier stages are still alive when it starts
-    received, alive = {}, {}
+                                                             monkeypatch, stage):
+    def train(stage):
+        return cli.main(["train", "--stage", stage, "--data", str(data_dir),
+                         "--run-dir", str(tmp_path / "run"), "--config", str(tiny_config)])
+
+    # a lone stage runs after the stages before it
+    for earlier in range(1, 1 if stage == "all" else int(stage)):
+        assert train(str(earlier)) == 0
+    # each stage notes which matrices of the earlier stages, and which of those that
+    # pp.panel_matrix built, are still alive when it starts, and which of the built it reads
+    received, alive, built, built_alive, built_read = {}, {}, [], {}, {}
+    panel_matrix = pp.panel_matrix
+
+    def build(*args, **kwargs):
+        x = panel_matrix(*args, **kwargs)
+        built.append(weakref.ref(x))
+        return x
 
     def watch(stage, fn):
         def watched(cfg, *args):
             alive[stage] = {name: ref() is not None for name, ref in received.items()}
+            built_alive[stage] = [ref() is not None for ref in built]
+            built_read[stage] = [any(ref() is a for a in args) for ref in built]
             received.update({f"stage{stage} arg{i}": weakref.ref(a) for i, a in enumerate(args)
                              if isinstance(a, np.ndarray)})
             return fn(cfg, *args)
         return watched
 
-    for stage in (1, 2, 3):
-        monkeypatch.setattr(pl, f"stage{stage}", watch(stage, getattr(pl, f"stage{stage}")))
-    assert cli.main(["train", "--stage", "all", "--data", str(data_dir),
-                     "--run-dir", str(tmp_path / "run"), "--config", str(tiny_config)]) == 0
-    # stage 1 reads sc2000; stage 2 sc500, st500; stage 3 st500 and the coordinates
-    assert alive[2] == {"stage1 arg0": False}
-    assert alive[3] == {"stage1 arg0": False, "stage2 arg0": False, "stage2 arg2": True}
+    monkeypatch.setattr(pp, "panel_matrix", build)
+    for s in (1, 2, 3):
+        monkeypatch.setattr(pl, f"stage{s}", watch(s, getattr(pl, f"stage{s}")))
+    assert train(stage) == 0
+    # every run builds the 2000-gene cell, 500-gene cell and 500-gene spot matrices, in order
+    assert len(built) == 3
+    reads = {1: [True, False, False], 2: [False, True, True], 3: [False, False, True]}
+    ran = sorted(built_read)
+    assert ran == ([1, 2, 3] if stage == "all" else [int(stage)])
+    for s in ran:
+        assert built_read[s] == reads[s]
+        # alive when a stage starts: only what it or a later stage of the run reads
+        assert built_alive[s] == [any(reads[t][i] for t in ran if t >= s) for i in range(3)]
+    if stage == "all":
+        # stage 1 reads sc2000; stage 2 sc500, st500; stage 3 st500 and the coordinates
+        assert alive[2] == {"stage1 arg0": False}
+        assert alive[3] == {"stage1 arg0": False, "stage2 arg0": False, "stage2 arg2": True}
 
 
 def test_lattice_graph_edges_golden_sha256(tmp_path):

@@ -39,6 +39,13 @@ def corpus():
     )
 
 
+def stage_inputs(corpus):
+    """Each stage's inputs, shaped as ``load_pipeline_data`` returns them."""
+    return {1: (corpus["x_big"], corpus["sc_ids"]),
+            2: (corpus["x_sc"], corpus["sc_ids"], corpus["x_st"], corpus["st_ids"]),
+            3: (corpus["x_st"], corpus["st_ids"], corpus["coords"])}
+
+
 def tiny_cfg(**over):
     base = dict(s1_epochs=30, s2_epochs=4, s2b_epochs=2, s3_epochs=30,
                 latent_dim=4, enc_hidden=(16, 8), kl_weight=0.01,
@@ -242,17 +249,11 @@ def test_stage1_history_matches_standalone_vae(tmp_path, corpus):
 
 def test_all_stages_deterministic_rerun(tmp_path, corpus):
     cfg = tiny_cfg(s2_init_epochs=20)
-    data = pl.PipelineData(
-        sc2000=(corpus["sc_ids"], [], corpus["x_big"]),
-        sc500=(corpus["sc_ids"], corpus["panel"], corpus["x_sc"]),
-        st500=(corpus["st_ids"], corpus["panel"], corpus["x_st"]),
-        st_coords=(corpus["st_ids"], corpus["coords"]),
-        panel_shared=corpus["panel"],
-        target_sum=pp.TARGET_SUM)
+    inputs = stage_inputs(corpus)
     roots = [tmp_path / "a", tmp_path / "b"]
     for root in roots:
         for stage in (1, 2, 3):
-            pl.run_stage(stage, cfg, data, pl.RunDir(root))
+            pl.run_stage(stage, cfg, inputs[stage], pl.RunDir(root))
     files = [sorted(p.relative_to(r) for p in r.rglob("*") if p.is_file()) for r in roots]
     assert files[0] == files[1]
     # exactly these files: a new artifact must be named here (and read somewhere)
@@ -272,23 +273,11 @@ def test_all_stages_deterministic_rerun(tmp_path, corpus):
 def test_stage_gating(tmp_path, corpus):
     run = pl.RunDir(tmp_path / "run")
     run.ensure_layout()
-    data = pl.PipelineData(
-        sc2000=(corpus["sc_ids"], [], corpus["x_big"]),
-        sc500=(corpus["sc_ids"], corpus["panel"], corpus["x_sc"]),
-        st500=(corpus["st_ids"], corpus["panel"], corpus["x_st"]),
-        st_coords=(corpus["st_ids"], corpus["coords"]),
-        panel_shared=corpus["panel"],
-        target_sum=pp.TARGET_SUM)
+    inputs = stage_inputs(corpus)
     with pytest.raises(DependencyError, match="stage 1"):
-        pl.run_stage(2, tiny_cfg(), data, run)
+        pl.run_stage(2, tiny_cfg(), inputs[2], run)
     with pytest.raises(DependencyError, match="stage 2"):
-        pl.run_stage(3, tiny_cfg(), data, run)
-    # a stage 3 run keeps only the spot matrix; a stage whose matrix is dropped writes nothing
-    data.drop_unread([3])
-    assert data.sc2000 is None and data.sc500 is None and data.st500[2] is corpus["x_st"]
-    for stage, name in ((1, "sc2000"), (2, "sc500")):
-        with pytest.raises(ValueError, match=f"stage {stage} reads \\['{name}'\\]"):
-            pl.run_stage(stage, tiny_cfg(), data, run)
+        pl.run_stage(3, tiny_cfg(), inputs[3], run)
     assert not any(p.is_file() for p in (tmp_path / "run").rglob("*"))
 
 
@@ -296,16 +285,10 @@ def test_stage_refuses_overwrite_without_force(tmp_path, corpus):
     run = pl.RunDir(tmp_path / "run")
     cfg = tiny_cfg()
     pl.stage1(cfg, corpus["x_big"], corpus["sc_ids"], run)
-    data = pl.PipelineData(
-        sc2000=(corpus["sc_ids"], [], corpus["x_big"]),
-        sc500=(corpus["sc_ids"], corpus["panel"], corpus["x_sc"]),
-        st500=(corpus["st_ids"], corpus["panel"], corpus["x_st"]),
-        st_coords=(corpus["st_ids"], corpus["coords"]),
-        panel_shared=corpus["panel"],
-        target_sum=pp.TARGET_SUM)
+    inputs = stage_inputs(corpus)
     with pytest.raises(DependencyError, match="--force"):
-        pl.run_stage(1, cfg, data, run)
-    pl.run_stage(1, cfg, data, run, force=True)  # allowed explicitly
+        pl.run_stage(1, cfg, inputs[1], run)
+    pl.run_stage(1, cfg, inputs[1], run, force=True)  # allowed explicitly
 
 
 def test_full_pipeline_small(tmp_path, corpus):
