@@ -498,19 +498,20 @@ def adam_step(opt):
 def train_step(opt, loss_fn, where):
     """One full-batch step: clear grads, tape ``loss_fn()``, backpropagate, update.
 
-    ``loss_fn`` takes no arguments and returns scalar tensors, the total
-    first. A non-finite total raises NumericError naming ``where`` before
-    anything is updated. Returns the terms as floats.
+    ``loss_fn`` takes no arguments and returns its scalar terms by name,
+    ``"total"`` (the one trained on) first. A non-finite total raises
+    NumericError naming ``where`` before anything is updated. Returns the
+    terms as floats, by the same names in the same order.
     """
     opt.zero_grad()
     with Tape():
         terms = loss_fn()
-        total = terms[0].item()
+        total = terms["total"].item()
         if not np.isfinite(total):
             raise NumericError(f"{where}: non-finite loss ({total})")
-        backward(terms[0])
+        backward(terms["total"])
     adam_step(opt)
-    return [t.item() for t in terms]
+    return {name: t.item() for name, t in terms.items()}
 
 
 # ---------------------------------------------------------------------------

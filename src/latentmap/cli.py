@@ -232,21 +232,31 @@ def cmd_bench(args):
     if args.seed < 0:
         raise DataError(f"--seed must be >= 0, got {args.seed}")
     ids, codes = dataio.read_latent_csv(args.latent)
-    # the split flags are checked against the latent's rows before any work
+    n = len(ids)
+    # the split flags and --k are checked against the latent's rows before any work
     for flag, value, check in (("--folds", args.folds, bm.check_folds),
                                ("--holdout", args.holdout, bm.holdout_size)):
         try:
             if value is not None:
-                check(len(ids), value)
+                check(n, value)
         except DataError as exc:
             raise DataError(f"{flag} {value} on {args.latent}: {exc}") from None
+    # a k votes over the rows the largest test fold leaves to train on, and the
+    # first k also over the hold-out's training rows
+    fold_rows = n - math.ceil(n / args.folds)
+    hold_rows = n if args.holdout is None else n - bm.holdout_size(n, args.holdout)
+    for i, k in enumerate(args.k or ()):
+        rows = min(fold_rows, hold_rows) if i == 0 else fold_rows
+        if k > rows:
+            raise DataError(f"--k {k} on {args.latent}: a split of its {n} rows "
+                            f"votes over {rows} training rows")
     labels_by_id = dataio.read_labels_csv(args.labels)
     unmatched = [i for i in ids if i not in labels_by_id]
     if unmatched:
         raise DataError(f"{args.latent}: ids without labels in {args.labels}: {unmatched[:10]}")
     labels = [labels_by_id[i] for i in ids]
     emb = bm.LabeledEmbedding(codes, labels)
-    k_values = args.k if args.k else bm.default_k_values(len(emb.vocab))
+    k_values = args.k or [k for k in bm.default_k_values(len(emb.vocab)) if k <= fold_rows]
     sweep = bm.sweep_k(emb, k_values, folds=args.folds, seed=args.seed)
     lines = [f"latent: {args.latent}", f"n: {emb.n}", f"classes: {len(emb.vocab)}",
              f"folds: {args.folds}", f"seed: {args.seed}", ""]
@@ -287,39 +297,48 @@ def _draw_biases(params, rng):
 
 
 def gradcheck_suite(seed):
-    """Small-instance gradient checks for each network; returns name -> error."""
+    """Small-instance gradient checks of the objectives training uses; returns name -> error.
+
+    ``stage2`` checks the cell side's objective (the VAE terms, the anchor,
+    and the adversarial term through the frozen discriminator), ``stage3``
+    the VGAE terms and the anchor, both with every loss weight at 1, and
+    ``discriminator`` its BCE. The anchors are drawn after every instance.
+    """
     rng = np.random.default_rng(seed)
-    results = {}
+    cfg = pl.TrainConfig(latent_dim=4, w_anchor_sc=1.0, w_adv=1.0, w_anchor_st=1.0,
+                         w_recon_exp=1.0, w_recon_sp=1.0, w_recon_adj=1.0, kl_weight=1.0)
 
     p_vae = vae.init_vae(vae.VaeConfig(n_genes=7, latent_dim=4, enc_hidden=(6, 5)), rng)
     x = rng.uniform(0.1, 2.0, size=(5, 7))
     noise = rng.normal(size=(5, 4))
-    results["vae"] = ad.grad_check(lambda: ad.add(*vae.vae_loss(p_vae, x, noise)[:2]),
-                                   _draw_biases(p_vae.params(), rng))
+    vae_params = _draw_biases(p_vae.params(), rng)
 
     g = vg.build_knn_graph(rng.uniform(0, 4, size=(6, 2)), k=2)
     p_vgae = vg.init_vgae(vg.VgaeConfig(n_genes=7, latent_dim=4, exp_hidden=(6,),
-                                        gcn_hidden=5, coord_hidden=(4,)),
-                          rng)
+                                        gcn_hidden=5, coord_hidden=(4,)), rng)
     x_exp = rng.uniform(0.1, 2.0, size=(6, 7))
     x_sp = rng.normal(size=(6, 2))
     noise_g = rng.normal(size=(6, 4))
     neg = vg.sample_negatives(g.keys, g.n, len(g.keys),
                               np.random.default_rng(int(rng.integers(2 ** 32))))
-
-    def vgae_total():
-        exp, sp, adj, kl, _ = vg.vgae_loss(p_vgae, g, x_exp, x_sp, noise_g, neg)
-        return ad.add(ad.add(exp, sp), ad.add(adj, kl))
-
-    results["vgae"] = ad.grad_check(vgae_total, _draw_biases(p_vgae.params(), rng))
+    vgae_params = _draw_biases(p_vgae.params(), rng)
 
     p_disc = discriminator.init_discriminator(4, rng, hidden=(8, 8, 8))
     z = rng.normal(size=(6, 4))
     labels = rng.integers(0, 2, size=(6, 1)).astype(float)
-    results["discriminator"] = ad.grad_check(
-        lambda: ad.bce_with_logits(discriminator.disc_forward(p_disc, z), labels),
-        _draw_biases(p_disc.params(), rng))
-    return results
+    disc_params = _draw_biases(p_disc.params(), rng)
+    anchor_sc = rng.normal(size=(5, 4))
+    anchor_st = rng.normal(size=(6, 4))
+
+    return {
+        "stage2": ad.grad_check(lambda: pl._generator_terms(
+            cfg, p_vae, x, noise, p_disc, 0.0, anchor_sc)["total"], vae_params),
+        "stage3": ad.grad_check(lambda: pl._stage3_terms(
+            cfg, p_vgae, g, x_exp, x_sp, anchor_st, noise_g, neg)["total"], vgae_params),
+        "discriminator": ad.grad_check(
+            lambda: ad.bce_with_logits(discriminator.disc_forward(p_disc, z), labels),
+            disc_params),
+    }
 
 
 def cmd_gradcheck(args):
@@ -402,7 +421,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("gradcheck", help="finite-difference checks on all networks")
+    p = sub.add_parser("gradcheck", help="finite-difference checks of the training objectives")
     p.add_argument("--seed", type=int, default=1,
                    help="seed of the random instances, weights and biases")
     p.add_argument("--tolerance", type=float, default=1e-4)

@@ -70,7 +70,7 @@ def train_discriminator(p: DiscriminatorParams, z_sc, z_st, alpha: float, max_it
     steps = 0
     acc = disc_accuracy(p, z_sc, z_st)
     while acc < alpha and steps < max_iters:
-        ad.train_step(opt, lambda: (ad.bce_with_logits(disc_forward(p, z_all), labels),),
+        ad.train_step(opt, lambda: {"total": ad.bce_with_logits(disc_forward(p, z_all), labels)},
                       f"discriminator, step {steps}")
         steps += 1
         acc = disc_accuracy(p, z_sc, z_st)

@@ -103,74 +103,48 @@ def arrays_path(path):
     return root + ".f64"
 
 
-def save_checkpoint(path, kind, arch, params, extra=None):
-    """Write a versioned checkpoint: a JSON header plus the sibling ``.f64`` block.
+def save_checkpoint(path, kind, model, extra=None):
+    """Write ``model``'s versioned checkpoint: a JSON header plus the sibling ``.f64`` block.
 
+    The header's arch is ``model.cfg``, a dataclass of ints and int tuples.
     The block goes first; the header, which holds its sha256, is written
     last and is the commit point. The header names no file, so one model
     saved twice (under any name) gives identical bytes.
     """
+    params = model.params()
     blob = b"".join(np.asarray(t.data, dtype="<f8").tobytes() for t in params.values())
     dataio.atomic_write(arrays_path(path), blob)
-    header = {
+    dataio.write_json(path, {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": kind,
-        "arch": arch,
+        "arch": dataclasses.asdict(model.cfg),
         "extra": extra or None,
         "params": [[name, list(t.data.shape)] for name, t in params.items()],
         "arrays_sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    dataio.write_json(path, header)
+    })
 
 
-def save_model(path, kind, model, extra=None):
-    """Checkpoint ``model``; the arch is its ``cfg`` dataclass of ints and int tuples."""
-    save_checkpoint(path, kind, dataclasses.asdict(model.cfg), model.params(), extra=extra)
+def load_checkpoint(path, kind, cfg_cls, model_cls):
+    """(model, extra) from a ``save_checkpoint`` checkpoint of ``kind``, with no weight drawn.
 
-
-def load_model(path, kind, cfg_cls, model_cls):
-    """(model, extra) from a ``save_model`` checkpoint, with no weight drawn.
-
-    A missing arch key, or a parameter layout other than the one the arch
-    builds, is a DataError naming the header.
-    """
-    arch, layout, flat, extra = load_checkpoint(path, expect_kind=kind)
-
-    def build(arch):
-        cfg = cfg_cls(**{f.name: (tuple if f.type is tuple else int)(arch[f.name])
-                         for f in dataclasses.fields(cfg_cls)})
-        return model_cls(cfg, UNDRAWN)
-
-    model = from_header(path, build, arch)
-    params = model.params()
-    if [(name, t.shape) for name, t in params.items()] != layout:
-        raise DataError(f"{path}: checkpoint parameters do not match the {kind} model "
-                        "its arch builds")
-    at = 0
-    for t in params.values():
-        t.data[...] = flat[at:at + t.size].reshape(t.shape)
-        at += t.size
-    return model, extra
-
-
-def load_checkpoint(path, expect_kind=None):
-    """Read a checkpoint back into (arch, layout, flat, extra).
-
-    ``layout`` is the header's [(name, shape)] and ``flat`` the read-only
-    float64 block, read in one call. A block whose sha256 differs from the
-    header's, or that is not 8 bytes per listed value, is a DataError.
+    The model is ``model_cls`` built on the header's arch, read into
+    ``cfg_cls``, and the float64 block, read in one call, fills its
+    ``params()`` in order. A header of another kind, a block whose sha256
+    differs from the header's or that is not 8 bytes per listed value, a
+    missing arch key, or a parameter layout other than the one the arch
+    builds is a DataError naming the file.
     """
     header = dataio.read_json(path)
     version = header.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise DataError(f"{path}: checkpoint format_version {version!r} is not read; "
                         "retrain this run directory")
-    for key, kind in (("kind", str), ("arch", dict), ("params", list), ("arrays_sha256", str)):
-        if not isinstance(header.get(key), kind):
+    for key, type_ in (("kind", str), ("arch", dict), ("params", list), ("arrays_sha256", str)):
+        if not isinstance(header.get(key), type_):
             raise DataError(f"{path}: checkpoint header field '{key}' is missing or not a "
-                            f"JSON {({dict: 'object', list: 'array'}).get(kind, 'string')}")
-    if expect_kind is not None and header["kind"] != expect_kind:
-        raise DataError(f"{path}: checkpoint kind {header['kind']!r}, expected {expect_kind!r}")
+                            f"JSON {({dict: 'object', list: 'array'}).get(type_, 'string')}")
+    if header["kind"] != kind:
+        raise DataError(f"{path}: checkpoint kind {header['kind']!r}, expected {kind!r}")
     layout = from_header(path, lambda ps: [(name, tuple(shape)) for name, shape in ps],
                          header["params"])
     if not all(isinstance(name, str) and all(type(d) is int and d >= 0 for d in shape)
@@ -188,7 +162,21 @@ def load_checkpoint(path, expect_kind=None):
     if len(blob) != expected:
         raise DataError(f"{block}: {len(blob)} bytes, but the parameters listed in {path} "
                         f"take {expected}")
-    return header["arch"], layout, np.frombuffer(blob, dtype="<f8"), header.get("extra")
+
+    def build(arch):
+        cfg = cfg_cls(**{f.name: (tuple if f.type is tuple else int)(arch[f.name])
+                         for f in dataclasses.fields(cfg_cls)})
+        return model_cls(cfg, UNDRAWN)
+
+    model = from_header(path, build, header["arch"])
+    params = model.params()
+    if [(name, t.shape) for name, t in params.items()] != layout:
+        raise DataError(f"{path}: checkpoint parameters do not match the {kind} model "
+                        "its arch builds")
+    ends = np.cumsum([t.size for t in params.values()])
+    for t, values in zip(params.values(), np.split(np.frombuffer(blob, dtype="<f8"), ends[:-1])):
+        t.data[...] = values.reshape(t.shape)
+    return model, header.get("extra")
 
 
 def from_header(path, build, value):

@@ -15,6 +15,15 @@ latent distributions coincide.
 An "epoch" everywhere is one full-batch Adam step; the datasets are desk
 scale.
 
+Each training objective is written once, as a function of the parameters
+and the step's random draws that returns its scalar terms by name, the
+weighted ``"total"`` first: ``_vae_terms`` (stage 1 and the shared
+pretraining), ``_generator_terms`` (stage 2's two VAEs) and
+``_stage3_terms``. A step draws its noise (and, in stage 3, then its
+negatives) inside the taped loss and calls one of them; ``ad.train_step``
+trains on the total, and each history column is the name the objective
+gives its term. ``latentmap gradcheck`` checks the same functions.
+
 ``load_pipeline_data`` builds the three training matrices once, each
 written by ``pp.panel_matrix`` straight from the integer counts: the
 2000-gene cell matrix that stage 1 reads, and the 500-gene cell and spot
@@ -325,34 +334,93 @@ def read_history(path):
 # stages
 # ---------------------------------------------------------------------------
 
-def _vae_terms(cfg, model, x, noise_rng):
-    """(recon + kl_weight * KL, recon, KL, posterior mean) on ``x``, noise from ``noise_rng``."""
-    noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
+def _noise(cfg, x, rng):
+    """One step's reparameterization noise for the rows of ``x``."""
+    return rng.normal(size=(x.shape[0], cfg.latent_dim))
+
+
+def _vae_terms(cfg, model, x, noise):
+    """The VAE objective on ``x`` under ``noise``: ({total, recon, kl}, the posterior mean).
+
+    Stage 1 and the shared pretraining train on it. total = recon +
+    kl_weight * KL; the mean lets stage 2 add terms on it.
+    """
     recon, kl, mu = vae.vae_loss(model, x, noise)
-    return ad.add(recon, ad.scale(kl, cfg.kl_weight)), recon, kl, mu
+    return {"total": ad.add(recon, ad.scale(kl, cfg.kl_weight)), "recon": recon, "kl": kl}, mu
+
+
+def _generator_terms(cfg, model, x, noise, d_params, adv_label, anchor=None):
+    """Stage 2's objective for one 500-gene VAE: {total, recon, kl, anchor, adv}.
+
+    total = recon + kl_weight * KL + w_anchor_sc * anchor + w_adv * adv,
+    where the anchor term ties the posterior mean to ``anchor`` and the
+    adversarial term pushes it, through the frozen discriminator
+    ``d_params``, toward ``adv_label``: both act on the quantity that later
+    gets frozen. Spots have no anchor (``anchor`` None), so their terms
+    leave it out.
+    """
+    terms, mu = _vae_terms(cfg, model, x, noise)
+    if anchor is not None:
+        terms["anchor"] = euclidean_latent_loss(mu, anchor)
+        terms["total"] = ad.add(terms["total"], ad.scale(terms["anchor"], cfg.w_anchor_sc))
+    terms["adv"] = disc.adversarial_generator_loss(d_params, mu, target_label=adv_label)
+    terms["total"] = ad.add(terms["total"], ad.scale(terms["adv"], cfg.w_adv))
+    return terms
+
+
+def _stage3_terms(cfg, model, graph, x, coords_n, anchor, noise, neg):
+    """Stage 3's objective: {total, recon_exp, recon_sp, recon_adj, kl, anchor_st}.
+
+    total is the weighted VGAE terms plus ``w_anchor_st`` times the anchor
+    of the posterior mean to the frozen spot latent ``anchor``; ``neg`` are
+    the step's non-edge keys.
+    """
+    exp, sp, adj, kl, mu = vg.vgae_loss(model, graph, x, coords_n, noise, neg)
+    vgae_total = ad.add(ad.add(ad.scale(exp, cfg.w_recon_exp), ad.scale(sp, cfg.w_recon_sp)),
+                        ad.add(ad.scale(adj, cfg.w_recon_adj), ad.scale(kl, cfg.kl_weight)))
+    anchor_st = euclidean_latent_loss(mu, anchor)
+    return {"total": ad.add(vgae_total, ad.scale(anchor_st, cfg.w_anchor_st)),
+            "recon_exp": exp, "recon_sp": sp, "recon_adj": adj, "kl": kl, "anchor_st": anchor_st}
 
 
 def _fit(cfg, model, loss, epochs, where):
-    """``epochs`` Adam steps of ``loss`` on ``model``'s parameters; one row [epoch, *terms] each."""
+    """``epochs`` Adam steps of ``loss`` on ``model``'s parameters.
+
+    Returns the history: its header, ``epoch`` and the names of the terms
+    ``loss`` returns, and one row [epoch, *terms] per step.
+    """
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
-    return [[epoch, *ad.train_step(opt, loss, f"{where}, step {epoch}")] for epoch in range(epochs)]
+    steps = [ad.train_step(opt, loss, f"{where}, step {epoch}") for epoch in range(epochs)]
+    return ["epoch", *next(iter(steps), {})], [[i, *t.values()] for i, t in enumerate(steps)]
+
+
+def _write_history(run, stage, header, rows, term):
+    """Write ``history/stage<stage>.csv`` and log the last value of the column ``term``."""
+    dataio.write_table(run.path("history", f"stage{stage}.csv"), header, rows)
+    log.info("stage %d done: %d steps, final %s %.5f", stage, len(rows), term,
+             rows[-1][header.index(term)])
+
+
+def _train_vae(cfg, x, init_stream, noise_stream, epochs, where):
+    """A VAE on ``x``, initialized from one rng stream and trained on noise from another.
+
+    Returns (the model, the header and rows of its history).
+    """
+    model = vae.init_vae(vae.VaeConfig(n_genes=x.shape[1], latent_dim=cfg.latent_dim,
+                                       enc_hidden=cfg.enc_hidden), _rng(cfg.seed, init_stream))
+    rng = _rng(cfg.seed, noise_stream)
+    return model, *_fit(cfg, model, lambda: _vae_terms(cfg, model, x, _noise(cfg, x, rng))[0],
+                        epochs, where)
 
 
 def stage1(cfg: TrainConfig, x_sc2000, row_ids, run: RunDir):
     """Train the 2000-gene VAE; freeze and persist its latent."""
     run.ensure_layout()
     x = np.asarray(x_sc2000, dtype=np.float64)
-    model = vae.init_vae(vae.VaeConfig(n_genes=x.shape[1], latent_dim=cfg.latent_dim,
-                                       enc_hidden=cfg.enc_hidden),
-                         _rng(cfg.seed, _S1_INIT))
-    rng = _rng(cfg.seed, _S1_NOISE)
-    rows = _fit(cfg, model, lambda: _vae_terms(cfg, model, x, rng)[:3], cfg.s1_epochs, "stage 1")
-    codes = vae.encode_mu(model, x)
+    model, header, rows = _train_vae(cfg, x, _S1_INIT, _S1_NOISE, cfg.s1_epochs, "stage 1")
     vae.save_vae(run.path("checkpoints", "vae_sc2000.json"), model)
-    latent = run.write_latent("z_sc2000.csv", row_ids, codes)
-    dataio.write_table(run.path("history", "stage1.csv"),
-                       ["epoch", "total", "recon", "kl"], rows)
-    log.info("stage 1 done: %d epochs, final total %.5f", cfg.s1_epochs, rows[-1][1])
+    latent = run.write_latent("z_sc2000.csv", row_ids, vae.encode_mu(model, x))
+    _write_history(run, 1, header, rows, "total")
     return latent
 
 
@@ -367,28 +435,13 @@ def _anchor_codes(fixed, ids, kind, latent_dim):
 
 
 def _generator_step(cfg, model, opt, x, noise_rng, d_params, adv_label, where, anchor=None):
-    """One full-batch step for a 500-gene VAE inside stage 2, on noise drawn from ``noise_rng``.
-
-    Loss = recon + kl_weight * KL + w_anchor_sc * anchor + w_adv * adv, where
-    the anchor term ties the posterior mean to ``anchor`` and the adversarial
-    term pushes it toward ``adv_label``: both act on the quantity that later
-    gets frozen. Every term is taken whatever its weight. Returns [total,
-    recon, kl, anchor, adv]; spots have no anchor (``anchor`` None), and
-    their row leaves that term out.
-    """
-    def loss():
-        total, *terms, mu = _vae_terms(cfg, model, x, noise_rng)
-        if anchor is not None:
-            terms.append(euclidean_latent_loss(mu, anchor))
-            total = ad.add(total, ad.scale(terms[-1], cfg.w_anchor_sc))
-        terms.append(disc.adversarial_generator_loss(d_params, mu, target_label=adv_label))
-        total = ad.add(total, ad.scale(terms[-1], cfg.w_adv))
-        return total, *terms
-
-    return ad.train_step(opt, loss, where)
+    """One full-batch step of ``_generator_terms`` inside stage 2, on noise drawn from
+    ``noise_rng``; returns the terms as floats, by name."""
+    return ad.train_step(opt, lambda: _generator_terms(cfg, model, x, _noise(cfg, x, noise_rng),
+                                                       d_params, adv_label, anchor), where)
 
 
-def _pretrain_shared_init(cfg, vae_cfg, x_sc, x_st):
+def _pretrain_shared_init(cfg, x_sc, x_st):
     """One VAE trained on the stacked matrices, used to seed both sides.
 
     Starting both 500-gene VAEs from one model trained on cells and spots
@@ -396,12 +449,8 @@ def _pretrain_shared_init(cfg, vae_cfg, x_sc, x_st):
     separation and exact cluster correspondence. Stage 2 then only has to
     preserve that correspondence while the anchors specialize each side.
     """
-    pre = vae.init_vae(vae_cfg, _rng(cfg.seed, _S2_VAE_INIT))
-    x = np.vstack([x_sc, x_st])
-    rng = _rng(cfg.seed, _S2_NOISE_PRE)
-    _fit(cfg, pre, lambda: _vae_terms(cfg, pre, x, rng)[:3], cfg.s2_init_epochs,
-         "stage 2 pretraining")
-    return pre
+    return _train_vae(cfg, np.vstack([x_sc, x_st]), _S2_VAE_INIT, _S2_NOISE_PRE,
+                      cfg.s2_init_epochs, "stage 2 pretraining")[0]
 
 
 def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, run: RunDir):
@@ -421,9 +470,7 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
         raise DataError(f"panel width mismatch: {x_sc.shape[1]} vs {x_st.shape[1]}")
     anchor = _anchor_codes(z_fixed_sc2000, sc_ids, "cell", cfg.latent_dim)
 
-    vae_cfg = vae.VaeConfig(n_genes=x_sc.shape[1], latent_dim=cfg.latent_dim,
-                            enc_hidden=cfg.enc_hidden)
-    model_sc = _pretrain_shared_init(cfg, vae_cfg, x_sc, x_st)
+    model_sc = _pretrain_shared_init(cfg, x_sc, x_st)
     model_st = copy.deepcopy(model_sc)
     d_params = disc.init_discriminator(cfg.latent_dim, _rng(cfg.seed, _S2_DISC_INIT))
     noise_sc = _rng(cfg.seed, _S2_NOISE_SC)
@@ -440,23 +487,19 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
             max_iters=cfg.disc_max_iters, lr=cfg.disc_lr)
         for inner in range(cfg.s2b_epochs):
             where = f"stage 2, step {outer * cfg.s2b_epochs + inner}"
-            sc_stats = _generator_step(cfg, model_sc, opt_sc, x_sc, noise_sc, d_params, 0.0,
+            sc_terms = _generator_step(cfg, model_sc, opt_sc, x_sc, noise_sc, d_params, 0.0,
                                        f"{where}, cells", anchor=anchor)
-            st_stats = _generator_step(cfg, model_st, opt_st, x_st, noise_st, d_params, 1.0,
+            st_terms = _generator_step(cfg, model_st, opt_st, x_st, noise_st, d_params, 1.0,
                                        f"{where}, spots")
-            rows.append([outer, inner, d_acc, d_steps, *sc_stats, *st_stats])
+            rows.append([outer, inner, d_acc, d_steps, *sc_terms.values(), *st_terms.values()])
 
-    codes_sc = vae.encode_mu(model_sc, x_sc)
-    codes_st = vae.encode_mu(model_st, x_st)
     vae.save_vae(run.path("checkpoints", "vae_sc500.json"), model_sc)
     vae.save_vae(run.path("checkpoints", "vae_st500.json"), model_st)
-    latents = (run.write_latent("z_sc500.csv", sc_ids, codes_sc),
-               run.write_latent("z_st500.csv", st_ids, codes_st))
-    dataio.write_table(run.path("history", "stage2.csv"),
-                       ["outer", "inner", "disc_acc", "disc_steps",
-                        "total_sc", "recon_sc", "kl_sc", "anchor_sc", "adv_sc",
-                        "total_st", "recon_st", "kl_st", "adv_st"], rows)
-    log.info("stage 2 done: %d outer epochs, final anchor %.5f", cfg.s2_epochs, rows[-1][7])
+    latents = (run.write_latent("z_sc500.csv", sc_ids, vae.encode_mu(model_sc, x_sc)),
+               run.write_latent("z_st500.csv", st_ids, vae.encode_mu(model_st, x_st)))
+    header = ["outer", "inner", "disc_acc", "disc_steps", *(f"{name}_sc" for name in sc_terms),
+              *(f"{name}_st" for name in st_terms)]
+    _write_history(run, 2, header, rows, "anchor_sc")
     return latents
 
 
@@ -479,27 +522,17 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
     neg_rng = _rng(cfg.seed, _S3_NEGATIVES)
 
     def loss():
-        """Stage 3's objective: the weighted VGAE terms plus the weighted anchor."""
-        noise = noise_rng.normal(size=(x.shape[0], cfg.latent_dim))
+        noise = _noise(cfg, x, noise_rng)
         neg = vg.sample_negatives(graph.keys, graph.n, len(graph.keys), neg_rng)
-        exp, sp, adj, kl, mu = vg.vgae_loss(model, graph, x, coords_n, noise, neg)
-        vgae_total = ad.add(ad.add(ad.scale(exp, cfg.w_recon_exp), ad.scale(sp, cfg.w_recon_sp)),
-                            ad.add(ad.scale(adj, cfg.w_recon_adj), ad.scale(kl, cfg.kl_weight)))
-        anchor_loss = euclidean_latent_loss(mu, anchor)
-        total = ad.add(vgae_total, ad.scale(anchor_loss, cfg.w_anchor_st))
-        return total, exp, sp, adj, kl, anchor_loss
+        return _stage3_terms(cfg, model, graph, x, coords_n, anchor, noise, neg)
 
-    rows = _fit(cfg, model, loss, cfg.s3_epochs, "stage 3")
+    header, rows = _fit(cfg, model, loss, cfg.s3_epochs, "stage 3")
 
-    codes = vg.encode_mu(model, graph.norm_adj, x)
     vg.save_vgae(run.path("checkpoints", "vgae_st.json"), model,
                  extra={"coord_transform": transform.to_dict()})
-    latent = run.write_latent("z_st_merged.csv", st_ids, codes)
+    latent = run.write_latent("z_st_merged.csv", st_ids, vg.encode_mu(model, graph.norm_adj, x))
     dataio.write_edge_list(run.path("graph_edges.txt"), graph.edges)
-    dataio.write_table(run.path("history", "stage3.csv"),
-                       ["epoch", "total", "recon_exp", "recon_sp", "recon_adj", "kl", "anchor_st"],
-                       rows)
-    log.info("stage 3 done: %d epochs, final anchor %.5f", cfg.s3_epochs, rows[-1][6])
+    _write_history(run, 3, header, rows, "anchor_st")
     return latent
 
 

@@ -139,8 +139,8 @@ class LatentMatrix:
 # ---------------------------------------------------------------------------
 
 def save_vae(path, p: VaeParams):
-    nn.save_model(path, "vae", p)
+    nn.save_checkpoint(path, "vae", p)
 
 
 def load_vae(path) -> VaeParams:
-    return nn.load_model(path, "vae", VaeConfig, VaeParams)[0]
+    return nn.load_checkpoint(path, "vae", VaeConfig, VaeParams)[0]

@@ -234,10 +234,8 @@ class VgaeParams:
     def __init__(self, cfg: VgaeConfig, rng):
         self.cfg = cfg
         self.exp_enc = nn.init_stack(rng, [cfg.n_genes, *cfg.exp_hidden, cfg.d_half])
-        self.gcn_w1 = ad.tensor(rng.normal(0.0, np.sqrt(2.0 / cfg.n_genes),
-                                           size=(cfg.n_genes, cfg.gcn_hidden)), requires_grad=True)
-        self.gcn_w2 = ad.tensor(rng.normal(0.0, np.sqrt(1.0 / cfg.gcn_hidden),
-                                           size=(cfg.gcn_hidden, cfg.d_half)), requires_grad=True)
+        self.gcn_w1 = nn.init_dense(rng, cfg.n_genes, cfg.gcn_hidden).w
+        self.gcn_w2 = nn.init_dense(rng, cfg.gcn_hidden, cfg.d_half, gain=1.0).w
         self.merge = nn.init_dense(rng, 2 * cfg.d_half, cfg.latent_dim, gain=1.0)
         self.mu_head = nn.init_dense(rng, cfg.latent_dim, cfg.latent_dim, gain=1.0)
         self.logvar_head = nn.init_dense(rng, cfg.latent_dim, cfg.latent_dim, gain=1.0)
@@ -429,8 +427,8 @@ def fit_coord_transform(coords) -> CoordTransform:
 # ---------------------------------------------------------------------------
 
 def save_vgae(path, p: VgaeParams, extra=None):
-    nn.save_model(path, "vgae", p, extra=extra)
+    nn.save_checkpoint(path, "vgae", p, extra=extra)
 
 
 def load_vgae(path):
-    return nn.load_model(path, "vgae", VgaeConfig, VgaeParams)
+    return nn.load_checkpoint(path, "vgae", VgaeConfig, VgaeParams)

@@ -793,15 +793,16 @@ def test_train_step_matches_hand_written_step():
 
     for _ in range(3):
         # extra terms are reported, not trained on
-        terms = ad.train_step(opt_p, lambda: (loss(p), ad.tmean(p["w"])), "toy")
+        terms = ad.train_step(opt_p, lambda: {"total": loss(p), "mean": ad.tmean(p["w"])},
+                              "toy")
         mean_before = float(q["w"].data.mean())
         opt_q.zero_grad()
         with ad.Tape():
             total = loss(q)
             ad.backward(total)
         ad.adam_step(opt_q)
-        assert terms == [total.item(), mean_before]
-        assert all(type(t) is float for t in terms)
+        assert list(terms.items()) == [("total", total.item()), ("mean", mean_before)]
+        assert all(type(t) is float for t in terms.values())
     assert np.array_equal(p["w"].data, q["w"].data)
     assert opt_p.t == opt_q.t == 3
 
@@ -809,10 +810,10 @@ def test_train_step_matches_hand_written_step():
 def test_train_step_nan_total_raises_before_update():
     p = {"w": ad.tensor([1.0, 2.0], requires_grad=True)}
     opt = ad.Adam(p, lr=0.1)
-    ad.train_step(opt, lambda: (ad.tsum(ad.square(p["w"])),), "warm-up")
+    ad.train_step(opt, lambda: {"total": ad.tsum(ad.square(p["w"]))}, "warm-up")
     before = (p["w"].data.copy(), opt.m["w"].copy(), opt.v["w"].copy(), opt.t)
     with pytest.raises(NumericError, match=r"stage 9, step 4: non-finite loss"):
-        ad.train_step(opt, lambda: (ad.scale(ad.tsum(ad.square(p["w"])), float("nan")),),
+        ad.train_step(opt, lambda: {"total": ad.scale(ad.tsum(ad.square(p["w"])), float("nan"))},
                       "stage 9, step 4")
     assert np.array_equal(p["w"].data, before[0])
     assert np.array_equal(opt.m["w"], before[1])

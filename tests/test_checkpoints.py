@@ -69,13 +69,15 @@ def test_header_is_small_json_and_arrays_sit_beside_it(tmp_path):
     assert header["format_version"] == 3 and header["kind"] == "vae"
     params = p_vae.params()
     assert header["params"] == [[name, list(t.shape)] for name, t in params.items()]
-    arch, layout, flat, extra = nn.load_checkpoint(tmp_path / "m.json", expect_kind="vae")
+    model, extra = nn.load_checkpoint(tmp_path / "m.json", "vae", vae.VaeConfig, vae.VaeParams)
     assert extra is None
-    assert layout == [(name, t.shape) for name, t in params.items()]
+    loaded = model.params()
+    assert [(name, t.shape) for name, t in loaded.items()] == [
+        (name, t.shape) for name, t in params.items()]
     # the block is every parameter in params() order, little-endian float64, nothing else
     block = (tmp_path / "m.f64").read_bytes()
     assert block == b"".join(t.data.astype("<f8").tobytes() for t in params.values())
-    assert flat.tobytes() == block
+    assert b"".join(t.data.astype("<f8").tobytes() for t in loaded.values()) == block
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -91,7 +93,7 @@ def test_version_2_checkpoint_rejected_naming_file(tmp_path):
     path.write_text(json.dumps({"format_version": 2, "kind": "vae", "arch": {}, "extra": None,
                                 "arrays_sha256": "0" * 64}))
     with pytest.raises(DataError, match=r"npz\.json.*format_version 2.*retrain"):
-        nn.load_checkpoint(path, expect_kind="vae")
+        nn.load_checkpoint(path, "vae", vae.VaeConfig, vae.VaeParams)
 
 
 def test_version_1_checkpoint_rejected_naming_file(tmp_path):
@@ -99,7 +101,7 @@ def test_version_1_checkpoint_rejected_naming_file(tmp_path):
     path.write_text(json.dumps({"format_version": 1, "kind": "vae", "arch": {},
                                 "params": {"enc.0.w": {"shape": [1], "values": [0.5]}}}))
     with pytest.raises(DataError, match=r"old\.json.*format_version 1.*retrain"):
-        nn.load_checkpoint(path, expect_kind="vae")
+        nn.load_checkpoint(path, "vae", vae.VaeConfig, vae.VaeParams)
 
 
 def test_arrays_of_another_model_fail_the_sha256_check(tmp_path):
@@ -132,7 +134,7 @@ def test_block_length_must_match_the_listed_shapes(tmp_path):
     path.write_text(json.dumps(header))
     expected = 8 * sum(t.size for t in p_vae.params().values())
     with pytest.raises(DataError, match=rf"short\.f64: {expected - 8} bytes.*short\.json.*{expected}"):
-        nn.load_checkpoint(path)
+        nn.load_checkpoint(path, "vae", vae.VaeConfig, vae.VaeParams)
 
 
 @pytest.mark.parametrize("change", ["swap", "rename", "reshape"])
@@ -150,7 +152,9 @@ def test_layout_other_than_the_models_is_refused_naming_the_header(tmp_path, cha
     else:
         params[0][1] = params[0][1][::-1]
     path.write_text(json.dumps(header))
-    nn.load_checkpoint(path)
+    # every check of the header and the block comes before this one, so they all passed
+    with pytest.raises(DataError, match=r"m\.json: checkpoint parameters do not match the vae"):
+        nn.load_checkpoint(path, "vae", vae.VaeConfig, vae.VaeParams)
     with pytest.raises(DataError, match=r"m\.json: checkpoint parameters do not match the vae"):
         vae.load_vae(path)
 

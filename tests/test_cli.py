@@ -11,8 +11,8 @@ import weakref
 import numpy as np
 import pytest
 
-from latentmap import benchmark as bm, cli, dataio, pipeline as pl, preprocess as pp
-from latentmap import synth as sy, vgae as vg
+from latentmap import autodiff as ad, benchmark as bm, cli, dataio, discriminator as disc
+from latentmap import pipeline as pl, preprocess as pp, synth as sy, vgae as vg
 from latentmap.errors import DataError, DependencyError, NumericError, ShapeError
 from latentmap.preprocess import CountMatrix
 
@@ -1244,6 +1244,49 @@ def test_bench_folds_the_rows_cannot_fill_exits_3_naming_flag_and_file(tmp_path,
     assert not (tmp_path / "bench").exists()
 
 
+def _bench_on_rows(tmp_path, n, *flags):
+    """``bench`` on an ``n``-row, 3-class latent; returns (rc, latent, out)."""
+    latent = tmp_path / "z.csv"
+    ids = [f"c{i:02d}" for i in range(n)]
+    dataio.write_latent_csv(latent, ids, np.random.default_rng(0).normal(size=(n, 2)))
+    labels = tmp_path / "labels.csv"
+    dataio.write_labels_csv(labels, [(c, "abc"[i % 3]) for i, c in enumerate(ids)])
+    out = tmp_path / "bench"
+    rc = cli.main(["bench", "--latent", str(latent), "--labels", str(labels), "--out", str(out),
+                   *flags])
+    return rc, latent, out
+
+
+@pytest.mark.parametrize("flags,k,rows", [
+    (["--k", "500"], 500, 45),  # each of 4 folds trains on 45 of the 60 rows
+    (["--k", "1", "46"], 46, 45),
+    (["--k", "31", "--holdout", "0.5"], 31, 30),  # the first k is also the hold-out's
+], ids=["one-k", "second-k", "holdout"])
+def test_bench_k_above_the_training_rows_exits_3_naming_k_and_file(tmp_path, caplog,
+                                                                  monkeypatch, flags, k, rows):
+    monkeypatch.setattr(bm, "sweep_k", _refuse_sweep)
+    rc, latent, out = _bench_on_rows(tmp_path, 60, *flags)
+    assert rc == cli.EXIT_DATA
+    assert (f"--k {k} on {latent}: a split of its 60 rows votes over {rows} training rows"
+            in caplog.text)
+    assert "Traceback" not in caplog.text
+    assert not out.exists()
+
+
+def test_bench_k_at_the_training_rows_runs(tmp_path):
+    rc, _, out = _bench_on_rows(tmp_path, 60, "--k", "30", "45", "--holdout", "0.5")
+    assert rc == 0
+    assert "k=45 " in (out / "report.txt").read_text()
+
+
+def test_bench_default_k_values_above_the_training_rows_are_left_out(tmp_path):
+    # 3 classes give the defaults 1, 3, 5 and 7; 4 folds of 8 rows train on 6
+    rc, _, out = _bench_on_rows(tmp_path, 8)
+    assert rc == 0
+    ks = [line.split(",")[0] for line in (out / "accuracy_vs_k.csv").read_text().splitlines()]
+    assert ks == ["k", "1", "3", "5"]
+
+
 def test_bench_perfect_cluster_fixture(tmp_path):
     rng = np.random.default_rng(0)
     codes = np.vstack([rng.normal(0, 0.05, size=(8, 3)), rng.normal(9, 0.05, size=(8, 3))])
@@ -1301,6 +1344,45 @@ def test_gradcheck_suite_passes_for_every_seed(seed):
     # the suite's networks get nonzero biases, so no ReLU input sits at its kink
     results = cli.gradcheck_suite(seed=seed)
     assert max(results.values()) < 1e-4, results
+
+
+def _vjps_one_percent_off(fn, taped):
+    """``fn``, but the vjps recorded for its output are 1% too large; ``taped`` counts them."""
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        tape = ad._active_tape()
+        if tape is not None and tape.entries and tape.entries[-1][0] == out.node:
+            rules = tape.entries[-1][1]
+            rules[:] = [(inp, lambda g, vjp=vjp: 1.01 * vjp(g)) for inp, vjp in rules]
+            taped.append(out.node)
+        return out
+    return wrapped
+
+
+# every op the suite's networks and objectives tape
+@pytest.mark.parametrize("op", ["add", "add_scalar", "affine_mse", "bce_with_logits",
+                                "concat_cols", "exp", "matmul", "mul", "pair_dot", "relu",
+                                "scale", "spmm", "square", "sub", "tsum"])
+def test_gradcheck_suite_flags_a_one_percent_vjp_error_in_each_op(monkeypatch, op):
+    taped = []
+    monkeypatch.setattr(ad, op, _vjps_one_percent_off(getattr(ad, op), taped))
+    results = cli.gradcheck_suite(seed=1)
+    assert taped, f"the suite never tapes {op}"
+    assert max(results.values()) > 1e-4, results
+
+
+@pytest.mark.parametrize("module,name", [(pl, "euclidean_latent_loss"),
+                                         (disc, "adversarial_generator_loss")],
+                         ids=["euclidean_latent_loss", "adversarial_generator_loss"])
+def test_gradcheck_suite_flags_a_wrong_anchor_or_adversarial_gradient(monkeypatch, module,
+                                                                      name):
+    # the anchors and the path through the frozen discriminator are trained on,
+    # so the suite checks them too
+    taped = []
+    monkeypatch.setattr(module, name, _vjps_one_percent_off(getattr(module, name), taped))
+    results = cli.gradcheck_suite(seed=1)
+    assert taped
+    assert max(results.values()) > 1e-4, results
 
 
 def test_python_dash_m_runs_the_cli():

@@ -338,9 +338,7 @@ def test_stage2_ablation_reduces_to_independent_vaes(tmp_path, corpus):
     header, rows = pl.read_history(run.path("history", "stage2.csv"))
 
     from latentmap import vae
-    vae_cfg = vae.VaeConfig(n_genes=corpus["x_sc"].shape[1], latent_dim=4,
-                            enc_hidden=(16, 8))
-    pre = pl._pretrain_shared_init(cfg, vae_cfg, corpus["x_sc"], corpus["x_st"])
+    pre = pl._pretrain_shared_init(cfg, corpus["x_sc"], corpus["x_st"])
     model = copy.deepcopy(pre)
     noise_rng = pl._rng(cfg.seed, pl._S2_NOISE_SC)
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
@@ -442,7 +440,8 @@ def test_stage3_step_peak_memory():
         exp, sp, adj, kl, mu = vg.vgae_loss(model, graph, x, coords_n, noise, neg)
         total = ad.add(ad.add(ad.scale(exp, cfg.w_recon_exp), ad.scale(sp, cfg.w_recon_sp)),
                        ad.add(ad.scale(adj, cfg.w_recon_adj), ad.scale(kl, cfg.kl_weight)))
-        return (ad.add(total, ad.scale(pl.euclidean_latent_loss(mu, anchor), cfg.w_anchor_st)),)
+        return {"total": ad.add(total, ad.scale(pl.euclidean_latent_loss(mu, anchor),
+                                                cfg.w_anchor_st))}
 
     _, peak = traced_peak(lambda: ad.train_step(opt, loss, "stage 3 memory test"))
     assert peak < 1.1 * 9.47e6, peak

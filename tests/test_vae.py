@@ -175,8 +175,8 @@ def test_train_step_keeps_no_full_size_prediction():
     noise = rng.normal(size=(400, cfg.latent_dim))
     opt = ad.Adam(p.params(), lr=1e-3)
     param_bytes = sum(t.data.nbytes for t in p.params().values())
-    _, peak = traced_peak(lambda: ad.train_step(opt, lambda: (weighted_total(p, x, noise, 1.0),),
-                                                "memory test"))
+    _, peak = traced_peak(lambda: ad.train_step(
+        opt, lambda: {"total": weighted_total(p, x, noise, 1.0)}, "memory test"))
     assert peak <= param_bytes + 2 * x.nbytes, (peak, param_bytes, x.nbytes)
 
 

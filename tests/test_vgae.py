@@ -711,7 +711,7 @@ def test_train_step_keeps_one_buffer_per_hidden_activation():
 
     def loss():  # the negative sample is part of the step, as in stage 3
         *terms, _ = vgae.vgae_loss(p, g, x, xy, noise, balanced_negatives(g, neg_rng))
-        return (weighted_total(terms), *terms)
+        return {"total": weighted_total(terms), **dict(zip(("exp", "sp", "adj", "kl"), terms))}
 
     _, peak = traced_peak(lambda: ad.train_step(opt, loss, "memory test"))
     assert peak < 1.1 * 9.39e6, peak
