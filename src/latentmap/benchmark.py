@@ -6,7 +6,8 @@ toward the smaller training index, majority-vote ties toward the earlier
 label in the vocabulary, and fold assignment comes from one seeded shuffle
 split into contiguous near-equal chunks. Cross-validation folds and the
 hold-out split share one rule: train on every row outside the test rows, in
-index order, and predict the test rows with k capped at the training size.
+index order, and predict the test rows. A k above the training rows of a
+split (``train_rows``) is refused by ``check_k``, never capped.
 """
 
 import math
@@ -93,6 +94,14 @@ def _check_k(k):
         raise DataError(f"k must be positive, got {k}")
 
 
+def check_k(k, n, rows):
+    """Refuse a k below 1, or above the ``rows`` training rows a split of ``n`` rows votes over."""
+    _check_k(k)
+    if k > rows:
+        raise DataError(f"a split of its {n} rows votes over {rows} training rows, "
+                        f"fewer than k={k}")
+
+
 def _nearest(train: LabeledEmbedding, queries, k):
     """[query, k] training rows by distance, ties toward the smaller index.
 
@@ -151,14 +160,16 @@ def kfold_cv(e: LabeledEmbedding, k_neighbors: int, folds: int, seed: int) -> Cv
 def sweep_k(e: LabeledEmbedding, k_values, folds: int, seed: int) -> list:
     """(k, kfold_cv report) per k, on the one fold split the seed gives.
 
-    Each fold ranks its distances once, at the largest k capped to the
-    training size, and each k votes on a prefix of that ranking.
+    Each fold ranks its distances once, at the largest k, and each k votes
+    on a prefix of that ranking. A k above the training rows of the
+    smallest fold's split is refused before any fold is ranked.
     """
     k_values = list(k_values)
     if not k_values:
         raise DataError("empty k list")
+    rows = train_rows(e.n, folds=folds)
     for k in k_values:
-        _check_k(k)
+        check_k(k, e.n, rows)
     warnings = []
     runs = [([], [None] * e.n) for _ in k_values]  # per k: fold accuracies, out-of-fold labels
     for f, test_idx in enumerate(_fold_slices(e.n, folds, seed)):
@@ -167,7 +178,7 @@ def sweep_k(e: LabeledEmbedding, k_values, folds: int, seed: int) -> list:
         if absent:
             warnings.append(f"fold {f}: classes absent from training split: {absent}")
         train = _train_split(e, test_idx)
-        nearest = _nearest(train, e.codes[test_idx], min(max(k_values), train.n))
+        nearest = _nearest(train, e.codes[test_idx], max(k_values))
         for k, (accs, oof) in zip(k_values, runs):
             y_hat = _vote(train, nearest[:, :k])
             for i, pred in zip(test_idx, y_hat):
@@ -196,13 +207,27 @@ def holdout_size(n, fraction) -> int:
     return n_test
 
 
+def train_rows(n, folds=None, fraction=None) -> int:
+    """The training rows of the smallest split of ``n`` rows that a k votes over.
+
+    Given ``fraction``, the hold-out split's: n less ``holdout_size``. Else
+    the ``folds``-fold split's, which holds out its largest fold, ceil(n /
+    folds) rows.
+    """
+    if fraction is not None:
+        return n - holdout_size(n, fraction)
+    check_folds(n, folds)
+    return n - math.ceil(n / folds)
+
+
 def holdout_accuracy(e: LabeledEmbedding, k_neighbors: int, fraction: float,
                      seed: int) -> float:
     """Single split: train on (1-fraction), test on fraction."""
+    check_k(k_neighbors, e.n, train_rows(e.n, fraction=fraction))
     order = np.random.default_rng(seed).permutation(e.n)
     test_idx = np.sort(order[:holdout_size(e.n, fraction)])
     train = _train_split(e, test_idx)
-    y_hat = knn_predict(train, e.codes[test_idx], min(k_neighbors, train.n))
+    y_hat = knn_predict(train, e.codes[test_idx], k_neighbors)
     return accuracy([e.labels[i] for i in test_idx], y_hat)
 
 

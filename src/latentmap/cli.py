@@ -186,10 +186,7 @@ def cmd_train(args):
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     stages = [1, 2, 3] if args.stage == "all" else [int(args.stage)]
-    inputs, panel, target_sum = pl.load_pipeline_data(args.data, stages)
-    if 3 in inputs and cfg.graph_k >= len(inputs[3][1]):  # the kNN graph needs k < spots
-        raise DataError(f"graph_k {cfg.graph_k} must be below the spot count, "
-                        f"{len(inputs[3][1])} in {os.path.join(args.data, 'st_counts_qc.csv')}")
+    inputs, panel, target_sum = pl.load_pipeline_data(args.data, stages, cfg)
     digests = {name: file_digest(os.path.join(args.data, name)) for name in pl.PREPROCESSED}
 
     with run_lock(args.run_dir):
@@ -197,8 +194,7 @@ def cmd_train(args):
         run.verify_manifest(digests, cfg, args.force)
         for stage in stages:
             log.info("running stage %d", stage)
-            # popped, so an array is freed once no stage left to run holds it
-            pl.run_stage(stage, cfg, inputs.pop(stage), run, force=args.force)
+            pl.run_stage(stage, cfg, inputs, run, force=args.force)
             # recorded after the stage: a stage that fails leaves the records as they were
             run.write_records(cfg, panel, digests, target_sum)
     return EXIT_OK
@@ -241,15 +237,16 @@ def cmd_bench(args):
                 check(n, value)
         except DataError as exc:
             raise DataError(f"{flag} {value} on {args.latent}: {exc}") from None
-    # a k votes over the rows the largest test fold leaves to train on, and the
-    # first k also over the hold-out's training rows
-    fold_rows = n - math.ceil(n / args.folds)
-    hold_rows = n if args.holdout is None else n - bm.holdout_size(n, args.holdout)
-    for i, k in enumerate(args.k or ()):
-        rows = min(fold_rows, hold_rows) if i == 0 else fold_rows
-        if k > rows:
-            raise DataError(f"--k {k} on {args.latent}: a split of its {n} rows "
-                            f"votes over {rows} training rows")
+    # every k votes over the k-fold splits' training rows, the first also over the hold-out's
+    fold_rows = bm.train_rows(n, folds=args.folds)
+    splits = [(k, fold_rows) for k in args.k or ()]
+    if args.k and args.holdout is not None:
+        splits.append((args.k[0], bm.train_rows(n, fraction=args.holdout)))
+    for k, rows in splits:
+        try:
+            bm.check_k(k, n, rows)
+        except DataError as exc:
+            raise DataError(f"--k {k} on {args.latent}: {exc}") from None
     labels_by_id = dataio.read_labels_csv(args.labels)
     unmatched = [i for i in ids if i not in labels_by_id]
     if unmatched:

@@ -327,9 +327,11 @@ def read_counts_csv(path) -> CountMatrix:
 
 
 def write_counts_csv(path, m: CountMatrix):
-    """Write ``m`` in the layout ``read_counts_csv`` reads, each count as ``str`` writes it."""
-    counts = m.counts.astype(np.int64, copy=False)
-    top = int(counts.max()) if counts.size else 0
+    """Write ``m`` in the layout ``read_counts_csv`` reads, each count as ``str`` writes it.
+
+    The rows are read in the counts' own dtype: no widened copy is made.
+    """
+    top = int(m.counts.max()) if m.counts.size else 0
     texts = np.array([str(v) for v in range(min(top + 1, _COUNT_TABLE_BOUND))], dtype=object)
     last = len(texts) - 1
 
@@ -340,7 +342,7 @@ def write_counts_csv(path, m: CountMatrix):
             cells[beyond] = [str(v) for v in row[beyond].tolist()]
         return ",".join(cells.tolist())
 
-    _write_numeric(path, ["id"] + list(m.col_ids), m.row_ids, counts, format_row)
+    _write_numeric(path, ["id"] + list(m.col_ids), m.row_ids, m.counts, format_row)
 
 
 def read_matrix_csv(path):

@@ -24,14 +24,18 @@ negatives) inside the taped loss and calls one of them; ``ad.train_step``
 trains on the total, and each history column is the name the objective
 gives its term. ``latentmap gradcheck`` checks the same functions.
 
-``load_pipeline_data`` builds the three training matrices once, each
-written by ``pp.panel_matrix`` straight from the integer counts: the
-2000-gene cell matrix that stage 1 reads, and the 500-gene cell and spot
-matrices of stage 2, the spot one read again by stage 3. It hands back
-only the inputs of the stages asked for, one tuple per stage, so a matrix
-lives as long as a tuple that holds it: ``train`` passes each stage its
-tuple and keeps none, which frees the 2000-gene matrix after stage 1 and
-the 500-gene cell matrix after stage 2.
+``load_pipeline_data`` reads and checks the whole preprocess directory,
+then keeps, for each stage asked for, only its counts on its panels, in
+their narrow integer dtype: the cell counts on the 2000-gene panel (stage
+1), the cell and spot counts on the 500-gene panel (stage 2) and the spot
+counts again (stage 3). ``run_stage`` takes a stage's entry out and builds
+its float64 matrices with ``pp.panel_matrix`` only when the stage starts,
+so stage 1 trains beside about 0.6 MB of 500-gene integers rather than
+their 5 MB of floats, a lone ``--stage 3`` normalizes only the spot
+counts, and each stage's matrices are freed when it returns.
+
+``_fit`` logs a progress line every ``LOG_EVERY`` steps, and each stage
+logs its wall time and the process's peak RSS when it is done.
 
 All cross-stage state lives in a run directory:
 
@@ -59,6 +63,8 @@ import logging
 import math
 import numbers
 import os
+import resource
+import time
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -79,6 +85,8 @@ log = logging.getLogger("latentmap.pipeline")
 _S1_INIT, _S1_NOISE = 10, 11
 _S2_VAE_INIT, _S2_DISC_INIT, _S2_NOISE_SC, _S2_NOISE_ST, _S2_NOISE_PRE = 20, 21, 22, 23, 24
 _S3_INIT, _S3_NOISE, _S3_NEGATIVES = 30, 31, 32
+
+LOG_EVERY = 100  # steps between two progress lines of a training loop
 
 
 @dataclass
@@ -387,18 +395,31 @@ def _fit(cfg, model, loss, epochs, where):
     """``epochs`` Adam steps of ``loss`` on ``model``'s parameters.
 
     Returns the history: its header, ``epoch`` and the names of the terms
-    ``loss`` returns, and one row [epoch, *terms] per step.
+    ``loss`` returns, and one row [epoch, *terms] per step. Every
+    ``LOG_EVERY`` steps it logs the step, the total and the mean time of
+    those steps.
     """
     opt = ad.Adam(model.params(), lr=cfg.learning_rate)
-    steps = [ad.train_step(opt, loss, f"{where}, step {epoch}") for epoch in range(epochs)]
+    steps = []
+    since = time.perf_counter()
+    for epoch in range(epochs):
+        steps.append(ad.train_step(opt, loss, f"{where}, step {epoch}"))
+        if len(steps) % LOG_EVERY == 0:
+            now = time.perf_counter()
+            log.info("%s: step %d of %d, total %.5f, %.1f ms/step", where, len(steps), epochs,
+                     steps[-1]["total"], (now - since) * 1e3 / LOG_EVERY)
+            since = now
     return ["epoch", *next(iter(steps), {})], [[i, *t.values()] for i, t in enumerate(steps)]
 
 
-def _write_history(run, stage, header, rows, term):
-    """Write ``history/stage<stage>.csv`` and log the last value of the column ``term``."""
+def _write_history(run, stage, header, rows, term, started):
+    """Write ``history/stage<stage>.csv``; log the last value of the column ``term``, the
+    time since ``started`` (a ``time.perf_counter`` reading) and the process's peak RSS."""
     dataio.write_table(run.path("history", f"stage{stage}.csv"), header, rows)
-    log.info("stage %d done: %d steps, final %s %.5f", stage, len(rows), term,
-             rows[-1][header.index(term)])
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    log.info("stage %d done: %d steps, final %s %.5f, %.1f s, peak RSS %.1f MiB", stage,
+             len(rows), term, rows[-1][header.index(term)], time.perf_counter() - started,
+             peak_mib)
 
 
 def _train_vae(cfg, x, init_stream, noise_stream, epochs, where):
@@ -415,12 +436,13 @@ def _train_vae(cfg, x, init_stream, noise_stream, epochs, where):
 
 def stage1(cfg: TrainConfig, x_sc2000, row_ids, run: RunDir):
     """Train the 2000-gene VAE; freeze and persist its latent."""
+    started = time.perf_counter()
     run.ensure_layout()
     x = np.asarray(x_sc2000, dtype=np.float64)
     model, header, rows = _train_vae(cfg, x, _S1_INIT, _S1_NOISE, cfg.s1_epochs, "stage 1")
     vae.save_vae(run.path("checkpoints", "vae_sc2000.json"), model)
     latent = run.write_latent("z_sc2000.csv", row_ids, vae.encode_mu(model, x))
-    _write_history(run, 1, header, rows, "total")
+    _write_history(run, 1, header, rows, "total", started)
     return latent
 
 
@@ -463,6 +485,7 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
     VAEs receive the adversarial term, each pushed toward the other side's
     label.
     """
+    started = time.perf_counter()
     run.ensure_layout()
     x_sc = np.asarray(x_sc500, dtype=np.float64)
     x_st = np.asarray(x_st500, dtype=np.float64)
@@ -499,12 +522,13 @@ def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, r
                run.write_latent("z_st500.csv", st_ids, vae.encode_mu(model_st, x_st)))
     header = ["outer", "inner", "disc_acc", "disc_steps", *(f"{name}_sc" for name in sc_terms),
               *(f"{name}_st" for name in st_terms)]
-    _write_history(run, 2, header, rows, "anchor_sc")
+    _write_history(run, 2, header, rows, "anchor_sc", started)
     return latents
 
 
 def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir):
     """Train the graph VGAE, anchored to the frozen spot latent."""
+    started = time.perf_counter()
     run.ensure_layout()
     x = np.ascontiguousarray(x_st500, dtype=np.float64)  # converted once, not per step
     coords = np.asarray(coords, dtype=np.float64)
@@ -532,7 +556,7 @@ def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir
                  extra={"coord_transform": transform.to_dict()})
     latent = run.write_latent("z_st_merged.csv", st_ids, vg.encode_mu(model, graph.norm_adj, x))
     dataio.write_edge_list(run.path("graph_edges.txt"), graph.edges)
-    _write_history(run, 3, header, rows, "anchor_st")
+    _write_history(run, 3, header, rows, "anchor_st", started)
     return latent
 
 
@@ -577,24 +601,30 @@ def _read_target_sum(path, default=None):
     return float(value)
 
 
-def load_pipeline_data(data_dir, stages):
-    """The inputs of ``stages``, built from a ``latentmap preprocess`` output directory.
+def load_pipeline_data(data_dir, stages, cfg: TrainConfig):
+    """The inputs of ``stages``, from a ``latentmap preprocess`` output directory.
 
     Returns ``(inputs, panel, target_sum)``. ``inputs`` maps each of
-    ``stages`` to the arguments its ``stage1/2/3`` takes from the data:
-    (the 2000-gene cell matrix, cell ids); (the 500-gene cell matrix, cell
-    ids, the 500-gene spot matrix, spot ids); (that spot matrix, spot ids,
-    coordinates). ``panel`` is the shared panel's gene ids and
-    ``target_sum`` the recorded normalization, both for the run records.
+    ``stages`` to a function that builds the arguments its ``stage1/2/3``
+    takes from the data: (the 2000-gene cell matrix, cell ids); (the
+    500-gene cell matrix, cell ids, the 500-gene spot matrix, spot ids);
+    (that spot matrix, spot ids, coordinates). Each matrix is
+    ``pp.panel_matrix`` of the counts on its panel with the recorded
+    ``target_sum``, the normalization ``infer`` applies to query cells, and
+    is built only when the function is called; until then the function
+    holds the counts on the panel, in their narrow integer dtype. ``panel``
+    is the shared panel's gene ids and ``target_sum`` the recorded
+    normalization, both for the run records.
 
     The directory holds QC-filtered integer counts, the two gene panels and
-    ``summary.json``. Each matrix is ``pp.panel_matrix`` of the counts on
-    its panel with the recorded ``target_sum``, the normalization ``infer``
-    applies to query cells. All three are built whatever ``stages``, so a
-    bad directory fails before any stage runs; the integer counts, and
-    each matrix that none of ``stages`` reads, are freed on return. A missing
-    file is a DependencyError; a ``summary.json`` that cannot be read or
-    has no valid ``target_sum`` is a DataError naming it.
+    ``summary.json``. All of it is read and checked whatever ``stages``, so
+    a bad directory fails before any stage runs: the counts must have every
+    gene of their panels and, in every row, counts on each
+    (``pp.panel_counts``, the rule ``pp.panel_matrix`` applies; the error
+    names both files), the spot ids must be the coordinates', and when
+    stage 3 is asked for, ``cfg.graph_k`` must be below the spot count. A
+    missing file is a DependencyError; a ``summary.json`` that cannot be
+    read or has no valid ``target_sum`` is a DataError naming it.
     """
     paths = {name: os.path.join(data_dir, name) for name in PREPROCESSED}
     for name, p in paths.items():
@@ -607,44 +637,54 @@ def load_pipeline_data(data_dir, stages):
     panels = {name: dataio.read_panel(paths[name])
               for name in ("panel_hvg2000.txt", "panel_shared500.txt")}
 
-    def matrix(counts_name, panel_name):
-        """Normalized counts on the panel; an error names both files."""
+    def on_panel(counts_name, panel_name):
+        """The counts on the panel, refused as ``pp.panel_matrix`` would; an error names both files."""
         try:
-            return pp.panel_matrix(counts[counts_name], panels[panel_name], target_sum)
+            return pp.panel_counts(counts[counts_name], panels[panel_name])
         except DataError as exc:
             raise DataError(f"{paths[counts_name]} on {paths[panel_name]}: {exc}") from None
 
-    sc_ids = counts["sc_counts_qc.csv"].row_ids
-    st_ids = counts["st_counts_qc.csv"].row_ids
-    sc2000 = matrix("sc_counts_qc.csv", "panel_hvg2000.txt")
-    sc500 = matrix("sc_counts_qc.csv", "panel_shared500.txt")
-    st500 = matrix("st_counts_qc.csv", "panel_shared500.txt")
+    sc2000 = on_panel("sc_counts_qc.csv", "panel_hvg2000.txt")
+    sc500 = on_panel("sc_counts_qc.csv", "panel_shared500.txt")
+    st500 = on_panel("st_counts_qc.csv", "panel_shared500.txt")
     spot_ids, coords = dataio.read_coords_csv(paths["st_coords.csv"])
-    dataio.check_spot_ids(paths["st_counts_qc.csv"], st_ids, paths["st_coords.csv"], spot_ids)
-    inputs = {1: (sc2000, sc_ids), 2: (sc500, sc_ids, st500, st_ids), 3: (st500, st_ids, coords)}
-    return ({stage: inputs[stage] for stage in stages}, panels["panel_shared500.txt"].gene_ids,
-            target_sum)
+    dataio.check_spot_ids(paths["st_counts_qc.csv"], st500.row_ids, paths["st_coords.csv"],
+                          spot_ids)
+    if 3 in stages and cfg.graph_k >= st500.n_rows:  # the kNN graph needs k < spots
+        raise DataError(f"graph_k {cfg.graph_k} must be below the spot count, "
+                        f"{st500.n_rows} in {paths['st_counts_qc.csv']}")
+
+    big, shared = panels["panel_hvg2000.txt"], panels["panel_shared500.txt"]
+    matrix = lambda m, panel: pp.panel_matrix(m, panel, target_sum)
+    inputs = {1: lambda: (matrix(sc2000, big), sc2000.row_ids),
+              2: lambda: (matrix(sc500, shared), sc500.row_ids, matrix(st500, shared),
+                          st500.row_ids),
+              3: lambda: (matrix(st500, shared), st500.row_ids, coords)}
+    return {stage: inputs[stage] for stage in stages}, shared.gene_ids, target_sum
 
 
-def run_stage(stage: int, cfg: TrainConfig, inputs: tuple, run: RunDir, force: bool = False):
-    """Run stage ``stage`` on ``inputs`` in ``run``; returns what the stage returns.
+def run_stage(stage: int, cfg: TrainConfig, inputs: dict, run: RunDir, force: bool = False):
+    """Run stage ``stage`` in ``run`` on its entry of ``inputs``; returns what the stage returns.
 
-    ``inputs`` is the stage's tuple from ``load_pipeline_data``. Without
-    ``force``, files of this stage or a later one are refused; the
-    previous stage's must exist. Stages 2 and 3 read the previous stage's
-    frozen latent and refuse one without the data's rows or latent_dim
-    columns before they write anything. Once the stage has written its
-    files, those of every later stage are deleted: they were built from
-    the latent this stage replaced.
+    ``inputs`` is the mapping ``load_pipeline_data`` returns. Without
+    ``force``, files of this stage or a later one are refused; the previous
+    stage's must exist. Only then is the stage's entry taken out of
+    ``inputs`` and its matrices built, so its counts are freed as the stage
+    starts and its matrices when it returns. Stages 2 and 3 read the
+    previous stage's frozen latent and refuse one without the data's rows
+    or latent_dim columns before they write anything. Once the stage has
+    written its files, those of every later stage are deleted: they were
+    built from the latent this stage replaced.
     """
     run.refuse_overwrite(stage, force)
+    if stage > 1:
+        run.require_stage(stage - 1)
+    args = inputs.pop(stage)()
     if stage == 1:
-        out = stage1(cfg, *inputs, run)
+        out = stage1(cfg, *args, run)
     elif stage == 2:
-        run.require_stage(1)
-        out = stage2(cfg, *inputs, run.load_latent("z_sc2000.csv"), run)
+        out = stage2(cfg, *args, run.load_latent("z_sc2000.csv"), run)
     else:
-        run.require_stage(2)
-        out = stage3(cfg, *inputs, run.load_latent("z_st500.csv"), run)
+        out = stage3(cfg, *args, run.load_latent("z_st500.csv"), run)
     run.remove_later_stages(stage)
     return out

@@ -10,13 +10,20 @@ Filters are strict at the boundary: a cell expressing exactly ``min_genes``
 genes stays, one expressing ``min_genes - 1`` goes, and symmetrically for
 genes/cells.
 
+A ``CountMatrix`` holds its counts in the narrowest unsigned integer dtype
+that holds their largest value (uint8 for the synthetic corpora), so counts
+stay compact until a stage normalizes them. Every sum over counts here is
+taken in uint64 or over booleans, never in the counts' own dtype.
+
 ``panel_matrix`` builds every matrix that training and inference read
 (``train``'s three, ``infer``'s query): it writes the normalized panel
 straight from the counts into its one float64 result, a block of at most
 ``NORMALIZE_BLOCK_ENTRIES`` counts at a time, with each row total summed
 exactly over the integers. It makes no integer copy of the panel's
 columns, and its values are those of ``normalize_log1p(subset_counts(m,
-panel))`` to the bit.
+panel))`` to the bit. It refuses a row without counts on the panel by the
+rule ``panel_counts`` applies, so ``train`` checks a stage's counts when it
+loads them and normalizes them only when the stage starts.
 """
 
 import logging
@@ -48,7 +55,15 @@ def first_duplicate(ids):
 
 @dataclass
 class CountMatrix:
-    """Integer expression counts with row (cell/spot) and column (gene) ids."""
+    """Integer expression counts with row (cell/spot) and column (gene) ids.
+
+    ``counts`` must have an integer dtype (a float array is refused, never
+    truncated) and no negative value. They are stored, with their values
+    exact, in the narrowest unsigned dtype that holds the largest one
+    (``np.min_scalar_type``): uint8 when every count is below 256. A caller
+    widens them before any arithmetic whose result can pass that dtype; a
+    ``sum`` of small unsigned integers is already taken in uint64.
+    """
 
     row_ids: list
     col_ids: list
@@ -68,10 +83,14 @@ class CountMatrix:
             dup = first_duplicate(ids)
             if dup is not None:
                 raise DataError(f"duplicate {kind} id {dup!r}")
+        if self.counts.dtype.kind not in "iu":
+            raise DataError(f"counts must be integers, got dtype {self.counts.dtype}")
         if self.counts.size and self.counts.min() < 0:
             i, j = np.argwhere(self.counts < 0)[0]
             raise DataError(f"negative count {self.counts[i, j]} for row {self.row_ids[i]!r}, "
                             f"gene {self.col_ids[j]!r}")
+        top = self.counts.max() if self.counts.size else 0
+        self.counts = self.counts.astype(np.min_scalar_type(top), copy=False)
 
     @property
     def n_rows(self):
@@ -161,8 +180,8 @@ def filter_mito_ribo(m: CountMatrix, max_fraction: float) -> CountMatrix:
     if not 0.0 <= max_fraction <= 1.0:
         raise DataError(f"max_fraction must be in [0, 1], got {max_fraction!r}")
     flagged = np.array([g.upper().startswith(MITO_RIBO_PREFIXES) for g in m.col_ids])
-    totals = m.counts.sum(axis=1).astype(np.float64)
-    flagged_counts = m.counts[:, flagged].sum(axis=1).astype(np.float64)
+    totals = m.counts.sum(axis=1, dtype=np.uint64).astype(np.float64)
+    flagged_counts = m.counts[:, flagged].sum(axis=1, dtype=np.uint64).astype(np.float64)
     zero_total = totals == 0
     if zero_total.any():
         log.warning("removing %d cell(s) with zero total counts", int(zero_total.sum()))
@@ -179,34 +198,54 @@ def normalize_log1p(m: CountMatrix, target_sum: float = TARGET_SUM) -> np.ndarra
     return _normalized(m, None, target_sum)
 
 
+def _row_blocks(m: CountMatrix, cols):
+    """(first row, counts) of each block of at most ``NORMALIZE_BLOCK_ENTRIES`` counts of
+    ``m`` on the columns ``cols`` (every column if None), the rows in order."""
+    width = m.n_cols if cols is None else len(cols)
+    rows = max(1, NORMALIZE_BLOCK_ENTRIES // max(width, 1))
+    for lo in range(0, m.n_rows, rows):
+        block = m.counts[lo:lo + rows]
+        yield lo, block if cols is None else np.take(block, cols, axis=1)
+
+
+def _row_totals(m: CountMatrix, cols) -> np.ndarray:
+    """Each row's total count on the columns ``cols`` (every column if None), in uint64."""
+    totals = np.empty(m.n_rows, dtype=np.uint64)
+    for lo, block in _row_blocks(m, cols):
+        totals[lo:lo + len(block)] = block.sum(axis=1, dtype=np.uint64)
+    return totals
+
+
+def _nonzero_totals(m: CountMatrix, cols) -> np.ndarray:
+    """``_row_totals``, refused with a DataError naming the first rows whose total is 0.
+
+    Normalization cannot scale such a row: this is the one rule by which
+    both ``panel_matrix`` and ``panel_counts`` refuse counts.
+    """
+    totals = _row_totals(m, cols)
+    zero_rows = np.flatnonzero(totals == 0)
+    if zero_rows.size:
+        raise DataError(f"rows with zero total counts: {[m.row_ids[i] for i in zero_rows[:5]]}")
+    return totals
+
+
 def _normalized(m: CountMatrix, cols, target_sum: float) -> np.ndarray:
     """``normalize_log1p`` of the counts on the columns ``cols`` (every column if None).
 
-    Each block of rows, at most ``NORMALIZE_BLOCK_ENTRIES`` counts, is
-    gathered, its totals summed over the integers, then cast, scaled and
-    log1p'd in its rows of the float64 result: every value is the one the
-    whole-matrix expression gives.
+    The row totals are summed exactly over the integers first. Then each
+    block of rows, at most ``NORMALIZE_BLOCK_ENTRIES`` counts, is gathered,
+    cast, scaled and log1p'd in its rows of the float64 result: every value
+    is the one the whole-matrix expression gives.
     """
     if not (math.isfinite(target_sum) and target_sum > 0):
         raise DataError(f"target_sum must be a finite number > 0, got {target_sum!r}")
-    width = m.n_cols if cols is None else len(cols)
-    out = np.empty((m.n_rows, width))
-    rows = max(1, NORMALIZE_BLOCK_ENTRIES // max(width, 1))
-    zero_rows = []
-    for lo in range(0, m.n_rows, rows):
-        block = m.counts[lo:lo + rows]
-        if cols is not None:
-            block = np.take(block, cols, axis=1)
-        totals = block.sum(axis=1)
-        zero_rows.extend(lo + np.flatnonzero(totals == 0))
-        if zero_rows:  # the error names rows from later blocks too, so keep reading
-            continue
-        dst = out[lo:lo + rows]
+    scale = target_sum / _nonzero_totals(m, cols).astype(np.float64)
+    out = np.empty((m.n_rows, m.n_cols if cols is None else len(cols)))
+    for lo, block in _row_blocks(m, cols):
+        dst = out[lo:lo + len(block)]
         dst[...] = block
-        dst *= (target_sum / totals.astype(np.float64))[:, None]
+        dst *= scale[lo:lo + len(block), None]
         np.log1p(dst, out=dst)
-    if zero_rows:
-        raise DataError(f"rows with zero total counts: {[m.row_ids[i] for i in zero_rows[:5]]}")
     return out
 
 
@@ -274,9 +313,7 @@ def drop_empty_rows(m: CountMatrix, *panels) -> tuple:
     """
     keep = np.ones(m.n_rows, dtype=bool)
     for panel in panels:
-        on_panel = np.zeros(m.n_cols, dtype=m.counts.dtype)
-        on_panel[_panel_columns(m, panel)] = 1
-        keep &= m.counts @ on_panel > 0  # counts are >= 0
+        keep &= _row_totals(m, _panel_columns(m, panel)) > 0
     if keep.all():
         return m, 0
     if not keep.any():
@@ -295,6 +332,17 @@ def panel_matrix(m: CountMatrix, panel: GenePanel, target_sum: float = TARGET_SU
     """
     cols = np.asarray(_panel_columns(m, panel), dtype=np.intp)
     return _normalized(m, None if _keeps_all(cols, m.n_cols) else cols, target_sum)
+
+
+def panel_counts(m: CountMatrix, panel: GenePanel) -> CountMatrix:
+    """``subset_counts(m, panel)``, refused unless every row has counts on the panel.
+
+    These are counts that ``panel_matrix`` normalizes without error: the
+    refusal is its own, by the same rule and with the same message.
+    """
+    counts = subset_counts(m, panel)
+    _nonzero_totals(counts, None)
+    return counts
 
 
 @dataclass

@@ -273,11 +273,11 @@ def test_sweep_reuses_fold_split_across_k():
 
 def test_sweep_k_matches_kfold_cv_per_k():
     # small integer codes: distance ties at the k-th neighbor; 20 rows in 4
-    # folds train on 15, so k = 20 votes over every training row
+    # folds train on 15, so k = 15 votes over every training row
     rng = np.random.default_rng(12)
     codes = rng.integers(0, 3, size=(20, 2)).astype(float)
     e = bm.LabeledEmbedding(codes, [["a", "b", "c"][i] for i in rng.integers(0, 3, size=20)])
-    k_values = [4, 1, 20, 2, 4, 15, 7]
+    k_values = [4, 1, 2, 4, 15, 7]
     sweep = bm.sweep_k(e, k_values, folds=4, seed=13)
     assert [k for k, _ in sweep] == k_values
     slices = bm._fold_slices(e.n, 4, seed=13)
@@ -291,8 +291,35 @@ def test_sweep_k_matches_kfold_cv_per_k():
             train_idx = [i for i in range(e.n) if i not in set(test_idx)]
             train = bm.LabeledEmbedding(codes[train_idx], [e.labels[i] for i in train_idx],
                                         vocab=e.vocab)
-            want = bm.knn_predict(train, codes[test_idx], min(k, train.n))
+            want = bm.knn_predict(train, codes[test_idx], k)
             assert [report.oof_predictions[i] for i in test_idx] == want, k
+
+
+def test_k_above_a_splits_training_rows_is_refused_naming_k_and_rows():
+    # 60 rows, 3 classes: 4 folds train on 45 rows, a half hold-out on 30
+    e = bm.LabeledEmbedding(np.random.default_rng(0).normal(size=(60, 2)),
+                            ["abc"[i % 3] for i in range(60)])
+    with pytest.raises(DataError, match=r"a split of its 60 rows votes over 45 training rows, "
+                                        r"fewer than k=500"):
+        bm.sweep_k(e, [45, 500], folds=4, seed=0)
+    with pytest.raises(DataError, match=r"votes over 45 training rows, fewer than k=46"):
+        bm.kfold_cv(e, 46, folds=4, seed=0)
+    assert [k for k, _ in bm.sweep_k(e, [45], folds=4, seed=0)] == [45]
+    with pytest.raises(DataError, match=r"a split of its 60 rows votes over 30 training rows, "
+                                        r"fewer than k=500"):
+        bm.holdout_accuracy(e, 500, 0.5, 0)
+    with pytest.raises(DataError, match=r"votes over 30 training rows, fewer than k=31"):
+        bm.holdout_accuracy(e, 31, 0.5, 0)
+    assert 0.0 <= bm.holdout_accuracy(e, 30, 0.5, 0) <= 1.0
+
+
+def test_train_rows_leave_out_the_largest_test_split():
+    assert bm.train_rows(60, folds=4) == 45
+    assert bm.train_rows(10, folds=4) == 7  # folds of 3, 3, 2 and 2 rows
+    assert bm.train_rows(60, fraction=0.5) == 30
+    assert bm.train_rows(10, fraction=0.25) == 8  # round(2.5) = 2 test rows
+    with pytest.raises(DataError, match="3 rows cannot fill 4 folds"):
+        bm.train_rows(3, folds=4)
 
 
 def test_default_k_values_include_class_count():

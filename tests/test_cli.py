@@ -166,7 +166,7 @@ def test_preprocess_summary_json_golden_bytes(data_dir):
 """
 
 
-def test_pipeline_data_is_panel_matrix_of_qc_counts(corpus_dir, data_dir):
+def test_pipeline_data_is_panel_matrix_of_qc_counts(corpus_dir, data_dir, monkeypatch):
     # the training matrices are exactly what infer's normalization gives the QC'd counts
     target_sum = json.loads((data_dir / "summary.json").read_text())["target_sum"]
     sc, _ = pp.run_qc(dataio.read_counts_csv(corpus_dir / "sc_counts.csv"),
@@ -175,18 +175,29 @@ def test_pipeline_data_is_panel_matrix_of_qc_counts(corpus_dir, data_dir):
                       min_genes=0, min_cells=10, max_mito_ribo=0.2)
     big = pp.GenePanel(dataio.read_id_list(data_dir / "panel_hvg2000.txt"))
     shared = pp.GenePanel(dataio.read_id_list(data_dir / "panel_shared500.txt"))
-    inputs, panel_ids, got_target_sum = pl.load_pipeline_data(data_dir, [1, 2, 3])
+    panel_matrix, built_from = pp.panel_matrix, []
+
+    def build(m, panel, target_sum):
+        built_from.append((m, panel))
+        return panel_matrix(m, panel, target_sum)
+
+    monkeypatch.setattr(pp, "panel_matrix", build)
+    inputs, panel_ids, got_target_sum = pl.load_pipeline_data(data_dir, [1, 2, 3], pl.TrainConfig())
     assert panel_ids == shared.gene_ids and got_target_sum == target_sum
-    for (x, ids), m, panel in (((inputs[1][0], inputs[1][1]), sc, big),
-                               ((inputs[2][0], inputs[2][1]), sc, shared),
-                               ((inputs[2][2], inputs[2][3]), st, shared)):
+    assert built_from == []  # nothing is normalized before a stage builds its inputs
+    args = {stage: inputs[stage]() for stage in (1, 2, 3)}
+    for (x, ids), m, panel in ((args[1][0:2], sc, big), (args[2][0:2], sc, shared),
+                               (args[2][2:4], st, shared), (args[3][0:2], st, shared)):
         assert ids == m.row_ids
-        assert np.array_equal(x, pp.panel_matrix(m, panel, target_sum))
-    # stages 2 and 3 read one spot matrix; stage 3 also reads the coordinates
-    assert inputs[3][0] is inputs[2][2] and inputs[3][1] == st.row_ids
-    assert np.array_equal(inputs[3][2], dataio.read_coords_csv(data_dir / "st_coords.csv")[1])
+        assert np.array_equal(x, panel_matrix(m, panel, target_sum))
+    # each matrix is built from its counts on its panel, held in their narrowest dtype
+    assert len(built_from) == 4
+    for m, panel in built_from:
+        assert m.col_ids == panel.gene_ids
+        assert m.counts.dtype == np.min_scalar_type(m.counts.max()) == np.uint8
+    assert np.array_equal(args[3][2], dataio.read_coords_csv(data_dir / "st_coords.csv")[1])
     # only the stages asked for get inputs
-    assert list(pl.load_pipeline_data(data_dir, [3])[0]) == [3]
+    assert list(pl.load_pipeline_data(data_dir, [3], pl.TrainConfig())[0]) == [3]
 
 
 def test_preprocess_passthrough_thresholds(corpus_dir, tmp_path):
@@ -1065,6 +1076,23 @@ def _damaged_prep(data_dir, tmp_path, damage):
         old, new = _rename_first_spot(prep / "st_coords.csv")
         return prep, (f"{prep / 'st_counts_qc.csv'} and {prep / 'st_coords.csv'} disagree on "
                       f"spot ids: data row 1 is {old!r} in the first and {new!r} in the second")
+    if damage in ("zero-total", "missing-column"):
+        sc = dataio.read_counts_csv(prep / "sc_counts_qc.csv")
+        shared = dataio.read_id_list(prep / "panel_shared500.txt")
+        if damage == "zero-total":  # the first cell keeps counts on the 2000-gene panel only
+            counts = sc.counts.copy()
+            counts[0, [sc.col_ids.index(g) for g in shared]] = 0
+            dataio.write_counts_csv(prep / "sc_counts_qc.csv",
+                                    CountMatrix(sc.row_ids, sc.col_ids, counts))
+            return prep, (f"{prep / 'sc_counts_qc.csv'} on {prep / 'panel_shared500.txt'}: "
+                          f"rows with zero total counts: [{sc.row_ids[0]!r}]")
+        gene = shared[-1]
+        dataio.write_counts_csv(prep / "sc_counts_qc.csv", sc.take_cols(
+            [j for j, g in enumerate(sc.col_ids) if g != gene]))
+        named = ("panel_hvg2000.txt" if gene in dataio.read_id_list(prep / "panel_hvg2000.txt")
+                 else "panel_shared500.txt")
+        return prep, (f"{prep / 'sc_counts_qc.csv'} on {prep / named}: "
+                      f"matrix is missing panel genes: [{gene!r}]")
     panel = prep / ("panel_hvg2000.txt" if damage == "duplicate-hvg" else "panel_shared500.txt")
     genes = dataio.read_id_list(panel)
     if damage == "missing-gene":
@@ -1076,7 +1104,7 @@ def _damaged_prep(data_dir, tmp_path, damage):
 
 
 @pytest.mark.parametrize("damage", ["spot-ids", "duplicate-hvg", "duplicate-shared",
-                                    "missing-gene"])
+                                    "missing-gene", "zero-total", "missing-column"])
 def test_train_bad_preprocessed_input_names_the_files_and_the_id(data_dir, tiny_config, tmp_path,
                                                                  caplog, damage):
     prep, message = _damaged_prep(data_dir, tmp_path, damage)
@@ -1512,43 +1540,53 @@ def test_train_frees_each_matrix_once_no_later_stage_reads_it(data_dir, tiny_con
     # a lone stage runs after the stages before it
     for earlier in range(1, 1 if stage == "all" else int(stage)):
         assert train(str(earlier)) == 0
-    # each stage notes which matrices of the earlier stages, and which of those that
-    # pp.panel_matrix built, are still alive when it starts, and which of the built it reads
-    received, alive, built, built_alive, built_read = {}, {}, [], {}, {}
+    # each stage notes, when it starts, which of the matrices pp.panel_matrix has built and of
+    # the counts they were built from are still alive and which of the matrices it reads,
+    # and, when it returns, how many matrices have been built
+    built, counts, shapes, alive, counts_alive, read, built_by_end = [], [], [], {}, {}, {}, {}
     panel_matrix = pp.panel_matrix
 
-    def build(*args, **kwargs):
-        x = panel_matrix(*args, **kwargs)
+    def build(m, panel, target_sum):
+        x = panel_matrix(m, panel, target_sum)
         built.append(weakref.ref(x))
+        counts.append(weakref.ref(m))
+        shapes.append(x.shape)
         return x
 
     def watch(stage, fn):
         def watched(cfg, *args):
-            alive[stage] = {name: ref() is not None for name, ref in received.items()}
-            built_alive[stage] = [ref() is not None for ref in built]
-            built_read[stage] = [any(ref() is a for a in args) for ref in built]
-            received.update({f"stage{stage} arg{i}": weakref.ref(a) for i, a in enumerate(args)
-                             if isinstance(a, np.ndarray)})
-            return fn(cfg, *args)
+            alive[stage] = [ref() is not None for ref in built]
+            counts_alive[stage] = [ref() is not None for ref in counts]
+            read[stage] = [any(ref() is a for a in args) for ref in built]
+            out = fn(cfg, *args)
+            built_by_end[stage] = len(built)
+            return out
         return watched
 
     monkeypatch.setattr(pp, "panel_matrix", build)
     for s in (1, 2, 3):
         monkeypatch.setattr(pl, f"stage{s}", watch(s, getattr(pl, f"stage{s}")))
     assert train(stage) == 0
-    # every run builds the 2000-gene cell, 500-gene cell and 500-gene spot matrices, in order
-    assert len(built) == 3
-    reads = {1: [True, False, False], 2: [False, True, True], 3: [False, False, True]}
-    ran = sorted(built_read)
+    ran = sorted(read)
     assert ran == ([1, 2, 3] if stage == "all" else [int(stage)])
+    # a stage's matrices are built as it starts, and only those: 80 cells on the 80-gene
+    # panel (stage 1), then the cells and the 64 spots on the 30-gene panel (stage 2), then
+    # the spots again (stage 3); so a lone --stage 3 normalizes the spot counts only
+    own = {1: [(80, 80)], 2: [(80, 30), (64, 30)], 3: [(64, 30)]}
+    assert shapes == [shape for s in ran for shape in own[s]]
+    before = 0
     for s in ran:
-        assert built_read[s] == reads[s]
-        # alive when a stage starts: only what it or a later stage of the run reads
-        assert built_alive[s] == [any(reads[t][i] for t in ran if t >= s) for i in range(3)]
-    if stage == "all":
-        # stage 1 reads sc2000; stage 2 sc500, st500; stage 3 st500 and the coordinates
-        assert alive[2] == {"stage1 arg0": False}
-        assert alive[3] == {"stage1 arg0": False, "stage2 arg0": False, "stage2 arg2": True}
+        mine = [False] * before + [True] * len(own[s])
+        # alive when a stage starts: only its own matrices, which it reads; so no 500-gene
+        # matrix exists while stage 1 trains, and nothing more is built before it returns
+        assert alive[s] == read[s] == mine
+        before += len(own[s])
+        assert built_by_end[s] == before
+    # the counts a stage normalized are freed as it starts, unless a later stage of the run
+    # reads them: under --stage all, stage 3 normalizes the spot counts stage 2 did
+    assert counts_alive == {"all": {1: [False], 2: [False, False, True],
+                                    3: [False, False, False, False]},
+                            "2": {2: [False, False]}, "3": {3: [False]}}[stage]
 
 
 def test_lattice_graph_edges_golden_sha256(tmp_path):

@@ -179,11 +179,20 @@ def _counts_case(name):
         return CountMatrix(ids, ["g0", "g,1", "g2", "g3"], counts)
     if name == "zero_rows":
         return CountMatrix([], ["g0", "g1"], np.zeros((0, 2), dtype=np.int64))
+    if name.startswith("edges_to_"):  # counts held as uint8, uint16, uint32 or uint64
+        top = int(name.removeprefix("edges_to_"))
+        edges = [v for v in (0, 255, 256, 65535, 65536, 2 ** 32, 2 ** 53 + 1) if v <= top]
+        counts = np.array([edges, edges[::-1]], dtype=np.int64)
+        m = CountMatrix(["c0", "c1"], [f"g{j}" for j in range(len(edges))], counts)
+        assert m.counts.dtype == np.min_scalar_type(top) and m.counts.tolist() == counts.tolist()
+        return m
     raise ValueError(name)
 
 
 @pytest.mark.parametrize("name", ["every_count_to_5000", "table_and_beyond", "only_beyond",
-                                  "all_zero", "quoted_ids", "zero_rows"])
+                                  "all_zero", "quoted_ids", "zero_rows", "edges_to_255",
+                                  "edges_to_65535", "edges_to_65536", "edges_to_4294967296",
+                                  "edges_to_9007199254740993"])
 def test_counts_writer_bytes_equal_str_of_every_count(tmp_path, name):
     m = _counts_case(name)
     path = tmp_path / "counts.csv"

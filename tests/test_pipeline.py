@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +42,9 @@ def corpus():
 
 def stage_inputs(corpus):
     """Each stage's inputs, shaped as ``load_pipeline_data`` returns them."""
-    return {1: (corpus["x_big"], corpus["sc_ids"]),
-            2: (corpus["x_sc"], corpus["sc_ids"], corpus["x_st"], corpus["st_ids"]),
-            3: (corpus["x_st"], corpus["st_ids"], corpus["coords"])}
+    return {1: lambda: (corpus["x_big"], corpus["sc_ids"]),
+            2: lambda: (corpus["x_sc"], corpus["sc_ids"], corpus["x_st"], corpus["st_ids"]),
+            3: lambda: (corpus["x_st"], corpus["st_ids"], corpus["coords"])}
 
 
 def tiny_cfg(**over):
@@ -249,11 +250,12 @@ def test_stage1_history_matches_standalone_vae(tmp_path, corpus):
 
 def test_all_stages_deterministic_rerun(tmp_path, corpus):
     cfg = tiny_cfg(s2_init_epochs=20)
-    inputs = stage_inputs(corpus)
     roots = [tmp_path / "a", tmp_path / "b"]
     for root in roots:
+        inputs = stage_inputs(corpus)
         for stage in (1, 2, 3):
-            pl.run_stage(stage, cfg, inputs[stage], pl.RunDir(root))
+            pl.run_stage(stage, cfg, inputs, pl.RunDir(root))
+        assert inputs == {}  # each stage takes its entry out
     files = [sorted(p.relative_to(r) for p in r.rglob("*") if p.is_file()) for r in roots]
     assert files[0] == files[1]
     # exactly these files: a new artifact must be named here (and read somewhere)
@@ -275,9 +277,10 @@ def test_stage_gating(tmp_path, corpus):
     run.ensure_layout()
     inputs = stage_inputs(corpus)
     with pytest.raises(DependencyError, match="stage 1"):
-        pl.run_stage(2, tiny_cfg(), inputs[2], run)
+        pl.run_stage(2, tiny_cfg(), inputs, run)
     with pytest.raises(DependencyError, match="stage 2"):
-        pl.run_stage(3, tiny_cfg(), inputs[3], run)
+        pl.run_stage(3, tiny_cfg(), inputs, run)
+    assert sorted(inputs) == [1, 2, 3]  # a refused stage leaves its inputs unbuilt
     assert not any(p.is_file() for p in (tmp_path / "run").rglob("*"))
 
 
@@ -287,8 +290,34 @@ def test_stage_refuses_overwrite_without_force(tmp_path, corpus):
     pl.stage1(cfg, corpus["x_big"], corpus["sc_ids"], run)
     inputs = stage_inputs(corpus)
     with pytest.raises(DependencyError, match="--force"):
-        pl.run_stage(1, cfg, inputs[1], run)
-    pl.run_stage(1, cfg, inputs[1], run, force=True)  # allowed explicitly
+        pl.run_stage(1, cfg, inputs, run)
+    pl.run_stage(1, cfg, inputs, run, force=True)  # allowed explicitly
+
+
+def test_training_logs_progress_and_each_stage_its_time_and_peak_rss(tmp_path, corpus, caplog):
+    cfg = tiny_cfg(s1_epochs=2 * pl.LOG_EVERY + 1)
+    run = pl.RunDir(tmp_path / "run")
+    with caplog.at_level("INFO", logger="latentmap.pipeline"):
+        pl.stage1(cfg, corpus["x_big"], corpus["sc_ids"], run)
+    _, rows = pl.read_history(run.path("history", "stage1.csv"))
+    lines = [rec.getMessage() for rec in caplog.records]
+    # one line every LOG_EVERY steps: the step, its total as the history holds it, ms/step
+    progress = [line for line in lines if line.startswith("stage 1: step")]
+    assert [line.split(",")[0] for line in progress] == [
+        f"stage 1: step {pl.LOG_EVERY} of {cfg.s1_epochs}",
+        f"stage 1: step {2 * pl.LOG_EVERY} of {cfg.s1_epochs}"]
+    for line, step in zip(progress, (pl.LOG_EVERY, 2 * pl.LOG_EVERY)):
+        total, ms = re.fullmatch(r"stage 1: step \d+ of \d+, total (\S+), (\S+) ms/step",
+                                 line).groups()
+        assert total == f"{rows[step - 1][1]:.5f}" and float(ms) > 0
+    # the stage's last line adds its wall time and the process's peak RSS
+    done = [line for line in lines if line.startswith("stage 1 done")]
+    assert len(done) == 1
+    total, seconds, peak = re.fullmatch(
+        rf"stage 1 done: {cfg.s1_epochs} steps, final total (\S+), (\S+) s, peak RSS (\S+) MiB",
+        done[0]).groups()
+    assert total == f"{rows[-1][1]:.5f}" and float(seconds) > 0
+    assert 0 < float(peak) <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 + 0.1
 
 
 def test_full_pipeline_small(tmp_path, corpus):

@@ -128,8 +128,66 @@ def test_count_matrix_errors_name_the_first_offender():
 
 
 # ---------------------------------------------------------------------------
-# mito/ribo filter
+# counts are held in the narrowest unsigned dtype that holds their largest value
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("top,dtype", [
+    (0, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32),
+    (2 ** 32, np.uint64), (2 ** 53 + 1, np.uint64)])
+def test_counts_take_the_narrowest_unsigned_dtype_and_keep_their_values(top, dtype):
+    counts = np.array([[0, top], [1, 2]], dtype=np.int64)
+    m = pp.CountMatrix(["a", "b"], ["g0", "g1"], counts)
+    assert m.counts.dtype == dtype
+    assert m.counts.tolist() == [[0, top], [1, 2]]  # exact, compared as Python ints
+    # a take holds the dtype of what it keeps
+    assert m.take_rows([0]).counts.dtype == dtype and m.take_rows([0]).counts.tolist() == [[0, top]]
+    assert m.take_cols([0]).counts.dtype == np.uint8 and m.take_cols([0]).counts.tolist() == [[0], [1]]
+
+
+@pytest.mark.parametrize("values", [np.array([[1.0, 2.0]]), np.array([[1.5, 2.0]]),
+                                    np.array([[True, False]]), [[1, 2.5]]],
+                         ids=["whole-floats", "fractional-floats", "booleans", "float-list"])
+def test_counts_of_a_non_integer_dtype_are_refused_not_truncated(values):
+    with pytest.raises(DataError, match=r"^counts must be integers, got dtype (float64|bool)$"):
+        pp.CountMatrix(["a"], ["g0", "g1"], values)
+
+
+def test_totals_past_the_counts_dtype_do_not_wrap():
+    # 300 counts of 255 in a uint8 matrix: each row totals 76,500, far past 255
+    counts = np.full((2, 300), 255, dtype=np.uint8)
+    counts[1, :150] = 0
+    cols = ["MT-CO1"] + [f"g{j:03d}" for j in range(1, 300)]
+    m = pp.CountMatrix(["c0", "c1"], cols, counts)
+    assert m.counts.dtype == np.uint8
+    wide = counts.astype(np.float64)
+    want = np.log1p(wide * (1e4 / wide.sum(axis=1, keepdims=True)))
+    assert np.array_equal(pp.normalize_log1p(m), want)
+    assert np.array_equal(pp.panel_matrix(m, pp.GenePanel(cols[150:])),
+                          pp.normalize_log1p(pp.CountMatrix(m.row_ids, cols[150:],
+                                                            counts[:, 150:].astype(np.int64))))
+    # 300 expressed genes in c0, 150 in c1
+    assert pp.filter_cells(m, min_genes=300).row_ids == ["c0"]
+    # c0's mito fraction is 255 / 76,500 = 1/300; c1 has none
+    assert pp.filter_mito_ribo(m, max_fraction=1 / 300).row_ids == ["c0", "c1"]
+    assert pp.filter_mito_ribo(m, max_fraction=0.5 / 300).row_ids == ["c1"]
+    # on the first 256 genes c0 sums 256 * 255 counts, which a uint8 sum wraps to 0
+    assert pp.drop_empty_rows(m, pp.GenePanel(cols[:256])) == (m, 0)
+    kept, dropped = pp.drop_empty_rows(m, pp.GenePanel(cols[:150]))
+    assert kept.row_ids == ["c0"] and dropped == 1
+
+
+def test_panel_counts_refuse_what_panel_matrix_refuses():
+    m = make_matrix([[1, 0, 2], [0, 3, 0], [4, 0, 5]], col_ids=["a", "b", "c"])
+    counts = pp.panel_counts(m, pp.GenePanel(["b", "a"]))
+    assert counts.row_ids == m.row_ids and counts.col_ids == ["b", "a"]
+    assert counts.counts.tolist() == [[0, 1], [3, 0], [0, 4]]
+    assert np.array_equal(pp.panel_matrix(counts, pp.GenePanel(["b", "a"])),
+                          pp.panel_matrix(m, pp.GenePanel(["b", "a"])))
+    for genes, message in ((["c", "a"], r"rows with zero total counts: \['c1'\]$"),
+                           (["a", "zz"], r"matrix is missing panel genes: \['zz'\]$")):
+        for refuse in (pp.panel_counts, pp.panel_matrix):
+            with pytest.raises(DataError, match=message):
+                refuse(m, pp.GenePanel(genes))
 
 def test_mito_fraction_above_threshold_removed():
     cols = ["MT-CO1", "ACTB", "GAPDH"]
