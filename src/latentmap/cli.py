@@ -296,10 +296,12 @@ def _draw_biases(params, rng):
 def gradcheck_suite(seed):
     """Small-instance gradient checks of the objectives training uses; returns name -> error.
 
-    ``stage2`` checks the cell side's objective (the VAE terms, the anchor,
-    and the adversarial term through the frozen discriminator), ``stage3``
-    the VGAE terms and the anchor, both with every loss weight at 1, and
-    ``discriminator`` its BCE. The anchors are drawn after every instance.
+    ``stage2`` checks the joint objective of both sides (the VAE terms, the
+    cell anchor, and the adversarial terms toward both labels through the
+    frozen discriminator) with one VAE, one matrix and one noise draw as
+    both sides, ``stage3`` the VGAE terms and the anchor, both with every
+    loss weight at 1, and ``discriminator`` its loss. The anchors are drawn
+    after every instance.
     """
     rng = np.random.default_rng(seed)
     cfg = pl.TrainConfig(latent_dim=4, w_anchor_sc=1.0, w_adv=1.0, w_anchor_st=1.0,
@@ -329,12 +331,11 @@ def gradcheck_suite(seed):
 
     return {
         "stage2": ad.grad_check(lambda: pl._generator_terms(
-            cfg, p_vae, x, noise, p_disc, 0.0, anchor_sc)["total"], vae_params),
+            cfg, (p_vae, p_vae), (x, x), (noise, noise), anchor_sc, p_disc)["total"], vae_params),
         "stage3": ad.grad_check(lambda: pl._stage3_terms(
             cfg, p_vgae, g, x_exp, x_sp, anchor_st, noise_g, neg)["total"], vgae_params),
-        "discriminator": ad.grad_check(
-            lambda: ad.bce_with_logits(discriminator.disc_forward(p_disc, z), labels),
-            disc_params),
+        "discriminator": ad.grad_check(lambda: discriminator.disc_loss(p_disc, z, labels),
+                                       disc_params),
     }
 
 

@@ -41,7 +41,7 @@ import re
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DependencyError
 from .preprocess import CountMatrix, GenePanel, first_duplicate
 
 # The characters of a field after the first in a canonical numeric table, on
@@ -166,6 +166,21 @@ def read_json(path):
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def read_bytes(path):
+    """The bytes of the file at ``path``, read in one call.
+
+    A missing file is a DependencyError; any other OSError (a directory, a
+    file that cannot be read) is a DataError naming ``path``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise DependencyError(f"missing file: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
 def write_json(path, obj):

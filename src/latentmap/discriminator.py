@@ -1,8 +1,11 @@
 """Binary classifier over latent codes, driving the adversarial alignment.
 
 Architecture: 3 hidden linear layers of 128 units with ReLU, then a single
-logit. Trained with binary cross entropy on logits and Adam. Cells (the
-expression-only dataset) carry label 1, spots label 0.
+logit. Cells (the expression-only dataset) carry label 1, spots label 0.
+Its one loss is ``disc_loss``, the binary cross entropy of its logits:
+``train_discriminator`` steps Adam on it, the generator's adversarial term
+is it on the frozen discriminator against the other side's label, and
+``latentmap gradcheck`` checks it.
 """
 
 import copy
@@ -45,6 +48,11 @@ def disc_forward(p: DiscriminatorParams, z):
     return nn.mlp_forward(p.layers + [p.head], z)
 
 
+def disc_loss(p: DiscriminatorParams, z, labels):
+    """Binary cross entropy of the logits for ``z`` [n, d] against ``labels`` [n, 1]."""
+    return ad.bce_with_logits(disc_forward(p, z), labels)
+
+
 def disc_accuracy(p: DiscriminatorParams, z_sc, z_st) -> float:
     """Fraction correctly classified; cells are class 1, spots class 0.
 
@@ -59,7 +67,7 @@ def disc_accuracy(p: DiscriminatorParams, z_sc, z_st) -> float:
 
 def train_discriminator(p: DiscriminatorParams, z_sc, z_st, alpha: float, max_iters: int,
                         lr: float):
-    """Full-batch Adam on BCE until accuracy >= alpha or ``max_iters`` steps.
+    """Full-batch Adam on ``disc_loss`` until accuracy >= alpha or ``max_iters`` steps.
 
     The latents are treated as constants (no gradient reaches whatever
     produced them). Returns (params, final_accuracy, steps_taken).
@@ -70,7 +78,7 @@ def train_discriminator(p: DiscriminatorParams, z_sc, z_st, alpha: float, max_it
     steps = 0
     acc = disc_accuracy(p, z_sc, z_st)
     while acc < alpha and steps < max_iters:
-        ad.train_step(opt, lambda: {"total": ad.bce_with_logits(disc_forward(p, z_all), labels)},
+        ad.train_step(opt, lambda: {"total": disc_loss(p, z_all, labels)},
                       f"discriminator, step {steps}")
         steps += 1
         acc = disc_accuracy(p, z_sc, z_st)
@@ -78,14 +86,12 @@ def train_discriminator(p: DiscriminatorParams, z_sc, z_st, alpha: float, max_it
 
 
 def adversarial_generator_loss(p: DiscriminatorParams, z, target_label: float):
-    """BCE of the discriminator's output against a flipped label.
+    """``disc_loss`` of the frozen discriminator against a flipped label.
 
     Non-saturating generator objective: gradients flow through the
     discriminator into ``z`` (and from there into the encoder that produced
     it). The discriminator runs frozen, so no gradient of its own weights is
     computed or kept.
     """
-    logits = disc_forward(p.frozen(), z)
-    labels = np.full(logits.shape, float(target_label))
-    return ad.bce_with_logits(logits, labels)
+    return disc_loss(p.frozen(), z, np.full((z.shape[0], 1), float(target_label)))
 

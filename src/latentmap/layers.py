@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dataio
-from .errors import DataError, DependencyError
+from .errors import DataError
 
 CHECKPOINT_FORMAT_VERSION = 3
 
@@ -128,11 +128,12 @@ def load_checkpoint(path, kind, cfg_cls, model_cls):
     """(model, extra) from a ``save_checkpoint`` checkpoint of ``kind``, with no weight drawn.
 
     The model is ``model_cls`` built on the header's arch, read into
-    ``cfg_cls``, and the float64 block, read in one call, fills its
-    ``params()`` in order. A header of another kind, a block whose sha256
-    differs from the header's or that is not 8 bytes per listed value, a
-    missing arch key, or a parameter layout other than the one the arch
-    builds is a DataError naming the file.
+    ``cfg_cls``, and the float64 block, read in one call by
+    ``dataio.read_bytes``, fills its ``params()`` in order. A missing block
+    is a DependencyError. A block that cannot be read, a header of another
+    kind, a block whose sha256 differs from the header's or that is not 8
+    bytes per listed value, a missing arch key, or a parameter layout other
+    than the one the arch builds is a DataError naming the file.
     """
     header = dataio.read_json(path)
     version = header.get("format_version")
@@ -151,11 +152,7 @@ def load_checkpoint(path, kind, cfg_cls, model_cls):
                for name, shape in layout):
         raise DataError(f"{path}: checkpoint header field 'params' must list [name, shape] pairs")
     block = arrays_path(path)
-    try:
-        with open(block, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise DependencyError(f"missing checkpoint arrays file: {block}") from None
+    blob = dataio.read_bytes(block)
     if hashlib.sha256(blob).hexdigest() != header["arrays_sha256"]:
         raise DataError(f"{block}: sha256 does not match the one recorded in {path}")
     expected = 8 * sum(math.prod(shape) for _, shape in layout)

@@ -3,7 +3,9 @@
 Stage 1 trains the 2000-gene expression VAE and freezes its latent. Stage 2
 trains two 500-gene VAEs (cells and spots) whose latents are tied to the
 frozen stage-1 latent by a paired euclidean anchor (cells) and to each
-other by an adversarial discriminator, then freezes both. Stage 3 trains
+other by an adversarial discriminator, then freezes both; the two VAEs
+train as one model, one Adam step on their summed objective per update,
+between the discriminator's own steps. Stage 3 trains
 the graph VGAE over the spot adjacency, anchoring its merged latent to the
 frozen spot latent, and learns to decode expression and coordinates.
 
@@ -18,11 +20,12 @@ scale.
 Each training objective is written once, as a function of the parameters
 and the step's random draws that returns its scalar terms by name, the
 weighted ``"total"`` first: ``_vae_terms`` (stage 1 and the shared
-pretraining), ``_generator_terms`` (stage 2's two VAEs) and
-``_stage3_terms``. A step draws its noise (and, in stage 3, then its
-negatives) inside the taped loss and calls one of them; ``ad.train_step``
-trains on the total, and each history column is the name the objective
-gives its term. ``latentmap gradcheck`` checks the same functions.
+pretraining), ``_generator_terms`` (stage 2, both VAEs at once) and
+``_stage3_terms``. A step draws its noise (per stage-2 side, from that
+side's stream; in stage 3, then its negatives) inside the taped loss and
+calls one of them; ``ad.train_step`` trains on the total, and each history
+column is the name the objective gives its term. ``latentmap gradcheck``
+checks the same functions, and the discriminator's ``disc.disc_loss``.
 
 ``load_pipeline_data`` reads and checks the whole preprocess directory,
 then keeps, for each stage asked for, only its counts on its panels, in
@@ -357,23 +360,28 @@ def _vae_terms(cfg, model, x, noise):
     return {"total": ad.add(recon, ad.scale(kl, cfg.kl_weight)), "recon": recon, "kl": kl}, mu
 
 
-def _generator_terms(cfg, model, x, noise, d_params, adv_label, anchor=None):
-    """Stage 2's objective for one 500-gene VAE: {total, recon, kl, anchor, adv}.
+def _generator_terms(cfg, models, xs, noises, anchor, d_params):
+    """Stage 2's objective over both 500-gene VAEs, cells then spots.
 
-    total = recon + kl_weight * KL + w_anchor_sc * anchor + w_adv * adv,
-    where the anchor term ties the posterior mean to ``anchor`` and the
-    adversarial term pushes it, through the frozen discriminator
-    ``d_params``, toward ``adv_label``: both act on the quantity that later
-    gets frozen. Spots have no anchor (``anchor`` None), so their terms
-    leave it out.
+    ``models``, ``xs`` and ``noises`` each hold the cell side's, then the
+    spot side's. Each side's total is recon + kl_weight * KL + w_adv * adv,
+    where the adversarial term pushes its posterior mean, through the
+    frozen discriminator ``d_params``, toward the other side's label; the
+    cell side's also adds w_anchor_sc * anchor, tying its mean to the
+    frozen 2000-gene latent ``anchor`` (spots have none). Both terms act on
+    the quantity that later gets frozen. Returns {total, total_sc, recon_sc,
+    kl_sc, anchor_sc, adv_sc, total_st, recon_st, kl_st, adv_st}, total
+    being the two sides' totals summed.
     """
-    terms, mu = _vae_terms(cfg, model, x, noise)
-    if anchor is not None:
-        terms["anchor"] = euclidean_latent_loss(mu, anchor)
-        terms["total"] = ad.add(terms["total"], ad.scale(terms["anchor"], cfg.w_anchor_sc))
-    terms["adv"] = disc.adversarial_generator_loss(d_params, mu, target_label=adv_label)
-    terms["total"] = ad.add(terms["total"], ad.scale(terms["adv"], cfg.w_adv))
-    return terms
+    (sc, mu_sc), (st, mu_st) = (_vae_terms(cfg, m, x, e) for m, x, e in zip(models, xs, noises))
+    sc["anchor"] = euclidean_latent_loss(mu_sc, anchor)
+    sc["total"] = ad.add(sc["total"], ad.scale(sc["anchor"], cfg.w_anchor_sc))
+    for terms, mu, label in ((sc, mu_sc, 0.0), (st, mu_st, 1.0)):
+        terms["adv"] = disc.adversarial_generator_loss(d_params, mu, target_label=label)
+        terms["total"] = ad.add(terms["total"], ad.scale(terms["adv"], cfg.w_adv))
+    return {"total": ad.add(sc["total"], st["total"]),
+            **{f"{name}_sc": t for name, t in sc.items()},
+            **{f"{name}_st": t for name, t in st.items()}}
 
 
 def _stage3_terms(cfg, model, graph, x, coords_n, anchor, noise, neg):
@@ -456,11 +464,12 @@ def _anchor_codes(fixed, ids, kind, latent_dim):
     return fixed.codes
 
 
-def _generator_step(cfg, model, opt, x, noise_rng, d_params, adv_label, where, anchor=None):
-    """One full-batch step of ``_generator_terms`` inside stage 2, on noise drawn from
-    ``noise_rng``; returns the terms as floats, by name."""
-    return ad.train_step(opt, lambda: _generator_terms(cfg, model, x, _noise(cfg, x, noise_rng),
-                                                       d_params, adv_label, anchor), where)
+def _generator_step(cfg, opt, models, xs, noise_rngs, anchor, d_params, where):
+    """One Adam step of ``_generator_terms`` over both VAEs, each side on noise drawn from
+    its own stream in ``noise_rngs``; returns the terms as floats, by name."""
+    return ad.train_step(opt, lambda: _generator_terms(
+        cfg, models, xs, [_noise(cfg, x, rng) for x, rng in zip(xs, noise_rngs)], anchor,
+        d_params), where)
 
 
 def _pretrain_shared_init(cfg, x_sc, x_st):
@@ -478,52 +487,47 @@ def _pretrain_shared_init(cfg, x_sc, x_st):
 def stage2(cfg: TrainConfig, x_sc500, sc_ids, x_st500, st_ids, z_fixed_sc2000, run: RunDir):
     """Adversarially align the 500-gene cell and spot latents; freeze both.
 
+    Both VAEs start from ``_pretrain_shared_init``'s model and are trained
+    as one: one Adam holds their parameters, named ``sc.*`` and ``st.*``.
     Per outer epoch: encode both datasets, train the discriminator on the
     detached posterior means until it hits the target accuracy or the
-    iteration cap, then take ``s2b_epochs`` generator steps on each VAE. The
-    cell VAE also carries the anchor to the frozen 2000-gene latent; both
-    VAEs receive the adversarial term, each pushed toward the other side's
-    label.
+    iteration cap, then take ``s2b_epochs`` generator steps, each one
+    ``_generator_step`` on both sides' summed objective. The cell side also
+    carries the anchor to the frozen 2000-gene latent; each side's
+    adversarial term pushes it toward the other side's label.
     """
     started = time.perf_counter()
     run.ensure_layout()
-    x_sc = np.asarray(x_sc500, dtype=np.float64)
-    x_st = np.asarray(x_st500, dtype=np.float64)
-    if x_sc.shape[1] != x_st.shape[1]:
-        raise DataError(f"panel width mismatch: {x_sc.shape[1]} vs {x_st.shape[1]}")
+    xs = (np.asarray(x_sc500, dtype=np.float64), np.asarray(x_st500, dtype=np.float64))
+    if xs[0].shape[1] != xs[1].shape[1]:
+        raise DataError(f"panel width mismatch: {xs[0].shape[1]} vs {xs[1].shape[1]}")
     anchor = _anchor_codes(z_fixed_sc2000, sc_ids, "cell", cfg.latent_dim)
 
-    model_sc = _pretrain_shared_init(cfg, x_sc, x_st)
-    model_st = copy.deepcopy(model_sc)
+    model_sc = _pretrain_shared_init(cfg, *xs)
+    models = (model_sc, copy.deepcopy(model_sc))
     d_params = disc.init_discriminator(cfg.latent_dim, _rng(cfg.seed, _S2_DISC_INIT))
-    noise_sc = _rng(cfg.seed, _S2_NOISE_SC)
-    noise_st = _rng(cfg.seed, _S2_NOISE_ST)
-    opt_sc = ad.Adam(model_sc.params(), lr=cfg.learning_rate)
-    opt_st = ad.Adam(model_st.params(), lr=cfg.learning_rate)
+    noise_rngs = (_rng(cfg.seed, _S2_NOISE_SC), _rng(cfg.seed, _S2_NOISE_ST))
+    opt = ad.Adam({f"{side}.{name}": t for side, model in zip(("sc", "st"), models)
+                   for name, t in model.params().items()}, lr=cfg.learning_rate)
 
     rows = []
     for outer in range(cfg.s2_epochs):
-        mu_sc = vae.encode_mu(model_sc, x_sc)
-        mu_st = vae.encode_mu(model_st, x_st)
+        mu_sc, mu_st = (vae.encode_mu(model, x) for model, x in zip(models, xs))
         d_params, d_acc, d_steps = disc.train_discriminator(
             d_params, mu_sc, mu_st, alpha=cfg.disc_target_acc,
             max_iters=cfg.disc_max_iters, lr=cfg.disc_lr)
         for inner in range(cfg.s2b_epochs):
-            where = f"stage 2, step {outer * cfg.s2b_epochs + inner}"
-            sc_terms = _generator_step(cfg, model_sc, opt_sc, x_sc, noise_sc, d_params, 0.0,
-                                       f"{where}, cells", anchor=anchor)
-            st_terms = _generator_step(cfg, model_st, opt_st, x_st, noise_st, d_params, 1.0,
-                                       f"{where}, spots")
-            rows.append([outer, inner, d_acc, d_steps, *sc_terms.values(), *st_terms.values()])
+            terms = _generator_step(cfg, opt, models, xs, noise_rngs, anchor, d_params,
+                                    f"stage 2, step {outer * cfg.s2b_epochs + inner}")
+            rows.append([outer, inner, d_acc, d_steps, *list(terms.values())[1:]])
 
-    vae.save_vae(run.path("checkpoints", "vae_sc500.json"), model_sc)
-    vae.save_vae(run.path("checkpoints", "vae_st500.json"), model_st)
-    latents = (run.write_latent("z_sc500.csv", sc_ids, vae.encode_mu(model_sc, x_sc)),
-               run.write_latent("z_st500.csv", st_ids, vae.encode_mu(model_st, x_st)))
-    header = ["outer", "inner", "disc_acc", "disc_steps", *(f"{name}_sc" for name in sc_terms),
-              *(f"{name}_st" for name in st_terms)]
+    latents = []
+    for side, model, x, ids in zip(("sc", "st"), models, xs, (sc_ids, st_ids)):
+        vae.save_vae(run.path("checkpoints", f"vae_{side}500.json"), model)
+        latents.append(run.write_latent(f"z_{side}500.csv", ids, vae.encode_mu(model, x)))
+    header = ["outer", "inner", "disc_acc", "disc_steps", *list(terms)[1:]]
     _write_history(run, 2, header, rows, "anchor_sc", started)
-    return latents
+    return tuple(latents)
 
 
 def stage3(cfg: TrainConfig, x_st500, st_ids, coords, z_fixed_st500, run: RunDir):

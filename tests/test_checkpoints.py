@@ -122,6 +122,15 @@ def test_missing_arrays_file_is_a_dependency_error(tmp_path):
         vae.load_vae(tmp_path / "a.json")
 
 
+def test_unreadable_arrays_file_is_a_data_error_naming_it(tmp_path):
+    a, _ = tiny_models(8)
+    vae.save_vae(tmp_path / "a.json", a)
+    (tmp_path / "a.f64").unlink()
+    (tmp_path / "a.f64").mkdir()
+    with pytest.raises(DataError, match=r"a\.f64: cannot read"):
+        vae.load_vae(tmp_path / "a.json")
+
+
 def test_block_length_must_match_the_listed_shapes(tmp_path):
     # a block one value short, with a header whose sha256 matches it
     p_vae, _ = tiny_models(10)

@@ -725,6 +725,21 @@ def test_infer_missing_arrays_file_exits_4(trained_run, corpus_dir, tmp_path, ca
     assert str(run / "checkpoints" / "vgae_st.f64") in caplog.text
 
 
+def test_infer_arrays_file_that_is_a_directory_exits_3_naming_it(trained_run, corpus_dir,
+                                                                  tmp_path, caplog):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    block = run / "checkpoints" / "vae_sc500.f64"
+    block.unlink()
+    block.mkdir()
+    rc = cli.main(["infer", "--run-dir", str(run),
+                   "--query", str(corpus_dir / "sc_query_counts.csv"),
+                   "--out", str(tmp_path / "pred.csv"), "--allow-extra-genes"])
+    assert rc == cli.EXIT_DATA
+    assert f"{block}: cannot read" in caplog.text
+    assert not (tmp_path / "pred.csv").exists()
+
+
 def test_infer_version_1_checkpoint_exits_3(trained_run, corpus_dir, tmp_path, caplog):
     run = tmp_path / "run"
     shutil.copytree(trained_run, run)
@@ -1411,6 +1426,19 @@ def test_gradcheck_suite_flags_a_wrong_anchor_or_adversarial_gradient(monkeypatc
     results = cli.gradcheck_suite(seed=1)
     assert taped
     assert max(results.values()) > 1e-4, results
+
+
+def test_gradcheck_suite_flags_a_wrong_adversarial_gradient_on_the_spot_side(monkeypatch):
+    # stage2 checks both sides: only the spot side's term (label 1) is made wrong
+    taped = []
+    wrong = _vjps_one_percent_off(disc.adversarial_generator_loss, taped)
+    right = disc.adversarial_generator_loss
+    monkeypatch.setattr(disc, "adversarial_generator_loss",
+                        lambda p, z, target_label: (wrong if target_label == 1.0 else right)(
+                            p, z, target_label=target_label))
+    results = cli.gradcheck_suite(seed=1)
+    assert taped, "the suite never tapes the spot side's adversarial term"
+    assert results["stage2"] > 1e-4, results
 
 
 def test_python_dash_m_runs_the_cli():

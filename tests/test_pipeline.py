@@ -13,9 +13,11 @@ from conftest import traced_peak
 from latentmap import __version__
 from latentmap import autodiff as ad
 from latentmap import dataio
+from latentmap import discriminator as disc
 from latentmap import pipeline as pl
 from latentmap import preprocess as pp
 from latentmap import synth
+from latentmap import vae
 from latentmap.errors import DataError, DependencyError, ShapeError
 
 
@@ -366,7 +368,6 @@ def test_stage2_ablation_reduces_to_independent_vaes(tmp_path, corpus):
     pl.stage2(cfg, corpus["x_sc"], corpus["sc_ids"], corpus["x_st"], corpus["st_ids"], z1, run)
     header, rows = pl.read_history(run.path("history", "stage2.csv"))
 
-    from latentmap import vae
     pre = pl._pretrain_shared_init(cfg, corpus["x_sc"], corpus["x_st"])
     model = copy.deepcopy(pre)
     noise_rng = pl._rng(cfg.seed, pl._S2_NOISE_SC)
@@ -383,6 +384,56 @@ def test_stage2_ablation_reduces_to_independent_vaes(tmp_path, corpus):
         standalone.append(total.item())
     got = [row[header.index("total_sc")] for row in rows]
     assert got == pytest.approx(standalone, abs=0.0)  # bitwise identical
+
+
+def test_stage2_joint_step_matches_two_per_side_steps_bitwise(corpus):
+    # one Adam over both VAEs and one step of the summed objective update each
+    # side exactly as a per-side Adam and step on that side's own terms would
+    cfg = tiny_cfg()
+    x_sc, x_st = corpus["x_sc"], corpus["x_st"]
+    models = (vae.init_vae(vae.VaeConfig(n_genes=x_sc.shape[1], latent_dim=4,
+                                         enc_hidden=(16, 8)), 3),
+              vae.init_vae(vae.VaeConfig(n_genes=x_st.shape[1], latent_dim=4,
+                                         enc_hidden=(16, 8)), 4))
+    d_params = disc.init_discriminator(4, 5)
+    anchor = np.random.default_rng(6).normal(size=(x_sc.shape[0], 4))
+
+    def side_terms(model, x, noise, label, anchor=None):
+        recon, kl, mu = vae.vae_loss(model, x, noise)
+        terms = {"total": ad.add(recon, ad.scale(kl, cfg.kl_weight)), "recon": recon, "kl": kl}
+        if anchor is not None:
+            terms["anchor"] = pl.euclidean_latent_loss(mu, anchor)
+            terms["total"] = ad.add(terms["total"], ad.scale(terms["anchor"], cfg.w_anchor_sc))
+        terms["adv"] = disc.adversarial_generator_loss(d_params, mu, target_label=label)
+        terms["total"] = ad.add(terms["total"], ad.scale(terms["adv"], cfg.w_adv))
+        return terms
+
+    ref = [copy.deepcopy(m) for m in models]
+    ref_opts = [ad.Adam(m.params(), lr=cfg.learning_rate) for m in ref]
+    ref_rngs = [pl._rng(cfg.seed, s) for s in (pl._S2_NOISE_SC, pl._S2_NOISE_ST)]
+    joint = [copy.deepcopy(m) for m in models]
+    opt = ad.Adam({f"{side}.{name}": t for side, m in zip(("sc", "st"), joint)
+                   for name, t in m.params().items()}, lr=cfg.learning_rate)
+    rngs = [pl._rng(cfg.seed, s) for s in (pl._S2_NOISE_SC, pl._S2_NOISE_ST)]
+    for step in range(3):
+        expected = {}
+        for side, model, o, x, rng, label, a in zip(("sc", "st"), ref, ref_opts, (x_sc, x_st),
+                                                    ref_rngs, (0.0, 1.0), (anchor, None)):
+            terms = ad.train_step(o, lambda: side_terms(model, x, pl._noise(cfg, x, rng),
+                                                        label, a), f"step {step}")
+            expected.update({f"{name}_{side}": v for name, v in terms.items()})
+        got = pl._generator_step(cfg, opt, joint, (x_sc, x_st), rngs, anchor, d_params,
+                                 f"step {step}")
+        assert list(got) == ["total", *expected]
+        assert [got[name] for name in expected] == list(expected.values())
+        assert got["total"] == expected["total_sc"] + expected["total_st"]
+    for side, m, o in zip(("sc", "st"), ref, ref_opts):
+        assert opt.t == o.t == 3
+        for name, t in m.params().items():
+            key = f"{side}.{name}"
+            assert opt.params[key].data.tobytes() == t.data.tobytes(), key
+            assert opt.m[key].tobytes() == o.m[name].tobytes(), key
+            assert opt.v[key].tobytes() == o.v[name].tobytes(), key
 
 
 def test_stage2_records_zero_weight_terms(tmp_path, corpus):
