@@ -147,22 +147,16 @@ def _train_split(e: LabeledEmbedding, test_idx) -> LabeledEmbedding:
     return LabeledEmbedding(e.codes[train_idx], [e.labels[i] for i in train_idx], vocab=e.vocab)
 
 
-def kfold_cv(e: LabeledEmbedding, k_neighbors: int, folds: int, seed: int) -> CvReport:
-    """Seeded shuffle into ``folds`` near-equal groups; each group tested once.
-
-    A class absent from some training split is recorded as a warning and the
-    fold is still scored. The confusion matrix counts the out-of-fold
-    predictions.
-    """
-    return sweep_k(e, [k_neighbors], folds=folds, seed=seed)[0][1]
-
-
 def sweep_k(e: LabeledEmbedding, k_values, folds: int, seed: int) -> list:
-    """(k, kfold_cv report) per k, on the one fold split the seed gives.
+    """(k, k-fold CV report) per k, on the one fold split the seed gives.
 
-    Each fold ranks its distances once, at the largest k, and each k votes
-    on a prefix of that ranking. A k above the training rows of the
-    smallest fold's split is refused before any fold is ranked.
+    The seeded shuffle splits the rows into ``folds`` near-equal groups, and
+    each group is tested once. Each fold ranks its distances once, at the
+    largest k, and each k votes on a prefix of that ranking. A k above the
+    training rows of the smallest fold's split is refused before any fold is
+    ranked. A class absent from some training split is recorded as a warning
+    and the fold is still scored. The confusion matrix counts the
+    out-of-fold predictions.
     """
     k_values = list(k_values)
     if not k_values:

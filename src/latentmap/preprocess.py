@@ -16,14 +16,12 @@ stay compact until a stage normalizes them. Every sum over counts here is
 taken in uint64 or over booleans, never in the counts' own dtype.
 
 ``panel_matrix`` builds every matrix that training and inference read
-(``train``'s three, ``infer``'s query): it writes the normalized panel
-straight from the counts into its one float64 result, a block of at most
-``NORMALIZE_BLOCK_ENTRIES`` counts at a time, with each row total summed
-exactly over the integers. It makes no integer copy of the panel's
-columns, and its values are those of ``normalize_log1p(subset_counts(m,
-panel))`` to the bit. It refuses a row without counts on the panel by the
-rule ``panel_counts`` applies, so ``train`` checks a stage's counts when it
-loads them and normalizes them only when the stage starts.
+(``train``'s three, ``infer``'s query): ``normalize_log1p`` of the counts
+cut to the panel by ``subset_counts``. ``train`` cuts each stage's counts
+to its panels when it loads them (``panel_counts``, which refuses a row
+without counts on the panel by the rule normalization applies), so its
+matrices are normalized in place from counts already on their panel; an
+``infer`` query is cut to its panel in its narrow dtype first.
 """
 
 import logging
@@ -38,7 +36,6 @@ log = logging.getLogger("latentmap.preprocess")
 
 MITO_RIBO_PREFIXES = ("MT-", "MRP", "RPS", "RPL")  # mitochondrial, then ribosomal genes
 TARGET_SUM = 1e4  # the default total each row is scaled to before log1p
-NORMALIZE_BLOCK_ENTRIES = 1 << 16  # counts that normalize_log1p and panel_matrix hold at once
 
 
 def first_duplicate(ids):
@@ -194,59 +191,33 @@ def filter_mito_ribo(m: CountMatrix, max_fraction: float) -> CountMatrix:
 
 
 def normalize_log1p(m: CountMatrix, target_sum: float = TARGET_SUM) -> np.ndarray:
-    """Scale each row to ``target_sum`` total, then log1p. Returns float64 matrix."""
-    return _normalized(m, None, target_sum)
+    """Scale each row to ``target_sum`` total, then log1p. Returns float64 matrix.
+
+    The row totals are summed exactly over the integers, and the counts are
+    cast, scaled and log1p'd in place in the one float64 result. The result
+    is in C order whatever the counts' layout (a panel's column gather
+    leaves them in Fortran order).
+    """
+    if not (math.isfinite(target_sum) and target_sum > 0):
+        raise DataError(f"target_sum must be a finite number > 0, got {target_sum!r}")
+    scale = target_sum / _nonzero_totals(m).astype(np.float64)
+    out = m.counts.astype(np.float64, order="C")
+    out *= scale[:, None]
+    return np.log1p(out, out=out)
 
 
-def _row_blocks(m: CountMatrix, cols):
-    """(first row, counts) of each block of at most ``NORMALIZE_BLOCK_ENTRIES`` counts of
-    ``m`` on the columns ``cols`` (every column if None), the rows in order."""
-    width = m.n_cols if cols is None else len(cols)
-    rows = max(1, NORMALIZE_BLOCK_ENTRIES // max(width, 1))
-    for lo in range(0, m.n_rows, rows):
-        block = m.counts[lo:lo + rows]
-        yield lo, block if cols is None else np.take(block, cols, axis=1)
-
-
-def _row_totals(m: CountMatrix, cols) -> np.ndarray:
-    """Each row's total count on the columns ``cols`` (every column if None), in uint64."""
-    totals = np.empty(m.n_rows, dtype=np.uint64)
-    for lo, block in _row_blocks(m, cols):
-        totals[lo:lo + len(block)] = block.sum(axis=1, dtype=np.uint64)
-    return totals
-
-
-def _nonzero_totals(m: CountMatrix, cols) -> np.ndarray:
-    """``_row_totals``, refused with a DataError naming the first rows whose total is 0.
+def _nonzero_totals(m: CountMatrix) -> np.ndarray:
+    """Each row's total count in uint64, refused with a DataError naming the first rows
+    whose total is 0.
 
     Normalization cannot scale such a row: this is the one rule by which
-    both ``panel_matrix`` and ``panel_counts`` refuse counts.
+    ``normalize_log1p``, ``panel_matrix`` and ``panel_counts`` refuse counts.
     """
-    totals = _row_totals(m, cols)
+    totals = m.counts.sum(axis=1, dtype=np.uint64)
     zero_rows = np.flatnonzero(totals == 0)
     if zero_rows.size:
         raise DataError(f"rows with zero total counts: {[m.row_ids[i] for i in zero_rows[:5]]}")
     return totals
-
-
-def _normalized(m: CountMatrix, cols, target_sum: float) -> np.ndarray:
-    """``normalize_log1p`` of the counts on the columns ``cols`` (every column if None).
-
-    The row totals are summed exactly over the integers first. Then each
-    block of rows, at most ``NORMALIZE_BLOCK_ENTRIES`` counts, is gathered,
-    cast, scaled and log1p'd in its rows of the float64 result: every value
-    is the one the whole-matrix expression gives.
-    """
-    if not (math.isfinite(target_sum) and target_sum > 0):
-        raise DataError(f"target_sum must be a finite number > 0, got {target_sum!r}")
-    scale = target_sum / _nonzero_totals(m, cols).astype(np.float64)
-    out = np.empty((m.n_rows, m.n_cols if cols is None else len(cols)))
-    for lo, block in _row_blocks(m, cols):
-        dst = out[lo:lo + len(block)]
-        dst[...] = block
-        dst *= scale[lo:lo + len(block), None]
-        np.log1p(dst, out=dst)
-    return out
 
 
 def dispersion(normed: np.ndarray) -> np.ndarray:
@@ -313,7 +284,7 @@ def drop_empty_rows(m: CountMatrix, *panels) -> tuple:
     """
     keep = np.ones(m.n_rows, dtype=bool)
     for panel in panels:
-        keep &= _row_totals(m, _panel_columns(m, panel)) > 0
+        keep &= subset_counts(m, panel).counts.sum(axis=1, dtype=np.uint64) > 0
     if keep.all():
         return m, 0
     if not keep.any():
@@ -325,13 +296,9 @@ def panel_matrix(m: CountMatrix, panel: GenePanel, target_sum: float = TARGET_SU
     """Counts restricted to the panel, then normalized+log1p.
 
     Restriction happens before normalization so that datasets measured on
-    different gene sets become comparable on the shared panel. The result
-    is ``normalize_log1p(subset_counts(m, panel), target_sum)`` to the bit,
-    without the integer copy of the panel's columns that ``subset_counts``
-    makes.
+    different gene sets become comparable on the shared panel.
     """
-    cols = np.asarray(_panel_columns(m, panel), dtype=np.intp)
-    return _normalized(m, None if _keeps_all(cols, m.n_cols) else cols, target_sum)
+    return normalize_log1p(subset_counts(m, panel), target_sum)
 
 
 def panel_counts(m: CountMatrix, panel: GenePanel) -> CountMatrix:
@@ -341,7 +308,7 @@ def panel_counts(m: CountMatrix, panel: GenePanel) -> CountMatrix:
     refusal is its own, by the same rule and with the same message.
     """
     counts = subset_counts(m, panel)
-    _nonzero_totals(counts, None)
+    _nonzero_totals(counts)
     return counts
 
 

@@ -201,7 +201,7 @@ def test_knn_leave_one_out_matches_brute_force():
 
 def test_kfold_sizes_near_equal():
     e = bm.LabeledEmbedding(np.arange(16.0).reshape(8, 2), list("aabbccdd"))
-    report = bm.kfold_cv(e, k_neighbors=1, folds=4, seed=0)
+    report = bm.sweep_k(e, [1], folds=4, seed=0)[0][1]
     assert len(report.fold_accuracies) == 4
     assert report.confusion.sum() == 8  # every point tested exactly once
 
@@ -220,7 +220,7 @@ def test_kfold_perfect_clusters():
     rng = np.random.default_rng(6)
     codes = np.vstack([rng.normal(0, 0.05, size=(12, 2)), rng.normal(8, 0.05, size=(12, 2))])
     e = bm.LabeledEmbedding(codes, ["a"] * 12 + ["b"] * 12)
-    report = bm.kfold_cv(e, k_neighbors=3, folds=4, seed=2)
+    report = bm.sweep_k(e, [3], folds=4, seed=2)[0][1]
     assert report.mean == 1.0 and report.std == 0.0
     assert report.confusion.trace() == 24
 
@@ -228,8 +228,8 @@ def test_kfold_perfect_clusters():
 def test_kfold_deterministic():
     rng = np.random.default_rng(7)
     e = bm.LabeledEmbedding(rng.normal(size=(20, 3)), [["a", "b"][i] for i in rng.integers(0, 2, 20)])
-    r1 = bm.kfold_cv(e, k_neighbors=3, folds=4, seed=9)
-    r2 = bm.kfold_cv(e, k_neighbors=3, folds=4, seed=9)
+    r1 = bm.sweep_k(e, [3], folds=4, seed=9)[0][1]
+    r2 = bm.sweep_k(e, [3], folds=4, seed=9)[0][1]
     assert r1.fold_accuracies == r2.fold_accuracies
     assert np.array_equal(r1.confusion, r2.confusion)
 
@@ -237,7 +237,7 @@ def test_kfold_deterministic():
 def test_kfold_mean_is_arithmetic_mean():
     rng = np.random.default_rng(8)
     e = bm.LabeledEmbedding(rng.normal(size=(17, 2)), [["a", "b"][i] for i in rng.integers(0, 2, 17)])
-    report = bm.kfold_cv(e, k_neighbors=2, folds=4, seed=3)
+    report = bm.sweep_k(e, [2], folds=4, seed=3)[0][1]
     assert report.mean == pytest.approx(float(np.mean(report.fold_accuracies)))
     # confusion row sums equal per-class test counts accumulated over folds
     totals = {label: e.labels.count(label) for label in e.vocab}
@@ -248,7 +248,7 @@ def test_kfold_mean_is_arithmetic_mean():
 def test_kfold_warns_when_class_missing_from_training():
     codes = np.arange(10.0).reshape(5, 2)
     e = bm.LabeledEmbedding(codes, ["a", "a", "b", "a", "a"])
-    report = bm.kfold_cv(e, k_neighbors=1, folds=5, seed=0)
+    report = bm.sweep_k(e, [1], folds=5, seed=0)[0][1]
     assert any("absent" in w for w in report.warnings)
     assert len(report.fold_accuracies) == 5  # folds still scored
 
@@ -257,7 +257,7 @@ def test_sweep_single_k_reduces_to_kfold():
     rng = np.random.default_rng(9)
     e = bm.LabeledEmbedding(rng.normal(size=(12, 2)), [["a", "b"][i] for i in rng.integers(0, 2, 12)])
     sweep = bm.sweep_k(e, [1], folds=4, seed=4)
-    single = bm.kfold_cv(e, 1, folds=4, seed=4)
+    single = bm.sweep_k(e, [1], folds=4, seed=4)[0][1]
     assert sweep[0][0] == 1
     assert sweep[0][1].fold_accuracies == single.fold_accuracies
 
@@ -271,7 +271,7 @@ def test_sweep_reuses_fold_split_across_k():
     assert all(report.mean == 1.0 for _, report in sweep)
 
 
-def test_sweep_k_matches_kfold_cv_per_k():
+def test_sweep_k_matches_single_k_sweeps():
     # small integer codes: distance ties at the k-th neighbor; 20 rows in 4
     # folds train on 15, so k = 15 votes over every training row
     rng = np.random.default_rng(12)
@@ -282,7 +282,7 @@ def test_sweep_k_matches_kfold_cv_per_k():
     assert [k for k, _ in sweep] == k_values
     slices = bm._fold_slices(e.n, 4, seed=13)
     for k, report in sweep:
-        single = bm.kfold_cv(e, k, folds=4, seed=13)
+        single = bm.sweep_k(e, [k], folds=4, seed=13)[0][1]
         assert report.fold_accuracies == single.fold_accuracies, k
         assert report.oof_predictions == single.oof_predictions, k
         assert np.array_equal(report.confusion, single.confusion), k
@@ -303,7 +303,7 @@ def test_k_above_a_splits_training_rows_is_refused_naming_k_and_rows():
                                         r"fewer than k=500"):
         bm.sweep_k(e, [45, 500], folds=4, seed=0)
     with pytest.raises(DataError, match=r"votes over 45 training rows, fewer than k=46"):
-        bm.kfold_cv(e, 46, folds=4, seed=0)
+        bm.sweep_k(e, [46], folds=4, seed=0)
     assert [k for k, _ in bm.sweep_k(e, [45], folds=4, seed=0)] == [45]
     with pytest.raises(DataError, match=r"a split of its 60 rows votes over 30 training rows, "
                                         r"fewer than k=500"):
@@ -337,7 +337,7 @@ def test_sweep_k_equals_train_size_collapses_to_prior():
     e = bm.LabeledEmbedding(codes, labels)
     folds = 4
     k = n - n // folds  # training size per fold
-    report = bm.kfold_cv(e, k_neighbors=k, folds=folds, seed=6)
+    report = bm.sweep_k(e, [k], folds=folds, seed=6)[0][1]
     slices = bm._fold_slices(n, folds, seed=6)
     expected = []
     for test_idx in slices:

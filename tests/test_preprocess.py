@@ -390,18 +390,16 @@ def test_panel_matrix_normalizes_within_panel():
     out = pp.panel_matrix(m, pp.GenePanel(["a", "b"]), target_sum=100.0)
     # restricted counts [1, 1] -> scaled to [50, 50]
     assert out[0, 0] == pytest.approx(math.log(51.0))
-    # blocked from the counts, it is the normalization of the subset to the bit, over
-    # several row blocks, an unsorted panel, the whole matrix and a one-gene panel
+    # it is the normalization of the subset to the bit, on an unsorted panel,
+    # the whole matrix and a one-gene panel
     rng = np.random.default_rng(3)
     m = make_matrix(rng.poisson(0.7, size=(301, 700)) + (np.arange(700) == 5))
-    rows = pp.NORMALIZE_BLOCK_ENTRIES // 600
-    assert m.n_rows > 2 * rows
     for genes in (list(rng.permutation(m.col_ids)[:600]), m.col_ids, [m.col_ids[5]]):
         panel = pp.GenePanel(genes)
         out = pp.panel_matrix(m, panel, target_sum=1e4)
         assert out.flags["C_CONTIGUOUS"]
         assert np.array_equal(out, pp.normalize_log1p(pp.subset_counts(m, panel), 1e4))
-    # zero-total rows in two row blocks: the error names the first five
+    # six zero-total rows: the error names the first five
     counts = m.counts.copy()
     counts[np.ix_([3, 250, 251, 252, 253, 299], range(600))] = 0
     m = make_matrix(counts)
@@ -410,17 +408,31 @@ def test_panel_matrix_normalizes_within_panel():
         pp.panel_matrix(m, pp.GenePanel(m.col_ids[:600]))
 
 
-def test_panel_matrix_holds_the_result_and_one_row_block():
-    # 1000 x 2500 counts on an unsorted 2,000-gene panel: no int64 copy of
-    # the panel's 16 MB of columns, only the float64 result and one block
-    # (plus 128 KiB: numpy's 64 KiB ufunc buffer and the panel's column indices)
+def test_panel_matrix_on_counts_already_on_their_panel_holds_only_the_result():
+    # train's path: 1000 x 2000 uint8 counts cut to an unsorted 2,000-gene
+    # panel by panel_counts, then normalized. The counts are taken as they
+    # are: the peak is the float64 result, plus 128 KiB (numpy's 64 KiB ufunc
+    # buffer, the row totals and the panel's column index)
     rng = np.random.default_rng(5)
     m = make_matrix(rng.poisson(0.8, size=(1000, 2500)) + 1)
     panel = pp.GenePanel(list(rng.permutation(m.col_ids)[:2000]))
+    counts = pp.panel_counts(m, panel)
+    assert counts.counts.dtype == np.uint8
+    out, peak = traced_peak(lambda: pp.panel_matrix(counts, panel))
+    assert out.nbytes == 1000 * 2000 * 8
+    assert peak <= out.nbytes + 128 * 1024, (peak, out.nbytes)
+
+
+def test_panel_matrix_gathers_a_query_in_its_narrow_dtype():
+    # infer's path: counts not yet on their panel are cut to it in their own
+    # dtype (uint8 here), never widened before the one float64 result
+    rng = np.random.default_rng(5)
+    m = make_matrix(rng.poisson(0.8, size=(1000, 2500)) + 1)
+    assert m.counts.dtype == np.uint8
+    panel = pp.GenePanel(list(rng.permutation(m.col_ids)[:2000]))
     out, peak = traced_peak(lambda: pp.panel_matrix(m, panel))
-    rows = pp.NORMALIZE_BLOCK_ENTRIES // 2000
-    block = rows * 2000 * 8
-    assert peak <= out.nbytes + block + 128 * 1024, (peak, out.nbytes, block)
+    gathered = m.n_rows * len(panel) * m.counts.itemsize
+    assert peak <= out.nbytes + gathered + 128 * 1024, (peak, out.nbytes, gathered)
 
 
 def test_panel_missing_gene_errors():
