@@ -254,12 +254,16 @@ def test_kfold_warns_when_class_missing_from_training():
 
 
 def test_sweep_single_k_reduces_to_kfold():
+    # a one-k sweep is that k's k-fold CV: its entry of a sweep over several k
     rng = np.random.default_rng(9)
     e = bm.LabeledEmbedding(rng.normal(size=(12, 2)), [["a", "b"][i] for i in rng.integers(0, 2, 12)])
-    sweep = bm.sweep_k(e, [1], folds=4, seed=4)
-    single = bm.sweep_k(e, [1], folds=4, seed=4)[0][1]
-    assert sweep[0][0] == 1
-    assert sweep[0][1].fold_accuracies == single.fold_accuracies
+    sweep = bm.sweep_k(e, [1, 3, 5], folds=4, seed=4)
+    assert [k for k, _ in sweep] == [1, 3, 5]
+    for k, report in sweep:
+        [(one_k, single)] = bm.sweep_k(e, [k], folds=4, seed=4)
+        assert one_k == k
+        assert single.fold_accuracies == report.fold_accuracies, k
+        assert np.array_equal(single.confusion, report.confusion), k
 
 
 def test_sweep_reuses_fold_split_across_k():

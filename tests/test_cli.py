@@ -1531,10 +1531,13 @@ _TINY_STAGE3_SHA256 = {
     "manifest.json": "ac2483c60ef2457c80558c6e51e20d0051191284d5f84cb55612e379ef755166",
     "panel_shared.txt": "aa6c50de99de4691ac1007a583a9a7ba1447dfe5205aee8181735dde102938f2",
 }
+# infer of the module's query cells on that run
+_TINY_PREDICTIONS_SHA256 = "78923f9ab6d7448bc61dccb8eca7fe314c799fb71804a1a9f1f003cab687391b"
 
 
-def test_tiny_stage3_run_dir_golden_sha256(data_dir, tmp_path):
-    # stage 3 adds the kNN graph, the negative draws and the GCN to the digests
+def test_tiny_stage3_run_dir_golden_sha256(data_dir, corpus_dir, tmp_path):
+    # stage 3 adds the kNN graph, the negative draws and the GCN to the digests, and
+    # infer's predictions pin every float the prediction writer emits
     config = tmp_path / "config.json"
     pl.TrainConfig(s1_epochs=6, s2_init_epochs=5, s2_epochs=2, s2b_epochs=1, s3_epochs=5,
                    latent_dim=4, enc_hidden=(16, 8), kl_weight=0.01, seed=4).save(config)
@@ -1543,6 +1546,9 @@ def test_tiny_stage3_run_dir_golden_sha256(data_dir, tmp_path):
                      "--run-dir", str(run_dir), "--config", str(config)]) == 0
     assert {str(p.relative_to(run_dir)): cli.file_digest(p)
             for p in sorted(run_dir.rglob("*")) if p.is_file()} == _TINY_STAGE3_SHA256
+    out = tmp_path / "predictions.csv"
+    assert _infer(run_dir, corpus_dir, out) == 0
+    assert cli.file_digest(out) == _TINY_PREDICTIONS_SHA256
 
 
 def test_tiny_stages_run_one_by_one_give_the_all_run_bytes(data_dir, tmp_path):

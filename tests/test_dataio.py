@@ -103,6 +103,63 @@ def test_float_writers_round_trip_every_bit_pattern(tmp_path, monkeypatch):
         dataio.read_matrix_csv(matrix)
 
 
+def _formatter_cases(rng):
+    """Over 10**6 seeded float64 values on which a %.17g text is easy to get wrong."""
+    big = np.finfo(np.float64).max
+    powers = np.array([float(f"1e{k}") for k in range(-8, 19)])
+    neighbours, up, down = [powers], powers, powers
+    # 1 and 2 ulps either side of each power of ten: the doubles just below one are
+    # the only ones whose 17 digits could round up into the next decade
+    for _ in range(2):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        neighbours += [up, down]
+    neighbours = np.concatenate(neighbours)
+    # odd m / 2**j, most with 18 significant digits, the last a 5: exact ties in the 17th
+    j = rng.integers(2, 40, size=200_000)
+    low = np.ldexp(10.0 ** (17 - j), j)
+    m = np.floor(low + rng.random(j.size) * (np.minimum(10 * low, 2.0 ** 53) - low))
+    ties = np.ldexp(m + (m % 2 == 0), -j)
+    return np.concatenate([
+        rng.integers(0, 1 << 64, size=300_000, dtype=np.uint64).view(np.float64),  # nan, inf, subnormals
+        rng.normal(size=200_000),
+        rng.choice([-1.0, 1.0], 200_000) * np.exp(rng.uniform(np.log(1e-8), np.log(1e18), 200_000)),
+        neighbours, -neighbours,
+        rng.integers(0, 1 << 60, size=100_000).astype(np.float64),
+        ties, -ties,
+        [0.0, -0.0, big, -big, np.nan, np.inf, -np.inf, 1e-4, 1e17],
+    ])
+
+
+def _percent_17g_bytes(header, ids, values, texts):
+    """A numeric table's bytes with each value's text from ``texts``, in row order."""
+    width = values.shape[1]
+    rows = (",".join([ids[i], *texts[i * width:(i + 1) * width]]) for i in range(len(values)))
+    return "".join(f"{line}\n" for line in [",".join(header), *rows]).encode()
+
+
+def test_float_writers_write_percent_17g_bytes(tmp_path):
+    # every float writer against '%.17g' % x, value by value
+    values = _formatter_cases(np.random.default_rng(11))
+    assert values.size > 10 ** 6
+    values = values[:values.size // 10 * 10]
+    texts = ["%.17g" % x for x in values.tolist()]
+    matrix, coords = values.reshape(-1, 10), values.reshape(-1, 2)
+    cols, ids = [f"g{j}" for j in range(10)], [f"r{i}" for i in range(len(coords))]
+    path = tmp_path / "t.csv"
+    dataio.write_matrix_csv(path, ids[:len(matrix)], cols, matrix)
+    assert path.read_bytes() == _percent_17g_bytes(["id"] + cols, ids, matrix, texts)
+    dataio.write_latent_csv(path, ids[:len(matrix)], matrix)
+    assert path.read_bytes() == _percent_17g_bytes(["id"] + [f"z{j}" for j in range(10)],
+                                                   ids, matrix, texts)
+    dataio.write_coords_csv(path, ids, coords)
+    assert path.read_bytes() == _percent_17g_bytes(["spot_id", "x", "y"], ids, coords, texts)
+    # a table with no value the array arithmetic writes
+    none = np.array([[0.0, -0.0, np.nan], [np.inf, 1e-300, -1e17]])
+    dataio.write_matrix_csv(path, ["a", "b"], ["x", "y", "z"], none)
+    assert path.read_bytes() == _percent_17g_bytes(["id", "x", "y", "z"], ["a", "b"], none,
+                                                   ["%.17g" % x for x in none.ravel().tolist()])
+
+
 def test_matrix_csv_deterministic_bytes(tmp_path):
     mat = np.array([[1.0 / 3.0, 2.0], [np.pi, -0.0]])
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -349,7 +406,8 @@ def test_numeric_readers_match_the_row_reader(tmp_path, monkeypatch, name, text,
 
 def test_float_matrix_read_and_write_memory_bound(tmp_path):
     # A 1000 x 2000 matrix is 16 MB of values. Measured peaks (tracemalloc):
-    # reading 18 MB and writing 0.4 MB, against 31 MB and 99 MB when rows
+    # reading 18 MB and writing 1.5 MiB (the float formatter's working
+    # arrays for one block of 8192 values), against 31 MB and 99 MB when rows
     # went through csv and the whole text was built before writing.
     mat = np.random.default_rng(2).normal(size=(1000, 2000))
     rows, cols = [f"c{i}" for i in range(1000)], [f"g{j}" for j in range(2000)]
@@ -360,3 +418,17 @@ def test_float_matrix_read_and_write_memory_bound(tmp_path):
     assert ids == rows and np.array_equal(back, mat)
     assert write_peak < 4 * 2 ** 20
     assert read_peak < 8 * 2 ** 20
+
+
+def test_count_matrix_read_memory_bound(tmp_path):
+    # 1000 x 2000 counts below 256 are 2 MB as uint8. Measured peaks beyond
+    # them (tracemalloc): 2.2 MiB parsing a block of rows at a time, each
+    # narrowed as it is read, against 16 MiB when the whole table was parsed
+    # as int64 first.
+    counts = np.random.default_rng(3).integers(0, 40, size=(1000, 2000))
+    m = CountMatrix([f"c{i}" for i in range(1000)], [f"g{j}" for j in range(2000)], counts)
+    path = tmp_path / "counts.csv"
+    dataio.write_counts_csv(path, m)
+    back, peak = traced_peak(lambda: dataio.read_counts_csv(path))
+    assert back.counts.dtype == np.uint8 and np.array_equal(back.counts, counts)
+    assert peak - back.counts.nbytes < 4 * 2 ** 20
